@@ -14,7 +14,6 @@ from .rational import (
     DivisionByZeroExpr,
     UnboundSymbolError,
     NearZeroDenominator,
-    simplify,
     sign_normalized,
 )
 from .parsing import parse_expr, ExprSyntaxError, UnknownIdentifierError

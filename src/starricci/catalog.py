@@ -110,6 +110,13 @@ class HypersurfaceFamily:
         return (base + 0.05, base + 5.0)
 
 
+def radius_grid(lo: float, hi: float, samples: int) -> list:
+    """`samples` uniformly spaced radii from lo to hi, both ends included."""
+    if samples < 2:
+        raise CatalogError("a radius grid needs at least 2 samples")
+    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+
+
 @dataclass(frozen=True)
 class Catalog:
     version: int
@@ -212,9 +219,7 @@ def load_catalog(path, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
 def validate_family(
     fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL, samples: int = ORACLE_SAMPLES
 ) -> None:
-    lo, hi = fam.sample_window()
-    for i in range(samples):
-        r = lo + (hi - lo) * i / (samples - 1)
+    for r in radius_grid(*fam.sample_window(), samples):
         res = fam.hopf_residual(r)
         if not abs(res) < tol:
             raise CatalogError(
@@ -337,26 +342,16 @@ def sweep(
     extra_bindings: Optional[Mapping[str, float]] = None,
 ) -> SweepResult:
     """Uniform-grid condition evaluation over [r_min, r_max]."""
-    if samples < 2:
-        raise CatalogError("a sweep needs at least 2 samples")
     if r_min > r_max:
         raise CatalogError("r-min must not exceed r-max")
-    lo, hi = fam.domain
-    a = max(r_min, lo)
-    b = min(r_max, hi)
-    if a > b or a >= hi or b <= lo:
+    if not (fam.contains(r_min) and fam.contains(r_max)):
+        lo, hi = fam.domain
         raise DomainError(
-            f"sweep range [{r_min}, {r_max}] does not intersect the domain "
-            f"({lo}, {hi}) of {fam.family_id}"
-        )
-    if a <= lo or b >= hi:
-        raise DomainError(
-            f"sweep range [{a}, {b}] must lie strictly inside the open domain "
+            f"sweep range [{r_min}, {r_max}] must lie strictly inside the open domain "
             f"({lo}, {hi}) of {fam.family_id}"
         )
     rows = []
-    for i in range(samples):
-        r = a + (b - a) * i / (samples - 1)
+    for r in radius_grid(r_min, r_max, samples):
         ev = evaluate_condition(fam, r, kind, extra_bindings=extra_bindings)
         rows.append(SweepRow(r, ev.max_abs_residual, ev.lam_nu_plus_c))
     return SweepResult(fam.family_id, kind, tuple(rows))

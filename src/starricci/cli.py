@@ -48,13 +48,17 @@ from .proofs import (
     CP2,
     ProofError,
     hopf_branch,
+    hopf_verified,
     nonhopf_contradiction,
+    nonhopf_verified,
     quadratic_analysis,
     solve_quadratic,
     type_b_exclusion,
+    verdict,
     verify_all,
 )
 from .rational import ExprError
+from .symbols import SymbolTable
 
 SCHEMA = "starricci.report/1"
 
@@ -101,42 +105,12 @@ def _catalog(args) -> Catalog:
 
 # -- prove -------------------------------------------------------------------
 
-def _trace_lines(trace) -> list:
-    return trace.to_text().splitlines()
-
-
 def cmd_prove(args) -> int:
     cat = _catalog(args)
-    payload: dict = {}
-    lines: list = []
-    ok = True
     target = args.target
+    spaces = _spaces(args.space)
+    nonhopf = hopf = quad = typeb = summary = None
     try:
-        if target in ("nonhopf", "all"):
-            t = nonhopf_contradiction()
-            payload["nonhopf"] = t.to_payload()
-            lines += _trace_lines(t) + [""]
-            ok = ok and t.status == "contradiction"
-        if target in ("hopf", "all"):
-            t = hopf_branch()
-            payload["hopf"] = t.to_payload()
-            lines += _trace_lines(t) + [""]
-            ok = ok and t.status == "open" and "c + lambda*nu = 0" in t.conclusions
-        if target in ("quadratic", "all"):
-            spaces = _spaces(args.space)
-            payload["quadratic"] = []
-            for sp in spaces:
-                q = quadratic_analysis(sp)
-                payload["quadratic"].append(q.to_payload())
-                lines += q.to_text().splitlines() + [""]
-        if target in ("type-b", "all"):
-            spaces = _spaces(args.space)
-            payload["type_b"] = []
-            for sp in spaces:
-                r = type_b_exclusion(sp, samples=args.samples, tol=args.tol_oracle, catalog=cat)
-                payload["type_b"].append(r.to_payload())
-                lines.append(r.to_text())
-                ok = ok and r.ok
         if target == "all":
             summary = verify_all(
                 samples=args.samples,
@@ -144,22 +118,46 @@ def cmd_prove(args) -> int:
                 tol_witness=args.tol_witness,
                 catalog=cat,
             )
-            payload["witness_min_residual"] = summary.witness_min_residual
-            ok = ok and summary.ok
-            lines.append(
-                f"witness: min over families of max parallel residual = "
-                f"{summary.witness_min_residual:.6e} (> {args.tol_witness:g} required)"
-            )
+            nonhopf, hopf = summary.nonhopf, summary.hopf
+            quad = [q for q in summary.quadratic if q.space in spaces]
+            typeb = [t for t in summary.type_b if t.space in spaces]
+            ok = summary.ok
+        elif target == "nonhopf":
+            nonhopf = nonhopf_contradiction()
+            ok = nonhopf_verified(nonhopf)
+        elif target == "hopf":
+            hopf = hopf_branch()
+            ok = hopf_verified(hopf)
+        elif target == "quadratic":
+            quad = [quadratic_analysis(sp) for sp in spaces]
+            ok = True
+        else:
+            typeb = [type_b_exclusion(sp, samples=args.samples, tol=args.tol_oracle, catalog=cat)
+                     for sp in spaces]
+            ok = all(t.ok for t in typeb)
     except ProofError as exc:
-        report = Report(f"prove {target}", f"FAILED: {exc}", payload, cat.version, lines)
-        _write(report, args)
+        _write(Report(f"prove {target}", f"FAILED: {exc}", {}, cat.version), args)
         return 1
-    status = (
-        "non-existence of a parallel *-Ricci tensor verified at desk scale"
-        if ok else "verification FAILED"
-    )
-    report = Report(f"prove {target}", status, payload, cat.version, lines)
-    _write(report, args)
+    payload: dict = {}
+    lines: list = []
+    for key, trace in (("nonhopf", nonhopf), ("hopf", hopf)):
+        if trace is not None:
+            payload[key] = trace.to_payload()
+            lines += trace.to_text().splitlines() + [""]
+    if quad is not None:
+        payload["quadratic"] = [q.to_payload() for q in quad]
+        for q in quad:
+            lines += q.to_text().splitlines() + [""]
+    if typeb is not None:
+        payload["type_b"] = [t.to_payload() for t in typeb]
+        lines += [t.to_text() for t in typeb]
+    if summary is not None:
+        payload["witness_min_residual"] = summary.witness_min_residual
+        lines.append(
+            f"witness: min over families of max parallel residual = "
+            f"{summary.witness_min_residual:.6e} (> {summary.witness_tol:g} required)"
+        )
+    _write(Report(f"prove {target}", verdict(ok), payload, cat.version, lines), args)
     return 0 if ok else 1
 
 
@@ -197,10 +195,10 @@ def cmd_check(args) -> int:
         for item in args.assumptions:
             name, _, value = item.partition("=")
             if not _:
-                raise SystemExit(f"assumption {item!r} is not of the form name=value")
+                raise ValueError(f"assumption {item!r} is not of the form name=value")
             sym = ctx.table.get(name.strip())
             if sym is None:
-                raise SystemExit(f"unknown symbol {name!r} in this context")
+                raise ValueError(f"unknown symbol {name!r} in this context")
             bindings[sym] = parse_expr(value.strip(), ctx.table)
         report = report.substitute(bindings)
     entries = [
@@ -253,58 +251,52 @@ def cmd_sweep(args) -> int:
 # -- expr --------------------------------------------------------------------
 
 def cmd_expr(args) -> int:
-    from .symbols import SymbolTable
-
     table = SymbolTable()
-    try:
-        expr = parse_expr(args.text, table, define_missing=True)
-        if args.action == "eval":
-            bindings = {}
-            for item in args.args:
-                name, _, value = item.partition("=")
-                if not _:
-                    raise SystemExit(f"binding {item!r} is not of the form name=value")
-                bindings[name.strip()] = float(value)
-            value = expr.eval(bindings)
-            payload = {"expression": expr.to_text(), "value": value}
-            lines = [f"{expr.to_text()} = {value!r}"]
-            _write(Report("expr eval", "ok", payload, None, lines), args)
-            return 0
-        # solve
-        if len(args.args) != 1:
-            raise SystemExit("expr solve needs exactly one unknown name")
-        unknown = table.get(args.args[0])
-        if unknown is None:
-            raise SystemExit(f"unknown {args.args[0]!r} does not occur in the expression")
-        sol = solve_quadratic(expr, unknown)
-        payload = {
-            "expression": expr.to_text(),
-            "unknown": unknown.name,
-            "degree": sol.degree,
-            "coefficients": [c.to_text() for c in sol.coefficients],
-            "discriminant": sol.discriminant.to_text() if sol.discriminant else None,
-            "roots": [
-                {"offset": r.offset.to_text(), "sqrt_coeff": r.sqrt_coeff.to_text(),
-                 "radicand": r.radicand.to_text()}
-                for r in sol.roots
-            ],
-            "solvability_condition": sol.solvability_condition,
-        }
-        lines = [f"degree {sol.degree} in {unknown.name}"]
-        if sol.discriminant is not None:
-            lines.append(f"discriminant: {sol.discriminant.to_text()}")
-        for i, r in enumerate(sol.roots):
-            lines.append(
-                f"root {i}: {r.offset.to_text()} + ({r.sqrt_coeff.to_text()}) "
-                f"* sqrt({r.radicand.to_text()})"
-            )
-        if sol.solvability_condition:
-            lines.append(f"real roots iff {sol.solvability_condition}")
-        _write(Report("expr solve", "ok", payload, None, lines), args)
+    expr = parse_expr(args.text, table, define_missing=True)
+    if args.action == "eval":
+        bindings = {}
+        for item in args.args:
+            name, _, value = item.partition("=")
+            if not _:
+                raise ExprError(f"binding {item!r} is not of the form name=value")
+            bindings[name.strip()] = float(value)
+        value = expr.eval(bindings)
+        payload = {"expression": expr.to_text(), "value": value}
+        lines = [f"{expr.to_text()} = {value!r}"]
+        _write(Report("expr eval", "ok", payload, None, lines), args)
         return 0
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # solve
+    if len(args.args) != 1:
+        raise ExprError("expr solve needs exactly one unknown name")
+    unknown = table.get(args.args[0])
+    if unknown is None:
+        raise ExprError(f"unknown {args.args[0]!r} does not occur in the expression")
+    sol = solve_quadratic(expr, unknown)
+    payload = {
+        "expression": expr.to_text(),
+        "unknown": unknown.name,
+        "degree": sol.degree,
+        "coefficients": [c.to_text() for c in sol.coefficients],
+        "discriminant": sol.discriminant.to_text() if sol.discriminant else None,
+        "roots": [
+            {"offset": r.offset.to_text(), "sqrt_coeff": r.sqrt_coeff.to_text(),
+             "radicand": r.radicand.to_text()}
+            for r in sol.roots
+        ],
+        "solvability_condition": sol.solvability_condition,
+    }
+    lines = [f"degree {sol.degree} in {unknown.name}"]
+    if sol.discriminant is not None:
+        lines.append(f"discriminant: {sol.discriminant.to_text()}")
+    for i, r in enumerate(sol.roots):
+        lines.append(
+            f"root {i}: {r.offset.to_text()} + ({r.sqrt_coeff.to_text()}) "
+            f"* sqrt({r.radicand.to_text()})"
+        )
+    if sol.solvability_condition:
+        lines.append(f"real roots iff {sol.solvability_condition}")
+    _write(Report("expr solve", "ok", payload, None, lines), args)
+    return 0
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -378,7 +370,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -87,12 +87,6 @@ class ConditionReport:
             ),
         )
 
-    def eval_rows(self, bindings: Mapping) -> list:
-        return [(e, e.equation.eval(bindings)) for e in self.entries]
-
-    def max_abs(self, bindings: Mapping) -> float:
-        return max(abs(v) for _, v in self.eval_rows(bindings))
-
     def is_zero(self) -> bool:
         return all(e.equation.is_zero for e in self.entries)
 

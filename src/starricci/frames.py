@@ -182,9 +182,6 @@ class Tensor11:
         ke = _expr(k)
         return Tensor11(tuple(ke * a for a in row) for row in self.rows)
 
-    def transpose(self) -> "Tensor11":
-        return Tensor11(tuple(self.rows[j][i] for j in range(3)) for i in range(3))
-
     def is_symmetric(self) -> bool:
         return all(self.rows[i][j] == self.rows[j][i] for i in range(3) for j in range(i))
 

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .rational import NUMERIC_FUNCTIONS, Expr
-from .symbols import CONSTANT, DERIVATIVE, DIRECTIONS, SymbolTable
+from .symbols import CONSTANT, DIRECTIONS, SymbolTable
 
 
 class ExprSyntaxError(ValueError):
@@ -184,10 +184,6 @@ class _Parser:
             self.expect_op(")")
             if sym.kind == CONSTANT:
                 return Expr.zero()
-            if sym.kind == DERIVATIVE:
-                raise ExprSyntaxError(
-                    f"second-order derivative D({dval},{fval}) is not supported", fpos
-                )
             return Expr.from_symbol(self.table.derivative(sym, dval))
         if name in NUMERIC_FUNCTIONS:
             arg = self.expr()

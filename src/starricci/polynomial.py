@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Callable, Iterable, Mapping, Optional
 
-from .symbols import CONSTANT, DERIVATIVE, Symbol, SymbolError
+from .symbols import CONSTANT, Symbol, derivative_symbol
 
 Mono = tuple  # tuple[tuple[Symbol, int], ...]
 
@@ -140,9 +140,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
-
-    def total_degree(self) -> int:
-        return _mono_deg(self.terms[0][0]) if self.terms else 0
 
     def degree_in(self, sym: Symbol) -> int:
         d = 0
@@ -272,13 +269,7 @@ class Polynomial:
             for idx, (s, e) in enumerate(m):
                 if s.kind == CONSTANT:
                     continue
-                if s.kind == DERIVATIVE:
-                    raise SymbolError(
-                        f"second-order formal derivative of {s.name!r} is not supported"
-                    )
-                dsym = Symbol(
-                    f"D({direction},{s.name})", DERIVATIVE, direction=direction, base=s.name
-                )
+                dsym = derivative_symbol(s, direction)
                 rest = list(m[:idx]) + list(m[idx + 1:])
                 if e > 1:
                     rest.append((s, e - 1))

@@ -37,13 +37,14 @@ from .catalog import (
     ModelSpace,
     builtin_catalog,
     evaluate_condition,
+    radius_grid,
 )
 from .conditions import ConditionKind, parallel_equations
 from .frames import FrameIndex, build_hopf_context, build_nonhopf_context, star_ricci_closed
 from .parsing import parse_expr
 from .quadratic import solve_quadratic
 from .rational import Expr, sign_normalized
-from .symbols import DERIVATIVE, DIRECTIONS, Symbol, SymbolTable
+from .symbols import DERIVATIVE, DIRECTIONS, Symbol, SymbolTable, derivative_symbol
 
 
 class ProofError(AssertionError):
@@ -193,10 +194,11 @@ def _assert_projection_purity(label: str, e: Expr) -> None:
 
 def _derivative_bindings(table: SymbolTable, name: str, value: Expr) -> dict:
     """Bind a function symbol (to a constant) and all its formal derivatives
-    to zero; symbol identity is by name, so fresh handles match interned ones."""
-    out = {table.get(name): value}
+    to zero."""
+    sym = table.get(name)
+    out = {sym: value}
     for d in DIRECTIONS:
-        out[Symbol(f"D({d},{name})", DERIVATIVE, direction=d, base=name)] = Expr.zero()
+        out[derivative_symbol(sym, d)] = Expr.zero()
     return out
 
 
@@ -284,6 +286,11 @@ def nonhopf_contradiction() -> ProofTrace:
         "no non-Hopf point exists: every hypersurface with parallel *-Ricci tensor is Hopf",
     )
     return trace
+
+
+def nonhopf_verified(trace: ProofTrace) -> bool:
+    """The non-Hopf replay reached its contradiction."""
+    return trace.status == "contradiction"
 
 
 BASIC_RELATION_TEXT = "lambda*nu - (alpha/2)*(lambda + nu) - c/4"
@@ -380,6 +387,11 @@ def hopf_branch() -> ProofTrace:
         "nu != 0",
     )
     return trace
+
+
+def hopf_verified(trace: ProofTrace) -> bool:
+    """The Hopf replay stays open and concludes c + lambda*nu = 0."""
+    return trace.status == "open" and "c + lambda*nu = 0" in trace.conclusions
 
 
 QUADRATIC_TEXT = "2*alpha*nu^2 + 5*c*nu - 2*alpha*c"
@@ -541,22 +553,25 @@ def type_b_exclusion(
     The remaining Hopf candidates would need lambda nu = -c; the constant
     offset of 3 rules them out at every sampled radius.
     """
-    if samples < 2:
-        raise ValueError("type-B exclusion needs at least 2 samples")
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
     expected = TYPE_B_EXPECTED[space.name]
-    lo, hi = fam.sample_window()
     max_dev = 0.0
     min_abs = float("inf")
-    for i in range(samples):
-        r = lo + (hi - lo) * i / (samples - 1)
+    for r in radius_grid(*fam.sample_window(), samples):
         _a, l, n = fam.curvatures(r)
         value = l * n + float(space.c)
         max_dev = max(max_dev, abs(value - expected))
         min_abs = min(min_abs, abs(value))
     ok = max_dev <= tol and min_abs >= 3.0 - tol
     return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok)
+
+
+def verdict(ok: bool) -> str:
+    """Report status line for a verification that passed (ok) or failed."""
+    if ok:
+        return "non-existence of a parallel *-Ricci tensor verified at desk scale"
+    return "verification FAILED"
 
 
 @dataclass(frozen=True)
@@ -596,8 +611,6 @@ def verify_all(
     condition on the *-Ricci tensor stays numerically violated at the
     sampled radii (no family poses as a counterexample).
     """
-    if samples < 2:
-        raise ValueError("verification sweeps need at least 2 samples")
     cat = catalog if catalog is not None else builtin_catalog()
     nonhopf = nonhopf_contradiction()
     hopf = hopf_branch()
@@ -608,23 +621,15 @@ def verify_all(
     )
     witness_min = float("inf")
     for fam in cat.families:
-        lo, hi = fam.sample_window()
-        for i in range(samples):
-            r = lo + (hi - lo) * i / (samples - 1)
+        for r in radius_grid(*fam.sample_window(), samples):
             ev = evaluate_condition(fam, r, ConditionKind.PARALLEL)
             witness_min = min(witness_min, ev.max_abs_residual)
     ok = (
-        nonhopf.status == "contradiction"
-        and hopf.status == "open"
-        and "c + lambda*nu = 0" in hopf.conclusions
+        nonhopf_verified(nonhopf)
+        and hopf_verified(hopf)
         and all(t.ok for t in typeb)
         and witness_min > tol_witness
     )
-    status = (
-        "non-existence of a parallel *-Ricci tensor verified at desk scale"
-        if ok
-        else "verification FAILED"
-    )
     return VerificationSummary(
-        nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok, status
+        nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok, verdict(ok)
     )

@@ -304,16 +304,6 @@ _ZERO_EXPR = Expr(Polynomial.zero())
 _ONE_EXPR = Expr(Polynomial.one())
 
 
-def simplify(e: Expr) -> Expr:
-    """Canonical form of e.
-
-    Construction already canonicalizes every Expr (reduced fraction, monic
-    denominator, unique zero), so this is the identity; it exists to state
-    the invariant: idempotent, and equal inputs give identical outputs.
-    """
-    return e
-
-
 def sign_normalized(e: Expr) -> Expr:
     """e or -e, whichever has a positive leading numerator coefficient.
 

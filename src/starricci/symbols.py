@@ -61,21 +61,32 @@ class Symbol:
         return f"Symbol({self.name!r}, {self.kind})"
 
 
-def derivative_name(direction: str, base: str) -> str:
-    return f"D({direction},{base})"
+def derivative_symbol(base: Symbol, direction: str) -> Symbol:
+    """The formal derivative symbol D(direction, base).
+
+    Only function-kind symbols have derivative symbols; differentiating a
+    derivative symbol (second order) is not supported by the calculus.
+    Symbol identity is by name, so the result equals any interned copy.
+    """
+    if direction not in DIRECTIONS:
+        raise SymbolError(f"unknown frame direction {direction!r}")
+    if base.kind == DERIVATIVE:
+        raise SymbolError(
+            f"second-order formal derivative of {base.name!r} is not supported"
+        )
+    if base.kind != FUNCTION:
+        raise SymbolError(
+            f"derivative symbols exist only for function symbols, not {base.name!r}"
+        )
+    return Symbol(f"D({direction},{base.name})", DERIVATIVE,
+                  direction=direction, base=base.name)
 
 
 class SymbolTable:
-    """Interning table; at most one symbol per name.
-
-    The table may be frozen once a frame context is fully built; lookups stay
-    legal, definitions raise.  Expressions themselves are immutable, so a
-    frozen table plus built expressions are safe to share across threads.
-    """
+    """Interning table; at most one symbol per name."""
 
     def __init__(self) -> None:
         self._by_name: dict[str, Symbol] = {}
-        self._frozen = False
 
     def _define(self, sym: Symbol) -> Symbol:
         existing = self._by_name.get(sym.name)
@@ -85,8 +96,6 @@ class SymbolTable:
                     f"symbol {sym.name!r} already defined with kind {existing.kind!r}"
                 )
             return existing
-        if self._frozen:
-            raise SymbolError(f"symbol table is frozen; cannot define {sym.name!r}")
         self._by_name[sym.name] = sym
         return sym
 
@@ -99,25 +108,8 @@ class SymbolTable:
         return self._define(Symbol(name, CONSTANT))
 
     def derivative(self, base: Symbol, direction: str) -> Symbol:
-        """The formal derivative symbol D(direction, base).
-
-        Only function-kind symbols have derivative symbols; differentiating a
-        derivative symbol (second order) is not supported by the calculus.
-        """
-        if direction not in DIRECTIONS:
-            raise SymbolError(f"unknown frame direction {direction!r}")
-        if base.kind == DERIVATIVE:
-            raise SymbolError(
-                f"second-order formal derivative of {base.name!r} is not supported"
-            )
-        if base.kind != FUNCTION:
-            raise SymbolError(
-                f"derivative symbols exist only for function symbols, not {base.name!r}"
-            )
-        return self._define(
-            Symbol(derivative_name(direction, base.name), DERIVATIVE,
-                   direction=direction, base=base.name)
-        )
+        """The interned derivative symbol D(direction, base)."""
+        return self._define(derivative_symbol(base, direction))
 
     def applied(self, fn: str, arg: object, text: str) -> Symbol:
         """Opaque numeric atom such as cot(2*r); `text` is its canonical name."""
@@ -131,9 +123,6 @@ class SymbolTable:
 
     def names(self) -> list[str]:
         return sorted(self._by_name)
-
-    def freeze(self) -> None:
-        self._frozen = True
 
 
 def _check_ident(name: str) -> None:

@@ -137,6 +137,9 @@ def test_sweep_domain_errors():
     with pytest.raises(DomainError):
         # touches the open endpoint r = 0
         sweep(cat.get("cp2-b"), 0.0, 0.5, 10, ConditionKind.PARALLEL)
+    with pytest.raises(DomainError, match=r"sweep range \[-1\.0, 0\.5\]"):
+        # the message names the requested range, not a clipped one
+        sweep(cat.get("cp2-b"), -1.0, 0.5, 10, ConditionKind.PARALLEL)
 
 
 def test_catalog_roundtrip():

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from starricci import cli, proofs
 from starricci.cli import main
 
 
@@ -175,3 +177,52 @@ def test_bad_inputs_exit_nonzero(capsys):
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
     with pytest.raises(SystemExit):
         main(["check", "star-ricci", "bogus", "hopf"])
+    capsys.readouterr()
+    for argv in (
+        ["check", "star-ricci", "parallel", "hopf", "foo=1"],
+        ["check", "star-ricci", "parallel", "hopf", "foo"],
+        ["expr", "eval", "x", "x"],
+        ["expr", "eval", "x", "x=1", "y"],
+        ["expr", "solve", "x"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pieces = ("nonhopf_contradiction", "hopf_branch", "quadratic_analysis",
+              "type_b_exclusion")
+    for name in pieces:
+        wrapper = counted(name, getattr(proofs, name))
+        for module in (proofs, cli):
+            monkeypatch.setattr(module, name, wrapper)
+    code, _ = run(capsys, "prove", "all", "--samples", "5")
+    assert code == 0
+    assert [calls[name] for name in pieces] == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("space", [None, "cp2", "ch2"])
+def test_prove_all_payload_matches_single_targets(capsys, space):
+    def payload(target):
+        argv = ["prove", target, "--format", "json"]
+        if space:
+            argv += ["--space", space]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        return json.loads(out)["payload"]
+
+    expected = {}
+    for target in ("nonhopf", "hopf", "quadratic", "type-b"):
+        expected.update(payload(target))
+    expected["witness_min_residual"] = proofs.verify_all().witness_min_residual
+    assert payload("all") == expected

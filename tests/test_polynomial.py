@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from starricci.parsing import parse_expr
 from starricci.polynomial import Polynomial, poly_gcd
-from starricci.symbols import SymbolTable, SymbolError
+from starricci.proofs import _derivative_bindings
+from starricci.rational import Expr
+from starricci.symbols import DERIVATIVE, SymbolTable, SymbolError
 
 
 @pytest.fixture
@@ -125,3 +128,20 @@ def test_derivative_kinds():
         P(df).derivative("e2")
     # constants die
     assert P(k).derivative("e1").is_zero
+
+
+def test_derivative_symbols_agree_across_sites():
+    t = SymbolTable()
+    f = t.function("f")
+    (mono, _c), = P(f).derivative("e1").terms
+    (from_poly, _e), = mono
+    from_parser, = parse_expr("D(e1,f)", t).symbols()
+    from_bindings = next(s for s in _derivative_bindings(t, "f", Expr.zero())
+                         if s.name == "D(e1,f)")
+    for sym in (from_poly, from_parser, from_bindings):
+        assert sym == from_parser
+        assert (sym.kind, sym.direction, sym.base) == (DERIVATIVE, "e1", "f")
+    with pytest.raises(SymbolError):
+        P(from_parser).derivative("e2")
+    with pytest.raises(SymbolError):
+        t.derivative(from_parser, "e2")
