@@ -9,8 +9,16 @@ family against the principal-curvature relation
 
 at 100 sampled radii; any failure aborts the load.  These homogeneous models
 have constant principal curvatures along the hypersurface, so numeric
-condition evaluation binds every formal derivative symbol (and the
-unconstrained connection coefficients h1..h3) to zero.
+condition evaluation binds every formal derivative symbol, the unconstrained
+connection coefficients h1..h3, the pseudo-parallel function L and the
+Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may set
+these and no other names.
+
+All numeric evaluation on families is compiled: each family gets one
+function of r returning (alpha, lambda, nu), and each cached condition report
+one function returning all of its rows (rational.compile_float), with the
+same float values as Expr.eval.  A non-finite binding, curvature or row is a
+CatalogError, never a residual.
 
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
@@ -23,10 +31,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .conditions import (
     ConditionKind,
@@ -40,8 +48,8 @@ from .conditions import (
 )
 from .frames import build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
-from .rational import Expr
-from .symbols import SymbolTable
+from .rational import Expr, compile_float
+from .symbols import DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
 
 DEFAULT_ORACLE_TOL = 1e-9
 DEFAULT_WITNESS_TOL = 1e-6
@@ -81,6 +89,12 @@ class HypersurfaceFamily:
     lam: Expr
     nu: Expr
     description: str = ""
+    # (r, pi) -> (alpha, lambda, nu), compiled once per family
+    curvature_fn: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fn = compile_float((self.alpha, self.lam, self.nu), ("r", "pi"))
+        object.__setattr__(self, "curvature_fn", fn)
 
     def contains(self, r: float) -> bool:
         lo, hi = self.domain
@@ -92,8 +106,13 @@ class HypersurfaceFamily:
                 f"r = {r} outside the open domain ({self.domain[0]}, {self.domain[1]}) "
                 f"of family {self.family_id}"
             )
-        bindings = {"r": r, "pi": math.pi}
-        return (self.alpha.eval(bindings), self.lam.eval(bindings), self.nu.eval(bindings))
+        values = self.curvature_fn(r, math.pi)
+        a, l, n = values
+        if not (math.isfinite(a) and math.isfinite(l) and math.isfinite(n)):
+            raise CatalogError(
+                f"family {self.family_id} has non-finite curvatures {values!r} at r = {r}"
+            )
+        return values
 
     def hopf_residual(self, r: float) -> float:
         a, l, n = self.curvatures(r)
@@ -240,26 +259,66 @@ def builtin_families() -> list:
 
 # -- numeric condition evaluation ---------------------------------------------
 
+_HOPF_FUNCTIONS = tuple(Symbol(f"h{i}", FUNCTION) for i in (1, 2, 3))
+
+# Symbols of the Hopf condition reports that no family fixes; numeric
+# evaluation binds them to zero unless extra_bindings sets them.
+ZERO_DEFAULT = ("L", "lambda_e") + tuple(h.name for h in _HOPF_FUNCTIONS) + tuple(
+    derivative_symbol(h, d).name for h in _HOPF_FUNCTIONS for d in DIRECTIONS
+)
+# The parameters of every compiled report, in call order.
+REPORT_PARAMS = ("alpha", "lambda", "nu", "c") + ZERO_DEFAULT
+_ZEROS = (0.0,) * len(ZERO_DEFAULT)
+
+
+@dataclass(frozen=True)
+class _CompiledReport:
+    report: ConditionReport
+    labels: tuple        # one per entry, in report order
+    evaluate: Callable   # (*REPORT_PARAMS values) -> tuple of row values
+
+
 @lru_cache(maxsize=None)
-def _hopf_report(kind: ConditionKind) -> ConditionReport:
+def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces."""
+    context (c symbolic), shared by both model spaces, with its compiled
+    row evaluator."""
     ctx = build_hopf_context()
     sstar = star_ricci_closed(ctx)
     if kind is ConditionKind.PARALLEL:
-        return parallel_equations(ctx, sstar, "star-ricci")
-    if kind is ConditionKind.XI_PARALLEL:
-        return xi_parallel_equations(ctx, sstar, "star-ricci")
-    if kind is ConditionKind.D_PARALLEL:
-        return d_parallel_equations(ctx, sstar, "star-ricci")
-    if kind is ConditionKind.SEMI_PARALLEL:
-        return semi_parallel_equations(ctx, sstar, "star-ricci")
-    if kind is ConditionKind.PSEUDO_PARALLEL:
+        report = parallel_equations(ctx, sstar, "star-ricci")
+    elif kind is ConditionKind.XI_PARALLEL:
+        report = xi_parallel_equations(ctx, sstar, "star-ricci")
+    elif kind is ConditionKind.D_PARALLEL:
+        report = d_parallel_equations(ctx, sstar, "star-ricci")
+    elif kind is ConditionKind.SEMI_PARALLEL:
+        report = semi_parallel_equations(ctx, sstar, "star-ricci")
+    elif kind is ConditionKind.PSEUDO_PARALLEL:
         L = Expr.from_symbol(ctx.table.constant("L"))
-        return pseudo_parallel_equations(ctx, sstar, L, "star-ricci")
-    if kind is ConditionKind.EINSTEIN:
-        return einstein_equations(ctx)
-    raise ValueError(f"unhandled condition kind {kind}")
+        report = pseudo_parallel_equations(ctx, sstar, L, "star-ricci")
+    elif kind is ConditionKind.EINSTEIN:
+        report = einstein_equations(ctx)
+    else:
+        raise ValueError(f"unhandled condition kind {kind}")
+    return _CompiledReport(
+        report,
+        tuple(e.label() for e in report.entries),
+        compile_float(report.equations(), REPORT_PARAMS),
+    )
+
+
+def _report_arguments(a, l, n, c, extra_bindings: Mapping[str, float]) -> list:
+    args = [a, l, n, c, *_ZEROS]
+    for name, value in extra_bindings.items():
+        if name not in REPORT_PARAMS:
+            raise CatalogError(
+                f"unknown binding {name!r} (known: {', '.join(REPORT_PARAMS)})"
+            )
+        value = float(value)
+        if not math.isfinite(value):
+            raise CatalogError(f"binding {name} = {value!r} is not finite")
+        args[REPORT_PARAMS.index(name)] = value
+    return args
 
 
 @dataclass(frozen=True)
@@ -269,8 +328,14 @@ class ConditionEvaluation:
     kind: ConditionKind
     curvatures: tuple          # (alpha, lambda, nu)
     lam_nu_plus_c: float
-    rows: tuple                # ((label, value), ...) in report order
+    labels: tuple              # entry labels, in report order
+    values: tuple              # row values, in report order
     max_abs_residual: float
+
+    @property
+    def rows(self) -> tuple:
+        """((label, value), ...) in report order."""
+        return tuple(zip(self.labels, self.values))
 
 
 def evaluate_condition(
@@ -282,39 +347,34 @@ def evaluate_condition(
 ) -> ConditionEvaluation:
     """Evaluate a condition report on the *-Ricci tensor at radius r.
 
-    Formal derivative symbols, the free connection coefficients h1..h3, the
-    pseudo-parallel function L and the Einstein constant default to zero;
-    extra_bindings overrides.
+    The names in ZERO_DEFAULT (formal derivative symbols, the free connection
+    coefficients h1..h3, the pseudo-parallel function L and the Einstein
+    constant lambda_e) are bound to zero.  extra_bindings overrides any name
+    in REPORT_PARAMS; another name, or a non-finite value, raises
+    CatalogError, and so does a non-finite row.
     """
     a, l, n = fam.curvatures(r)
-    report = _hopf_report(kind)
-    bindings: dict[str, float] = {
-        "alpha": a,
-        "lambda": l,
-        "nu": n,
-        "c": float(fam.space.c),
-    }
+    compiled = _hopf_report(kind)
+    c = float(fam.space.c)
     if extra_bindings:
-        bindings.update(extra_bindings)
-    rows = []
-    max_abs = 0.0
-    for entry in report.entries:
-        local = dict(bindings)
-        for sym in entry.equation.symbols():
-            if sym.name not in local:
-                local[sym.name] = 0.0
-        v = entry.equation.eval(local)
-        rows.append((entry.label(), v))
-        if abs(v) > max_abs:
-            max_abs = abs(v)
+        values = compiled.evaluate(*_report_arguments(a, l, n, c, extra_bindings))
+    else:
+        values = compiled.evaluate(a, l, n, c, *_ZEROS)
+    if not all(map(math.isfinite, values)):
+        bad = sum(1 for v in values if not math.isfinite(v))
+        raise CatalogError(
+            f"{bad} of {len(values)} {kind.value} rows are not finite on "
+            f"{fam.family_id} at r = {r}"
+        )
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
         kind=kind,
         curvatures=(a, l, n),
-        lam_nu_plus_c=l * n + float(fam.space.c),
-        rows=tuple(rows),
-        max_abs_residual=max_abs,
+        lam_nu_plus_c=l * n + c,
+        labels=compiled.labels,
+        values=values,
+        max_abs_residual=max(map(abs, values), default=0.0),
     )
 
 

@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a --catalog/--out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ while contradiction witnesses are recorded exactly as computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -34,6 +35,7 @@ from .catalog import (
     CH2,
     CP2,
     Catalog,
+    CatalogError,
     ModelSpace,
     builtin_catalog,
     evaluate_condition,
@@ -561,6 +563,10 @@ def type_b_exclusion(
     for r in radius_grid(*fam.sample_window(), samples):
         _a, l, n = fam.curvatures(r)
         value = l * n + float(space.c)
+        if not math.isfinite(value):  # max and min below would skip a NaN
+            raise CatalogError(
+                f"lambda*nu + c = {value!r} on family {fam.family_id} at r = {r}"
+            )
         max_dev = max(max_dev, abs(value - expected))
         min_abs = min(min_abs, abs(value))
     ok = max_dev <= tol and min_abs >= 3.0 - tol

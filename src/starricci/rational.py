@@ -4,13 +4,17 @@ An ``Expr`` is a reduced fraction of two canonical polynomials with the
 denominator normalized to leading coefficient 1.  Structural equality of two
 ``Expr`` values coincides with equality as rational functions, so the proof
 layer can test "is exactly zero" by construction.  Values are immutable.
+
+``Expr.eval`` evaluates one expression once.  ``compile_float`` turns a
+sequence of expressions into one straight-line Python function that returns
+the same floats, bit for bit, for repeated numeric evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .polynomial import Polynomial, poly_gcd
 from .symbols import Symbol
@@ -50,6 +54,20 @@ NUMERIC_FUNCTIONS = {
     "log": math.log,
     "sqrt": math.sqrt,
 }
+
+_OVERFLOW = "floating-point overflow"
+
+
+def _apply_function(name: str, x: float) -> float:
+    """NUMERIC_FUNCTIONS[name](x); a pole, overflow or domain error is an ExprError."""
+    try:
+        return NUMERIC_FUNCTIONS[name](x)
+    except (ArithmeticError, ValueError) as exc:
+        raise ExprError(f"{name}({x!r}) cannot be evaluated: {exc}") from None
+
+
+def _near_zero(den: "Polynomial", value: float) -> NearZeroDenominator:
+    return NearZeroDenominator(f"denominator {den} evaluates to {value!r}")
 
 
 class Expr:
@@ -238,30 +256,36 @@ class Expr:
     def eval(self, bindings: Mapping, *, den_tol: float = 1e-12) -> float:
         """Double-precision value.  All symbols must be bound (by Symbol or
         name); applied atoms such as cot(2*r) evaluate through their argument.
+        A non-finite binding, a pole of an atom or an overflow is an ExprError.
         """
         named: dict[str, float] = {}
         for k, v in bindings.items():
-            named[k.name if isinstance(k, Symbol) else k] = float(v)
+            name = k.name if isinstance(k, Symbol) else k
+            value = float(v)
+            if not math.isfinite(value):
+                raise ExprError(f"binding {name} = {value!r} is not finite")
+            named[name] = value
         missing: set[str] = set()
 
         def value_of(s: Symbol) -> float:
             if s.name in named:
                 return named[s.name]
             if s.fn is not None:
-                v = NUMERIC_FUNCTIONS[s.fn](s.arg.eval(bindings, den_tol=den_tol))
+                v = _apply_function(s.fn, s.arg.eval(bindings, den_tol=den_tol))
                 named[s.name] = v
                 return v
             missing.add(s.name)
             return 0.0
 
-        num_v = self.num.eval(value_of)
-        den_v = self.den.eval(value_of)
+        try:
+            num_v = self.num.eval(value_of)
+            den_v = self.den.eval(value_of)
+        except OverflowError:
+            raise ExprError(_OVERFLOW) from None
         if missing:
             raise UnboundSymbolError(missing)
         if abs(den_v) <= den_tol:
-            raise NearZeroDenominator(
-                f"denominator {self.den} evaluates to {den_v!r}"
-            )
+            raise _near_zero(self.den, den_v)
         return num_v / den_v
 
     def eval_exact(self, bindings: Mapping) -> Fraction:
@@ -314,3 +338,118 @@ def sign_normalized(e: Expr) -> Expr:
         return e
     _, lc = e.num.leading()
     return -e if lc < 0 else e
+
+
+# -- compiled float evaluation -------------------------------------------------
+
+class _FloatCodegen:
+    """Straight-line Python source for the float values of a set of Exprs.
+
+    Symbol names and expression text never enter the source: parameters,
+    powers and atoms get generated identifiers, coefficients become float
+    literals and applied atoms call ``_apply`` with a NUMERIC_FUNCTIONS key.
+    Denominator texts for error messages live in ``dens``, indexed by number.
+    """
+
+    def __init__(self, params: Sequence[str], den_tol: float):
+        self.den_tol = den_tol
+        self.params = {name: f"v{i}" for i, name in enumerate(params)}
+        self.used: set[str] = set()
+        self.body: list[str] = []
+        self.dens: list = []
+        self.missing: set[str] = set()
+        self._atoms: dict[str, str] = {}
+        self._powers: dict[tuple, str] = {}
+
+    def _bind(self, prefix: str, code: str) -> str:
+        ident = f"{prefix}{len(self.body)}"
+        self.body.append(f"{ident} = {code}")
+        return ident
+
+    def value(self, sym: Symbol) -> str:
+        ident = self.params.get(sym.name)
+        if ident is not None:
+            self.used.add(ident)
+            return ident
+        if sym.fn is None:
+            self.missing.add(sym.name)
+            return "0.0"
+        ident = self._atoms.get(sym.name)
+        if ident is None:
+            if sym.fn not in NUMERIC_FUNCTIONS:
+                raise ExprError("applied atom with an unknown numeric function")
+            ident = self._bind("a", f"_apply({sym.fn!r}, {self.expr(sym.arg)})")
+            self._atoms[sym.name] = ident
+        return ident
+
+    def power(self, sym: Symbol, e: int) -> str:
+        key = (self.value(sym), e)
+        ident = self._powers.get(key)
+        if ident is None:
+            ident = self._powers[key] = self._bind("p", f"{key[0]} ** {e}")
+        return ident
+
+    def poly(self, p: Polynomial) -> str:
+        """Polynomial.eval's order: a sum from 0.0 of float(c) * x**e * ..."""
+        code = "0.0"
+        for m, c in p.terms:
+            code += f" + ({float(c)!r})" + "".join(f" * {self.power(s, e)}" for s, e in m)
+        return code
+
+    def expr(self, e: Expr) -> str:
+        """Python expression for e's value; statements it needs go to body."""
+        num = self.poly(e.num)
+        den = self.poly(e.den)
+        if e.den.is_constant:  # monic, so exactly 1: the check cannot fire
+            return f"({num}) / ({den})"
+        n, d = self._bind("n", num), self._bind("d", den)
+        self.body.append(f"if abs({d}) <= {self.den_tol!r}: raise _near({len(self.dens)}, {d})")
+        self.dens.append(e.den)
+        return f"{n} / {d}"
+
+
+def compile_float(
+    exprs: Sequence[Expr], params: Sequence[str], *, den_tol: float = 1e-12
+) -> Callable[..., tuple]:
+    """One compiled function returning the float values of `exprs`.
+
+    The function takes one positional value per name in `params` and returns
+    the tuple ``(e.eval(bindings) for e in exprs)`` bit for bit: it performs
+    the float operations of Expr.eval in the same order (inputs through
+    float(), each polynomial summed from 0.0, each term float(c) * x**e * ...
+    in monomial order, num / den), raises NearZeroDenominator where Expr.eval
+    does and computes each applied atom once per call through
+    NUMERIC_FUNCTIONS.  Unlike Expr.eval it does not check that its inputs
+    are finite.  A symbol that is neither a parameter nor an applied atom
+    raises UnboundSymbolError here, once.  The source is kept on the
+    function as ``source``.
+    """
+    gen = _FloatCodegen(params, den_tol)
+    try:
+        values = [gen.expr(e) for e in exprs]
+    except OverflowError:  # a coefficient beyond the float range
+        raise ExprError(_OVERFLOW) from None
+    if gen.missing:
+        raise UnboundSymbolError(gen.missing)
+    dens = tuple(gen.dens)
+    lines = [f"def compiled({', '.join(gen.params.values())}):"]
+    lines += [f"    {v} = float({v})" for v in gen.params.values() if v in gen.used]
+    lines.append("    try:")
+    lines += [f"        {stmt}" for stmt in gen.body]
+    lines.append(f"        return ({''.join(v + ', ' for v in values)})")
+    lines.append("    except OverflowError:")
+    lines.append("        raise _overflow() from None")
+    source = "\n".join(lines) + "\n"
+    namespace = {
+        "__builtins__": {},
+        "float": float,
+        "abs": abs,
+        "OverflowError": OverflowError,
+        "_apply": _apply_function,
+        "_near": lambda k, value: _near_zero(dens[k], value),
+        "_overflow": lambda: ExprError(_OVERFLOW),
+    }
+    exec(compile(source, "<compile_float>", "exec"), namespace)
+    fn = namespace["compiled"]
+    fn.source = source
+    return fn

@@ -1,21 +1,34 @@
+import ast
+import io
+import keyword
 import math
+import re
+import tokenize
 
 import pytest
 
+from starricci import catalog
 from starricci.catalog import (
     CH2,
     CP2,
+    ORACLE_SAMPLES,
+    Catalog,
     CatalogError,
     ConditionKind,
     DomainError,
+    HypersurfaceFamily,
     builtin_catalog,
     builtin_families,
     evaluate_condition,
     format_catalog,
     hopf_relation_residual,
     parse_catalog,
+    radius_grid,
     sweep,
 )
+from starricci.proofs import type_b_exclusion
+from starricci.rational import NUMERIC_FUNCTIONS, Expr, ExprError
+from starricci.symbols import SymbolTable
 
 EXPECTED_IDS = ["cp2-a1", "cp2-b", "ch2-a0", "ch2-a1", "ch2-a1p", "ch2-b"]
 
@@ -225,3 +238,103 @@ def test_ch2_a1_boundary_radius_is_honest():
     for dr in (-1e-3, 1e-3):
         near = evaluate_condition(fam, r_star + dr, ConditionKind.PARALLEL)
         assert near.max_abs_residual > 1e-6
+
+
+# -- compiled evaluation -------------------------------------------------------------
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("kind", list(ConditionKind))
+def test_compiled_rows_equal_interpreted_oracle(kind):
+    # the oracle is the evaluation before compilation: Expr.eval per
+    # curvature and per row, unbound report symbols at zero, max folded
+    # from 0.0
+    entries = catalog._hopf_report(kind).report.entries
+    for fam in builtin_families():
+        c = float(fam.space.c)
+        for r in radius_grid(*fam.sample_window(), ORACLE_SAMPLES):
+            point = {"r": r, "pi": math.pi}
+            curv = (fam.alpha.eval(point), fam.lam.eval(point), fam.nu.eval(point))
+            bound = dict(zip(("alpha", "lambda", "nu", "c"), curv + (c,)))
+            rows = [e.equation.eval({s.name: bound.get(s.name, 0.0) for s in e.equation.symbols()})
+                    for e in entries]
+            max_abs = 0.0
+            for v in rows:
+                if abs(v) > max_abs:
+                    max_abs = abs(v)
+            ev = evaluate_condition(fam, r, kind)
+            assert _hex(ev.curvatures) == _hex(curv)
+            assert [label for label, _ in ev.rows] == [e.label() for e in entries]
+            assert _hex(ev.values) == _hex(rows)
+            assert ev.max_abs_residual.hex() == max_abs.hex()
+            assert ev.lam_nu_plus_c.hex() == (curv[1] * curv[2] + c).hex()
+
+
+_EVERY_FUNCTION = """
+[catalog]
+version = 1
+
+[every-function]
+space = CP2
+domain = 0, pi/2
+alpha = 2*cot(2*r) + (sin(r)^2 + cos(r)^2 - 1)
+lambda = cot(r) + (tan(r)*cot(r) - 1) + (cosh(r)^2 - sinh(r)^2 - 1)
+nu = cot(r) + (tanh(r)*coth(r) - 1) + (log(exp(r)) - r) + (sqrt(r)^2 - r)
+description = the geodesic sphere, written with every numeric function
+"""
+
+
+def test_compiled_family_source_holds_no_symbol_names():
+    fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
+    source = fam.curvature_fn.source
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    names = {t.string for t in tokens if t.type == tokenize.NAME}
+    strings = {ast.literal_eval(t.string) for t in tokens if t.type == tokenize.STRING}
+    assert strings == set(NUMERIC_FUNCTIONS)
+    allowed = {"compiled", "float", "abs", "OverflowError", "_apply", "_near", "_overflow"}
+    assert {n for n in names if not keyword.iskeyword(n)
+            and not re.fullmatch(r"[vpand][0-9]+", n)} <= allowed
+    assert not names & {"r", "pi"}
+    for text in (fam.alpha.to_text(), fam.lam.to_text(), fam.nu.to_text(), "cot(r)"):
+        assert text not in source
+    for r in (0.1, 0.7, 1.4):
+        point = {"r": r, "pi": math.pi}
+        assert _hex(fam.curvatures(r)) == _hex(e.eval(point) for e in (fam.alpha, fam.lam, fam.nu))
+
+
+def test_evaluate_condition_bindings_are_checked():
+    fam = builtin_catalog().get("cp2-b")
+    kind = ConditionKind.PSEUDO_PARALLEL
+    default = evaluate_condition(fam, 0.5, kind)
+    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 0.0}) == default
+    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 2.0}) != default
+    for name in ("D(e1,h2)", "h3", "lambda_e"):  # zero-default names are accepted
+        assert evaluate_condition(fam, 0.5, kind, extra_bindings={name: 0}) == default
+    with pytest.raises(CatalogError, match="unknown binding 'LL'"):
+        evaluate_condition(fam, 0.5, kind, extra_bindings={"LL": 5.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(CatalogError, match="not finite"):
+            evaluate_condition(fam, 0.5, kind, extra_bindings={"L": bad})
+        with pytest.raises(CatalogError, match="not finite"):
+            sweep(fam, 0.1, 0.7, 5, kind, extra_bindings={"L": bad})
+
+
+def test_non_finite_rows_and_curvatures_are_errors():
+    fam = builtin_catalog().get("cp2-a1")
+    # cot(1e-100) = 1e100: finite curvatures whose semi-parallel rows overflow
+    with pytest.raises(CatalogError, match="rows are not finite"):
+        evaluate_condition(fam, 1e-100, ConditionKind.SEMI_PARALLEL)
+    with pytest.raises(ExprError):  # lambda^2 overflows in the power itself
+        evaluate_condition(fam, 1e-170, ConditionKind.SEMI_PARALLEL)
+    big = Expr.const(10 ** 200)
+    huge = HypersurfaceFamily("cp2-b", CP2, (0.0, 1.0), big, big, big)
+    with pytest.raises(CatalogError, match="lambda\\*nu \\+ c"):
+        type_b_exclusion(CP2, samples=5, catalog=Catalog(1, (huge,)))
+    r = Expr.from_symbol(SymbolTable().constant("r"))
+    steep = HypersurfaceFamily("x", CP2, (0.0, math.inf), big * r ** 2, big, big)
+    with pytest.raises(CatalogError, match="non-finite curvatures"):
+        steep.curvatures(1e60)
+    with pytest.raises(ExprError):  # 1e400 has no float coefficient
+        HypersurfaceFamily("x", CP2, (0.0, 1.0), big * big, big, big)

@@ -172,7 +172,7 @@ nu = tanh(r)
     assert "tube" in out
 
 
-def test_bad_inputs_exit_nonzero(capsys):
+def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
     with pytest.raises(SystemExit):
@@ -184,6 +184,12 @@ def test_bad_inputs_exit_nonzero(capsys):
         ["expr", "eval", "x", "x"],
         ["expr", "eval", "x", "x=1", "y"],
         ["expr", "solve", "x"],
+        ["expr", "eval", "cot(x)", "x=0"],
+        ["expr", "eval", "exp(x)", "x=1000"],
+        ["expr", "eval", "x", "x=nan"],
+        ["expr", "eval", "x", "x=1", "--out", str(tmp_path / "missing" / "x")],
+        ["sweep", "cp2-b", "0.1", "0.2", "3", "parallel",
+         "--catalog", str(tmp_path / "missing.cat")],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

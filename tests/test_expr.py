@@ -13,10 +13,13 @@ from starricci.quadratic import (
     solve_quadratic,
 )
 from starricci.rational import (
+    NUMERIC_FUNCTIONS,
     DivisionByZeroExpr,
     Expr,
+    ExprError,
     NearZeroDenominator,
     UnboundSymbolError,
+    compile_float,
 )
 from starricci.symbols import SymbolTable
 
@@ -189,6 +192,11 @@ def test_eval_errors(table):
         e.eval({"x": 1.0})
     with pytest.raises(NearZeroDenominator):
         parse_expr("1/x", table).eval({"x": 1e-15})
+    # a non-finite binding, a pole and an overflow are ExprErrors, not values
+    for text, x in (("x", math.nan), ("x", -math.inf), ("cot(x)", 0.0),
+                    ("exp(x)", 1000.0), ("log(x)", -1.0), ("x^2", 1e200)):
+        with pytest.raises(ExprError):
+            parse_expr(text, table).eval({"x": x})
 
 
 def test_eval_applied_atoms():
@@ -197,6 +205,82 @@ def test_eval_applied_atoms():
     e = parse_expr("cot(2*r) * tanh(r)", t)
     r = 0.37
     assert e.eval({"r": r}) == pytest.approx(math.tanh(r) / math.tan(2 * r), rel=1e-12)
+
+
+# -- compiled evaluation -----------------------------------------------------------
+
+_CT = SymbolTable()
+_CT_NAMES = ("x", "y", "z")
+for _name in _CT_NAMES:
+    _CT.constant(_name)
+
+
+def _quotient(ab):
+    a, b = ab
+    return a if b.is_zero else a / b
+
+
+def _monomial(cf):
+    c, factors = cf
+    e = Expr.const(c)
+    for name, k in factors:
+        e = e * Expr.from_symbol(_CT.get(name)) ** k
+    return e
+
+
+def _atom(fa):
+    fn, arg = fa
+    return Expr.from_symbol(_CT.applied(fn, arg, f"{fn}({arg.to_text()})"))
+
+
+_EXPRS = st.recursive(
+    st.one_of(
+        st.fractions(min_value=-4, max_value=4, max_denominator=4).map(Expr.const),
+        st.sampled_from(_CT_NAMES).map(lambda n: Expr.from_symbol(_CT.get(n))),
+        st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=7),
+                  st.lists(st.tuples(st.sampled_from(_CT_NAMES), st.integers(1, 3)),
+                           min_size=2, max_size=3)).map(_monomial),
+    ),
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
+        st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(children, st.integers(min_value=2, max_value=4)).map(lambda ab: ab[0] ** ab[1]),
+        st.tuples(children, children).map(_quotient),
+        st.tuples(st.sampled_from(sorted(NUMERIC_FUNCTIONS)), children).map(_atom),
+    ),
+    max_leaves=10,
+)
+# exact small values make denominators vanish and keep signed zeros in play
+_POINTS = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                    st.floats(min_value=-3.0, max_value=3.0),
+                    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]))
+
+
+def _outcome(thunk):
+    try:
+        return tuple(v.hex() for v in thunk())
+    except ExprError as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=3), st.tuples(_POINTS, _POINTS, _POINTS))
+def test_compiled_values_equal_eval_bit_for_bit(exprs, point):
+    fn = compile_float(exprs, _CT_NAMES)
+    bindings = dict(zip(_CT_NAMES, point))
+    expected = _outcome(lambda: [e.eval(bindings) for e in exprs])
+    assert _outcome(lambda: fn(*point)) == expected
+
+
+def test_compiled_vanishing_denominator_and_unbound_symbol():
+    e = parse_expr("1/(x - y) + cot(1/(y - x))", _CT)
+    with pytest.raises(NearZeroDenominator):
+        e.eval({"x": 1.5, "y": 1.5})
+    with pytest.raises(NearZeroDenominator):
+        compile_float([e], ("x", "y"))(1.5, 1.5)
+    with pytest.raises(UnboundSymbolError):
+        compile_float([e], ("x",))
 
 
 # -- randomized properties -------------------------------------------------------
