@@ -37,6 +37,7 @@ from importlib import resources
 from typing import Callable, Mapping, Optional
 
 from .conditions import (
+    EINSTEIN_SYMBOL,
     ConditionKind,
     ConditionReport,
     einstein_equations,
@@ -46,7 +47,7 @@ from .conditions import (
     semi_parallel_equations,
     xi_parallel_equations,
 )
-from .frames import build_hopf_context, star_ricci_closed
+from .frames import HOPF_FUNCTIONS, build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
 from .rational import Expr, compile_float
 from .symbols import DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
@@ -259,12 +260,19 @@ def builtin_families() -> list:
 
 # -- numeric condition evaluation ---------------------------------------------
 
-_HOPF_FUNCTIONS = tuple(Symbol(f"h{i}", FUNCTION) for i in (1, 2, 3))
+# The pseudo-parallel function of the PSEUDO_PARALLEL report.
+_PSEUDO_PARALLEL_FUNCTION = "L"
 
 # Symbols of the Hopf condition reports that no family fixes; numeric
 # evaluation binds them to zero unless extra_bindings sets them.
-ZERO_DEFAULT = ("L", "lambda_e") + tuple(h.name for h in _HOPF_FUNCTIONS) + tuple(
-    derivative_symbol(h, d).name for h in _HOPF_FUNCTIONS for d in DIRECTIONS
+ZERO_DEFAULT = (
+    (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
+    + HOPF_FUNCTIONS
+    + tuple(
+        derivative_symbol(Symbol(h, FUNCTION), d).name
+        for h in HOPF_FUNCTIONS
+        for d in DIRECTIONS
+    )
 )
 # The parameters of every compiled report, in call order.
 REPORT_PARAMS = ("alpha", "lambda", "nu", "c") + ZERO_DEFAULT
@@ -294,7 +302,7 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     elif kind is ConditionKind.SEMI_PARALLEL:
         report = semi_parallel_equations(ctx, sstar, "star-ricci")
     elif kind is ConditionKind.PSEUDO_PARALLEL:
-        L = Expr.from_symbol(ctx.table.constant("L"))
+        L = Expr.from_symbol(ctx.table.constant(_PSEUDO_PARALLEL_FUNCTION))
         report = pseudo_parallel_equations(ctx, sstar, L, "star-ricci")
     elif kind is ConditionKind.EINSTEIN:
         report = einstein_equations(ctx)
@@ -356,10 +364,7 @@ def evaluate_condition(
     a, l, n = fam.curvatures(r)
     compiled = _hopf_report(kind)
     c = float(fam.space.c)
-    if extra_bindings:
-        values = compiled.evaluate(*_report_arguments(a, l, n, c, extra_bindings))
-    else:
-        values = compiled.evaluate(a, l, n, c, *_ZEROS)
+    values = compiled.evaluate(*_report_arguments(a, l, n, c, extra_bindings or {}))
     if not all(map(math.isfinite, values)):
         bad = sum(1 for v in values if not math.isfinite(v))
         raise CatalogError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -261,6 +262,8 @@ def cmd_expr(args) -> int:
                 raise ExprError(f"binding {item!r} is not of the form name=value")
             bindings[name.strip()] = float(value)
         value = expr.eval(bindings)
+        if not math.isfinite(value):
+            raise ExprError(f"{expr.to_text()} evaluates to {value!r}, which is not finite")
         payload = {"expression": expr.to_text(), "value": value}
         lines = [f"{expr.to_text()} = {value!r}"]
         _write(Report("expr eval", "ok", payload, None, lines), args)

@@ -178,7 +178,13 @@ def pseudo_parallel_equations(
     return ConditionReport(ConditionKind.PSEUDO_PARALLEL, tensor_name, tuple(entries))
 
 
-def einstein_equations(ctx: FrameContext, einstein_symbol: str = "lambda_e") -> ConditionReport:
+# Name of the Einstein constant in einstein_equations' report.
+EINSTEIN_SYMBOL = "lambda_e"
+
+
+def einstein_equations(
+    ctx: FrameContext, einstein_symbol: str = EINSTEIN_SYMBOL
+) -> ConditionReport:
     """S_{jk} - lambda_e delta_{jk} for the Ricci tensor of the context.
 
     The Einstein constant gets its own symbol, distinct from the principal

@@ -340,6 +340,10 @@ def build_nonhopf_context(c=None) -> FrameContext:
     return FrameContext("non-hopf", table, ce, A, _structure_tensor(), conn)
 
 
+# Names of the unconstrained connection coefficients of the Hopf context.
+HOPF_FUNCTIONS = ("h1", "h2", "h3")
+
+
 def build_hopf_context(c=None) -> FrameContext:
     """Principal frame {W, phiW, xi} at a point: A = diag(lambda, nu, alpha).
 
@@ -351,7 +355,7 @@ def build_hopf_context(c=None) -> FrameContext:
     al = table.constant("alpha")
     lam = table.constant("lambda")
     nu = table.constant("nu")
-    hs = [table.function(f"h{i}") for i in (1, 2, 3)]
+    hs = [table.function(name) for name in HOPF_FUNCTIONS]
     ce = _curvature_constant(table, c)
 
     E = Expr.from_symbol

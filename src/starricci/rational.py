@@ -57,6 +57,9 @@ NUMERIC_FUNCTIONS = {
 
 _OVERFLOW = "floating-point overflow"
 
+# A denominator whose float value is within this of zero is a pole.
+_DEN_TOL = 1e-12
+
 
 def _apply_function(name: str, x: float) -> float:
     """NUMERIC_FUNCTIONS[name](x); a pole, overflow or domain error is an ExprError."""
@@ -253,7 +256,7 @@ class Expr:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, bindings: Mapping, *, den_tol: float = 1e-12) -> float:
+    def eval(self, bindings: Mapping, *, den_tol: float = _DEN_TOL) -> float:
         """Double-precision value.  All symbols must be bound (by Symbol or
         name); applied atoms such as cot(2*r) evaluate through their argument.
         A non-finite binding, a pole of an atom or an overflow is an ExprError.
@@ -351,8 +354,7 @@ class _FloatCodegen:
     Denominator texts for error messages live in ``dens``, indexed by number.
     """
 
-    def __init__(self, params: Sequence[str], den_tol: float):
-        self.den_tol = den_tol
+    def __init__(self, params: Sequence[str]):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
         self.used: set[str] = set()
         self.body: list[str] = []
@@ -403,14 +405,12 @@ class _FloatCodegen:
         if e.den.is_constant:  # monic, so exactly 1: the check cannot fire
             return f"({num}) / ({den})"
         n, d = self._bind("n", num), self._bind("d", den)
-        self.body.append(f"if abs({d}) <= {self.den_tol!r}: raise _near({len(self.dens)}, {d})")
+        self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: raise _near({len(self.dens)}, {d})")
         self.dens.append(e.den)
         return f"{n} / {d}"
 
 
-def compile_float(
-    exprs: Sequence[Expr], params: Sequence[str], *, den_tol: float = 1e-12
-) -> Callable[..., tuple]:
+def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple]:
     """One compiled function returning the float values of `exprs`.
 
     The function takes one positional value per name in `params` and returns
@@ -418,13 +418,13 @@ def compile_float(
     the float operations of Expr.eval in the same order (inputs through
     float(), each polynomial summed from 0.0, each term float(c) * x**e * ...
     in monomial order, num / den), raises NearZeroDenominator where Expr.eval
-    does and computes each applied atom once per call through
+    does with its default den_tol and computes each applied atom once per call through
     NUMERIC_FUNCTIONS.  Unlike Expr.eval it does not check that its inputs
     are finite.  A symbol that is neither a parameter nor an applied atom
     raises UnboundSymbolError here, once.  The source is kept on the
     function as ``source``.
     """
-    gen = _FloatCodegen(params, den_tol)
+    gen = _FloatCodegen(params)
     try:
         values = [gen.expr(e) for e in exprs]
     except OverflowError:  # a coefficient beyond the float range

@@ -187,6 +187,8 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["expr", "eval", "cot(x)", "x=0"],
         ["expr", "eval", "exp(x)", "x=1000"],
         ["expr", "eval", "x", "x=nan"],
+        ["expr", "eval", "x*y", "x=1e200", "y=1e200"],
+        ["expr", "eval", "x*y - y*z", "x=1e200", "y=1e200", "z=1e200"],
         ["expr", "eval", "x", "x=1", "--out", str(tmp_path / "missing" / "x")],
         ["sweep", "cp2-b", "0.1", "0.2", "3", "parallel",
          "--catalog", str(tmp_path / "missing.cat")],
