@@ -20,6 +20,7 @@ from starricci import (
     type_b_exclusion,
     verify_all,
 )
+from starricci.proofs import verdict
 
 print(nonhopf_contradiction().to_text())
 print()
@@ -35,4 +36,4 @@ print()
 summary = verify_all()
 print(f"witness: min over families of the max parallel residual "
       f"= {summary.witness_min_residual:.4e} (> {summary.witness_tol:g})")
-print(summary.status)
+print(verdict(summary.ok))

@@ -236,10 +236,8 @@ def load_catalog(path, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
         return parse_catalog(fh.read(), oracle_tol=oracle_tol)
 
 
-def validate_family(
-    fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL, samples: int = ORACLE_SAMPLES
-) -> None:
-    for r in radius_grid(*fam.sample_window(), samples):
+def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL) -> None:
+    for r in radius_grid(*fam.sample_window(), ORACLE_SAMPLES):
         res = fam.hopf_residual(r)
         if not abs(res) < tol:
             raise CatalogError(

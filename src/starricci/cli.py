@@ -47,6 +47,7 @@ from .parsing import parse_expr
 from .proofs import (
     CH2,
     CP2,
+    DEFAULT_SAMPLES,
     ProofError,
     hopf_branch,
     hopf_verified,
@@ -99,7 +100,7 @@ def _write(report: Report, args) -> None:
 
 
 def _catalog(args) -> Catalog:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return load_catalog(args.catalog, oracle_tol=args.tol_oracle)
     return builtin_catalog()
 
@@ -182,15 +183,16 @@ _CONDITION_BUILDERS = {
 
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
-    tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
-    kind = ConditionKind.from_name(args.condition)
-    if kind is ConditionKind.EINSTEIN:
+    kind = ConditionKind(args.condition)
+    if kind is ConditionKind.EINSTEIN:  # builds its own Ricci tensor
         report = einstein_equations(ctx)
-    elif kind is ConditionKind.PSEUDO_PARALLEL:
-        L = parse_expr(args.pseudo_l, ctx.table, define_missing=True)
-        report = pseudo_parallel_equations(ctx, tensor, L, args.tensor)
     else:
-        report = _CONDITION_BUILDERS[kind](ctx, tensor, args.tensor)
+        tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
+        if kind is ConditionKind.PSEUDO_PARALLEL:
+            L = parse_expr(args.pseudo_l, ctx.table, define_missing=True)
+            report = pseudo_parallel_equations(ctx, tensor, L, args.tensor)
+        else:
+            report = _CONDITION_BUILDERS[kind](ctx, tensor, args.tensor)
     if args.assumptions:
         bindings = {}
         for item in args.assumptions:
@@ -226,7 +228,7 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     cat = _catalog(args)
     fam = cat.get(args.family)
-    kind = ConditionKind.from_name(args.condition)
+    kind = ConditionKind(args.condition)
     result = run_sweep(fam, args.r_min, args.r_max, args.samples, kind)
     below = sum(1 for row in result.rows if row.max_residual <= args.tol_witness)
     payload = {
@@ -316,10 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", default=None)
+
+    def numeric(p):  # the flags of the commands that evaluate catalog families
         p.add_argument("--tol-oracle", type=float, default=DEFAULT_ORACLE_TOL,
-                       help="tolerance for exact-identity checks (default 1e-9)")
+                       help="tolerance for exact-identity checks (default %(default)g)")
         p.add_argument("--tol-witness", type=float, default=DEFAULT_WITNESS_TOL,
-                       help="threshold for 'nonzero' witnesses (default 1e-6)")
+                       help="threshold for 'nonzero' witnesses (default %(default)g)")
         p.add_argument("--catalog", metavar="PATH", default=None,
                        help="family catalog file replacing the builtin one")
 
@@ -328,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="replay a proof piece")
     p.add_argument("target", choices=("nonhopf", "hopf", "quadratic", "type-b", "all"))
     p.add_argument("--space", choices=("cp2", "ch2"), default=None)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     common(p)
+    numeric(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("check", help="emit a symbolic condition report")
@@ -350,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples", type=int)
     p.add_argument("condition", choices=[k.value for k in ConditionKind])
     common(p)
+    numeric(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("expr", help="exact expression utilities")
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol_oracle <= 0 or args.tol_witness <= 0:
+    if "tol_oracle" in args and (args.tol_oracle <= 0 or args.tol_witness <= 0):
         print("error: tolerances must be positive", file=sys.stderr)
         return 2
     if getattr(args, "samples", 2) < 2:

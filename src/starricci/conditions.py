@@ -35,13 +35,6 @@ class ConditionKind(Enum):
     PSEUDO_PARALLEL = "pseudo-parallel"
     EINSTEIN = "einstein"
 
-    @staticmethod
-    def from_name(name: str) -> "ConditionKind":
-        for kind in ConditionKind:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown condition kind {name!r}")
-
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -182,16 +175,14 @@ def pseudo_parallel_equations(
 EINSTEIN_SYMBOL = "lambda_e"
 
 
-def einstein_equations(
-    ctx: FrameContext, einstein_symbol: str = EINSTEIN_SYMBOL
-) -> ConditionReport:
+def einstein_equations(ctx: FrameContext) -> ConditionReport:
     """S_{jk} - lambda_e delta_{jk} for the Ricci tensor of the context.
 
     The Einstein constant gets its own symbol, distinct from the principal
     curvature lambda.
     """
     S = ricci(ctx)
-    lam_e = Expr.from_symbol(ctx.table.constant(einstein_symbol))
+    lam_e = Expr.from_symbol(ctx.table.constant(EINSTEIN_SYMBOL))
     entries = []
     for Y in FRAME_INDICES:
         for proj in FRAME_INDICES:

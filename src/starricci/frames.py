@@ -1,7 +1,9 @@
 """Moving-frame calculus on 3-dimensional real hypersurfaces.
 
-Two orthonormal frame contexts are built, both with e3 = xi (the structure
-vector field):
+The ambient space is CP^2 or CH^2, so the complex dimension is n = 2 and
+the holomorphic sectional curvature c stays a symbol; c = 4 or -4 is
+substituted only where a model space is chosen.  Two orthonormal frame
+contexts are built, both with e3 = xi (the structure vector field):
 
 * non-Hopf: e1 = U, e2 = phi U, where A xi = alpha xi + beta U with beta
   treated as nonzero; the shape operator has columns
@@ -252,8 +254,8 @@ class ConnectionTable:
 class FrameContext:
     """A frozen frame: structure tensor, shape operator, connection, curvature c.
 
-    n is the complex dimension of the ambient space, fixed at 2 (real
-    hypersurface dimension 3).
+    c is the symbol c of the context's table.  The ambient complex dimension
+    is 2 throughout (real hypersurface dimension 3).
     """
 
     kind: str                 # "non-hopf" | "hopf"
@@ -262,7 +264,6 @@ class FrameContext:
     A: Tensor11
     phi: Tensor11
     connection: ConnectionTable
-    n: int = 2
 
     def sym(self, name: str) -> Expr:
         s = self.table.get(name)
@@ -285,19 +286,11 @@ def _structure_tensor() -> Tensor11:
     return Tensor11(((0, -1, 0), (1, 0, 0), (0, 0, 0)))
 
 
-def _curvature_constant(table: SymbolTable, c) -> Expr:
-    if c is None:
-        return Expr.from_symbol(table.constant("c"))
-    if isinstance(c, (int, Fraction)):
-        return Expr.const(c)
-    raise TypeError("c must be None (symbolic) or an exact number")
-
-
-def build_nonhopf_context(c=None) -> FrameContext:
+def build_nonhopf_context() -> FrameContext:
     """Frame {U, phiU, xi} with A xi = alpha xi + beta U, beta != 0 locally.
 
-    c = None keeps the curvature constant symbolic; pass 4 or -4 for the
-    projective/hyperbolic planes.
+    alpha, beta, gamma, delta, mu and the connection coefficients kappa1..3
+    are function symbols; the curvature constant c is a constant symbol.
     """
     table = SymbolTable()
     al = table.function("alpha")
@@ -308,7 +301,7 @@ def build_nonhopf_context(c=None) -> FrameContext:
     k1 = table.function("kappa1")
     k2 = table.function("kappa2")
     k3 = table.function("kappa3")
-    ce = _curvature_constant(table, c)
+    ce = Expr.from_symbol(table.constant("c"))
 
     E = Expr.from_symbol
     A = Tensor11((
@@ -344,19 +337,20 @@ def build_nonhopf_context(c=None) -> FrameContext:
 HOPF_FUNCTIONS = ("h1", "h2", "h3")
 
 
-def build_hopf_context(c=None) -> FrameContext:
+def build_hopf_context() -> FrameContext:
     """Principal frame {W, phiW, xi} at a point: A = diag(lambda, nu, alpha).
 
-    alpha, lambda and nu are derivative-free point values.  The connection's
-    action on xi is nabla_X xi = phi A X; the remaining coefficients
-    g(nabla_{e_i} W, phi W) are unconstrained fresh symbols h1, h2, h3.
+    alpha, lambda, nu and the curvature constant c are derivative-free
+    symbols.  The connection's action on xi is nabla_X xi = phi A X; the
+    remaining coefficients g(nabla_{e_i} W, phi W) are unconstrained fresh
+    symbols h1, h2, h3.
     """
     table = SymbolTable()
     al = table.constant("alpha")
     lam = table.constant("lambda")
     nu = table.constant("nu")
     hs = [table.function(name) for name in HOPF_FUNCTIONS]
-    ce = _curvature_constant(table, c)
+    ce = Expr.from_symbol(table.constant("c"))
 
     E = Expr.from_symbol
     A = Tensor11((
@@ -450,12 +444,10 @@ def ricci(ctx: FrameContext) -> Tensor11:
 
 
 def star_ricci_closed(ctx: FrameContext) -> Tensor11:
-    """Closed form S* = -[(c n / 2) phi^2 + (phi A)^2] with n = 2."""
+    """Closed form S* = -[(c n / 2) phi^2 + (phi A)^2], at n = 2 (c n / 2 = c)."""
     phi, A = ctx.phi, ctx.A
-    half_cn = ctx.c * Fraction(ctx.n, 2)
-    phi2 = phi @ phi
     phiA = phi @ A
-    return -(phi2.scale(half_cn) + (phiA @ phiA))
+    return -((phi @ phi).scale(ctx.c) + (phiA @ phiA))
 
 
 def star_ricci_trace(ctx: FrameContext) -> Tensor11:

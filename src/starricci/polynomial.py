@@ -15,8 +15,8 @@ fraction layer needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key, reduce
-from typing import Callable, Iterable, Mapping, Optional
+from functools import reduce
+from typing import Callable, Mapping, Optional
 
 from .symbols import CONSTANT, Symbol, derivative_symbol
 
@@ -55,27 +55,11 @@ def _mono_div(b: Mono, a: Mono) -> Mono:
 def _mono_deg(m: Mono) -> int:
     return sum(e for _, e in m)
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    da, db = _mono_deg(a), _mono_deg(b)
-    if da != db:
-        return 1 if da > db else -1
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        na = a[ia][0].name if ia < len(a) else None
-        nb = b[ib][0].name if ib < len(b) else None
-        if na == nb:
-            ea, eb = a[ia][1], b[ib][1]
-            if ea != eb:
-                return 1 if ea > eb else -1
-            ia += 1
-            ib += 1
-        elif nb is None or (na is not None and na < nb):
-            return 1   # a has the more significant variable
-        else:
-            return -1
-    return 0
-
-_MONO_KEY = cmp_to_key(_mono_cmp)
+def _mono_key(m: Mono) -> tuple:
+    """Ascending sort key for descending grlex: higher degree first, then the
+    earliest name, then the larger exponent.  At equal degree neither
+    monomial is a strict prefix of the other, so the tuples never tie early."""
+    return (-_mono_deg(m), tuple((s.name, -e) for s, e in m))
 
 
 class Polynomial:
@@ -85,13 +69,9 @@ class Polynomial:
 
     terms: tuple  # tuple[tuple[Mono, Fraction], ...]
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | Iterable[tuple[Mono, Fraction]]):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        kept = [(m, c) for m, c in items if c]
-        kept.sort(key=lambda t: _MONO_KEY(t[0]), reverse=True)
+    def __init__(self, terms: dict[Mono, Fraction]):
+        kept = [(m, c) for m, c in terms.items() if c]
+        kept.sort(key=lambda t: _mono_key(t[0]))
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "_hash", None)
 

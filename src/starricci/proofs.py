@@ -36,6 +36,8 @@ from .catalog import (
     CP2,
     Catalog,
     CatalogError,
+    DEFAULT_ORACLE_TOL,
+    DEFAULT_WITNESS_TOL,
     ModelSpace,
     builtin_catalog,
     evaluate_condition,
@@ -119,6 +121,21 @@ def _single_symbol_power(e: Expr) -> Optional[Symbol]:
     if len(mono) != 1:
         return None
     return mono[0][0]
+
+
+def _conclude_zero(label: str, reduced: Expr, name: str) -> None:
+    """Step `label` concludes name = 0 from reduced = 0, so reduced must be a
+    nonzero multiple of a power of that one symbol."""
+    sym = _single_symbol_power(reduced)
+    if sym is None or sym.name != name:
+        raise ProofError(
+            f"step {label}: {reduced.to_text()} = 0 does not force {name} = 0"
+        )
+
+
+def _directions(where: tuple) -> tuple:
+    """Frame labels of a (X, Y, proj) projection, e.g. ("e3", "e3", "e3")."""
+    return tuple(i.direction for i in where)
 
 
 @dataclass(frozen=True)
@@ -229,13 +246,12 @@ def nonhopf_contradiction() -> ProofTrace:
     bindings: dict = {}
 
     # step 1: the (xi, xi) projection onto xi
-    raw = report.get(E3, E3, E3).equation
+    where = (E3, E3, E3)
+    raw = report.get(*where).equation
     eq = sign_normalized(raw.substitute(bindings))
     _expect("1", eq, ctx.parse("beta^2*delta"))
     _assert_projection_purity("1", eq)
-    reduced = nonzero.cancel(eq, beta)
-    sym = _single_symbol_power(reduced)
-    assert sym is not None and sym.name == "delta"
+    _conclude_zero("1", nonzero.cancel(eq, beta), "delta")
     bindings.update(_derivative_bindings(ctx.table, "delta", Expr.zero()))
     trace.add(ProofStep(
         label="1",
@@ -243,18 +259,17 @@ def nonhopf_contradiction() -> ProofTrace:
         justification="projection g((nabla_xi S*) xi, xi) of the parallel condition; "
                       "beta^2 cancels since beta != 0",
         conclusion="delta = 0",
-        projection=("e3", "e3", "e3"),
+        projection=_directions(where),
         substitution=(("delta", Expr.zero()),),
     ))
 
     # step 2: the (phiU, xi) projection onto xi, after delta = 0
-    raw = report.get(E2, E3, E3).equation
+    where = (E2, E3, E3)
+    raw = report.get(*where).equation
     eq = sign_normalized(raw.substitute(bindings))
     _expect("2", eq, ctx.parse("beta*mu^2"))
     _assert_projection_purity("2", eq)
-    reduced = nonzero.cancel(eq, beta)
-    sym = _single_symbol_power(reduced)
-    assert sym is not None and sym.name == "mu"
+    _conclude_zero("2", nonzero.cancel(eq, beta), "mu")
     bindings.update(_derivative_bindings(ctx.table, "mu", Expr.zero()))
     trace.add(ProofStep(
         label="2",
@@ -262,16 +277,17 @@ def nonhopf_contradiction() -> ProofTrace:
         justification="projection g((nabla_phiU S*) xi, xi) with delta = 0; "
                       "beta cancels and a square vanishes only at zero",
         conclusion="mu = 0",
-        projection=("e2", "e3", "e3"),
+        projection=_directions(where),
         substitution=(("mu", Expr.zero()),),
     ))
 
     # step 3: the (xi, phiU) projection onto xi, after delta = mu = 0
-    raw = report.get(E3, E2, E3).equation
+    where = (E3, E2, E3)
+    raw = report.get(*where).equation
     eq = raw.substitute(bindings)  # contradiction witness: recorded as computed
     _expect("3", eq, ctx.parse("-c*beta"))
     _assert_projection_purity("3", eq)
-    reduced = nonzero.cancel(eq, beta)
+    _expect("3", nonzero.cancel(eq, beta), -c)
     trace.add(ProofStep(
         label="3",
         equation=eq,
@@ -279,10 +295,9 @@ def nonhopf_contradiction() -> ProofTrace:
                       "beta cancels, leaving a multiple of c",
         conclusion="c = 0 forced, contradicting c != 0; "
                    "the open set with beta != 0 is empty",
-        projection=("e3", "e2", "e3"),
+        projection=_directions(where),
         contradiction=True,
     ))
-    assert reduced == -c
     trace.status = "contradiction"
     trace.conclusions = (
         "no non-Hopf point exists: every hypersurface with parallel *-Ricci tensor is Hopf",
@@ -327,7 +342,8 @@ def hopf_branch() -> ProofTrace:
     E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
 
     # step 1: (W, xi) projection onto phiW
-    eq1 = sign_normalized(report.get(E1, E3, E2).equation)
+    where = (E1, E3, E2)
+    eq1 = sign_normalized(report.get(*where).equation)
     _expect("1", eq1, ctx.parse("lambda*(c + lambda*nu)"))
     _assert_projection_purity("1", eq1)
     trace.add(ProofStep(
@@ -335,13 +351,12 @@ def hopf_branch() -> ProofTrace:
         equation=eq1,
         justification="projection g((nabla_W S*) xi, phiW) of the parallel condition",
         conclusion="lambda*(c + lambda*nu) = 0: either lambda = 0 or c + lambda*nu = 0",
-        projection=("e1", "e3", "e2"),
+        projection=_directions(where),
     ))
 
     # case A: assume c + lambda nu != 0
     case_nonzero = NonzeroTracker([c, p])
-    r1 = case_nonzero.cancel(eq1, p)
-    assert _single_symbol_power(r1) is not None and _single_symbol_power(r1).name == "lambda"
+    _conclude_zero("2a", case_nonzero.cancel(eq1, p), "lambda")
     trace.add(ProofStep(
         label="2a",
         equation=eq1,
@@ -353,8 +368,7 @@ def hopf_branch() -> ProofTrace:
     eq2 = sign_normalized(report.get(E2, E3, E1).equation)
     _expect("2b", eq2, ctx.parse("nu*(c + lambda*nu)"))
     _assert_projection_purity("2b", eq2)
-    r2 = case_nonzero.cancel(eq2, p)
-    assert _single_symbol_power(r2) is not None and _single_symbol_power(r2).name == "nu"
+    _conclude_zero("2b", case_nonzero.cancel(eq2, p), "nu")
     trace.add(ProofStep(
         label="2b",
         equation=eq2,
@@ -509,6 +523,9 @@ def quadratic_analysis(space: ModelSpace) -> QuadraticAnalysis:
     )
 
 
+# Radii per family in the type-B and witness sweeps.
+DEFAULT_SAMPLES = 100
+
 TYPE_B_FAMILIES = {CP2.name: "cp2-b", CH2.name: "ch2-b"}
 TYPE_B_EXPECTED = {CP2.name: 3.0, CH2.name: -3.0}
 
@@ -546,8 +563,8 @@ class TypeBReport:
 def type_b_exclusion(
     space: ModelSpace,
     *,
-    samples: int = 100,
-    tol: float = 1e-9,
+    samples: int = DEFAULT_SAMPLES,
+    tol: float = DEFAULT_ORACLE_TOL,
     catalog: Optional[Catalog] = None,
 ) -> TypeBReport:
     """Certify lambda nu + c = +-3 on the type-B tube family of a space.
@@ -589,26 +606,13 @@ class VerificationSummary:
     witness_min_residual: float
     witness_tol: float
     ok: bool
-    status: str
-
-    def to_payload(self) -> dict:
-        return {
-            "nonhopf": self.nonhopf.to_payload(),
-            "hopf": self.hopf.to_payload(),
-            "quadratic": [q.to_payload() for q in self.quadratic],
-            "type_b": [t.to_payload() for t in self.type_b],
-            "witness_min_residual": self.witness_min_residual,
-            "witness_tol": self.witness_tol,
-            "ok": self.ok,
-            "status": self.status,
-        }
 
 
 def verify_all(
     *,
-    samples: int = 100,
-    tol_oracle: float = 1e-9,
-    tol_witness: float = 1e-6,
+    samples: int = DEFAULT_SAMPLES,
+    tol_oracle: float = DEFAULT_ORACLE_TOL,
+    tol_witness: float = DEFAULT_WITNESS_TOL,
     catalog: Optional[Catalog] = None,
 ) -> VerificationSummary:
     """Run the whole chain and a numeric non-existence witness sweep.
@@ -636,6 +640,4 @@ def verify_all(
         and all(t.ok for t in typeb)
         and witness_min > tol_witness
     )
-    return VerificationSummary(
-        nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok, verdict(ok)
-    )
+    return VerificationSummary(nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok)

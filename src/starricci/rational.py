@@ -256,7 +256,7 @@ class Expr:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, bindings: Mapping, *, den_tol: float = _DEN_TOL) -> float:
+    def eval(self, bindings: Mapping) -> float:
         """Double-precision value.  All symbols must be bound (by Symbol or
         name); applied atoms such as cot(2*r) evaluate through their argument.
         A non-finite binding, a pole of an atom or an overflow is an ExprError.
@@ -274,7 +274,7 @@ class Expr:
             if s.name in named:
                 return named[s.name]
             if s.fn is not None:
-                v = _apply_function(s.fn, s.arg.eval(bindings, den_tol=den_tol))
+                v = _apply_function(s.fn, s.arg.eval(bindings))
                 named[s.name] = v
                 return v
             missing.add(s.name)
@@ -287,7 +287,7 @@ class Expr:
             raise ExprError(_OVERFLOW) from None
         if missing:
             raise UnboundSymbolError(missing)
-        if abs(den_v) <= den_tol:
+        if abs(den_v) <= _DEN_TOL:
             raise _near_zero(self.den, den_v)
         return num_v / den_v
 
@@ -418,7 +418,7 @@ def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[...,
     the float operations of Expr.eval in the same order (inputs through
     float(), each polynomial summed from 0.0, each term float(c) * x**e * ...
     in monomial order, num / den), raises NearZeroDenominator where Expr.eval
-    does with its default den_tol and computes each applied atom once per call through
+    does and computes each applied atom once per call through
     NUMERIC_FUNCTIONS.  Unlike Expr.eval it does not check that its inputs
     are finite.  A symbol that is neither a parameter nor an applied atom
     raises UnboundSymbolError here, once.  The source is kept on the

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from starricci import cli, proofs
+from starricci import cli, conditions, frames, proofs
 from starricci.cli import main
 
 
@@ -61,11 +65,20 @@ def test_check_with_assumptions(capsys):
     assert "x=(e3) y=e2 proj=e3 : -beta*c" in out
 
 
-def test_check_ricci_einstein_hopf(capsys):
+def test_check_ricci_einstein_hopf(monkeypatch, capsys):
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return frames.ricci(ctx)
+
+    for module in (cli, conditions):
+        monkeypatch.setattr(module, "ricci", counted)
     code, out = run(capsys, "check", "ricci", "einstein", "hopf")
     assert code == 0
     assert "9 equations" in out
     assert "lambda_e" in out
+    assert len(calls) == 1
 
 
 def test_check_pseudo_parallel_with_l(capsys):
@@ -175,8 +188,15 @@ nu = tanh(r)
 def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
-    with pytest.raises(SystemExit):
-        main(["check", "star-ricci", "bogus", "hopf"])
+    # argparse exits 2; the catalog and tolerance flags belong to prove and sweep only
+    for argv in (
+        ["check", "star-ricci", "bogus", "hopf"],
+        ["check", "star-ricci", "parallel", "hopf", "--catalog", "x"],
+        ["expr", "eval", "x", "x=1", "--tol-oracle", "1e-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
     for argv in (
         ["check", "star-ricci", "parallel", "hopf", "foo=1"],
@@ -234,3 +254,16 @@ def test_prove_all_payload_matches_single_targets(capsys, space):
         expected.update(payload(target))
     expected["witness_min_residual"] = proofs.verify_all().witness_min_residual
     assert payload("all") == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_proof_step_exits_one(flags):
+    # with asserts stripped (-O) a failed step must still fail the proof
+    script = ("import sys; from starricci import cli, proofs; "
+              "proofs._single_symbol_power = lambda e: None; "
+              "sys.exit(cli.main(['prove', 'nonhopf']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "status: FAILED: step 1: " in proc.stdout

@@ -163,7 +163,7 @@ def test_einstein_horosphere_off_diagonals_vanish(hopf):
 
 
 def test_condition_kind_names():
-    assert ConditionKind.from_name("parallel") is ConditionKind.PARALLEL
-    assert ConditionKind.from_name("pseudo-parallel") is ConditionKind.PSEUDO_PARALLEL
+    assert ConditionKind("parallel") is ConditionKind.PARALLEL
+    assert ConditionKind("pseudo-parallel") is ConditionKind.PSEUDO_PARALLEL
     with pytest.raises(ValueError):
-        ConditionKind.from_name("bogus")
+        ConditionKind("bogus")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from starricci.parsing import parse_expr
 from starricci.polynomial import Polynomial, poly_gcd
@@ -28,6 +30,26 @@ def test_monomial_order_graded_lex(syms):
     monos = [m for m, _ in total.terms]
     expected = [p.leading()[0] for p in chain]
     assert monos == expected
+
+
+# "x" < "xy" < "y": names compare as strings, not by length
+_ORDER_TABLE = SymbolTable()
+_ORDER_SYMS = [_ORDER_TABLE.constant(n) for n in ("x", "xy", "y", "z")]
+_MONOMIALS = st.dictionaries(st.sampled_from(_ORDER_SYMS), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items(), key=lambda p: p[0].name)))
+
+
+@given(st.lists(_MONOMIALS, unique=True, max_size=12))
+def test_term_order_matches_dense_grlex(monos):
+    p = Polynomial({m: Fraction(i + 1) for i, m in enumerate(monos)})
+    names = sorted({s.name for m in monos for s, _ in m})
+
+    def dense(m):  # (total degree, exponent vector over the sorted names)
+        exps = {s.name: e for s, e in m}
+        vector = tuple(exps.get(n, 0) for n in names)
+        return (sum(vector), vector)
+
+    assert [m for m, _ in p.terms] == sorted(monos, key=dense, reverse=True)
 
 
 def test_mixed_support_order(syms):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from starricci import proofs
 from starricci.catalog import CH2, CP2, CatalogError, parse_catalog
 from starricci.parsing import parse_expr
 from starricci.proofs import (
@@ -13,6 +14,7 @@ from starricci.proofs import (
     nonhopf_contradiction,
     quadratic_analysis,
     type_b_exclusion,
+    verdict,
     verify_all,
 )
 from starricci.rational import Expr
@@ -87,6 +89,14 @@ def test_hopf_branch_case_a_is_contradictory():
 
 def test_hopf_branch_deterministic_replay():
     assert hopf_branch().to_text() == hopf_branch().to_text()
+
+
+@pytest.mark.parametrize("replay", [nonhopf_contradiction, hopf_branch])
+def test_single_symbol_conclusions_are_proof_errors(monkeypatch, replay):
+    # the check is a ProofError, not an assert that python -O would strip
+    monkeypatch.setattr(proofs, "_single_symbol_power", lambda e: None)
+    with pytest.raises(ProofError, match="does not force"):
+        replay()
 
 
 # -- cancellation discipline ----------------------------------------------------------
@@ -168,7 +178,5 @@ def test_verify_all():
     assert summary.nonhopf.status == "contradiction"
     assert summary.hopf.status == "open"
     assert summary.witness_min_residual > 1e-6
-    assert "verified at desk scale" in summary.status
-    payload = summary.to_payload()
-    assert payload["ok"] is True
-    assert len(payload["quadratic"]) == 2 and len(payload["type_b"]) == 2
+    assert "verified at desk scale" in verdict(summary.ok)
+    assert len(summary.quadratic) == 2 and len(summary.type_b) == 2
