@@ -371,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "tol_oracle" in args and (args.tol_oracle <= 0 or args.tol_witness <= 0):
-        print("error: tolerances must be positive", file=sys.stderr)
+    if "tol_oracle" in args and not all(math.isfinite(t) and t > 0
+                                        for t in (args.tol_oracle, args.tol_witness)):
+        print("error: tolerances must be finite and positive", file=sys.stderr)
         return 2
     if getattr(args, "samples", 2) < 2:
         print("error: sample counts must be at least 2", file=sys.stderr)

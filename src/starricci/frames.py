@@ -19,6 +19,14 @@ contexts are built, both with e3 = xi (the structure vector field):
 Conventions (fixed here, used everywhere):
 
 * the metric is the identity form on frame components;
+* a (1,1) tensor M is a matrix with M_ab = M.entry(a, b) = g(M e_b, e_a), so
+  column b is M e_b; phi and A follow this index convention;
+* the Gauss equation is written once, in curvature_operator, as the frame
+  entries g(R(e_i, e_j) e_k, e_l) =
+      (c/4)(d_jk d_li - d_ik d_lj + phi_kj phi_li - phi_ki phi_lj
+            - 2 phi_ji phi_lk) + A_kj A_li - A_ki A_lj
+  (d the Kronecker delta); curvature, ricci and star_ricci_trace contract
+  the three operators R(e_i, e_j), i < j, extended by antisymmetry;
 * (nabla_X T) Y = nabla_X (T Y) - T (nabla_X Y);
 * the star-Ricci trace form contracts the operator Z -> phi(R(X, phi Y) Z),
   i.e. g(S* X, Y) = (1/2) * trace(Z -> phi(R(X, phi Y) Z)), which agrees
@@ -404,43 +412,63 @@ def covariant_derivative_t11(ctx: FrameContext, X: FrameIndex, T: Tensor11) -> T
 
 # -- curvature and the Ricci tensors ---------------------------------------
 
-def curvature(ctx: FrameContext, X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
-    """R(X, Y) Z of the Gauss equation for constant holomorphic curvature c.
-
-    Purely algebraic: the result carries no formal derivative symbols.
-    """
-    phi, A = ctx.phi, ctx.A
-    c4 = ctx.c / 4
-    phiX, phiY, phiZ = phi.apply(X), phi.apply(Y), phi.apply(Z)
-    AX, AY = A.apply(X), A.apply(Y)
-    out = X.scale(c4 * Y.dot(Z))
-    out = out - Y.scale(c4 * X.dot(Z))
-    out = out + phiX.scale(c4 * phiY.dot(Z))
-    out = out - phiY.scale(c4 * phiX.dot(Z))
-    out = out - phiZ.scale(2 * c4 * phiX.dot(Y))
-    out = out + AX.scale(AY.dot(Z))
-    out = out - AY.scale(AX.dot(Z))
-    return out
-
-
 def curvature_operator(ctx: FrameContext, X: FrameIndex, Y: FrameIndex) -> Tensor11:
-    """R(e_X, e_Y) as a (1,1) tensor (column k is R(e_X, e_Y) e_k)."""
-    bx, by = VectorField.basis(X), VectorField.basis(Y)
-    cols = [curvature(ctx, bx, by, VectorField.basis(k)) for k in range(3)]
-    return Tensor11(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    """R(e_X, e_Y) as a (1,1) tensor (column k is R(e_X, e_Y) e_k).
+
+    The only place the Gauss equation for constant holomorphic curvature c
+    is written.  With i = X, j = Y and M_ab = M.entry(a, b) = g(M e_b, e_a),
+    entry (l, k) is
+
+        (c/4)(d_jk d_li - d_ik d_lj + phi_kj phi_li - phi_ki phi_lj
+              - 2 phi_ji phi_lk) + A_kj A_li - A_ki A_lj,
+
+    with d the Kronecker delta.  Purely algebraic: the result carries no
+    formal derivative symbols.
+    """
+    i, j = X.value, Y.value
+    phi, A = ctx.phi.entry, ctx.A.entry
+    c4 = ctx.c / 4
+
+    def entry(l: int, k: int) -> Expr:
+        delta = (j == k and l == i) - (i == k and l == j)
+        gauss = phi(k, j) * phi(l, i) - phi(k, i) * phi(l, j) - 2 * phi(j, i) * phi(l, k)
+        return c4 * (gauss + delta) + A(k, j) * A(l, i) - A(k, i) * A(l, j)
+
+    return Tensor11(tuple(entry(l, k) for k in range(3)) for l in range(3))
+
+
+def _curvature_operators(ctx: FrameContext) -> list:
+    """R[i][j] = R(e_i, e_j) for all i, j, from the three operators with i < j:
+    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
+    R = [[Tensor11.zero()] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            R[i][j] = curvature_operator(ctx, FRAME_INDICES[i], FRAME_INDICES[j])
+            R[j][i] = -R[i][j]
+    return R
+
+
+def curvature(ctx: FrameContext, X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
+    """R(X, Y) Z = sum_{i,j} X_i Y_j R(e_i, e_j) Z, contracting curvature_operator.
+
+    With M_ab = M.entry(a, b) for phi and A, the operator R(e_i, e_j) has
+    entry (l, k) = g(R(e_i, e_j) e_k, e_l) =
+    (c/4)(d_jk d_li - d_ik d_lj + phi_kj phi_li - phi_ki phi_lj
+    - 2 phi_ji phi_lk) + A_kj A_li - A_ki A_lj.
+    """
+    R = _curvature_operators(ctx)
+    op = sum((R[i][j].scale(X[i] * Y[j]) for i in range(3) for j in range(3)),
+             Tensor11.zero())
+    return op.apply(Z)
 
 
 def ricci(ctx: FrameContext) -> Tensor11:
     """Ricci tensor: g(S e_j, e_k) = sum_i g(R(e_i, e_j) e_k, e_i)."""
-    mat = [[Expr.zero()] * 3 for _ in range(3)]
-    basis = [VectorField.basis(i) for i in range(3)]
-    for j in range(3):
-        for k in range(3):
-            total = Expr.zero()
-            for i in range(3):
-                total = total + curvature(ctx, basis[i], basis[j], basis[k])[i]
-            mat[k][j] = total  # component k of S e_j
-    return Tensor11(mat)
+    R = _curvature_operators(ctx)
+    return Tensor11(
+        tuple(sum((R[i][j].entry(i, k) for i in range(3)), Expr.zero()) for j in range(3))
+        for k in range(3)
+    )
 
 
 def star_ricci_closed(ctx: FrameContext) -> Tensor11:
@@ -453,21 +481,19 @@ def star_ricci_closed(ctx: FrameContext) -> Tensor11:
 def star_ricci_trace(ctx: FrameContext) -> Tensor11:
     """Trace form: g(S* X, Y) = (1/2) trace(Z -> phi(R(X, phi Y) Z)).
 
+    R(e_j, phi e_k) = sum_m phi_mk R(e_j, e_m) comes from the frame operators.
     The contraction convention is fixed by exact agreement with
     star_ricci_closed; both are computed independently and compared in the
     test suite.
     """
     phi = ctx.phi
-    basis = [VectorField.basis(i) for i in range(3)]
+    R = _curvature_operators(ctx)
     half = Expr.const(Fraction(1, 2))
     mat = [[Expr.zero()] * 3 for _ in range(3)]
     for j in range(3):       # X = e_j
         for k in range(3):   # Y = e_k
-            phiY = phi.apply(basis[k])
-            total = Expr.zero()
-            for i in range(3):
-                total = total + phi.apply(curvature(ctx, basis[j], phiY, basis[i]))[i]
-            mat[k][j] = half * total  # g(S* e_j, e_k)
+            R_phiY = sum((R[j][m].scale(phi.entry(m, k)) for m in range(3)), Tensor11.zero())
+            mat[k][j] = half * (phi @ R_phiY).trace()  # g(S* e_j, e_k)
     return Tensor11(mat)
 
 

@@ -178,6 +178,10 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
         if self.is_zero or other.is_zero:
             return _ZERO
         acc: dict[Mono, Fraction] = {}

@@ -1,7 +1,9 @@
 """Exact rational functions in named symbols: the universal scalar.
 
 An ``Expr`` is a reduced fraction of two canonical polynomials with the
-denominator normalized to leading coefficient 1.  Structural equality of two
+denominator normalized to leading coefficient 1.  A denominator equal to 1 is
+always the shared ``Polynomial.one()``, so arithmetic on polynomial values
+multiplies by it for free and takes no gcd.  Structural equality of two
 ``Expr`` values coincides with equality as rational functions, so the proof
 layer can test "is exactly zero" by construction.  Values are immutable.
 
@@ -79,22 +81,27 @@ class Expr:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
+        one = Polynomial.one()  # the only denominator equal to 1: no gcd needed
         if den is None:
-            den = Polynomial.one()
+            den = one
         if den.is_zero:
             raise DivisionByZeroExpr("denominator is the zero polynomial")
         if num.is_zero:
-            num, den = Polynomial.zero(), Polynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_constant:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-                assert num is not None and den is not None
-            _, lc = den.leading()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            num, den = Polynomial.zero(), one
+        elif den is not one:
+            if not den.is_constant:
+                g = poly_gcd(num, den)
+                if not g.is_constant:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+                    assert num is not None and den is not None
+            if den.is_constant:
+                num, den = num.scale(1 / den.constant_value()), one
+            else:
+                _, lc = den.leading()
+                if lc != 1:
+                    num = num.scale(1 / lc)
+                    den = den.scale(1 / lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)

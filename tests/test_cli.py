@@ -212,6 +212,9 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["expr", "eval", "x", "x=1", "--out", str(tmp_path / "missing" / "x")],
         ["sweep", "cp2-b", "0.1", "0.2", "3", "parallel",
          "--catalog", str(tmp_path / "missing.cat")],
+        ["prove", "type-b", "--tol-oracle", "nan"],
+        ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
+        ["prove", "hopf", "--tol-witness", "inf"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

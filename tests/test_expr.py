@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
+from starricci.polynomial import Polynomial
 from starricci.quadratic import (
     InconsistentEquationError,
     QuadraticError,
@@ -352,6 +353,71 @@ def test_canonical_forms_from_shuffled_factors():
         p1 = parts[0] * parts[1] * parts[2] * parts[3]
         p2 = shuffled[2] * (shuffled[0] * (shuffled[3] * shuffled[1]))
         assert p1 == p2
+
+
+_UT = SymbolTable()
+_UT_SYMS = tuple(_UT.function(name) for name in ("x", "y", "z"))
+_UNIT_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _unit_polys(nvars):
+    monos = st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 2), max_size=2).map(
+        lambda d: tuple((_UT_SYMS[i], e) for i, e in sorted(d.items())))
+    return st.dictionaries(monos, _UNIT_COEFFS, max_size=3).map(Polynomial)
+
+
+_UNIT_POLYS = _unit_polys(3)
+# Rational values use fewer variables (numerators in x, y, denominators in x),
+# which keeps the gcds of their powers small; a numerator that is a multiple
+# of its denominator cancels to den = 1.
+_UNIT_DENS = _unit_polys(1).filter(lambda p: not p.is_zero)
+_UNIT_EXPRS = st.one_of(
+    _UNIT_POLYS.map(Expr),
+    st.tuples(_unit_polys(2), _UNIT_DENS, st.booleans()).map(
+        lambda pdk: Expr(pdk[0] * pdk[1] if pdk[2] else pdk[0], pdk[1])),
+)
+
+
+def _fresh_unit():
+    return Polynomial({(): Fraction(1)})
+
+
+def _den(e):
+    """e's denominator, with a new unit polynomial in place of the shared one."""
+    return _fresh_unit() if e.den == Polynomial.one() else e.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT_EXPRS, _UNIT_EXPRS, st.integers(min_value=-2, max_value=2),
+       st.dictionaries(st.sampled_from(_UT_SYMS), _UNIT_POLYS.map(Expr), max_size=2))
+def test_unit_denominator_is_the_shared_polynomial(a, b, n, bindings):
+    # each result against the same operation through the general constructor,
+    # whose denominators are never the shared unit polynomial
+    results = [
+        (a + b, Expr(a.num * _den(b) + b.num * _den(a), _den(a) * _den(b))),
+        (a - b, Expr(a.num * _den(b) - b.num * _den(a), _den(a) * _den(b))),
+        (a * b, Expr(a.num * b.num, _den(a) * _den(b))),
+        (-a, Expr(-a.num, _den(a))),
+        (a.derivative("e1"), Expr(a.num.derivative("e1") * _den(a)
+                                  - a.num * _den(a).derivative("e1"), _den(a) * _den(a))),
+    ]
+    if not b.is_zero:
+        results.append((a / b, Expr(a.num * _den(b), _den(a) * b.num)))
+    if n > 0:
+        results.append((a ** n, Expr(a.num ** n, _den(a) ** n)))
+    elif n < 0 and not a.is_zero:
+        results.append((a ** n, Expr(_den(a) ** -n, a.num ** -n)))
+    try:
+        sub = a.substitute(bindings)
+    except DivisionByZeroExpr:
+        sub = None
+    if sub is not None:
+        results.append((sub, Expr(sub.num * _fresh_unit(), _den(sub))))
+    for got, general in results:
+        if got.den == Polynomial.one():
+            assert got.den is Polynomial.one()
+        assert got == general
+        assert got.to_text() == general.to_text()
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from starricci import rational
 from starricci.frames import (
     FRAME_INDICES,
     FrameIndex,
@@ -177,6 +178,81 @@ def test_curvature_hopf_examples(hopf):
     assert curvature(hopf, W, phiW, xi).is_zero
     sectional = curvature(hopf, W, xi, xi).dot(W)
     assert sectional == hopf.c / 4 + hopf.sym("alpha") * hopf.sym("lambda")
+
+
+def _gauss_vector_form(ctx, X, Y, Z):
+    """R(X, Y) Z as a sum of vector fields: the reference for curvature_operator.
+
+    R(X, Y) Z = (c/4)[g(Y, Z) X - g(X, Z) Y + g(phi Y, Z) phi X
+                      - g(phi X, Z) phi Y - 2 g(phi X, Y) phi Z]
+                + g(A Y, Z) A X - g(A X, Z) A Y
+    """
+    phi, A = ctx.phi, ctx.A
+    c4 = ctx.c / 4
+    phiX, phiY, phiZ = phi.apply(X), phi.apply(Y), phi.apply(Z)
+    AX, AY = A.apply(X), A.apply(Y)
+    out = X.scale(c4 * Y.dot(Z))
+    out = out - Y.scale(c4 * X.dot(Z))
+    out = out + phiX.scale(c4 * phiY.dot(Z))
+    out = out - phiY.scale(c4 * phiX.dot(Z))
+    out = out - phiZ.scale(2 * c4 * phiX.dot(Y))
+    out = out + AX.scale(AY.dot(Z))
+    out = out - AY.scale(AX.dot(Z))
+    return out
+
+
+@pytest.fixture(scope="module")
+def generic():
+    """The non-Hopf frame with a symmetric shape operator of six free symbols."""
+    ctx = build_nonhopf_context()
+    a11, a12, a13, a22, a23, a33 = (
+        Expr.from_symbol(ctx.table.constant(name))
+        for name in ("a11", "a12", "a13", "a22", "a23", "a33")
+    )
+    A = Tensor11(((a11, a12, a13), (a12, a22, a23), (a13, a23, a33)))
+    return with_shape_operator(ctx, A)
+
+
+@pytest.mark.parametrize("context", ["nonhopf", "hopf", "generic"])
+def test_curvature_operator_matches_vector_form_gauss(context, request):
+    ctx = request.getfixturevalue(context)
+    basis = [VectorField.basis(i) for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            op = curvature_operator(ctx, FRAME_INDICES[i], FRAME_INDICES[j])
+            for k in range(3):
+                assert op.column(k) == _gauss_vector_form(ctx, basis[i], basis[j], basis[k])
+
+
+def test_curvature_contracts_operators_on_non_basis_fields(nonhopf, hopf, generic):
+    for ctx in (nonhopf, hopf, generic):
+        s = ctx.sym("alpha")
+        e1, e2, e3 = (VectorField.basis(i) for i in range(3))
+        fields = (e1 + e3.scale(s), e2.scale(ctx.c) - e1, e1 - e2.scale(s * s) + e3.scale(3))
+        for X in fields:
+            for Y in fields:
+                for Z in fields:
+                    assert curvature(ctx, X, Y, Z) == _gauss_vector_form(ctx, X, Y, Z)
+
+
+def test_frame_calculus_takes_no_gcd(monkeypatch):
+    # every frame quantity is polynomial, so no Expr needs a gcd reduction
+    calls = []
+    gcd = rational.poly_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(rational, "poly_gcd", counted)
+    for ctx in (build_nonhopf_context(), build_hopf_context()):
+        ricci(ctx)
+        star_ricci_trace(ctx)
+        star_ricci_closed(ctx)
+        for X in FRAME_INDICES:
+            for Y in FRAME_INDICES:
+                codazzi_residual(ctx, X, Y)
+    assert len(calls) == 0
 
 
 def test_curvature_carries_no_derivative_symbols(nonhopf, hopf):
