@@ -34,6 +34,7 @@ from .frames import (
     build_nonhopf_context,
     build_hopf_context,
     covariant_derivative_vf,
+    covariant_derivative_entry,
     covariant_derivative_t11,
     curvature,
     curvature_operator,

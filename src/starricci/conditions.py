@@ -20,7 +20,7 @@ from .frames import (
     FrameContext,
     FrameIndex,
     Tensor11,
-    covariant_derivative_t11,
+    covariant_derivative_entry,
     curvature_operator,
     ricci,
 )
@@ -87,13 +87,13 @@ class ConditionReport:
 def _nabla_condition(
     ctx: FrameContext, T: Tensor11, kind: ConditionKind, xs, tensor_name: str
 ) -> ConditionReport:
-    entries = []
-    for X in xs:
-        dT = covariant_derivative_t11(ctx, X, T)
-        for Y in FRAME_INDICES:
-            for proj in FRAME_INDICES:
-                entries.append(ReportEntry((X,), Y, proj, dT.entry(proj.value, Y.value)))
-    return ConditionReport(kind, tensor_name, tuple(entries))
+    entries = tuple(
+        ReportEntry((X,), Y, proj, covariant_derivative_entry(ctx, X, T, Y, proj))
+        for X in xs
+        for Y in FRAME_INDICES
+        for proj in FRAME_INDICES
+    )
+    return ConditionReport(kind, tensor_name, entries)
 
 
 def parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:

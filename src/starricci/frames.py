@@ -27,7 +27,11 @@ Conventions (fixed here, used everywhere):
             - 2 phi_ji phi_lk) + A_kj A_li - A_ki A_lj
   (d the Kronecker delta); curvature, ricci and star_ricci_trace contract
   the three operators R(e_i, e_j), i < j, extended by antisymmetry;
-* (nabla_X T) Y = nabla_X (T Y) - T (nabla_X Y);
+* Gamma_ijk = g(nabla_{e_i} e_j, e_k) = ctx.connection.entries[i][j][k];
+* (nabla_X T) Y = nabla_X (T Y) - T (nabla_X Y), written once, in
+  covariant_derivative_entry, as the frame entries
+      g((nabla_{e_X} T) e_Y, e_P) = e_X(T_PY) + sum_k Gamma_XkP T_kY
+                                    - sum_k Gamma_XYk T_Pk;
 * the star-Ricci trace form contracts the operator Z -> phi(R(X, phi Y) Z),
   i.e. g(S* X, Y) = (1/2) * trace(Z -> phi(R(X, phi Y) Z)), which agrees
   exactly with the closed form S* = -[(c n / 2) phi^2 + (phi A)^2] at n = 2.
@@ -400,14 +404,35 @@ def covariant_derivative_vf(ctx: FrameContext, X: FrameIndex, Y: VectorField) ->
     return VectorField(comps)
 
 
+def covariant_derivative_entry(
+    ctx: FrameContext, X: FrameIndex, T: Tensor11, Y: FrameIndex, P: FrameIndex
+) -> Expr:
+    """g((nabla_{e_X} T) e_Y, e_P), the only place the tensor Leibniz rule is written:
+
+        e_X(T_PY) + sum_k Gamma_XkP T_kY - sum_k Gamma_XYk T_Pk,
+
+    with Gamma_ijk = g(nabla_{e_i} e_j, e_k) and T_ab = T.entry(a, b).  A
+    product with a zero factor is skipped.
+    """
+    gamma = ctx.connection.entries[X.value]
+    y, p = Y.value, P.value
+    out = T.entry(p, y).derivative(X.direction)
+    for k in range(3):
+        g, t = gamma[k][p], T.entry(k, y)
+        if not (g.is_zero or t.is_zero):
+            out = out + g * t
+        g, t = gamma[y][k], T.entry(p, k)
+        if not (g.is_zero or t.is_zero):
+            out = out - g * t
+    return out
+
+
 def covariant_derivative_t11(ctx: FrameContext, X: FrameIndex, T: Tensor11) -> Tensor11:
-    """(nabla_X T) as a matrix: column j is nabla_X(T e_j) - T(nabla_X e_j)."""
-    cols = []
-    for j in range(3):
-        lead = covariant_derivative_vf(ctx, X, T.column(j))
-        trail = T.apply(ctx.connection.nabla(X, j))
-        cols.append(lead - trail)
-    return Tensor11(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    """(nabla_X T) as a matrix: entry (P, Y) is covariant_derivative_entry(ctx, X, T, Y, P)."""
+    return Tensor11(
+        tuple(covariant_derivative_entry(ctx, X, T, Y, P) for Y in FRAME_INDICES)
+        for P in FRAME_INDICES
+    )
 
 
 # -- curvature and the Ricci tensors ---------------------------------------
@@ -501,11 +526,14 @@ def codazzi_residual(ctx: FrameContext, X: FrameIndex, Y: FrameIndex) -> VectorF
     """(nabla_X A)Y - (nabla_Y A)X - (c/4)[eta(X) phi Y - eta(Y) phi X - 2 g(phi X, Y) xi].
 
     Vanishing of this field is the Codazzi constraint; it is exposed as
-    equations, never assumed.
+    equations, never assumed.  Only the two columns read are computed:
+    column Y of nabla_X A and column X of nabla_Y A.
     """
-    dAX = covariant_derivative_t11(ctx, X, ctx.A)
-    dAY = covariant_derivative_t11(ctx, Y, ctx.A)
-    out = dAX.column(Y) - dAY.column(X)
+    A = ctx.A
+    out = VectorField(
+        covariant_derivative_entry(ctx, X, A, Y, P) - covariant_derivative_entry(ctx, Y, A, X, P)
+        for P in FRAME_INDICES
+    )
     c4 = ctx.c / 4
     eta_x = Expr.one() if X is FrameIndex.E3 else Expr.zero()
     eta_y = Expr.one() if Y is FrameIndex.E3 else Expr.zero()

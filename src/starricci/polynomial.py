@@ -9,11 +9,15 @@ and structural equality coincides with mathematical equality.
 
 GCDs are computed with the primitive pseudo-remainder sequence, recursing on
 the number of variables; this is all the factorization the canonical
-fraction layer needs.
+fraction layer needs.  Primitive parts have integer, coprime coefficients.
+Before any sequence runs, monomial factors are split off, and so is a symbol
+that only one operand holds (the gcd is then that of the other operand and
+the coefficients); the sequence then runs in the variable of least degree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Mapping, Optional
@@ -320,15 +324,29 @@ def _monic(p: Polynomial) -> Polynomial:
 
 
 def _content_and_primitive(coeffs: dict[int, Polynomial]) -> tuple[Polynomial, dict[int, Polynomial]]:
+    """Split a univariate view into its content and its primitive part.
+
+    The content is the gcd of the coefficients, up to a rational factor.  The
+    primitive part also has its numeric content divided out (integer, coprime
+    coefficients), so pseudo-remainders stay small: without that the
+    rational coefficients grow exponentially along the sequence."""
     cont = reduce(_gcd_rec, coeffs.values())
-    if cont.is_constant:
-        return _ONE, coeffs
-    prim = {}
-    for e, p in coeffs.items():
-        q = p.exact_div(cont)
-        assert q is not None, "content must divide every coefficient"
-        prim[e] = q
-    return cont, prim
+    prim = coeffs
+    if not cont.is_constant:
+        prim = {}
+        for e, p in coeffs.items():
+            q = p.exact_div(cont)
+            assert q is not None, "content must divide every coefficient"
+            prim[e] = q
+    num, den = 0, 1
+    for p in prim.values():
+        for _m, c in p.terms:
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
+    if num != 1 or den != 1:
+        k = Fraction(den, num)
+        prim = {e: p.scale(k) for e, p in prim.items()}
+    return (_ONE if cont.is_constant else cont), prim
 
 
 def _pseudo_rem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int, Polynomial]:
@@ -346,6 +364,22 @@ def _pseudo_rem(f: dict[int, Polynomial], g: dict[int, Polynomial]) -> dict[int,
     return r
 
 
+def _mono_content(p: Polynomial) -> Mono:
+    """The largest monomial dividing every term of p."""
+    (m0, _c), *rest = p.terms
+    low = dict(m0)
+    for m, _c in rest:
+        exps = dict(m)
+        low = {s: min(e, exps[s]) for s, e in low.items() if s in exps}
+        if not low:
+            return _EMPTY
+    return tuple(sorted(low.items(), key=lambda q: q[0].name))
+
+
+def _mono_quotient(p: Polynomial, m: Mono) -> Polynomial:
+    return Polynomial({_mono_div(t, m): c for t, c in p.terms}) if m else p
+
+
 def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero:
         return g
@@ -353,10 +387,28 @@ def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     if f.is_constant or g.is_constant:
         return _ONE
-    common = sorted(f.symbols() & g.symbols(), key=lambda s: s.name)
-    if not common:
-        return _ONE
-    x = common[0]
+    mf, mg = _mono_content(f), _mono_content(g)
+    if mf or mg:
+        # a polynomial with no monomial factor is coprime to every monomial
+        eg = dict(mg)
+        common = tuple((s, min(e, eg[s])) for s, e in mf if s in eg)
+        rest = _gcd_rec(_mono_quotient(f, mf), _mono_quotient(g, mg))
+        return rest * Polynomial({common: Fraction(1)}) if common else rest
+    fs, gs = f.symbols(), g.symbols()
+    for p, q, own in ((f, g, fs - gs), (g, f, gs - fs)):
+        if own:
+            # q is free of s, so gcd(p, q) is the gcd of q and p's
+            # coefficients in s: smaller inputs, one variable fewer
+            s = min(own, key=lambda t: t.name)
+            out = q
+            for c in p.coeffs_in(s).values():
+                out = _gcd_rec(out, c)
+                if out.is_constant:
+                    return _ONE
+            return out
+    # the sequence is at most as long as the lower degree: take the
+    # variable of least total degree
+    x = min(fs, key=lambda t: (f.degree_in(t) + g.degree_in(t), t.name))
     cf, pf = _content_and_primitive(f.coeffs_in(x))
     cg, pg = _content_and_primitive(g.coeffs_in(x))
     cont = _gcd_rec(cf, cg)

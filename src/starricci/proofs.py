@@ -43,8 +43,14 @@ from .catalog import (
     evaluate_condition,
     radius_grid,
 )
-from .conditions import ConditionKind, parallel_equations
-from .frames import FrameIndex, build_hopf_context, build_nonhopf_context, star_ricci_closed
+from .conditions import ConditionKind
+from .frames import (
+    FrameIndex,
+    build_hopf_context,
+    build_nonhopf_context,
+    covariant_derivative_entry,
+    star_ricci_closed,
+)
 from .parsing import parse_expr
 from .quadratic import solve_quadratic
 from .rational import Expr, sign_normalized
@@ -231,7 +237,6 @@ def nonhopf_contradiction() -> ProofTrace:
     """
     ctx = build_nonhopf_context()
     sstar = star_ricci_closed(ctx)
-    report = parallel_equations(ctx, sstar, "star-ricci")
     beta = ctx.sym("beta")
     c = ctx.sym("c")
     nonzero = NonzeroTracker([beta, c])
@@ -246,8 +251,8 @@ def nonhopf_contradiction() -> ProofTrace:
     bindings: dict = {}
 
     # step 1: the (xi, xi) projection onto xi
-    where = (E3, E3, E3)
-    raw = report.get(*where).equation
+    X, Y, P = where = (E3, E3, E3)
+    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
     _expect("1", eq, ctx.parse("beta^2*delta"))
     _assert_projection_purity("1", eq)
@@ -264,8 +269,8 @@ def nonhopf_contradiction() -> ProofTrace:
     ))
 
     # step 2: the (phiU, xi) projection onto xi, after delta = 0
-    where = (E2, E3, E3)
-    raw = report.get(*where).equation
+    X, Y, P = where = (E2, E3, E3)
+    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
     _expect("2", eq, ctx.parse("beta*mu^2"))
     _assert_projection_purity("2", eq)
@@ -282,8 +287,8 @@ def nonhopf_contradiction() -> ProofTrace:
     ))
 
     # step 3: the (xi, phiU) projection onto xi, after delta = mu = 0
-    where = (E3, E2, E3)
-    raw = report.get(*where).equation
+    X, Y, P = where = (E3, E2, E3)
+    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = raw.substitute(bindings)  # contradiction witness: recorded as computed
     _expect("3", eq, ctx.parse("-c*beta"))
     _assert_projection_purity("3", eq)
@@ -324,7 +329,6 @@ def hopf_branch() -> ProofTrace:
     """
     ctx = build_hopf_context()
     sstar = star_ricci_closed(ctx)
-    report = parallel_equations(ctx, sstar, "star-ricci")
     c = ctx.sym("c")
     lam = ctx.sym("lambda")
     nu = ctx.sym("nu")
@@ -342,8 +346,8 @@ def hopf_branch() -> ProofTrace:
     E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
 
     # step 1: (W, xi) projection onto phiW
-    where = (E1, E3, E2)
-    eq1 = sign_normalized(report.get(*where).equation)
+    X, Y, P = where = (E1, E3, E2)
+    eq1 = sign_normalized(covariant_derivative_entry(ctx, X, sstar, Y, P))
     _expect("1", eq1, ctx.parse("lambda*(c + lambda*nu)"))
     _assert_projection_purity("1", eq1)
     trace.add(ProofStep(
@@ -365,7 +369,7 @@ def hopf_branch() -> ProofTrace:
         substitution=(("lambda", Expr.zero()),),
     ))
 
-    eq2 = sign_normalized(report.get(E2, E3, E1).equation)
+    eq2 = sign_normalized(covariant_derivative_entry(ctx, E2, sstar, E3, E1))
     _expect("2b", eq2, ctx.parse("nu*(c + lambda*nu)"))
     _assert_projection_purity("2b", eq2)
     _conclude_zero("2b", case_nonzero.cancel(eq2, p), "nu")

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .polynomial import Polynomial, poly_gcd
+from .polynomial import Mono, Polynomial, _mono_mul, poly_gcd
 from .symbols import Symbol
 
 Scalar = Union[int, Fraction, "Expr"]
@@ -81,20 +81,26 @@ class Expr:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        one = Polynomial.one()  # the only denominator equal to 1: no gcd needed
         if den is None:
-            den = one
+            den = Polynomial.one()
         if den.is_zero:
             raise DivisionByZeroExpr("denominator is the zero polynomial")
+        if not (num.is_zero or den.is_constant):
+            g = poly_gcd(num, den)
+            if not g.is_constant:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+                assert num is not None and den is not None
+        self._set(num, den)
+
+    def _set(self, num: Polynomial, den: Polynomial) -> None:
+        """Store the coprime pair num/den with den normalized: 0 = 0/1, a
+        constant denominator is the shared Polynomial.one() (no gcd needed),
+        any other one has leading coefficient 1."""
+        one = Polynomial.one()
         if num.is_zero:
             num, den = Polynomial.zero(), one
         elif den is not one:
-            if not den.is_constant:
-                g = poly_gcd(num, den)
-                if not g.is_constant:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                    assert num is not None and den is not None
             if den.is_constant:
                 num, den = num.scale(1 / den.constant_value()), one
             else:
@@ -162,6 +168,10 @@ class Expr:
 
     def __add__(self, other: Scalar) -> "Expr":
         o = Expr._coerce(other)
+        if o.is_zero:  # Expr is immutable, so an operand can be returned
+            return self
+        if self.is_zero:
+            return o
         return Expr(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __radd__(self, other: Scalar) -> "Expr":
@@ -169,6 +179,10 @@ class Expr:
 
     def __sub__(self, other: Scalar) -> "Expr":
         o = Expr._coerce(other)
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return -o
         return Expr(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other: Scalar) -> "Expr":
@@ -179,6 +193,8 @@ class Expr:
 
     def __mul__(self, other: Scalar) -> "Expr":
         o = Expr._coerce(other)
+        if o.is_zero or self.is_zero:
+            return _ZERO_EXPR
         return Expr(self.num * o.num, self.den * o.den)
 
     def __rmul__(self, other: Scalar) -> "Expr":
@@ -196,11 +212,15 @@ class Expr:
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        if n >= 0:
-            return Expr(self.num ** n, self.den ** n)
-        if self.is_zero:
-            raise DivisionByZeroExpr("zero raised to a negative power")
-        return Expr(self.den ** (-n), self.num ** (-n))
+        num, den = self.num, self.den
+        if n < 0:
+            if self.is_zero:
+                raise DivisionByZeroExpr("zero raised to a negative power")
+            num, den, n = den, num, -n
+        # powers of a coprime num/den stay coprime: no gcd
+        out = object.__new__(Expr)
+        out._set(num ** n, den ** n)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -219,30 +239,22 @@ class Expr:
     def substitute(self, bindings: Mapping[Symbol, Scalar]) -> "Expr":
         """Simultaneous substitution, then canonicalization.
 
-        Raises DivisionByZeroExpr if the denominator vanishes identically
-        under the substitution.
+        num and den are each evaluated as one fraction N/D of polynomials
+        (see _substitute_poly), and the result is the Expr of
+        N_num * D_den over D_num * N_den, which takes one gcd.  Raises
+        DivisionByZeroExpr if the denominator vanishes identically under the
+        substitution.
         """
         if not bindings:
             return self
         table = {s: Expr._coerce(v) for s, v in bindings.items()}
-
-        def eval_poly(p: Polynomial) -> Expr:
-            total = _ZERO_EXPR
-            for m, c in p.terms:
-                term = Expr.const(c)
-                for s, e in m:
-                    rep = table.get(s)
-                    term = term * (rep ** e if rep is not None else Expr(Polynomial.from_symbol(s) ** e))
-                total = total + term
-            return total
-
-        num_e = eval_poly(self.num)
-        den_e = eval_poly(self.den)
-        if den_e.is_zero:
+        num_n, num_d = _substitute_poly(self.num, table)
+        den_n, den_d = _substitute_poly(self.den, table)
+        if den_n.is_zero:
             raise DivisionByZeroExpr(
                 "substitution makes a denominator identically zero"
             )
-        return num_e / den_e
+        return Expr(num_n * den_d, den_n * num_d)
 
     def derivative(self, direction: str) -> "Expr":
         """Formal directional derivative; quotient rule over the derivation."""
@@ -336,6 +348,62 @@ class Expr:
 
 _ZERO_EXPR = Expr(Polynomial.zero())
 _ONE_EXPR = Expr(Polynomial.one())
+
+
+def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
+    """p with every symbol s in `table` replaced by a_s/b_s, as a pair (N, D).
+
+    D is the product of b_s^deg_s(p) over the bound symbols whose b_s is not
+    constant, and each term c * u * prod s^e (u its unbound monomial)
+    contributes c * u * prod a_s^e * b_s^(deg_s - e) to N; a term holding a
+    symbol bound to zero contributes nothing.  Powers are computed once per
+    call and N is summed in one dict.  Symbols go in name order, so the
+    operation counts do not depend on hash order.
+    """
+    one = Polynomial.one()
+    degrees: dict = {}
+    for m, _c in p.terms:
+        for s, e in m:
+            if s in table and e > degrees.get(s, 0):
+                degrees[s] = e
+    if not degrees:
+        return p, one
+    bound = sorted(degrees, key=lambda s: s.name)
+    powers: dict = {}
+
+    def power(s: Symbol, part: str, e: int) -> Polynomial:
+        """a_s^e (part "num") or b_s^e (part "den"), once per call."""
+        key = (s, part, e)
+        out = powers.get(key)
+        if out is None:
+            out = powers[key] = getattr(table[s], part) ** e
+        return out
+
+    den = one
+    for s in bound:
+        if table[s].den is not one:
+            den = den * power(s, "den", degrees[s])
+    acc: dict[Mono, Fraction] = {}
+    for m, c in p.terms:
+        exps = dict(m)
+        if any(table[s].is_zero for s in bound if s in exps):
+            continue
+        term = {tuple((s, e) for s, e in m if s not in degrees): c}
+        for s in bound:
+            e = exps.get(s, 0)
+            factors = [power(s, "num", e)] if e else []
+            if table[s].den is not one and e != degrees[s]:
+                factors.append(power(s, "den", degrees[s] - e))
+            for f in factors:
+                prod: dict[Mono, Fraction] = {}
+                for ma, ca in term.items():
+                    for mb, cb in f.terms:
+                        key = _mono_mul(ma, mb)
+                        prod[key] = prod.get(key, 0) + ca * cb
+                term = prod
+        for mt, ct in term.items():
+            acc[mt] = acc.get(mt, 0) + ct
+    return Polynomial(acc), den
 
 
 def sign_normalized(e: Expr) -> Expr:

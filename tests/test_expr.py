@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starricci import rational
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
-from starricci.polynomial import Polynomial
+from starricci.polynomial import Polynomial, poly_gcd
+from starricci.proofs import BASIC_RELATION_TEXT
 from starricci.quadratic import (
     InconsistentEquationError,
     QuadraticError,
@@ -418,6 +420,99 @@ def test_unit_denominator_is_the_shared_polynomial(a, b, n, bindings):
             assert got.den is Polynomial.one()
         assert got == general
         assert got.to_text() == general.to_text()
+
+
+def _substitute_per_term(e, bindings):
+    """The per-term substitution (one Expr per factor, a gcd per addition):
+    the reference for Expr.substitute."""
+    def eval_poly(p):
+        total = Expr.zero()
+        for m, c in p.terms:
+            term = Expr.const(c)
+            for s, k in m:
+                rep = bindings.get(s)
+                term = term * (rep ** k if rep is not None
+                               else Expr(Polynomial.from_symbol(s) ** k))
+            total = total + term
+        return total
+
+    num_e = eval_poly(e.num)
+    den_e = eval_poly(e.den)
+    if den_e.is_zero:
+        raise DivisionByZeroExpr("substitution makes a denominator identically zero")
+    return num_e / den_e
+
+
+# Replacements of four kinds: zero, a constant, a polynomial, a rational
+# function in x alone (few variables keep the reference's many gcds fast).
+_REPLACEMENTS = st.one_of(
+    st.just(Expr.zero()),
+    _UNIT_COEFFS.map(Expr.const),
+    _UNIT_POLYS.map(Expr),
+    st.tuples(_unit_polys(1), _UNIT_DENS).map(lambda pd: Expr(*pd)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT_EXPRS,
+       st.dictionaries(st.sampled_from(_UT_SYMS), _REPLACEMENTS, max_size=2))
+def test_substitute_matches_per_term_reference(e, bindings):
+    # at most two of the three symbols are bound, so one stays free
+    try:
+        expected = _substitute_per_term(e, bindings)
+    except DivisionByZeroExpr:
+        with pytest.raises(DivisionByZeroExpr):
+            e.substitute(bindings)
+        return
+    got = e.substitute(bindings)
+    assert got == expected
+    assert got.to_text() == expected.to_text()
+    if got.den == Polynomial.one():
+        assert got.den is Polynomial.one()
+
+
+def test_substitute_takes_one_gcd(monkeypatch):
+    # lambda = -c/nu into the principal-curvature relation: one fraction N/nu
+    t = SymbolTable()
+    for n in ("alpha", "lambda", "nu", "c"):
+        t.constant(n)
+    basic = parse_expr(BASIC_RELATION_TEXT, t)
+    rep = parse_expr("-c/nu", t)
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(rational, "poly_gcd", counted)
+    sub = basic.substitute({t.get("lambda"): rep})
+    assert len(calls) == 1
+    assert sub == parse_expr("-c - (alpha/2)*(nu - c/nu) - c/4", t)
+
+
+def test_power_takes_no_gcd(monkeypatch):
+    # num^n and den^n of a reduced fraction are coprime; these two powers
+    # ran for tens of seconds when they took a gcd
+    t = SymbolTable()
+    for n in ("x", "y", "z"):
+        t.constant(n)
+    a = parse_expr("((1/4)*x*y^2 + (2/3)*x^2 - 1/4)/(x^2*z^2 + (2/3)*y^2*z + 1/6)", t)
+    b = parse_expr("(y^2*z^2 + 2*x^2*z - 10/3)/(x^2 + 6*x - 6)", t)
+
+    def no_gcd(f, g):
+        raise AssertionError("a power took a gcd")
+
+    monkeypatch.setattr(rational, "poly_gcd", no_gcd)
+    point = {"x": Fraction(2, 3), "y": Fraction(-5, 2), "z": Fraction(7, 4)}
+    for base, n in ((a, -2), (b, 2), (a, 3), (b, -1), (a, 0)):
+        got = base ** n
+        assert got.eval_exact(point) == base.eval_exact(point) ** n
+        if got.den.is_constant:
+            assert got.den is Polynomial.one()
+        else:
+            assert got.den.leading()[1] == 1
+    square = b ** 2
+    assert (square.num, square.den) == (b.num ** 2, b.den ** 2)
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from starricci import rational
+from starricci import frames, rational
 from starricci.frames import (
     FRAME_INDICES,
     FrameIndex,
@@ -11,6 +11,7 @@ from starricci.frames import (
     build_hopf_context,
     build_nonhopf_context,
     codazzi_residual,
+    covariant_derivative_entry,
     covariant_derivative_t11,
     covariant_derivative_vf,
     curvature,
@@ -143,6 +144,73 @@ def test_xi_xi_projection_of_star_ricci_derivative(nonhopf):
     sstar = star_ricci_closed(ctx)
     d = covariant_derivative_t11(ctx, E3, sstar)
     assert d.entry(2, 2) == ctx.parse("beta^2*delta")
+
+
+def _covariant_derivative_column_form(ctx, X, T):
+    """(nabla_X T) by columns, nabla_X(T e_j) - T(nabla_X e_j): the reference
+    for covariant_derivative_entry."""
+    cols = []
+    for j in range(3):
+        lead = covariant_derivative_vf(ctx, X, T.column(j))
+        trail = T.apply(ctx.connection.nabla(X, j))
+        cols.append(lead - trail)
+    return Tensor11(tuple(cols[j][i] for j in range(3)) for i in range(3))
+
+
+def _codazzi_full_matrix_form(ctx, X, Y):
+    """codazzi_residual from the two full matrices nabla_X A and nabla_Y A."""
+    dAX = _covariant_derivative_column_form(ctx, X, ctx.A)
+    dAY = _covariant_derivative_column_form(ctx, Y, ctx.A)
+    out = dAX.column(Y) - dAY.column(X)
+    c4 = ctx.c / 4
+    eta_x = Expr.one() if X is E3 else Expr.zero()
+    eta_y = Expr.one() if Y is E3 else Expr.zero()
+    g_phiX_Y = ctx.phi.entry(Y.value, X.value)
+    correction = (ctx.phi.column(Y).scale(c4 * eta_x) - ctx.phi.column(X).scale(c4 * eta_y)
+                  - VectorField.basis(E3).scale(2 * c4 * g_phiX_Y))
+    return out - correction
+
+
+@pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
+def test_covariant_derivative_entry_matches_column_form(build):
+    ctx = build()
+    free = Tensor11(
+        tuple(Expr.from_symbol(ctx.table.function(f"t{i}{j}")) for j in range(3))
+        for i in range(3)
+    )
+    for T in (ctx.A, ctx.phi, star_ricci_closed(ctx), ricci(ctx), free):
+        for X in FRAME_INDICES:
+            reference = _covariant_derivative_column_form(ctx, X, T)
+            assert covariant_derivative_t11(ctx, X, T) == reference
+            for Y in FRAME_INDICES:
+                for P in FRAME_INDICES:
+                    assert covariant_derivative_entry(ctx, X, T, Y, P) == \
+                        reference.entry(P.value, Y.value)
+
+
+def test_codazzi_residual_matches_full_matrix_form(nonhopf, hopf):
+    for ctx in (nonhopf, hopf):
+        for X in FRAME_INDICES:
+            for Y in FRAME_INDICES:
+                assert codazzi_residual(ctx, X, Y) == _codazzi_full_matrix_form(ctx, X, Y)
+
+
+def test_codazzi_residual_computes_six_entries(monkeypatch, nonhopf, hopf):
+    # column Y of nabla_X A and column X of nabla_Y A, not the two full matrices
+    calls = []
+    entry = frames.covariant_derivative_entry
+
+    def counted(*args):
+        calls.append(args)
+        return entry(*args)
+
+    monkeypatch.setattr(frames, "covariant_derivative_entry", counted)
+    for ctx in (nonhopf, hopf):
+        for X in FRAME_INDICES:
+            for Y in FRAME_INDICES:
+                calls.clear()
+                codazzi_residual(ctx, X, Y)
+                assert len(calls) == 6
 
 
 # -- curvature --------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from starricci.parsing import parse_expr
+from starricci import polynomial
 from starricci.polynomial import Polynomial, poly_gcd
 from starricci.proofs import _derivative_bindings
 from starricci.rational import Expr
@@ -135,6 +136,92 @@ def test_gcd_randomized_products():
         assert d.exact_div(poly_gcd(f, f)) is not None
         assert (f * g).exact_div(d) is not None
         assert (f * h).exact_div(d) is not None
+
+
+def test_gcd_keeps_pseudo_remainder_coefficients_small(monkeypatch):
+    """The primitive remainder sequence divides out numeric content too.
+
+    Without that the rational coefficients double in size at each step: the
+    univariate gcd below reached 1211 bits, and this substitution's one gcd
+    ran for minutes.  The spy fails the test as soon as a coefficient passes
+    256 bits, so a regression fails fast."""
+    t = SymbolTable()
+    e = parse_expr("(2*x^2*y^2 + 3*x*y^2 - 2)/x^2", t, define_missing=True)
+    r = parse_expr("(-(1/3)*x^2*y - (1/3)*x^2 + 1/3)/(x^2 - (2/3)*x - 1/9)", t)
+    x, y = t.get("x"), t.get("y")
+    real = polynomial._pseudo_rem
+
+    def bounded(f, g):
+        for view in (f, g):
+            for p in view.values():
+                for _m, c in p.terms:
+                    assert max(c.numerator.bit_length(), c.denominator.bit_length()) <= 256
+        return real(f, g)
+
+    monkeypatch.setattr(polynomial, "_pseudo_rem", bounded)
+    f = parse_expr("3*x^8 - (2/3)*x^7 + 5*x^6 - x^5 + (7/2)*x^4 - 2*x^3 + x^2 - (4/5)*x + 1", t).num
+    g = parse_expr("2*x^7 + x^6 - (3/2)*x^5 + 4*x^4 - x^3 + (5/3)*x^2 + 3*x - 2", t).num
+    h = parse_expr("x^2 - (1/2)*x + 3", t).num
+    assert poly_gcd(f * h, g * h) == h
+    out = e.substitute({y: r})
+    assert out.den == parse_expr("x^2*(x^2 - (2/3)*x - 1/9)^2", t).num
+    for xv, yv in ((Fraction(2), Fraction(5)), (Fraction(-3, 7), Fraction(1, 2))):
+        point = {x: xv, y: yv}.__getitem__
+        rv = r.num.eval_exact(point) / r.den.eval_exact(point)
+        ev = e.num.eval_exact({x: xv, y: rv}.__getitem__) / e.den.eval_exact(point)
+        assert out.num.eval_exact(point) / out.den.eval_exact(point) == ev
+
+
+def test_gcd_splits_off_a_symbol_only_one_operand_holds(monkeypatch):
+    """gcd(f, g) with y in f only is the gcd of g and f's coefficients in y.
+
+    Run as a remainder sequence over Q[y, z] this took 20 s; the spy fails
+    the test as soon as y reaches a pseudo-remainder."""
+    t = SymbolTable()
+    f = parse_expr(
+        "(4/3)*x^6*y^4*z^2 + 2*x^6*y^2*z^4 - (8/3)*x^5*y^4 - 8*x^5*y^2*z^2"
+        " - (8/3)*x^4*y^2*z^3 - 2*x^4*z^5 + (2/3)*x^4*y^4 - (2/3)*x^4*y^2*z^2"
+        " - 2*x^4*z^4 + 8*x^4*y^2 + (16/3)*x^3*y^2*z + 8*x^3*z^3 + (4/3)*x^2*z^4"
+        " + (4/3)*x^3*y^2 + 8*x^3*z^2 - (4/3)*x^2*y^2*z + (2/3)*x^2*z^3"
+        " - (5/6)*x^2*y^2 - (2/3)*x^2*z^2 - 8*x^2*z - (8/3)*x*z^2 - 8*x^2"
+        " - (4/3)*x*z + (2/3)*z^2 + (4/3)*x + (5/6)*z - (5/2)", t, define_missing=True).num
+    g = parse_expr("x^4*z^4 - 4*x^3*z^2 + (19/3)*x^2*z^2 + 4*x^2 - (38/3)*x - (13/12)", t).num
+    common = parse_expr("x^2*z - 3", t).num
+    y = t.get("y")
+    real = polynomial._pseudo_rem
+
+    def free_of_y(a, b):
+        for view in (a, b):
+            assert all(y not in p.symbols() for p in view.values())
+        return real(a, b)
+
+    monkeypatch.setattr(polynomial, "_pseudo_rem", free_of_y)
+    assert poly_gcd(f, g) == Polynomial.one()
+    assert poly_gcd(g * common, f * common) == common
+
+
+def test_gcd_splits_off_monomial_factors_and_picks_the_lowest_degree(monkeypatch):
+    """f = (36/49)*x^8*y^6*z^2 * (4*y^3*z^3 - 4*x^2*y^3 - z): with the monomial
+    split off, y has the least total degree (1 in g), so one
+    pseudo-remainder settles it.  A sequence in x over Q[y, z] ran for
+    minutes."""
+    t = SymbolTable()
+    f = parse_expr("(144/49)*x^8*y^9*z^5 - (144/49)*x^10*y^9*z^2 - (36/49)*x^8*y^6*z^3",
+                   t, define_missing=True).num
+    g = parse_expr("x^11*z^4 - (1/7)*x^7*z^5 - (5/14)*y", t).num
+    real = polynomial._pseudo_rem
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        assert len(calls) <= 8
+        return real(a, b)
+
+    xy = parse_expr("x^3*y^2", t).num
+    assert poly_gcd(f * g, xy * g) == xy * g
+    monkeypatch.setattr(polynomial, "_pseudo_rem", counted)
+    assert poly_gcd(f, g) == Polynomial.one()
+    assert len(calls) == 1
 
 
 def test_derivative_kinds():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from starricci import proofs
+from starricci import conditions, proofs
 from starricci.catalog import CH2, CP2, CatalogError, parse_catalog
+from starricci.frames import FrameIndex
 from starricci.parsing import parse_expr
 from starricci.proofs import (
     IllegalCancellationError,
@@ -97,6 +98,31 @@ def test_single_symbol_conclusions_are_proof_errors(monkeypatch, replay):
     monkeypatch.setattr(proofs, "_single_symbol_power", lambda e: None)
     with pytest.raises(ProofError, match="does not force"):
         replay()
+
+
+E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
+
+
+@pytest.mark.parametrize("replay, cited", [
+    (nonhopf_contradiction, [(E3, E3, E3), (E2, E3, E3), (E3, E2, E3)]),
+    (hopf_branch, [(E1, E3, E2), (E2, E3, E1)]),
+])
+def test_replays_compute_only_the_cited_projections(monkeypatch, replay, cited):
+    calls = []
+    entry = proofs.covariant_derivative_entry
+
+    def counted(ctx, X, T, Y, P):
+        calls.append((X, Y, P))
+        return entry(ctx, X, T, Y, P)
+
+    def no_report(*args):
+        raise AssertionError("a full nabla report was built")
+
+    monkeypatch.setattr(proofs, "covariant_derivative_entry", counted)
+    # every parallel-type report, under any name, is built by _nabla_condition
+    monkeypatch.setattr(conditions, "_nabla_condition", no_report)
+    replay()
+    assert calls == cited
 
 
 # -- cancellation discipline ----------------------------------------------------------
