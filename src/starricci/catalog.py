@@ -20,6 +20,13 @@ one function returning all of its rows (rational.compile_float), with the
 same float values as Expr.eval.  A non-finite binding, curvature or row is a
 CatalogError, never a residual.
 
+One row evaluator (_row_evaluator) serves evaluate_condition and sweep.  Its
+set-up runs once per call of either: the cached report lookup, the binding
+checks and the argument vector.  Each radius then costs the two compiled
+functions and the per-row checks (domain, finite curvatures, finite rows).
+A sweep keeps its results as three columns (radii, max residuals,
+lambda*nu + c); SweepResult.rows zips them into SweepRows on demand.
+
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
 identically and every parallelism residual with it.  Sweep grids report
@@ -121,13 +128,17 @@ class HypersurfaceFamily:
 
     def sample_window(self) -> tuple[float, float]:
         """Deterministic compact subinterval used for validation sweeps:
-        1% margins for bounded domains, (lo+0.05, lo+5) for unbounded ones."""
+        1% margins for a bounded domain, (lo+0.05, lo+5) for (lo, inf),
+        (hi-5, hi-0.05) for (-inf, hi) and (0.05, 5) for the whole line."""
         lo, hi = self.domain
-        if math.isfinite(lo) and math.isfinite(hi):
-            m = (hi - lo) / 100.0
-            return (lo + m, hi - m)
-        base = lo if math.isfinite(lo) else 0.0
-        return (base + 0.05, base + 5.0)
+        if math.isfinite(lo):
+            if math.isfinite(hi):
+                m = (hi - lo) / 100.0
+                return (lo + m, hi - m)
+            return (lo + 0.05, lo + 5.0)
+        if math.isfinite(hi):
+            return (hi - 5.0, hi - 0.05)
+        return (0.05, 5.0)
 
 
 def radius_grid(lo: float, hi: float, samples: int) -> list:
@@ -203,7 +214,7 @@ def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catal
             )
         except (KeyError, ValueError) as exc:
             raise CatalogError(f"family {section!r}: {exc}") from exc
-        if domain[0] >= domain[1]:
+        if not domain[0] < domain[1]:  # also a NaN end
             raise CatalogError(f"family {section!r}: empty domain {domain}")
         validate_family(fam, tol=oracle_tol)
         families.append(fam)
@@ -313,9 +324,21 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     )
 
 
-def _report_arguments(a, l, n, c, extra_bindings: Mapping[str, float]) -> list:
-    args = [a, l, n, c, *_ZEROS]
-    for name, value in extra_bindings.items():
+def _row_evaluator(
+    fam: HypersurfaceFamily,
+    kind: ConditionKind,
+    extra_bindings: Optional[Mapping[str, float]],
+) -> Callable:
+    """Set up the evaluation of one condition report on one family and
+    return at(r) -> (alpha, lambda, nu, values).
+
+    The report lookup, the binding checks and the argument vector happen
+    here, once; at(r) checks the domain and the curvatures (fam.curvatures)
+    and that every row is finite.
+    """
+    evaluate = _hopf_report(kind).evaluate
+    args = [None, None, None, float(fam.space.c), *_ZEROS]
+    for name, value in (extra_bindings or {}).items():
         if name not in REPORT_PARAMS:
             raise CatalogError(
                 f"unknown binding {name!r} (known: {', '.join(REPORT_PARAMS)})"
@@ -324,7 +347,29 @@ def _report_arguments(a, l, n, c, extra_bindings: Mapping[str, float]) -> list:
         if not math.isfinite(value):
             raise CatalogError(f"binding {name} = {value!r} is not finite")
         args[REPORT_PARAMS.index(name)] = value
-    return args
+    # a bound alpha, lambda or nu replaces the family's value in the report only
+    bound_a, bound_l, bound_n = args[:3]
+    rest = tuple(args[3:])
+    curvatures = fam.curvatures
+    isfinite = math.isfinite
+
+    def at(r: float) -> tuple:
+        a, l, n = curvatures(r)
+        values = evaluate(
+            a if bound_a is None else bound_a,
+            l if bound_l is None else bound_l,
+            n if bound_n is None else bound_n,
+            *rest,
+        )
+        if not all(map(isfinite, values)):
+            bad = sum(1 for v in values if not isfinite(v))
+            raise CatalogError(
+                f"{bad} of {len(values)} {kind.value} rows are not finite on "
+                f"{fam.family_id} at r = {r}"
+            )
+        return a, l, n, values
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -359,23 +404,14 @@ def evaluate_condition(
     in REPORT_PARAMS; another name, or a non-finite value, raises
     CatalogError, and so does a non-finite row.
     """
-    a, l, n = fam.curvatures(r)
-    compiled = _hopf_report(kind)
-    c = float(fam.space.c)
-    values = compiled.evaluate(*_report_arguments(a, l, n, c, extra_bindings or {}))
-    if not all(map(math.isfinite, values)):
-        bad = sum(1 for v in values if not math.isfinite(v))
-        raise CatalogError(
-            f"{bad} of {len(values)} {kind.value} rows are not finite on "
-            f"{fam.family_id} at r = {r}"
-        )
+    a, l, n, values = _row_evaluator(fam, kind, extra_bindings)(r)
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
         kind=kind,
         curvatures=(a, l, n),
-        lam_nu_plus_c=l * n + c,
-        labels=compiled.labels,
+        lam_nu_plus_c=l * n + float(fam.space.c),
+        labels=_hopf_report(kind).labels,
         values=values,
         max_abs_residual=max(map(abs, values), default=0.0),
     )
@@ -390,9 +426,17 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's results as three columns, ordered by r."""
     family_id: str
     kind: ConditionKind
-    rows: tuple  # SweepRow, ordered by r
+    radii: tuple
+    max_residuals: tuple   # max |row| of the report at each radius
+    lam_nu_plus_c: tuple
+
+    @property
+    def rows(self) -> tuple:
+        """(SweepRow, ...) ordered by r."""
+        return tuple(map(SweepRow, self.radii, self.max_residuals, self.lam_nu_plus_c))
 
 
 def sweep(
@@ -404,7 +448,12 @@ def sweep(
     *,
     extra_bindings: Optional[Mapping[str, float]] = None,
 ) -> SweepResult:
-    """Uniform-grid condition evaluation over [r_min, r_max]."""
+    """Uniform-grid condition evaluation over [r_min, r_max].
+
+    The row evaluator is set up once per sweep, so every radius costs only
+    the compiled curvature and report functions and the per-row checks of
+    evaluate_condition, with the same values and errors.
+    """
     if r_min > r_max:
         raise CatalogError("r-min must not exceed r-max")
     if not (fam.contains(r_min) and fam.contains(r_max)):
@@ -413,8 +462,15 @@ def sweep(
             f"sweep range [{r_min}, {r_max}] must lie strictly inside the open domain "
             f"({lo}, {hi}) of {fam.family_id}"
         )
-    rows = []
-    for r in radius_grid(r_min, r_max, samples):
-        ev = evaluate_condition(fam, r, kind, extra_bindings=extra_bindings)
-        rows.append(SweepRow(r, ev.max_abs_residual, ev.lam_nu_plus_c))
-    return SweepResult(fam.family_id, kind, tuple(rows))
+    radii = radius_grid(r_min, r_max, samples)
+    at = _row_evaluator(fam, kind, extra_bindings)
+    c = float(fam.space.c)
+    max_residuals = []
+    lam_nu_plus_c = []
+    for r in radii:
+        _a, l, n, values = at(r)
+        max_residuals.append(max(map(abs, values), default=0.0))
+        lam_nu_plus_c.append(l * n + c)
+    return SweepResult(
+        fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
+    )

@@ -230,22 +230,23 @@ def cmd_sweep(args) -> int:
     fam = cat.get(args.family)
     kind = ConditionKind(args.condition)
     result = run_sweep(fam, args.r_min, args.r_max, args.samples, kind)
-    below = sum(1 for row in result.rows if row.max_residual <= args.tol_witness)
+    below = sum(1 for m in result.max_residuals if m <= args.tol_witness)
     payload = {
         "family": fam.family_id,
         "space": fam.space.name,
         "condition": kind.value,
-        "rows": [
-            {"r": row.r, "max_residual": row.max_residual,
-             "lam_nu_plus_c": row.lam_nu_plus_c}
-            for row in result.rows
-        ],
         "rows_below_witness_tol": below,
     }
-    lines = [f"family {fam.family_id} ({fam.description})",
-             f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-    for row in result.rows:
-        lines.append(f"{row.r:12.6f}  {row.max_residual:14.6e}  {row.lam_nu_plus_c:+14.9f}")
+    columns = zip(result.radii, result.max_residuals, result.lam_nu_plus_c)
+    if args.format == "json":  # each format builds only what it prints
+        payload["rows"] = [
+            {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in columns
+        ]
+        lines = []
+    else:
+        lines = [f"family {fam.family_id} ({fam.description})",
+                 f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
+        lines += [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in columns]
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0

@@ -17,6 +17,7 @@ from starricci.catalog import (
     ConditionKind,
     DomainError,
     HypersurfaceFamily,
+    SweepRow,
     builtin_catalog,
     builtin_families,
     evaluate_condition,
@@ -193,6 +194,43 @@ def test_catalog_rejects_structural_problems():
             "[catalog]\nversion = 1\n\n[f]\nspace = XX\ndomain = 0, 1\n"
             "alpha = 1\nlambda = 1\nnu = 1\n"
         )
+    for domain in ("nan, pi/2", "0, nan"):  # a NaN end never reaches the oracle
+        with pytest.raises(CatalogError, match="empty domain"):
+            parse_catalog(
+                f"[catalog]\nversion = 1\n\n[f]\nspace = CP2\ndomain = {domain}\n"
+                "alpha = 2*cot(2*r)\nlambda = cot(r)\nnu = cot(r)\n"
+            )
+
+
+_MIRRORED_TUBE = """
+[catalog]
+version = 1
+
+[ch2-b-mirror]
+space = CH2
+domain = -inf, -0.5
+alpha = 2*tanh(-2*r)
+lambda = coth(-r)
+nu = tanh(-r)
+description = the ch2-b tube written at radius -r
+"""
+
+
+def test_family_unbounded_below_loads_and_sweeps():
+    fam = parse_catalog(_MIRRORED_TUBE).get("ch2-b-mirror")
+    assert fam.sample_window() == (-5.5, -0.55)
+    res = sweep(fam, *fam.sample_window(), 20, ConditionKind.PARALLEL)
+    # all three curvatures change sign, which keeps lambda*nu and every
+    # residual of the tube at -r
+    tube = builtin_catalog().get("ch2-b")
+    for r, m, x in zip(res.radii, res.max_residuals, res.lam_nu_plus_c):
+        assert x == pytest.approx(-3.0, abs=1e-9)
+        assert m == pytest.approx(
+            evaluate_condition(tube, -r, ConditionKind.PARALLEL).max_abs_residual, rel=1e-12
+        )
+    # the other windows are unchanged
+    assert builtin_catalog().get("ch2-a0").sample_window() == (0.05, 5.0)
+    assert builtin_catalog().get("ch2-b").sample_window() == (0.05, 5.0)
 
 
 def test_user_family_accepted_when_valid():
@@ -314,6 +352,12 @@ def test_evaluate_condition_bindings_are_checked():
         assert evaluate_condition(fam, 0.5, kind, extra_bindings={name: 0}) == default
     with pytest.raises(CatalogError, match="unknown binding 'LL'"):
         evaluate_condition(fam, 0.5, kind, extra_bindings={"LL": 5.0})
+    # a bound curvature replaces the family's value in the report only
+    a = fam.curvatures(0.5)[0]
+    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"alpha": a}) == default
+    moved = evaluate_condition(fam, 0.5, kind, extra_bindings={"alpha": a + 1.0})
+    assert moved.values != default.values
+    assert (moved.curvatures, moved.lam_nu_plus_c) == (default.curvatures, default.lam_nu_plus_c)
     for bad in (math.nan, math.inf):
         with pytest.raises(CatalogError, match="not finite"):
             evaluate_condition(fam, 0.5, kind, extra_bindings={"L": bad})
@@ -338,3 +382,43 @@ def test_non_finite_rows_and_curvatures_are_errors():
         steep.curvatures(1e60)
     with pytest.raises(ExprError):  # 1e400 has no float coefficient
         HypersurfaceFamily("x", CP2, (0.0, 1.0), big * big, big, big)
+
+
+# -- one row loop per sweep ----------------------------------------------------------
+
+@pytest.mark.parametrize("kind, bindings", [(kind, None) for kind in ConditionKind] + [
+    (ConditionKind.PSEUDO_PARALLEL, {"L": 2.0}),
+    (ConditionKind.PARALLEL, {"alpha": 1.0, "h1": 0.5}),
+])
+def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
+    for fam in builtin_families():
+        lo, hi = fam.sample_window()
+        res = sweep(fam, lo, hi, 13, kind, extra_bindings=bindings)
+        evs = [evaluate_condition(fam, r, kind, extra_bindings=bindings)
+               for r in radius_grid(lo, hi, 13)]
+        assert (res.family_id, res.kind) == (fam.family_id, kind)
+        assert _hex(res.radii) == _hex(ev.r for ev in evs)
+        assert _hex(res.max_residuals) == _hex(ev.max_abs_residual for ev in evs)
+        assert _hex(res.lam_nu_plus_c) == _hex(ev.lam_nu_plus_c for ev in evs)
+        assert res.rows == tuple(
+            SweepRow(ev.r, ev.max_abs_residual, ev.lam_nu_plus_c) for ev in evs
+        )
+
+
+def test_sweep_raises_the_per_radius_error():
+    fam = builtin_catalog().get("cp2-a1")
+    with pytest.raises(CatalogError) as per_radius:
+        evaluate_condition(fam, 1e-100, ConditionKind.SEMI_PARALLEL)
+    with pytest.raises(CatalogError) as swept:
+        sweep(fam, 1e-100, 0.5, 3, ConditionKind.SEMI_PARALLEL)
+    assert "rows are not finite" in str(swept.value)
+    assert str(swept.value) == str(per_radius.value)
+
+
+def test_sweep_looks_up_the_report_once():
+    fam = builtin_catalog().get("cp2-b")
+    sweep(fam, 0.1, 0.7, 2, ConditionKind.PARALLEL)  # the report is cached
+    before = catalog._hopf_report.cache_info()
+    sweep(fam, 0.1, 0.7, 50, ConditionKind.PARALLEL)
+    after = catalog._hopf_report.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1

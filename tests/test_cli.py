@@ -108,6 +108,22 @@ def test_sweep_witness_column(capsys):
     assert "-3.000000000" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_sweep_builds_only_the_requested_format(monkeypatch, capsys, fmt):
+    reports = []
+    monkeypatch.setattr(cli, "_write", lambda report, args: reports.append(report))
+    code, _ = run(capsys, "sweep", "ch2-b", "0.1", "3.0", "10", "parallel", "--format", fmt)
+    assert code == 0
+    (report,) = reports
+    if fmt == "json":
+        assert report.text_lines == []
+        assert len(report.payload["rows"]) == 10
+    else:
+        assert "rows" not in report.payload
+        assert len(report.text_lines) == 12
+    assert report.payload["rows_below_witness_tol"] == 0
+
+
 def test_expr_eval(capsys):
     code, out = run(capsys, "expr", "eval", "l*n_ - (a/2)*(l+n_) - c/4",
                     "a=2", "l=1", "n_=1", "c=-4")

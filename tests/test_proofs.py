@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from starricci import conditions, proofs
-from starricci.catalog import CH2, CP2, CatalogError, parse_catalog
+from starricci import catalog, conditions, proofs
+from starricci.catalog import (
+    CH2,
+    CP2,
+    CatalogError,
+    ConditionKind,
+    builtin_catalog,
+    evaluate_condition,
+    parse_catalog,
+    radius_grid,
+)
 from starricci.frames import FrameIndex
 from starricci.parsing import parse_expr
 from starricci.proofs import (
@@ -206,3 +215,24 @@ def test_verify_all():
     assert summary.witness_min_residual > 1e-6
     assert "verified at desk scale" in verdict(summary.ok)
     assert len(summary.quadratic) == 2 and len(summary.type_b) == 2
+
+
+@pytest.mark.parametrize("samples", [2, 20, 100])
+def test_witness_equals_the_per_radius_reference(samples):
+    # the witness before it became one sweep per family
+    reference = float("inf")
+    for fam in builtin_catalog().families:
+        for r in radius_grid(*fam.sample_window(), samples):
+            ev = evaluate_condition(fam, r, ConditionKind.PARALLEL)
+            reference = min(reference, ev.max_abs_residual)
+    summary = verify_all(samples=samples)
+    assert summary.witness_min_residual.hex() == reference.hex()
+
+
+def test_verify_all_evaluates_no_single_radius(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("evaluate_condition called")
+
+    for module in (catalog, proofs):
+        monkeypatch.setattr(module, "evaluate_condition", boom, raising=False)
+    assert verify_all(samples=20).ok
