@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .catalog import (
@@ -181,6 +181,21 @@ _CONDITION_BUILDERS = {
 }
 
 
+def _name_values(items: Sequence[str], noun: str) -> dict[str, str]:
+    """The name=value arguments as stripped name -> value, in order.  A
+    malformed item or a name given twice is a ValueError naming the `noun`."""
+    values: dict[str, str] = {}
+    for item in items:
+        name, sep, value = item.partition("=")
+        name = name.strip()
+        if not sep:
+            raise ValueError(f"{noun} {item!r} is not of the form name=value")
+        if name in values:
+            raise ValueError(f"{noun} {name!r} is given more than once")
+        values[name] = value.strip()
+    return values
+
+
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
     kind = ConditionKind(args.condition)
@@ -195,14 +210,11 @@ def cmd_check(args) -> int:
             report = _CONDITION_BUILDERS[kind](ctx, tensor, args.tensor)
     if args.assumptions:
         bindings = {}
-        for item in args.assumptions:
-            name, _, value = item.partition("=")
-            if not _:
-                raise ValueError(f"assumption {item!r} is not of the form name=value")
-            sym = ctx.table.get(name.strip())
+        for name, value in _name_values(args.assumptions, "assumption").items():
+            sym = ctx.table.get(name)
             if sym is None:
                 raise ValueError(f"unknown symbol {name!r} in this context")
-            bindings[sym] = parse_expr(value.strip(), ctx.table)
+            bindings[sym] = parse_expr(value, ctx.table)
         report = report.substitute(bindings)
     entries = [
         {"x": [i.direction for i in e.x], "y": e.y.direction,
@@ -259,11 +271,10 @@ def cmd_expr(args) -> int:
     expr = parse_expr(args.text, table, define_missing=True)
     if args.action == "eval":
         bindings = {}
-        for item in args.args:
-            name, _, value = item.partition("=")
-            if not _:
-                raise ExprError(f"binding {item!r} is not of the form name=value")
-            bindings[name.strip()] = float(value)
+        for name, value in _name_values(args.args, "binding").items():
+            if name not in table:
+                raise ExprError(f"binding {name!r} names no symbol of {args.text!r}")
+            bindings[name] = float(value)
         value = expr.eval(bindings)
         if not math.isfinite(value):
             raise ExprError(f"{expr.to_text()} evaluates to {value!r}, which is not finite")

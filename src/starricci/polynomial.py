@@ -7,6 +7,18 @@ order (the alphabetically earliest name is the most significant variable).
 The order is fixed and global, so every polynomial has one canonical form
 and structural equality coincides with mathematical equality.
 
+A coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise,
+so most term arithmetic is integer arithmetic in C.  Every coefficient
+division divides a ``Fraction``, so none yields a float; ``constant_value``
+returns a ``Fraction``.
+
+Each SymbolTable carries memos of the monomials in its symbols: the grlex
+sort key of a monomial and the product of two monomials are computed once
+and then looked up in C.  They hold monomials only, never a Polynomial or an
+Expr, and live as long as the table.  A product is memoized per table, not
+globally, because it holds the symbols it was first computed from, and two
+tables may give one name different kinds.
+
 GCDs are computed with the primitive pseudo-remainder sequence, recursing on
 the number of variables; this is all the factorization the canonical
 fraction layer needs.  Primitive parts have integer, coprime coefficients.
@@ -20,13 +32,73 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .symbols import CONSTANT, Symbol, derivative_symbol
 
 Mono = tuple  # tuple[tuple[Symbol, int], ...]
+Coeff = Union[int, Fraction]  # an int when integral, else a Fraction
 
 _EMPTY: Mono = ()
+
+
+class _KeyMemo(dict):
+    """Monomial -> ascending sort key for descending grlex, computed on the
+    first lookup: higher degree first, then the earliest name, then the
+    larger exponent.  At equal degree neither monomial is a strict prefix of
+    the other, so the keys never tie early."""
+
+    def __missing__(self, m: Mono) -> tuple:
+        key = self[m] = (-sum(e for _, e in m), tuple((s.name, -e) for s, e in m))
+        return key
+
+
+class _ProductRow(dict):
+    """Monomial b -> a * b for one monomial a, computed on the first lookup."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: Mono):
+        self.a = a
+
+    def __missing__(self, b: Mono) -> Mono:
+        a = self.a
+        if not a or not b:
+            m = a or b
+        else:
+            merged = dict(a)
+            for s, e in b:
+                merged[s] = merged.get(s, 0) + e
+            m = tuple([(s, merged[s]) for s in sorted(merged)])
+        self[b] = m
+        return m
+
+
+class _ProductMemo(dict):
+    """Monomial a -> its _ProductRow."""
+
+    def __missing__(self, a: Mono) -> _ProductRow:
+        row = self[a] = _ProductRow(a)
+        return row
+
+
+class _Memos:
+    """The memos of one SymbolTable (see SymbolTable.monomials)."""
+
+    __slots__ = ("keys", "products")
+
+    def __init__(self) -> None:
+        self.keys = _KeyMemo()
+        self.products = _ProductMemo()
+
+
+def _memos(sym: Symbol) -> _Memos:
+    """The memos of sym's table, which serve every monomial holding sym."""
+    table = sym.table
+    memos = table.monomials
+    if memos is None:
+        memos = table.monomials = _Memos()
+    return memos
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -34,21 +106,16 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
-    merged: dict[Symbol, int] = {}
-    for s, e in a:
-        merged[s] = merged.get(s, 0) + e
-    for s, e in b:
-        merged[s] = merged.get(s, 0) + e
-    return tuple(sorted(((s, e) for s, e in merged.items() if e), key=lambda p: p[0].name))
+    return _memos(a[0][0]).products[a][b]
 
 def _mono_divides(a: Mono, b: Mono) -> bool:
     """True if monomial a divides monomial b."""
-    eb = dict((s, e) for s, e in b)
+    eb = dict(b)
     return all(eb.get(s, 0) >= e for s, e in a)
 
 def _mono_div(b: Mono, a: Mono) -> Mono:
     """b / a, assuming divisibility."""
-    ea = dict((s, e) for s, e in a)
+    ea = dict(a)
     out = []
     for s, e in b:
         d = e - ea.get(s, 0)
@@ -56,27 +123,24 @@ def _mono_div(b: Mono, a: Mono) -> Mono:
             out.append((s, d))
     return tuple(out)
 
-def _mono_deg(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-def _mono_key(m: Mono) -> tuple:
-    """Ascending sort key for descending grlex: higher degree first, then the
-    earliest name, then the larger exponent.  At equal degree neither
-    monomial is a strict prefix of the other, so the tuples never tie early."""
-    return (-_mono_deg(m), tuple((s.name, -e) for s, e in m))
-
 
 class Polynomial:
     """Canonical sparse polynomial: terms sorted descending, no zero coeffs."""
 
     __slots__ = ("terms", "_hash")
 
-    terms: tuple  # tuple[tuple[Mono, Fraction], ...]
+    terms: tuple  # tuple[tuple[Mono, Coeff], ...]
 
-    def __init__(self, terms: dict[Mono, Fraction]):
-        kept = [(m, c) for m, c in terms.items() if c]
-        kept.sort(key=lambda t: _mono_key(t[0]))
-        object.__setattr__(self, "terms", tuple(kept))
+    def __init__(self, terms: Mapping[Mono, Coeff]):
+        kept = {m: c if c.__class__ is int or c.denominator != 1 else c.numerator
+                for m, c in terms.items() if c}
+        if len(kept) > 1:
+            it = iter(kept)
+            keys = _memos((next(it) or next(it))[0][0]).keys  # at most one is ()
+            ordered = tuple([(m, kept[m]) for m in sorted(kept, key=keys.__getitem__)])
+        else:
+            ordered = tuple(kept.items())
+        object.__setattr__(self, "terms", ordered)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # immutability guard
@@ -99,7 +163,7 @@ class Polynomial:
 
     @staticmethod
     def from_symbol(sym: Symbol) -> "Polynomial":
-        return Polynomial({((sym, 1),): Fraction(1)})
+        return Polynomial({((sym, 1),): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -116,11 +180,11 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[0][1]
+        return Fraction(self.terms[0][1])
 
     # -- structure ---------------------------------------------------------
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, Coeff]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
@@ -142,7 +206,7 @@ class Polynomial:
 
     def coeffs_in(self, sym: Symbol) -> dict[int, "Polynomial"]:
         """Univariate view: exponent of sym -> coefficient polynomial."""
-        buckets: dict[int, dict[Mono, Fraction]] = {}
+        buckets: dict[int, dict[Mono, Coeff]] = {}
         for m, c in self.terms:
             e = 0
             rest = []
@@ -156,12 +220,12 @@ class Polynomial:
 
     @staticmethod
     def from_univariate(sym: Symbol, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, Coeff] = {}
         for e, p in coeffs.items():
             shift: Mono = ((sym, e),) if e else _EMPTY
             for m, c in p.terms:
                 key = _mono_mul(m, shift)
-                acc[key] = acc.get(key, Fraction(0)) + c
+                acc[key] = acc.get(key, 0) + c
         return Polynomial(acc)
 
     # -- arithmetic --------------------------------------------------------
@@ -169,13 +233,13 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return Polynomial(acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) - c
+            acc[m] = acc.get(m, 0) - c
         return Polynomial(acc)
 
     def __neg__(self) -> "Polynomial":
@@ -188,14 +252,19 @@ class Polynomial:
             return self
         if self.is_zero or other.is_zero:
             return _ZERO
-        acc: dict[Mono, Fraction] = {}
+        lead = self.terms[0][0] or other.terms[0][0]
+        if not lead:
+            return Polynomial({_EMPTY: self.terms[0][1] * other.terms[0][1]})
+        products = _memos(lead[0][0]).products
+        acc: dict[Mono, Coeff] = {}
         for ma, ca in self.terms:
+            row = products[ma]
             for mb, cb in other.terms:
-                m = _mono_mul(ma, mb)
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
+                m = row[mb]
+                acc[m] = acc.get(m, 0) + ca * cb
         return Polynomial(acc)
 
-    def scale(self, k: Fraction) -> "Polynomial":
+    def scale(self, k: Coeff) -> "Polynomial":
         if not k:
             return _ZERO
         return Polynomial({m: c * k for m, c in self.terms})
@@ -232,7 +301,7 @@ class Polynomial:
             return _ZERO
         if divisor.is_constant:
             return self.scale(1 / divisor.constant_value())
-        quot: dict[Mono, Fraction] = {}
+        quot: dict[Mono, Coeff] = {}
         rem = self
         dm, dc = divisor.leading()
         while not rem.is_zero:
@@ -240,8 +309,8 @@ class Polynomial:
             if not _mono_divides(dm, rm):
                 return None
             m = _mono_div(rm, dm)
-            c = rc / dc
-            quot[m] = quot.get(m, Fraction(0)) + c
+            c = Fraction(rc) / dc
+            quot[m] = quot.get(m, 0) + c
             rem = rem - divisor * Polynomial({m: c})
         return Polynomial(quot)
 
@@ -252,17 +321,15 @@ class Polynomial:
 
         Constants vanish, function symbols become D(direction, .) symbols.
         """
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, Coeff] = {}
         for m, c in self.terms:
             for idx, (s, e) in enumerate(m):
                 if s.kind == CONSTANT:
                     continue
                 dsym = derivative_symbol(s, direction)
-                rest = list(m[:idx]) + list(m[idx + 1:])
-                if e > 1:
-                    rest.append((s, e - 1))
-                mono = _mono_mul(tuple(sorted(rest, key=lambda p: p[0].name)), ((dsym, 1),))
-                acc[mono] = acc.get(mono, Fraction(0)) + c * e
+                lowered = ((s, e - 1),) if e > 1 else _EMPTY
+                mono = _mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),))
+                acc[mono] = acc.get(mono, 0) + c * e
         return Polynomial(acc)
 
     def eval(self, values: Callable[[Symbol], float]) -> float:
@@ -313,14 +380,14 @@ class Polynomial:
 
 
 _ZERO = Polynomial({})
-_ONE = Polynomial({_EMPTY: Fraction(1)})
+_ONE = Polynomial({_EMPTY: 1})
 
 
 def _monic(p: Polynomial) -> Polynomial:
     if p.is_zero:
         return p
     _, lc = p.leading()
-    return p.scale(1 / lc)
+    return p.scale(1 / Fraction(lc))
 
 
 def _content_and_primitive(coeffs: dict[int, Polynomial]) -> tuple[Polynomial, dict[int, Polynomial]]:
@@ -393,7 +460,7 @@ def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:
         eg = dict(mg)
         common = tuple((s, min(e, eg[s])) for s, e in mf if s in eg)
         rest = _gcd_rec(_mono_quotient(f, mf), _mono_quotient(g, mg))
-        return rest * Polynomial({common: Fraction(1)}) if common else rest
+        return rest * Polynomial({common: 1}) if common else rest
     fs, gs = f.symbols(), g.symbols()
     for p, q, own in ((f, g, fs - gs), (g, f, gs - fs)):
         if own:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .polynomial import Mono, Polynomial, _mono_mul, poly_gcd
+from .polynomial import Coeff, Mono, Polynomial, _mono_mul, poly_gcd
 from .symbols import Symbol
 
 Scalar = Union[int, Fraction, "Expr"]
@@ -106,8 +106,9 @@ class Expr:
             else:
                 _, lc = den.leading()
                 if lc != 1:
-                    num = num.scale(1 / lc)
-                    den = den.scale(1 / lc)
+                    inv = 1 / Fraction(lc)
+                    num = num.scale(inv)
+                    den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
@@ -383,7 +384,7 @@ def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
     for s in bound:
         if table[s].den is not one:
             den = den * power(s, "den", degrees[s])
-    acc: dict[Mono, Fraction] = {}
+    acc: dict[Mono, Coeff] = {}
     for m, c in p.terms:
         exps = dict(m)
         if any(table[s].is_zero for s in bound if s in exps):
@@ -395,7 +396,7 @@ def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
             if table[s].den is not one and e != degrees[s]:
                 factors.append(power(s, "den", degrees[s] - e))
             for f in factors:
-                prod: dict[Mono, Fraction] = {}
+                prod: dict[Mono, Coeff] = {}
                 for ma, ca in term.items():
                     for mb, cb in f.terms:
                         key = _mono_mul(ma, mb)

@@ -16,12 +16,16 @@ A symbol may additionally be an *applied atom* such as ``cot(2*r)``: an
 opaque constant whose numeric value is computed from its argument expression.
 These are produced by the parser for the model-catalog layer and never take
 part in formal differentiation.
+
+A ``Symbol`` is its name: a ``str`` subclass whose string value is the name,
+so it hashes as the name and equals the name string, and the dicts and sets
+of the polynomial layer hash and compare symbols in C.  Its kind and the
+other attributes ride along.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 FUNCTION = "function"
@@ -37,25 +41,26 @@ class SymbolError(ValueError):
     """Bad symbol definition or lookup."""
 
 
-@dataclass(frozen=True, eq=False)
-class Symbol:
-    """A named scalar.  Identity is the name, unique within a table."""
+class Symbol(str):
+    """A named scalar whose string value is its name; identity is the name,
+    so same-name symbols of two tables are equal.  ``table`` is the
+    SymbolTable that made the symbol (a derivative symbol shares its base's
+    table; a symbol made outside any table gets a table of its own)."""
 
-    name: str
-    kind: str
-    direction: Optional[str] = None  # derivative kind only
-    base: Optional[str] = None       # derivative kind only: name of the function
-    fn: Optional[str] = None         # applied atoms only: numeric function name
-    arg: object = None               # applied atoms only: argument Expr
+    def __new__(cls, name: str, kind: str, direction: Optional[str] = None,
+                base: Optional[str] = None, fn: Optional[str] = None,
+                arg: object = None, table: Optional["SymbolTable"] = None) -> "Symbol":
+        # direction and base: derivative kind only (base is the function's
+        # name); fn and arg: applied atoms only (numeric function name and
+        # argument Expr)
+        sym = str.__new__(cls, name)
+        sym.__dict__.update(name=str(name), kind=kind, direction=direction, base=base,
+                            fn=fn, arg=arg,
+                            table=SymbolTable() if table is None else table)
+        return sym
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Symbol) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __lt__(self, other: "Symbol") -> bool:
-        return self.name < other.name
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError("Symbol is immutable")
 
     def __repr__(self) -> str:
         return f"Symbol({self.name!r}, {self.kind})"
@@ -79,14 +84,22 @@ def derivative_symbol(base: Symbol, direction: str) -> Symbol:
             f"derivative symbols exist only for function symbols, not {base.name!r}"
         )
     return Symbol(f"D({direction},{base.name})", DERIVATIVE,
-                  direction=direction, base=base.name)
+                  direction=direction, base=base.name, table=base.table)
 
 
 class SymbolTable:
-    """Interning table; at most one symbol per name."""
+    """Interning table; at most one symbol per name.
+
+    ``monomials`` belongs to the polynomial layer, which keeps its memos of
+    monomials in this table's symbols there.  They are per table because two
+    tables may give one name different kinds (alpha is a function of the
+    non-Hopf frame and a constant of the Hopf frame), and a memoized product
+    holds the symbols it was first computed from.
+    """
 
     def __init__(self) -> None:
         self._by_name: dict[str, Symbol] = {}
+        self.monomials = None
 
     def _define(self, sym: Symbol) -> Symbol:
         existing = self._by_name.get(sym.name)
@@ -101,11 +114,11 @@ class SymbolTable:
 
     def function(self, name: str) -> Symbol:
         _check_ident(name)
-        return self._define(Symbol(name, FUNCTION))
+        return self._define(Symbol(name, FUNCTION, table=self))
 
     def constant(self, name: str) -> Symbol:
         _check_ident(name)
-        return self._define(Symbol(name, CONSTANT))
+        return self._define(Symbol(name, CONSTANT, table=self))
 
     def derivative(self, base: Symbol, direction: str) -> Symbol:
         """The interned derivative symbol D(direction, base)."""
@@ -113,7 +126,7 @@ class SymbolTable:
 
     def applied(self, fn: str, arg: object, text: str) -> Symbol:
         """Opaque numeric atom such as cot(2*r); `text` is its canonical name."""
-        return self._define(Symbol(text, CONSTANT, fn=fn, arg=arg))
+        return self._define(Symbol(text, CONSTANT, fn=fn, arg=arg, table=self))
 
     def get(self, name: str) -> Optional[Symbol]:
         return self._by_name.get(name)

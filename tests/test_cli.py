@@ -219,6 +219,9 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["check", "star-ricci", "parallel", "hopf", "foo"],
         ["expr", "eval", "x", "x"],
         ["expr", "eval", "x", "x=1", "y"],
+        ["expr", "eval", "x", "x=1", "y=2"],
+        ["expr", "eval", "x", "x=1", "x=2"],
+        ["check", "ricci", "einstein", "hopf", "lambda=1", "lambda=2"],
         ["expr", "solve", "x"],
         ["expr", "eval", "cot(x)", "x=0"],
         ["expr", "eval", "exp(x)", "x=1000"],

@@ -471,6 +471,89 @@ def test_substitute_matches_per_term_reference(e, bindings):
         assert got.den is Polynomial.one()
 
 
+def _coefficients_ok(*polys):
+    """Every coefficient is an int, or a Fraction that is not an integer."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for p in polys for _m, c in p.terms)
+
+
+_UT_POINTS = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT_EXPRS, _UNIT_EXPRS, st.integers(min_value=-2, max_value=2),
+       st.dictionaries(st.sampled_from(_UT_SYMS), _REPLACEMENTS, max_size=2), _UT_POINTS)
+def test_coefficients_are_ints_or_proper_fractions(a, b, n, bindings, point):
+    values = {s.name: v for s, v in zip(_UT_SYMS, point)}
+    values.update({f"D(e1,{s.name})": 1 - v for s, v in zip(_UT_SYMS, point)})
+
+    def exact(e, at=values):
+        try:
+            return e.eval_exact(at)
+        except NearZeroDenominator:
+            return None
+
+    def combined(op, *operands):
+        vals = [exact(e) for e in operands]
+        return None if None in vals else op(*vals)
+
+    results = [
+        (a + b, combined(lambda x, y: x + y, a, b)),
+        (a - b, combined(lambda x, y: x - y, a, b)),
+        (a * b, combined(lambda x, y: x * y, a, b)),
+        (-a, combined(lambda x: -x, a)),
+        (a.derivative("e1"), None),
+    ]
+    if not b.is_zero:
+        results.append((a / b, combined(lambda x, y: x / y if y else None, a, b)))
+    if n >= 0 or not a.is_zero:
+        results.append((a ** n, combined(lambda x: x ** n if x or n >= 0 else None, a)))
+    try:
+        sub = a.substitute(bindings)
+    except DivisionByZeroExpr:
+        sub = None
+    if sub is not None:
+        at = dict(values)
+        at.update({s.name: exact(r) for s, r in bindings.items()})
+        results.append((sub, None if None in at.values() else exact(a, at)))
+    for got, expected in results:
+        assert _coefficients_ok(got.num, got.den), got
+        if got.is_rational_constant:
+            assert type(got.as_fraction()) is Fraction
+        if expected is not None and exact(got) is not None:
+            assert exact(got) == expected
+    # the polynomial layer: exact quotients, numeric scaling and the monic gcd
+    f, g = a.num, b.num
+    polys = [f.scale(Fraction(2, 3)), f.exact_div(Polynomial.const(3))]
+    if not g.is_zero:
+        polys.append((f * g).exact_div(g))
+        assert polys[-1] == f
+    if not (f.is_zero and g.is_zero):
+        gcd = poly_gcd(f, g)
+        polys.append(gcd)
+        assert gcd.leading()[1] == 1
+        assert f.exact_div(gcd) is not None and g.exact_div(gcd) is not None
+    for p in polys:
+        assert _coefficients_ok(p)
+        if p.is_constant:
+            assert type(p.constant_value()) is Fraction
+
+
+def test_integral_coefficients_are_ints():
+    x = Polynomial.from_symbol(_UT_SYMS[0])
+    p = x.scale(Fraction(6, 3)) + Polynomial.const(Fraction(9, 3))
+    assert [type(c) for _m, c in p.terms] == [int, int]
+    assert p == x.scale(2) + Polynomial.const(3)
+    assert p.to_text() == "2*x + 3"
+    assert type(Polynomial.const(2).constant_value()) is Fraction
+    assert type(Polynomial.zero().constant_value()) is Fraction
+    assert type(Expr.const(Fraction(4, 2)).as_fraction()) is Fraction
+    # a leading coefficient 2 normalizes by the Fraction 1/2, never by 0.5
+    half = Expr(x, x.scale(2) + Polynomial.one())
+    assert half.to_text() == "((1/2)*x)/(x + (1/2))"
+    assert _coefficients_ok(half.num, half.den)
+
+
 def test_substitute_takes_one_gcd(monkeypatch):
     # lambda = -c/nu into the principal-curvature relation: one fraction N/nu
     t = SymbolTable()

@@ -1,11 +1,14 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from starricci.frames import build_hopf_context, build_nonhopf_context, ricci
 from starricci.parsing import parse_expr
-from starricci import polynomial
+from starricci import polynomial, symbols
 from starricci.polynomial import Polynomial, poly_gcd
 from starricci.proofs import _derivative_bindings
 from starricci.rational import Expr
@@ -254,3 +257,63 @@ def test_derivative_symbols_agree_across_sites():
         P(from_parser).derivative("e2")
     with pytest.raises(SymbolError):
         t.derivative(from_parser, "e2")
+
+
+# -- symbols are their names; per-table monomial memos ---------------------------
+
+def test_same_name_symbols_are_equal_and_hash_as_their_name():
+    a, b = SymbolTable(), SymbolTable()
+    f = a.function("f")
+    pairs = [
+        (f, b.function("f")),
+        (a.derivative(f, "e1"), b.derivative(b.function("f"), "e1")),
+        (P(f).derivative("e2").terms[0][0][0][0], a.derivative(f, "e2")),
+        (parse_expr("cot(2*r)", a, define_missing=True).symbols(),
+         parse_expr("cot(2*r)", b, define_missing=True).symbols()),
+    ]
+    for s, t in pairs:
+        assert s == t and hash(s) == hash(t)
+    for sym in (f, pairs[1][0], *pairs[3][0]):
+        assert sym == sym.name and hash(sym) == hash(sym.name)
+        assert {sym: 1}[sym.name] == 1 and {sym.name: 1}[sym] == 1
+        assert repr(sym) == f"Symbol({sym.name!r}, {sym.kind})"
+
+
+def test_ricci_makes_no_python_call_into_symbols():
+    ctx = build_nonhopf_context()
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == symbols.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        ricci(ctx)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+def test_second_ricci_computes_no_key_and_no_product(monkeypatch):
+    misses = Counter()
+    for cls in (polynomial._KeyMemo, polynomial._ProductRow):
+        def counted(self, key, original=cls.__missing__, name=cls.__name__):
+            misses[name] += 1
+            return original(self, key)
+        monkeypatch.setattr(cls, "__missing__", counted)
+    ctx = build_nonhopf_context()
+    first = ricci(ctx)
+    assert misses["_KeyMemo"] > 0 and misses["_ProductRow"] > 0
+    misses.clear()
+    assert ricci(ctx) == first
+    assert misses == Counter()
+
+
+def test_memoized_products_keep_each_tables_kinds():
+    # alpha is a function of the non-Hopf frame and a constant of the Hopf
+    # frame: a product computed in one must not hand its alpha to the other
+    nonhopf, hopf = build_nonhopf_context(), build_hopf_context()
+    for _ in range(2):
+        assert nonhopf.parse("alpha*c").derivative("e1").to_text() == "D(e1,alpha)*c"
+        assert hopf.parse("alpha*c").derivative("e1").is_zero
