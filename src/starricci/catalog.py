@@ -14,18 +14,26 @@ connection coefficients h1..h3, the pseudo-parallel function L and the
 Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may set
 these and no other names.
 
-All numeric evaluation on families is compiled: each family gets one
-function of r returning (alpha, lambda, nu), and each cached condition report
-one function returning all of its rows (rational.compile_float), with the
-same float values as Expr.eval.  A non-finite binding, curvature or row is a
+All numeric evaluation on families is compiled (rational.compile_float and
+its loop form rational.compile_columns), with the same float values as
+Expr.eval.  Each family has a column kernel from radii to its (alpha,
+lambda, nu) columns and, compiled on first use, a per-radius function of r.
+Each cached condition report has a per-radius function returning all of its
+rows and a column kernel from curvature columns to the rows that are not
+constant, each distinct row once; the constant rows fold into one max|row|
+at compile time.  A non-finite binding, curvature, row or lambda*nu + c is a
 CatalogError, never a residual.
 
-One row evaluator (_row_evaluator) serves evaluate_condition and sweep.  Its
-set-up runs once per call of either: the cached report lookup, the binding
-checks and the argument vector.  Each radius then costs the two compiled
-functions and the per-row checks (domain, finite curvatures, finite rows).
-A sweep keeps its results as three columns (radii, max residuals,
-lambda*nu + c); SweepResult.rows zips them into SweepRows on demand.
+Every radius loop -- sweep (and so the witness of proofs.verify_all),
+lam_nu_plus_c_column (proofs.type_b_exclusion) and validate_family -- is
+one call per kernel plus C-level map()s, with no Python call per radius.
+A kernel stops before the first radius at which the per-radius evaluation
+would fail; the loop then replays that radius through the per-radius
+evaluation (_row_evaluator's at(r), fam.curvatures), which raises that
+radius's error.  So the values and the errors are those of
+evaluate_condition at each radius in turn.  A sweep keeps its results as
+three columns (radii, max residuals, lambda*nu + c); SweepResult.rows zips
+them into SweepRows on demand.
 
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
@@ -39,9 +47,11 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Callable, Mapping, Optional
+from itertools import repeat
+from operator import add, lt, mul, sub, truediv
+from typing import Callable, Mapping, NoReturn, Optional
 
 from .conditions import (
     EINSTEIN_SYMBOL,
@@ -56,7 +66,7 @@ from .conditions import (
 )
 from .frames import HOPF_FUNCTIONS, build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
-from .rational import Expr, compile_float
+from .rational import Expr, compile_columns, compile_float
 from .symbols import DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
 
 DEFAULT_ORACLE_TOL = 1e-9
@@ -97,12 +107,19 @@ class HypersurfaceFamily:
     lam: Expr
     nu: Expr
     description: str = ""
-    # (r, pi) -> (alpha, lambda, nu), compiled once per family
-    curvature_fn: Callable = field(init=False, repr=False, compare=False)
+    # (radii, pi) -> (alpha, lambda, nu) columns, compiled once per family
+    # (rational.compile_columns); used through _curvature_columns
+    curvature_columns: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fn = compile_float((self.alpha, self.lam, self.nu), ("r", "pi"))
-        object.__setattr__(self, "curvature_fn", fn)
+        fn = compile_columns((self.alpha, self.lam, self.nu), ("r", "pi"), ("r",))
+        object.__setattr__(self, "curvature_columns", fn)
+
+    @cached_property
+    def curvature_fn(self) -> Callable:
+        """(r, pi) -> (alpha, lambda, nu), compiled on first use: only a
+        per-radius evaluation needs it."""
+        return compile_float((self.alpha, self.lam, self.nu), ("r", "pi"))
 
     def contains(self, r: float) -> bool:
         lo, hi = self.domain
@@ -145,7 +162,71 @@ def radius_grid(lo: float, hi: float, samples: int) -> list:
     """`samples` uniformly spaced radii from lo to hi, both ends included."""
     if samples < 2:
         raise CatalogError("a radius grid needs at least 2 samples")
-    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    width, steps = hi - lo, samples - 1
+    return [lo + width * i / steps for i in range(samples)]
+
+
+# -- columns ------------------------------------------------------------------
+#
+# A radius loop runs as column kernels (rational.compile_columns) and C-level
+# map()s, with no Python call per radius.  A kernel stops before the first
+# radius it cannot vouch for; the caller replays that radius through the
+# per-radius function, which raises the per-radius error, so the errors come
+# in radius order.
+
+def _curvature_columns(fam: HypersurfaceFamily, radii: list) -> tuple:
+    """fam's (alpha, lambda, nu) columns over the leading radii, up to the
+    first one at which fam.curvatures raises."""
+    lo, hi = fam.domain
+    if not (all(map(lt, repeat(lo), radii)) and all(map(lt, radii, repeat(hi)))):
+        radii = radii[:next(k for k, r in enumerate(radii) if not lo < r < hi)]
+    return fam.curvature_columns(radii, math.pi)
+
+
+def _hopf_residuals(fam: HypersurfaceFamily, alpha: list, lam: list, nu: list) -> list:
+    """hopf_relation_residual at each row of the curvature columns, with the
+    same float operations."""
+    lam_nu = map(mul, lam, nu)
+    half_alpha_sum = map(mul, map(truediv, alpha, repeat(2.0)), map(add, lam, nu))
+    return list(map(sub, map(sub, lam_nu, half_alpha_sum), repeat(float(fam.space.c) / 4.0)))
+
+
+def _lam_nu_plus_c(fam: HypersurfaceFamily, r: float, lam: float, nu: float) -> float:
+    """lambda*nu + c of fam at r; a value that is not finite is a CatalogError."""
+    value = lam * nu + float(fam.space.c)
+    if not math.isfinite(value):
+        raise CatalogError(f"lambda*nu + c = {value!r} on family {fam.family_id} at r = {r}")
+    return value
+
+
+def _lam_nu_plus_c_values(fam: HypersurfaceFamily, lam: list, nu: list) -> list:
+    """lambda*nu + c at each row of the lambda and nu columns, unchecked."""
+    return list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
+
+
+def _leading_finite(values: list) -> int:
+    isfinite = math.isfinite
+    if all(map(isfinite, values)):
+        return len(values)
+    return next(k for k, v in enumerate(values) if not isfinite(v))
+
+
+def _replay(evaluate: Callable, r: float) -> NoReturn:
+    """Raise the error of evaluate(r), the per-radius evaluation of the
+    radius at which a column stopped."""
+    evaluate(r)
+    raise AssertionError(f"a column stopped at r = {r!r}, where the per-radius evaluation succeeds")
+
+
+def lam_nu_plus_c_column(fam: HypersurfaceFamily, radii: list) -> list:
+    """lambda*nu + c of fam at each radius.  The errors are those of
+    fam.curvatures and _lam_nu_plus_c at each radius in turn."""
+    _alpha, lam, nu = _curvature_columns(fam, radii)
+    values = _lam_nu_plus_c_values(fam, lam, nu)
+    clean = _leading_finite(values)
+    if clean < len(radii):
+        _replay(lambda r: _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:]), radii[clean])
+    return values
 
 
 @dataclass(frozen=True)
@@ -248,13 +329,17 @@ def load_catalog(path, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
 
 
 def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL) -> None:
-    for r in radius_grid(*fam.sample_window(), ORACLE_SAMPLES):
-        res = fam.hopf_residual(r)
-        if not abs(res) < tol:
-            raise CatalogError(
-                f"family {fam.family_id!r} fails the principal-curvature relation "
-                f"at r = {r}: residual {res!r}"
-            )
+    radii = radius_grid(*fam.sample_window(), ORACLE_SAMPLES)
+    curvatures = _curvature_columns(fam, radii)
+    residuals = _hopf_residuals(fam, *curvatures)
+    if not all(map(lt, map(abs, residuals), repeat(tol))):
+        k = next(k for k, res in enumerate(residuals) if not abs(res) < tol)
+        raise CatalogError(
+            f"family {fam.family_id!r} fails the principal-curvature relation "
+            f"at r = {radii[k]}: residual {residuals[k]!r}"
+        )
+    if len(residuals) < len(radii):
+        _replay(fam.curvatures, radii[len(residuals)])
 
 
 @lru_cache(maxsize=1)
@@ -283,8 +368,10 @@ ZERO_DEFAULT = (
         for d in DIRECTIONS
     )
 )
+# The report parameters that a family supplies per radius.
+_CURVATURES = ("alpha", "lambda", "nu")
 # The parameters of every compiled report, in call order.
-REPORT_PARAMS = ("alpha", "lambda", "nu", "c") + ZERO_DEFAULT
+REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
 _ZEROS = (0.0,) * len(ZERO_DEFAULT)
 
 
@@ -293,13 +380,29 @@ class _CompiledReport:
     report: ConditionReport
     labels: tuple        # one per entry, in report order
     evaluate: Callable   # (*REPORT_PARAMS values) -> tuple of row values
+    # max |row| of the constant rows, folded at compile time
+    constant_max: float
+    # compile_columns kernel over the distinct non-constant rows, columns
+    # alpha, lambda and nu; None when every row is constant
+    kernel: Optional[Callable]
+
+    def max_abs_column(self, curvatures: tuple, args: list) -> list:
+        """max |row| at each radius, over the leading radii up to the first
+        one whose rows raise or are not finite.  curvatures holds the alpha,
+        lambda and nu columns; args is _report_args' vector."""
+        if self.kernel is None:
+            return [self.constant_max] * len(curvatures[0])
+        columns = [col if bound is None else [bound] * len(col)
+                   for col, bound in zip(curvatures, args)]
+        rows = self.kernel(*columns, *args[3:])
+        return list(map(max, *[map(abs, row) for row in rows], repeat(self.constant_max)))
 
 
 @lru_cache(maxsize=None)
 def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
     context (c symbolic), shared by both model spaces, with its compiled
-    row evaluator."""
+    row evaluator and max-|row| column kernel."""
     ctx = build_hopf_context()
     sstar = star_ricci_closed(ctx)
     if kind is ConditionKind.PARALLEL:
@@ -317,26 +420,23 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
         report = einstein_equations(ctx)
     else:
         raise ValueError(f"unhandled condition kind {kind}")
+    rows = report.equations()
+    constants = [e for e in rows if e.is_rational_constant]
+    varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
     return _CompiledReport(
         report,
         tuple(e.label() for e in report.entries),
-        compile_float(report.equations(), REPORT_PARAMS),
+        compile_float(rows, REPORT_PARAMS),
+        max(map(abs, compile_float(constants, ())()), default=0.0),
+        compile_columns(varying, REPORT_PARAMS, _CURVATURES) if varying else None,
     )
 
 
-def _row_evaluator(
-    fam: HypersurfaceFamily,
-    kind: ConditionKind,
-    extra_bindings: Optional[Mapping[str, float]],
-) -> Callable:
-    """Set up the evaluation of one condition report on one family and
-    return at(r) -> (alpha, lambda, nu, values).
-
-    The report lookup, the binding checks and the argument vector happen
-    here, once; at(r) checks the domain and the curvatures (fam.curvatures)
-    and that every row is finite.
-    """
-    evaluate = _hopf_report(kind).evaluate
+def _report_args(fam: HypersurfaceFamily, extra_bindings: Optional[Mapping[str, float]]) -> list:
+    """The REPORT_PARAMS values of a report on fam: None for alpha, lambda
+    and nu unless extra_bindings sets them (the family supplies them per
+    radius), the space's c, and zero for the rest.  An unknown name or a
+    non-finite value in extra_bindings is a CatalogError."""
     args = [None, None, None, float(fam.space.c), *_ZEROS]
     for name, value in (extra_bindings or {}).items():
         if name not in REPORT_PARAMS:
@@ -347,7 +447,19 @@ def _row_evaluator(
         if not math.isfinite(value):
             raise CatalogError(f"binding {name} = {value!r} is not finite")
         args[REPORT_PARAMS.index(name)] = value
-    # a bound alpha, lambda or nu replaces the family's value in the report only
+    return args
+
+
+def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _CompiledReport,
+                   args: list) -> Callable:
+    """at(r) -> (alpha, lambda, nu, row values, lambda*nu + c) of one
+    condition report on one family: the per-radius evaluation.
+
+    at(r) checks the domain and the curvatures (fam.curvatures), that every
+    row is finite and that lambda*nu + c is finite.  A bound alpha, lambda
+    or nu in args replaces the family's value in the report only.
+    """
+    evaluate = compiled.evaluate
     bound_a, bound_l, bound_n = args[:3]
     rest = tuple(args[3:])
     curvatures = fam.curvatures
@@ -367,7 +479,7 @@ def _row_evaluator(
                 f"{bad} of {len(values)} {kind.value} rows are not finite on "
                 f"{fam.family_id} at r = {r}"
             )
-        return a, l, n, values
+        return a, l, n, values, _lam_nu_plus_c(fam, r, l, n)
 
     return at
 
@@ -402,16 +514,18 @@ def evaluate_condition(
     coefficients h1..h3, the pseudo-parallel function L and the Einstein
     constant lambda_e) are bound to zero.  extra_bindings overrides any name
     in REPORT_PARAMS; another name, or a non-finite value, raises
-    CatalogError, and so does a non-finite row.
+    CatalogError, and so does a non-finite row or lambda*nu + c.
     """
-    a, l, n, values = _row_evaluator(fam, kind, extra_bindings)(r)
+    compiled = _hopf_report(kind)
+    a, l, n, values, lam_nu_plus_c = _row_evaluator(
+        fam, kind, compiled, _report_args(fam, extra_bindings))(r)
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
         kind=kind,
         curvatures=(a, l, n),
-        lam_nu_plus_c=l * n + float(fam.space.c),
-        labels=_hopf_report(kind).labels,
+        lam_nu_plus_c=lam_nu_plus_c,
+        labels=compiled.labels,
         values=values,
         max_abs_residual=max(map(abs, values), default=0.0),
     )
@@ -450,9 +564,11 @@ def sweep(
 ) -> SweepResult:
     """Uniform-grid condition evaluation over [r_min, r_max].
 
-    The row evaluator is set up once per sweep, so every radius costs only
-    the compiled curvature and report functions and the per-row checks of
-    evaluate_condition, with the same values and errors.
+    Two column kernels cover the whole grid: the family's curvatures, then
+    the report's max |row|; lambda*nu + c is a column too.  The values and
+    errors are those of evaluate_condition at each radius in turn: where a
+    column stops, that radius is replayed through the per-radius
+    evaluation, which raises its error.
     """
     if r_min > r_max:
         raise CatalogError("r-min must not exceed r-max")
@@ -463,14 +579,14 @@ def sweep(
             f"({lo}, {hi}) of {fam.family_id}"
         )
     radii = radius_grid(r_min, r_max, samples)
-    at = _row_evaluator(fam, kind, extra_bindings)
-    c = float(fam.space.c)
-    max_residuals = []
-    lam_nu_plus_c = []
-    for r in radii:
-        _a, l, n, values = at(r)
-        max_residuals.append(max(map(abs, values), default=0.0))
-        lam_nu_plus_c.append(l * n + c)
+    compiled = _hopf_report(kind)
+    args = _report_args(fam, extra_bindings)
+    curvatures = _curvature_columns(fam, radii)
+    max_residuals = compiled.max_abs_column(curvatures, args)
+    lam_nu_plus_c = _lam_nu_plus_c_values(fam, *curvatures[1:])
+    clean = min(len(max_residuals), _leading_finite(lam_nu_plus_c))
+    if clean < len(radii):
+        _replay(_row_evaluator(fam, kind, compiled, args), radii[clean])
     return SweepResult(
         fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
     )

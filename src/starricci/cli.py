@@ -22,6 +22,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter, le
 from typing import Optional, Sequence
 
 from . import __version__
@@ -65,6 +68,30 @@ from .symbols import SymbolTable
 SCHEMA = "starricci.report/1"
 
 
+class SweepRows(list):
+    """payload["rows"] of a sweep: one dict {"r", "max_residual",
+    "lam_nu_plus_c"} of finite floats per radius.  Report.emit writes them
+    through one %-template instead of json's encoder."""
+
+
+# One sweep row in each format.  The json row is json.dumps(indent=2,
+# sort_keys=True)'s text for a SweepRows item at the depth of
+# payload["rows"]: %r writes a float as json does, with float.__repr__.
+_JSON_ROW = ('      {\n'
+             '        "lam_nu_plus_c": %r,\n'
+             '        "max_residual": %r,\n'
+             '        "r": %r\n'
+             '      }')
+_JSON_ROW_VALUES = itemgetter("lam_nu_plus_c", "max_residual", "r")
+_TEXT_ROW = "%12.6f  %14.6e  %+14.9f"
+
+
+def _rows(template: str, sep: str, rows) -> str:
+    """One template per row of values, joined by sep, in one % call."""
+    rows = list(rows)
+    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
+
+
 @dataclass
 class Report:
     command: str
@@ -85,7 +112,16 @@ class Report:
 
     def emit(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            rows = self.payload.get("rows")
+            if not (isinstance(rows, SweepRows) and rows):
+                return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            # The rows go in as text.  '"rows": []' occurs once, as the key:
+            # a json string escapes every '"' it holds.
+            envelope = self.to_json_dict()
+            envelope["payload"] = {**self.payload, "rows": []}
+            text = json.dumps(envelope, indent=2, sort_keys=True)
+            body = _rows(_JSON_ROW, ",\n", map(_JSON_ROW_VALUES, rows))
+            return text.replace('"rows": []', f'"rows": [\n{body}\n    ]', 1) + "\n"
         head = [f"# {self.command}", f"status: {self.status}"]
         return "\n".join(head + self.text_lines) + "\n"
 
@@ -242,7 +278,7 @@ def cmd_sweep(args) -> int:
     fam = cat.get(args.family)
     kind = ConditionKind(args.condition)
     result = run_sweep(fam, args.r_min, args.r_max, args.samples, kind)
-    below = sum(1 for m in result.max_residuals if m <= args.tol_witness)
+    below = sum(map(le, result.max_residuals, repeat(args.tol_witness)))
     payload = {
         "family": fam.family_id,
         "space": fam.space.name,
@@ -251,14 +287,14 @@ def cmd_sweep(args) -> int:
     }
     columns = zip(result.radii, result.max_residuals, result.lam_nu_plus_c)
     if args.format == "json":  # each format builds only what it prints
-        payload["rows"] = [
-            {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in columns
-        ]
+        payload["rows"] = SweepRows(
+            [{"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in columns]
+        )
         lines = []
     else:
         lines = [f"family {fam.family_id} ({fam.description})",
                  f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-        lines += [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in columns]
+        lines += _rows(_TEXT_ROW, "\n", columns).split("\n")
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0
@@ -381,8 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if "tol_oracle" in args and not all(math.isfinite(t) and t > 0
                                         for t in (args.tol_oracle, args.tol_witness)):
         print("error: tolerances must be finite and positive", file=sys.stderr)

@@ -26,20 +26,21 @@ while contradiction witnesses are recorded exactly as computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import sub
 from typing import Optional
 
 from .catalog import (
     CH2,
     CP2,
     Catalog,
-    CatalogError,
     DEFAULT_ORACLE_TOL,
     DEFAULT_WITNESS_TOL,
     ModelSpace,
     builtin_catalog,
+    lam_nu_plus_c_column,
     radius_grid,
     sweep,
 )
@@ -579,17 +580,9 @@ def type_b_exclusion(
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
     expected = TYPE_B_EXPECTED[space.name]
-    max_dev = 0.0
-    min_abs = float("inf")
-    for r in radius_grid(*fam.sample_window(), samples):
-        _a, l, n = fam.curvatures(r)
-        value = l * n + float(space.c)
-        if not math.isfinite(value):  # max and min below would skip a NaN
-            raise CatalogError(
-                f"lambda*nu + c = {value!r} on family {fam.family_id} at r = {r}"
-            )
-        max_dev = max(max_dev, abs(value - expected))
-        min_abs = min(min_abs, abs(value))
+    values = lam_nu_plus_c_column(fam, radius_grid(*fam.sample_window(), samples))
+    max_dev = max(map(abs, map(sub, values, repeat(expected))))
+    min_abs = min(map(abs, values))
     ok = max_dev <= tol and min_abs >= 3.0 - tol
     return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok)
 
@@ -635,9 +628,8 @@ def verify_all(
         type_b_exclusion(CH2, samples=samples, tol=tol_oracle, catalog=cat),
     )
     witness_min = min(
-        (m for fam in cat.families
-         for m in sweep(fam, *fam.sample_window(), samples,
-                        ConditionKind.PARALLEL).max_residuals),
+        (min(sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL).max_residuals)
+         for fam in cat.families),
         default=float("inf"),
     )
     ok = (

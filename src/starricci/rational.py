@@ -421,21 +421,34 @@ def sign_normalized(e: Expr) -> Expr:
 
 # -- compiled float evaluation -------------------------------------------------
 
+# The NUMERIC_FUNCTIONS entries that are reciprocals: NUMERIC_FUNCTIONS["cot"](x)
+# is 1.0 / math.tan(x), and a column kernel computes it that way.
+_RECIPROCALS = {"cot": "tan", "coth": "tanh"}
+
+
 class _FloatCodegen:
     """Straight-line Python source for the float values of a set of Exprs.
 
     Symbol names and expression text never enter the source: parameters,
     powers and atoms get generated identifiers, coefficients become float
-    literals and applied atoms call ``_apply`` with a NUMERIC_FUNCTIONS key.
-    Denominator texts for error messages live in ``dens``, indexed by number.
+    literals and applied atoms name their function by its NUMERIC_FUNCTIONS
+    key.  Denominator texts for error messages live in ``dens``, indexed by
+    number.  The source leaves out operations that are exact identities:
+    x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
+
+    For a per-call function an atom calls ``_apply`` and a pole raises; for
+    a column kernel (kernel=True) an atom calls its math function through a
+    handle fetched once per call (``functions``) and a pole ends the loop.
     """
 
-    def __init__(self, params: Sequence[str]):
+    def __init__(self, params: Sequence[str], kernel: bool = False):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
+        self.kernel = kernel
         self.used: set[str] = set()
         self.body: list[str] = []
         self.dens: list = []
         self.missing: set[str] = set()
+        self.functions: dict[str, str] = {}
         self._atoms: dict[str, str] = {}
         self._powers: dict[tuple, str] = {}
 
@@ -443,6 +456,13 @@ class _FloatCodegen:
         ident = f"{prefix}{len(self.body)}"
         self.body.append(f"{ident} = {code}")
         return ident
+
+    def _call(self, fn: str, arg: str) -> str:
+        if not self.kernel:
+            return f"_apply({fn!r}, {arg})"
+        base = _RECIPROCALS.get(fn, fn)
+        handle = self.functions.setdefault(base, f"f{len(self.functions)}")
+        return f"1.0 / {handle}({arg})" if base != fn else f"{handle}({arg})"
 
     def value(self, sym: Symbol) -> str:
         ident = self.params.get(sym.name)
@@ -456,34 +476,68 @@ class _FloatCodegen:
         if ident is None:
             if sym.fn not in NUMERIC_FUNCTIONS:
                 raise ExprError("applied atom with an unknown numeric function")
-            ident = self._bind("a", f"_apply({sym.fn!r}, {self.expr(sym.arg)})")
+            ident = self._bind("a", self._call(sym.fn, self.expr(sym.arg)))
             self._atoms[sym.name] = ident
         return ident
 
     def power(self, sym: Symbol, e: int) -> str:
-        key = (self.value(sym), e)
-        ident = self._powers.get(key)
+        base = self.value(sym)
+        if e == 1:
+            return base
+        ident = self._powers.get((base, e))
         if ident is None:
-            ident = self._powers[key] = self._bind("p", f"{key[0]} ** {e}")
+            ident = self._powers[base, e] = self._bind("p", f"{base} ** {e}")
         return ident
 
     def poly(self, p: Polynomial) -> str:
-        """Polynomial.eval's order: a sum from 0.0 of float(c) * x**e * ..."""
+        """Polynomial.eval's order: a sum from 0.0 of float(c) * x**e * ...,
+        where 1.0 * x is x and -1.0 * x is -x."""
         code = "0.0"
         for m, c in p.terms:
-            code += f" + ({float(c)!r})" + "".join(f" * {self.power(s, e)}" for s, e in m)
+            factors = [self.power(s, e) for s, e in m]
+            coeff = float(c)
+            if factors and coeff in (1.0, -1.0):
+                code += (" + -" if coeff < 0 else " + ") + " * ".join(factors)
+            else:
+                code += " + " + " * ".join([repr(coeff), *factors])
         return code
 
     def expr(self, e: Expr) -> str:
         """Python expression for e's value; statements it needs go to body."""
         num = self.poly(e.num)
-        den = self.poly(e.den)
-        if e.den.is_constant:  # monic, so exactly 1: the check cannot fire
-            return f"({num}) / ({den})"
-        n, d = self._bind("n", num), self._bind("d", den)
-        self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: raise _near({len(self.dens)}, {d})")
-        self.dens.append(e.den)
+        if e.den.is_constant:  # monic, so exactly 1.0: the value is num
+            return num
+        n, d = self._bind("n", num), self._bind("d", self.poly(e.den))
+        if self.kernel:
+            self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: break")
+        else:
+            self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: raise _near({len(self.dens)}, {d})")
+            self.dens.append(e.den)
         return f"{n} / {d}"
+
+    def values(self, exprs: Sequence[Expr]) -> list:
+        """expr(e) for each e; an unbound symbol or a coefficient beyond the
+        float range raises here, once."""
+        try:
+            values = [self.expr(e) for e in exprs]
+        except OverflowError:  # a coefficient beyond the float range
+            raise ExprError(_OVERFLOW) from None
+        if self.missing:
+            raise UnboundSymbolError(self.missing)
+        return values
+
+    def scalars(self, skip: Sequence[str] = ()) -> list:
+        """The lines that convert the used parameters, other than `skip`, with float()."""
+        return [f"    {v} = float({v})" for v in self.params.values()
+                if v in self.used and v not in skip]
+
+
+def _define(source: str, namespace: dict) -> Callable:
+    namespace["__builtins__"] = {}
+    exec(compile(source, "<compile_float>", "exec"), namespace)
+    fn = namespace.pop("compiled")
+    fn.source = source
+    return fn
 
 
 def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple]:
@@ -498,34 +552,72 @@ def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[...,
     NUMERIC_FUNCTIONS.  Unlike Expr.eval it does not check that its inputs
     are finite.  A symbol that is neither a parameter nor an applied atom
     raises UnboundSymbolError here, once.  The source is kept on the
-    function as ``source``.
+    function as ``source``; compile_columns builds loops from the same code.
     """
     gen = _FloatCodegen(params)
-    try:
-        values = [gen.expr(e) for e in exprs]
-    except OverflowError:  # a coefficient beyond the float range
-        raise ExprError(_OVERFLOW) from None
-    if gen.missing:
-        raise UnboundSymbolError(gen.missing)
+    values = gen.values(exprs)
     dens = tuple(gen.dens)
-    lines = [f"def compiled({', '.join(gen.params.values())}):"]
-    lines += [f"    {v} = float({v})" for v in gen.params.values() if v in gen.used]
-    lines.append("    try:")
+    lines = [f"def compiled({', '.join(gen.params.values())}):", *gen.scalars(), "    try:"]
     lines += [f"        {stmt}" for stmt in gen.body]
     lines.append(f"        return ({''.join(v + ', ' for v in values)})")
     lines.append("    except OverflowError:")
     lines.append("        raise _overflow() from None")
-    source = "\n".join(lines) + "\n"
-    namespace = {
-        "__builtins__": {},
+    return _define("\n".join(lines) + "\n", {
         "float": float,
         "abs": abs,
         "OverflowError": OverflowError,
         "_apply": _apply_function,
         "_near": lambda k, value: _near_zero(dens[k], value),
         "_overflow": lambda: ExprError(_OVERFLOW),
-    }
-    exec(compile(source, "<compile_float>", "exec"), namespace)
-    fn = namespace["compiled"]
-    fn.source = source
-    return fn
+    })
+
+
+def compile_columns(
+    exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str]
+) -> Callable[..., tuple]:
+    """One compiled loop: compile_float's values over columns of inputs.
+
+    The kernel takes one positional value per name in `params`: an iterable
+    of floats for each name in `columns` (read in step; the shortest ends the
+    loop) and a scalar for every other name.  It returns one list per
+    expression in `exprs` (at least one): row by row, the values that
+    compile_float(exprs, params) returns at that row's inputs, bit for bit.
+    The lists stop before the first row at which that function raises (a
+    pole, an overflow, a math domain error) or returns a value that is not
+    finite, so the caller can replay that row through the per-call function
+    for its error.  The loop calls no Python function per row: each atom
+    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
+    NUMERIC_FUNCTIONS computes).  Unlike compile_float the kernel applies
+    float() to scalars only, so columns must hold floats.  The source is
+    kept on the kernel as ``source``.
+    """
+    if not exprs:
+        raise ValueError("a column kernel needs at least one expression")
+    gen = _FloatCodegen(params, kernel=True)
+    values = gen.values(exprs)
+    cols = [gen.params[name] for name in columns]
+    outs = range(len(values))
+    lines = [f"def compiled({', '.join(gen.params.values())}):", *gen.scalars(cols)]
+    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
+    lines.append("    " + ", ".join(f"o{i}" for i in outs) + " = " + ", ".join("[]" for _ in outs))
+    lines += [f"    w{i} = o{i}.append" for i in outs]
+    row = ", ".join(cols)
+    lines.append(f"    for {row} in {cols[0] if len(cols) == 1 else f'zip({row})'}:")
+    lines.append("        try:")
+    lines += [f"            {stmt}" for stmt in gen.body]
+    lines += [f"            x{i} = {v}" for i, v in zip(outs, values)]
+    lines.append("        except (ArithmeticError, ValueError):")
+    lines.append("            break")
+    # x - x is 0.0 for a finite x and NaN otherwise
+    lines.append("        if " + " + ".join(f"(x{i} - x{i})" for i in outs) + " != 0.0:")
+    lines.append("            break")
+    lines += [f"        w{i}(x{i})" for i in outs]
+    lines.append("    return " + "".join(f"o{i}, " for i in outs))
+    return _define("\n".join(lines) + "\n", {
+        "float": float,
+        "abs": abs,
+        "zip": zip,
+        "ArithmeticError": ArithmeticError,
+        "ValueError": ValueError,
+        "_fns": NUMERIC_FUNCTIONS,
+    })

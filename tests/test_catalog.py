@@ -3,6 +3,7 @@ import io
 import keyword
 import math
 import re
+import sys
 import tokenize
 
 import pytest
@@ -27,6 +28,7 @@ from starricci.catalog import (
     radius_grid,
     sweep,
 )
+from starricci.parsing import parse_expr
 from starricci.proofs import type_b_exclusion
 from starricci.rational import NUMERIC_FUNCTIONS, Expr, ExprError
 from starricci.symbols import SymbolTable
@@ -342,6 +344,45 @@ def test_compiled_family_source_holds_no_symbol_names():
         assert _hex(fam.curvatures(r)) == _hex(e.eval(point) for e in (fam.alpha, fam.lam, fam.nu))
 
 
+def _kernel_sources():
+    fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
+    yield fam, fam.curvature_columns.source
+    for kind in ConditionKind:
+        kernel = catalog._hopf_report(kind).kernel
+        if kernel is not None:
+            yield catalog._hopf_report(kind).report, kernel.source
+
+
+def test_column_kernel_sources_hold_no_symbol_names():
+    # a kernel source holds generated identifiers, float literals (and int
+    # exponents) and NUMERIC_FUNCTIONS keys, nothing else
+    allowed = {"compiled", "float", "abs", "zip", "append", "ArithmeticError", "ValueError",
+               "_fns"}
+    for owner, source in _kernel_sources():
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert {n for n in names if not keyword.iskeyword(n)
+                and not re.fullmatch(r"[vpandxowf][0-9]+", n)} <= allowed
+        strings = {ast.literal_eval(t.string) for t in tokens if t.type == tokenize.STRING}
+        assert strings <= set(NUMERIC_FUNCTIONS)
+        for t in tokens:
+            if t.type == tokenize.NUMBER:
+                float(t.string)
+        assert {t.type for t in tokens} <= {
+            tokenize.NAME, tokenize.OP, tokenize.NUMBER, tokenize.STRING, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER}
+        if isinstance(owner, HypersurfaceFamily):
+            # every function, cot and coth as reciprocals of tan and tanh
+            assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
+            assert not names & {"r", "pi"}
+            texts = [owner.alpha.to_text(), owner.lam.to_text(), owner.nu.to_text(), "cot(r)"]
+        else:
+            assert not names & {"alpha", "lambda", "nu", "c", "L", "lambda_e"}
+            texts = [e.equation.to_text() for e in owner.entries if not e.equation.is_zero]
+        for text in texts:
+            assert text not in source
+
+
 def test_evaluate_condition_bindings_are_checked():
     fam = builtin_catalog().get("cp2-b")
     kind = ConditionKind.PSEUDO_PARALLEL
@@ -405,6 +446,18 @@ def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
         )
 
 
+def test_sweep_with_every_curvature_bound():
+    # no column of the report kernel comes from the family
+    bindings = {"alpha": 1.0, "lambda": 2.0, "nu": 0.5, "L": 1.0}
+    fam = builtin_catalog().get("ch2-b")
+    for kind in ConditionKind:
+        res = sweep(fam, 0.2, 3.0, 7, kind, extra_bindings=bindings)
+        evs = [evaluate_condition(fam, r, kind, extra_bindings=bindings)
+               for r in radius_grid(0.2, 3.0, 7)]
+        assert _hex(res.max_residuals) == _hex(ev.max_abs_residual for ev in evs)
+        assert _hex(res.lam_nu_plus_c) == _hex(ev.lam_nu_plus_c for ev in evs)
+
+
 def test_sweep_raises_the_per_radius_error():
     fam = builtin_catalog().get("cp2-a1")
     with pytest.raises(CatalogError) as per_radius:
@@ -422,3 +475,142 @@ def test_sweep_looks_up_the_report_once():
     sweep(fam, 0.1, 0.7, 50, ConditionKind.PARALLEL)
     after = catalog._hopf_report.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+
+
+# -- column kernels: the errors of the per-radius loop ---------------------------------
+
+def _error(thunk):
+    try:
+        thunk()
+    except Exception as exc:  # noqa: BLE001 -- compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+def _per_radius(fam, radii, kind, bindings=None):
+    """The sweep before the column kernels: one evaluate_condition per radius."""
+    for r in radii:
+        evaluate_condition(fam, r, kind, extra_bindings=bindings)
+
+
+def _family(alpha, lam, nu, domain=(0.0, 4.0), space=CP2):
+    table = SymbolTable()
+    table.constant("r")
+    table.constant("pi")
+    exprs = [parse_expr(text, table) for text in (alpha, lam, nu)]
+    return HypersurfaceFamily("probe", space, domain, *exprs)
+
+
+_SPHERE = ("2*cot(2*r)", "cot(r)")
+# cot(r) plus a zero written with two atoms that fail for r > 1/2
+_SPHERE_NU_TO_HALF = "cot(r) + sqrt(1/2 - r) - sqrt(2 - 4*r)/2"
+
+
+@pytest.mark.parametrize("fam, r_min, r_max, samples, kind, first", [
+    # the rows overflow at r = 1e-100; the curvatures fail (sqrt) past r = 1
+    (_family(*_SPHERE, "cot(r) + sqrt(1 - r)"), 1e-100, 2.0, 5,
+     ConditionKind.SEMI_PARALLEL, "rows are not finite"),
+    # the rows overflow at r = 1e-100; nu has a pole at r = 1
+    (_family(*_SPHERE, "cot(r) + 1/(r - 1)"), 1e-100, 2.0, 3,
+     ConditionKind.SEMI_PARALLEL, "rows are not finite"),
+    # the reverse order: a pole at r = 1/2, then rows that overflow at r = 3/4
+    (_family("1", "exp(400*r) + 1/(2*r - 1)", "exp(400*r)"), 0.25, 0.75, 3,
+     ConditionKind.SEMI_PARALLEL, "denominator"),
+    # lambda*nu + c overflows at r = 1e-200; the xi-parallel rows are all 0
+    (_family(*_SPHERE, "cot(r) + sqrt(1 - r)"), 1e-200, 2.0, 3,
+     ConditionKind.XI_PARALLEL, "lambda*nu + c = inf"),
+    # finite rows up to the first curvature error (sqrt at r = 0.75)
+    (_family(*_SPHERE, _SPHERE_NU_TO_HALF), 0.25, 1.0, 4,
+     ConditionKind.PARALLEL, "sqrt(-1.0)"),
+    # a curvature error at the first radius: cot(0) raises ZeroDivisionError
+    (_family(*_SPHERE, "cot(r)", domain=(-1.0, 4.0)), 0.0, 1.0, 3,
+     ConditionKind.PARALLEL, "cot(0.0) cannot be evaluated"),
+])
+def test_sweep_raises_the_first_per_radius_error(fam, r_min, r_max, samples, kind, first):
+    radii = radius_grid(r_min, r_max, samples)
+    expected = _error(lambda: _per_radius(fam, radii, kind))
+    assert expected is not None and first in expected[1]
+    assert _error(lambda: sweep(fam, r_min, r_max, samples, kind)) == expected
+
+
+def test_overshooting_grid_raises_the_per_radius_domain_error():
+    # radius_grid's last point lands one ulp past r_max = 1.5707963267948963,
+    # on pi/2, the open end of the domain
+    fam = builtin_catalog().get("cp2-a1")
+    radii = radius_grid(0.362, 1.5707963267948963, 14)
+    assert radii[-1] == 1.5707963267948966 and not fam.contains(radii[-1])
+    for kind in ConditionKind:
+        expected = _error(lambda: _per_radius(fam, radii, kind))
+        assert expected[0] is DomainError
+        assert "r = 1.5707963267948966 outside the open domain" in expected[1]
+        assert _error(lambda: sweep(fam, 0.362, 1.5707963267948963, 14, kind)) == expected
+
+
+def test_non_finite_lambda_nu_plus_c_is_an_error():
+    # cot(1e-200) = 1e200: finite curvatures whose product overflows
+    fam = builtin_catalog().get("cp2-a1")
+    with pytest.raises(CatalogError) as per_radius:
+        evaluate_condition(fam, 1e-200, ConditionKind.XI_PARALLEL)
+    assert str(per_radius.value) == "lambda*nu + c = inf on family cp2-a1 at r = 1e-200"
+    for kind in ConditionKind:  # the other kinds' rows fail first
+        expected = _error(lambda: _per_radius(fam, radius_grid(1e-200, 2e-200, 2), kind))
+        assert _error(lambda: sweep(fam, 1e-200, 2e-200, 2, kind)) == expected
+
+
+def test_validate_family_raises_the_per_radius_error():
+    # the relation fails at the first radius, the curvatures only past r = 3
+    bad = _family("1", "cot(r)", "cot(r) + sqrt(3 - r)")
+    with pytest.raises(CatalogError, match="fails the principal-curvature relation at r = 0.04"):
+        catalog.validate_family(bad)
+    # the curvatures fail past r = 1/2, and the relation holds up to there
+    fam = _family(*_SPHERE, _SPHERE_NU_TO_HALF)
+    radii = radius_grid(*fam.sample_window(), ORACLE_SAMPLES)
+    expected = _error(lambda: [fam.hopf_residual(r) for r in radii])
+    assert expected[0] is ExprError and "sqrt" in expected[1]
+    assert _error(lambda: catalog.validate_family(fam)) == expected
+
+
+def test_type_b_exclusion_raises_the_per_radius_error():
+    # lambda = nu ~ 1e200 at r = 0.04 overflow lambda*nu + c; the curvatures
+    # fail (sqrt) past r = 2
+    big = "10^200*(1 - r) + sqrt(2 - r) - sqrt(8 - 4*r)/2"
+    fam = _family("2*cot(2*r)", big, big)
+    fam = HypersurfaceFamily("cp2-b", CP2, (0.0, 4.0), fam.alpha, fam.lam, fam.nu)
+    with pytest.raises(CatalogError, match=r"lambda\*nu \+ c = inf on family cp2-b at r = 0.04"):
+        type_b_exclusion(CP2, samples=100, catalog=Catalog(1, (fam,)))
+
+
+# -- column kernels: no Python call per radius ------------------------------------------
+
+def _python_calls(thunk) -> int:
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_radius_loops_make_no_python_call_per_radius(monkeypatch):
+    cat = builtin_catalog()
+    for kind in ConditionKind:
+        for fam in cat.families:
+            lo, hi = fam.sample_window()
+            counts = {n: _python_calls(lambda: sweep(fam, lo, hi, n, kind)) for n in (10, 1000)}
+            assert counts[10] == counts[1000], (fam.family_id, kind, counts)
+    for space in (CP2, CH2):
+        counts = {n: _python_calls(lambda: type_b_exclusion(space, samples=n)) for n in (10, 1000)}
+        assert counts[10] == counts[1000], (space, counts)
+    for fam in cat.families:
+        counts = {}
+        for n in (10, 1000):
+            monkeypatch.setattr(catalog, "ORACLE_SAMPLES", n)
+            counts[n] = _python_calls(lambda: catalog.validate_family(fam))
+        assert counts[10] == counts[1000], (fam.family_id, counts)

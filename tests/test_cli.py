@@ -6,6 +6,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starricci import cli, conditions, frames, proofs
 from starricci.cli import main
@@ -234,6 +236,9 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["prove", "type-b", "--tol-oracle", "nan"],
         ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
         ["prove", "hopf", "--tol-witness", "inf"],
+        # lambda = nu = cot(r) ~ 1e200: lambda*nu + c overflows, the xi-parallel rows are 0
+        ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel", "--format", "json"],
+        ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -289,3 +294,85 @@ def test_failed_proof_step_exits_one(flags):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "status: FAILED: step 1: " in proc.stdout
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert main(["expr", "eval", "x", "x=1"]) == 0
+        assert main(["sweep", "ch2-a0", "0", "1", "2", "parallel"]) == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
+def _fresh(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) with a newly built parser."""
+    cli._parser.cache_clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    argvs = [
+        ["check", "star-ricci", "parallel", "nonhopf", "delta=0", "mu=0"],
+        ["check", "star-ricci", "parallel", "nonhopf"],
+        ["check", "star-ricci", "pseudo-parallel", "hopf", "--pseudo-l", "alpha"],
+        ["check", "star-ricci", "pseudo-parallel", "hopf"],
+        ["sweep", "ch2-b", "0.5", "1", "3", "parallel", "--format", "json",
+         "--tol-witness", "10"],
+        ["sweep", "ch2-b", "0.5", "1", "3", "parallel"],
+        ["check", "star-ricci", "bogus", "hopf"],
+        ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
+        ["expr", "eval", "x", "x=1", "x=2"],
+        ["expr", "eval", "x", "x=1"],
+    ]
+    fresh = [_fresh(capsys, argv) for argv in argvs]
+    cli._parser.cache_clear()
+    shared = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        shared.append((code, captured.out, captured.err))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 2, 2, 0]
+
+
+_ROW_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e16, 1e-7, 0.1, 3.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # family ids with quotes, backslashes, non-ASCII text and the splice key
+    st.lists(st.sampled_from(['"', "\\", "a-1", " ", "é", "∇", "\n", "\x00", '"rows": []']),
+             max_size=6).map("".join),
+    st.lists(st.tuples(_ROW_FLOATS, _ROW_FLOATS, _ROW_FLOATS), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=3),
+)
+def test_row_writers_match_the_generic_writers(family, rows, below):
+    payload = {"family": family, "space": "CP2", "condition": "parallel",
+               "rows_below_witness_tol": below}
+    report = cli.Report(f"sweep {family}", "ok", payload, 1, [])
+    report.payload["rows"] = cli.SweepRows(
+        {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in rows)
+    generic = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert report.emit("json") == generic
+    # the row text before the template: one f-string per row
+    text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
+    assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]

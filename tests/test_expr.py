@@ -22,6 +22,7 @@ from starricci.rational import (
     ExprError,
     NearZeroDenominator,
     UnboundSymbolError,
+    compile_columns,
     compile_float,
 )
 from starricci.symbols import SymbolTable
@@ -276,6 +277,31 @@ def test_compiled_values_equal_eval_bit_for_bit(exprs, point):
     assert _outcome(lambda: fn(*point)) == expected
 
 
+# large values overflow products and powers; exact values hit poles
+_ROW_POINTS = st.one_of(_POINTS, st.sampled_from([1e100, -1e160, 1e300, 700.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EXPRS, min_size=1, max_size=3),
+       st.lists(st.tuples(_ROW_POINTS, _ROW_POINTS), max_size=5),
+       _ROW_POINTS)
+def test_column_kernel_equals_the_per_call_function_row_by_row(exprs, rows, y):
+    # x and z are columns, y a scalar
+    fn = compile_float(exprs, _CT_NAMES)
+    kernel = compile_columns(exprs, _CT_NAMES, ("x", "z"))
+    xs, zs = [x for x, _ in rows], [z for _, z in rows]
+    columns = kernel(xs, y, zs)
+    assert len(columns) == len(exprs)
+    expected = []
+    for x, z in rows:
+        outcome = _outcome(lambda: fn(x, y, z))
+        if isinstance(outcome[0], type) or not all(map(math.isfinite, map(float.fromhex, outcome))):
+            break  # the kernel stops before the first row that raises or is not finite
+        expected.append(outcome)
+    assert [tuple(v.hex() for v in row) for row in zip(*columns)] == expected
+    assert all(len(column) == len(expected) for column in columns)
+
+
 def test_compiled_vanishing_denominator_and_unbound_symbol():
     e = parse_expr("1/(x - y) + cot(1/(y - x))", _CT)
     with pytest.raises(NearZeroDenominator):
@@ -284,6 +310,9 @@ def test_compiled_vanishing_denominator_and_unbound_symbol():
         compile_float([e], ("x", "y"))(1.5, 1.5)
     with pytest.raises(UnboundSymbolError):
         compile_float([e], ("x",))
+    assert compile_columns([e], ("x", "y"), ("x",))([1.5, 2.5, 3.5], 1.5) == ([],)
+    with pytest.raises(UnboundSymbolError):
+        compile_columns([e], ("x",), ("x",))
 
 
 # -- randomized properties -------------------------------------------------------
