@@ -17,6 +17,7 @@ from starricci import (
     hopf_branch,
     nonhopf_contradiction,
     quadratic_analysis,
+    quadratic_elimination,
     type_b_exclusion,
     verify_all,
 )
@@ -26,8 +27,9 @@ print(nonhopf_contradiction().to_text())
 print()
 print(hopf_branch().to_text())
 print()
+elimination = quadratic_elimination()
 for space in (CP2, CH2):
-    print(quadratic_analysis(space).to_text())
+    print(quadratic_analysis(space, elimination).to_text())
     print()
 for space in (CP2, CH2):
     print(type_b_exclusion(space).to_text())

@@ -84,6 +84,8 @@ from .proofs import (
     ProofTrace,
     nonhopf_contradiction,
     hopf_branch,
+    quadratic_elimination,
+    QuadraticElimination,
     quadratic_analysis,
     QuadraticAnalysis,
     type_b_exclusion,

@@ -57,6 +57,7 @@ from .proofs import (
     nonhopf_contradiction,
     nonhopf_verified,
     quadratic_analysis,
+    quadratic_elimination,
     solve_quadratic,
     type_b_exclusion,
     verdict,
@@ -167,7 +168,8 @@ def cmd_prove(args) -> int:
             hopf = hopf_branch()
             ok = hopf_verified(hopf)
         elif target == "quadratic":
-            quad = [quadratic_analysis(sp) for sp in spaces]
+            elimination = quadratic_elimination()
+            quad = [quadratic_analysis(sp, elimination) for sp in spaces]
             ok = True
         else:
             typeb = [type_b_exclusion(sp, samples=args.samples, tol=args.tol_oracle, catalog=cat)
@@ -252,20 +254,22 @@ def cmd_check(args) -> int:
                 raise ValueError(f"unknown symbol {name!r} in this context")
             bindings[sym] = parse_expr(value, ctx.table)
         report = report.substitute(bindings)
-    entries = [
-        {"x": [i.direction for i in e.x], "y": e.y.direction,
-         "proj": e.proj.direction, "equation": e.equation.to_text()}
-        for e in report.entries
-    ]
     payload = {
         "tensor": args.tensor,
         "condition": kind.value,
         "context": args.context,
-        "entries": entries,
     }
-    lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
-             f"{len(entries)} equations"]
-    lines += [f"  {e.label()} : {e.equation.to_text()}" for e in report.entries]
+    if args.format == "json":  # each format builds only what it prints
+        payload["entries"] = [
+            {"x": [i.direction for i in e.x], "y": e.y.direction,
+             "proj": e.proj.direction, "equation": e.equation.to_text()}
+            for e in report.entries
+        ]
+        lines = []
+    else:
+        lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
+                 f"{len(report.entries)} equations"]
+        lines += [f"  {e.label()} : {e.equation.to_text()}" for e in report.entries]
     _write(Report(f"check {args.tensor} {kind.value} {args.context}", "ok",
                   payload, None, lines), args)
     return 0

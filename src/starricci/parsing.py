@@ -19,7 +19,6 @@ canonical text that reparses to the identical Expr.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .rational import NUMERIC_FUNCTIONS, Expr
 from .symbols import CONSTANT, DIRECTIONS, SymbolTable
@@ -35,27 +34,25 @@ class UnknownIdentifierError(ExprSyntaxError):
     pass
 
 
+# Every character of the text starts exactly one match: a token, a run of
+# whitespace or a single character no token can start ("bad").
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))"
+    r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token in one pass, then ("end", "", len(text)).
+    A character no token can start is an error at its own position."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -156,7 +153,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "num":
-            return Expr.const(Fraction(int(val)))
+            return Expr.const(int(val))
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")

@@ -158,7 +158,7 @@ class Polynomial:
 
     @staticmethod
     def const(value) -> "Polynomial":
-        c = Fraction(value)
+        c = value if value.__class__ is int else Fraction(value)
         return Polynomial({_EMPTY: c}) if c else _ZERO
 
     @staticmethod

@@ -11,9 +11,12 @@ pieces, each produced here as a deterministic trace or report:
   lambda (c + lambda nu) = 0 and nu (c + lambda nu) = 0; the case
   c + lambda nu != 0 collapses to c = 0 via the principal-curvature
   relation, so c + lambda nu = 0 with lambda nu != 0.
-* quadratic_analysis -- substituting lambda = -c/nu into the
+* quadratic_elimination -- substituting lambda = -c/nu into the
   principal-curvature relation and clearing denominators yields a fixed
-  quadratic in nu whose discriminant decides solvability per model space.
+  quadratic in nu and its discriminant, with c still symbolic.  This step
+  does not depend on the model space, so a command runs it once.
+* quadratic_analysis -- per model space, the discriminant of that
+  quadratic at the space's c decides solvability.
 * type_b_exclusion -- the remaining candidates have constant principal
   curvatures; the tube families ("type B") violate lambda nu = -c
   numerically by a margin of 3 at every radius.
@@ -460,8 +463,20 @@ class QuadraticAnalysis:
         return "\n".join(lines)
 
 
-def quadratic_analysis(space: ModelSpace) -> QuadraticAnalysis:
-    """Eliminate lambda via c = -lambda nu and analyze the resulting quadratic."""
+@dataclass(frozen=True)
+class QuadraticElimination:
+    """The space-independent part of the quadratic analysis."""
+
+    table: SymbolTable              # constants alpha, lambda, nu, c
+    cleared_equation: Expr          # canonical quadratic in nu, c symbolic
+    proportionality_factor: Fraction
+    discriminant: Expr              # symbolic in alpha, c
+
+
+def quadratic_elimination() -> QuadraticElimination:
+    """Eliminate lambda via c = -lambda nu: the cleared relation must be a
+    nonzero multiple of QUADRATIC_TEXT, whose discriminant in nu must be
+    DISCRIMINANT_TEXT."""
     table = SymbolTable()
     for name in ("alpha", "lambda", "nu", "c"):
         table.constant(name)
@@ -469,7 +484,6 @@ def quadratic_analysis(space: ModelSpace) -> QuadraticAnalysis:
     lam = table.get("lambda")
     nu = table.get("nu")
     c = table.get("c")
-    alpha = table.get("alpha")
 
     substituted = basic.substitute({lam: -Expr.from_symbol(c) / Expr.from_symbol(nu)})
     target = parse_expr(QUADRATIC_TEXT, table)
@@ -481,9 +495,20 @@ def quadratic_analysis(space: ModelSpace) -> QuadraticAnalysis:
         )
     factor = quotient.constant_value()
 
-    sol = solve_quadratic(target, nu)
-    disc = sol.discriminant
+    disc = solve_quadratic(target, nu).discriminant
     _expect("discriminant", disc, parse_expr(DISCRIMINANT_TEXT, table))
+    return QuadraticElimination(table, target, factor, disc)
+
+
+def quadratic_analysis(space: ModelSpace, elimination: QuadraticElimination) -> QuadraticAnalysis:
+    """Analyze the quadratic of `elimination` at the curvature c of `space`."""
+    table = elimination.table
+    nu = table.get("nu")
+    c = table.get("c")
+    alpha = table.get("alpha")
+    target = elimination.cleared_equation
+    factor = elimination.proportionality_factor
+    disc = elimination.discriminant
 
     disc_at_c = disc.substitute({c: Expr.const(space.c)})
     coeffs = disc_at_c.coefficients_in(alpha)
@@ -622,7 +647,8 @@ def verify_all(
     cat = catalog if catalog is not None else builtin_catalog()
     nonhopf = nonhopf_contradiction()
     hopf = hopf_branch()
-    quad = (quadratic_analysis(CP2), quadratic_analysis(CH2))
+    elimination = quadratic_elimination()
+    quad = (quadratic_analysis(CP2, elimination), quadratic_analysis(CH2, elimination))
     typeb = (
         type_b_exclusion(CP2, samples=samples, tol=tol_oracle, catalog=cat),
         type_b_exclusion(CH2, samples=samples, tol=tol_oracle, catalog=cat),

@@ -2,10 +2,18 @@
 
 An ``Expr`` is a reduced fraction of two canonical polynomials with the
 denominator normalized to leading coefficient 1.  A denominator equal to 1 is
-always the shared ``Polynomial.one()``, so arithmetic on polynomial values
-multiplies by it for free and takes no gcd.  Structural equality of two
-``Expr`` values coincides with equality as rational functions, so the proof
-layer can test "is exactly zero" by construction.  Values are immutable.
+always the shared ``Polynomial.one()``.  Structural equality of two ``Expr``
+values coincides with equality as rational functions, so the proof layer can
+test "is exactly zero" by construction.  Values are immutable.
+
+Polynomial values take a fast path.  When every operand of ``+``, ``-``,
+``*``, negation, ``derivative`` or a division by a nonzero rational constant
+has the unit denominator, and for ``Expr.const``, ``Expr.from_symbol`` and an
+``int`` times an ``Expr``, the result is built by ``_polynomial``: the
+canonical numerator over the shared one, or the shared zero.  This is
+exactly what the canonicalizing constructor would store, since a unit
+denominator takes no gcd and ``_set`` leaves num/1 unchanged.  So canonical
+forms, text and the gcds taken do not depend on which path built a value.
 
 ``Expr.eval`` evaluates one expression once.  ``compile_float`` turns a
 sequence of expressions into one straight-line Python function that returns
@@ -128,11 +136,11 @@ class Expr:
 
     @staticmethod
     def const(value) -> "Expr":
-        return Expr(Polynomial.const(value))
+        return _polynomial(Polynomial.const(value))
 
     @staticmethod
     def from_symbol(sym: Symbol) -> "Expr":
-        return Expr(Polynomial.from_symbol(sym))
+        return _polynomial(Polynomial.from_symbol(sym))
 
     @staticmethod
     def _coerce(value: Scalar) -> "Expr":
@@ -148,7 +156,7 @@ class Expr:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     @property
     def is_rational_constant(self) -> bool:
@@ -168,43 +176,54 @@ class Expr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Expr":
-        o = Expr._coerce(other)
+        o = other if other.__class__ is Expr else Expr._coerce(other)
         if o.is_zero:  # Expr is immutable, so an operand can be returned
             return self
         if self.is_zero:
             return o
+        if self.den is _ONE and o.den is _ONE:
+            return _polynomial(self.num + o.num)
         return Expr(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __radd__(self, other: Scalar) -> "Expr":
         return Expr._coerce(other) + self
 
     def __sub__(self, other: Scalar) -> "Expr":
-        o = Expr._coerce(other)
+        o = other if other.__class__ is Expr else Expr._coerce(other)
         if o.is_zero:
             return self
         if self.is_zero:
             return -o
+        if self.den is _ONE and o.den is _ONE:
+            return _polynomial(self.num - o.num)
         return Expr(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other: Scalar) -> "Expr":
         return Expr._coerce(other) - self
 
     def __neg__(self) -> "Expr":
+        if self.den is _ONE:
+            return _polynomial(-self.num)
         return Expr(-self.num, self.den)
 
     def __mul__(self, other: Scalar) -> "Expr":
-        o = Expr._coerce(other)
+        if other.__class__ is int and self.den is _ONE:
+            return _polynomial(self.num.scale(other))
+        o = other if other.__class__ is Expr else Expr._coerce(other)
         if o.is_zero or self.is_zero:
             return _ZERO_EXPR
+        if self.den is _ONE and o.den is _ONE:
+            return _polynomial(self.num * o.num)
         return Expr(self.num * o.num, self.den * o.den)
 
-    def __rmul__(self, other: Scalar) -> "Expr":
-        return Expr._coerce(other) * self
+    __rmul__ = __mul__  # multiplication commutes, canonical forms included
 
     def __truediv__(self, other: Scalar) -> "Expr":
-        o = Expr._coerce(other)
+        o = other if other.__class__ is Expr else Expr._coerce(other)
         if o.is_zero:
             raise DivisionByZeroExpr(f"division of {self} by zero expression")
+        if self.den is _ONE and o.den is _ONE and o.num.is_constant:
+            return _polynomial(self.num.scale(1 / o.num.constant_value()))
         return Expr(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other: Scalar) -> "Expr":
@@ -260,8 +279,8 @@ class Expr:
     def derivative(self, direction: str) -> "Expr":
         """Formal directional derivative; quotient rule over the derivation."""
         dn = self.num.derivative(direction)
-        if self.den.is_constant:
-            return Expr(dn, self.den)
+        if self.den is _ONE:
+            return _polynomial(dn)
         dd = self.den.derivative(direction)
         return Expr(dn * self.den - self.num * dd, self.den * self.den)
 
@@ -349,6 +368,26 @@ class Expr:
 
 _ZERO_EXPR = Expr(Polynomial.zero())
 _ONE_EXPR = Expr(Polynomial.one())
+_ONE = Polynomial.one()
+_new = object.__new__
+_set_num, _set_den, _set_hash = Expr.num.__set__, Expr.den.__set__, Expr._hash.__set__
+
+
+def _polynomial(num: Polynomial) -> Expr:
+    """The Expr num/1, built without the canonicalizing constructor.
+
+    num/1 is already canonical: a unit denominator takes no gcd, and _set
+    stores a nonzero num over the shared one unchanged and a zero num as
+    0/1.  So this returns the shared zero or a new Expr holding num and the
+    shared one, equal in every slot to Expr(num).
+    """
+    if not num.terms:
+        return _ZERO_EXPR
+    out = _new(Expr)
+    _set_num(out, num)
+    _set_den(out, _ONE)
+    _set_hash(out, None)
+    return out
 
 
 def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:

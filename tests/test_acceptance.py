@@ -29,6 +29,7 @@ from starricci import (
     nonhopf_contradiction,
     parse_expr,
     quadratic_analysis,
+    quadratic_elimination,
     solve_quadratic,
     star_ricci_closed,
     star_ricci_trace,
@@ -104,8 +105,9 @@ def test_criterion_2_hopf_chain():
 
 @criterion(3, "quadratic replication")
 def test_criterion_3_quadratic_replication():
+    elimination = quadratic_elimination()
     for space, expect_bound in ((CP2, None), (CH2, Fraction(25, 4))):
-        q = quadratic_analysis(space)
+        q = quadratic_analysis(space, elimination)
         assert q.cleared_equation == _reference("2*alpha*nu^2 + 5*c*nu - 2*alpha*c")
         assert q.proportionality_factor != 0
         assert q.discriminant == _reference("25*c^2 + 16*alpha^2*c")

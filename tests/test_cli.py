@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from starricci import cli, conditions, frames, proofs
 from starricci.cli import main
+from starricci.rational import Expr
 
 
 def run(capsys, *argv):
@@ -174,6 +175,26 @@ def test_text_and_json_agree_on_equations(capsys):
         assert f": {entry['equation']}" in text
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_renders_each_equation_once(monkeypatch, capsys, fmt):
+    # each format builds only what it prints: one to_text per report entry
+    rendered = []
+    to_text = Expr.to_text
+
+    def counted(self):
+        rendered.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(Expr, "to_text", counted)
+    code, out = run(capsys, "check", "star-ricci", "parallel", "nonhopf", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        entries = len(json.loads(out)["payload"]["entries"])
+    else:
+        entries = sum(" : " in line for line in out.splitlines())
+    assert entries > 0 and len(rendered) == entries
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "prove", "nonhopf", "--format", "json",
@@ -246,6 +267,13 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
+def test_expr_syntax_error_names_the_offending_character(capsys):
+    assert main(["expr", "eval", "a $", "a=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected character '$' (at position 2)\n"
+
+
 def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
     calls = Counter()
 
@@ -257,13 +285,19 @@ def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
 
     pieces = ("nonhopf_contradiction", "hopf_branch", "quadratic_analysis",
               "type_b_exclusion")
-    for name in pieces:
+    for name in (*pieces, "quadratic_elimination"):
         wrapper = counted(name, getattr(proofs, name))
         for module in (proofs, cli):
             monkeypatch.setattr(module, name, wrapper)
     code, _ = run(capsys, "prove", "all", "--samples", "5")
     assert code == 0
     assert [calls[name] for name in pieces] == [1, 1, 2, 2]
+    # the space-independent elimination serves both spaces
+    assert calls["quadratic_elimination"] == 1
+    calls.clear()
+    code, _ = run(capsys, "prove", "quadratic")
+    assert code == 0
+    assert (calls["quadratic_elimination"], calls["quadratic_analysis"]) == (1, 2)
 
 
 @pytest.mark.parametrize("space", [None, "cp2", "ch2"])

@@ -129,6 +129,23 @@ def test_parse_errors_carry_position(table):
         parse_expr("x $ y", table)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("$", 0), ("a $", 2), ("x $ y", 2), ("x +\t  #", 6), ("(x)\n?", 4), ("x+ y @", 5),
+])
+def test_unexpected_character_is_reported_at_its_own_position(table, text, pos):
+    # the error names the offending character, not the whitespace before it
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, table)
+    assert err.value.pos == pos
+    assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+
+
+def test_surrounding_whitespace_still_parses(table):
+    expected = parse_expr("x + 2*y", table)
+    for text in ("x + 2*y ", "  x+2 * y\t\n", "\nx\t+ 2*y   "):
+        assert parse_expr(text, table) == expected
+
+
 def test_define_missing_registers_constants():
     t = SymbolTable()
     e = parse_expr("p*q + 1", t, define_missing=True)
@@ -449,6 +466,49 @@ def test_unit_denominator_is_the_shared_polynomial(a, b, n, bindings):
             assert got.den is Polynomial.one()
         assert got == general
         assert got.to_text() == general.to_text()
+
+
+_SCALARS = st.one_of(st.integers(min_value=-3, max_value=3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _assert_canonical(got, num, den):
+    """got is, slot for slot, Expr(num, den) from the canonicalizing constructor."""
+    ref = Expr(num, den)
+    assert got.__class__ is Expr
+    assert (got.num, got.den) == (ref.num, ref.den)
+    assert got.to_text() == ref.to_text()
+    assert hash(got) == hash(ref)
+    if got.den.is_constant:
+        assert got.den is Polynomial.one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_UNIT_EXPRS, st.just(Expr.zero())), st.one_of(_UNIT_EXPRS, st.just(Expr.zero())),
+       _SCALARS, st.sampled_from(_UT_SYMS), st.sampled_from(("e1", "e2", "e3")))
+def test_fast_path_equals_the_canonicalizing_constructor(a, b, k, sym, direction):
+    kp = Polynomial.const(k)
+    da, db = _den(a), _den(b)
+    _assert_canonical(a + b, a.num * db + b.num * da, da * db)
+    _assert_canonical(a - b, a.num * db - b.num * da, da * db)
+    _assert_canonical(a * b, a.num * b.num, da * db)
+    _assert_canonical(-a, -a.num, da)
+    _assert_canonical(k * a, kp * a.num, da)
+    _assert_canonical(a * k, a.num * kp, da)
+    _assert_canonical(a + k, a.num + kp * da, da)
+    _assert_canonical(k - a, kp * da - a.num, da)
+    if k:
+        _assert_canonical(a / k, a.num, da * kp)
+    if not b.is_zero:
+        _assert_canonical(a / b, a.num * db, da * b.num)
+    _assert_canonical(Expr.const(k), kp, _fresh_unit())
+    _assert_canonical(Expr.from_symbol(sym), Polynomial.from_symbol(sym), _fresh_unit())
+    dn = a.num.derivative(direction)
+    _assert_canonical(a.derivative(direction),
+                      dn * da - a.num * da.derivative(direction), da * da)
+    # zero results
+    for zero in (a - a, a + -a, 0 * a, a * 0, Expr.const(0), Expr.from_symbol(sym) - sym):
+        _assert_canonical(zero, Polynomial.zero(), _fresh_unit())
 
 
 def _substitute_per_term(e, bindings):

@@ -323,6 +323,28 @@ def test_frame_calculus_takes_no_gcd(monkeypatch):
     assert len(calls) == 0
 
 
+def test_frame_calculus_never_enters_the_canonicalizing_constructor(monkeypatch):
+    # every frame quantity is polynomial, so every Expr comes from the fast path
+    calls = []
+    init = Expr.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Expr, "__init__", counted)
+    for ctx in (build_nonhopf_context(), build_hopf_context()):
+        ricci(ctx)
+        star_ricci_trace(ctx)
+        sstar = star_ricci_closed(ctx)
+        for X in FRAME_INDICES:
+            for Y in FRAME_INDICES:
+                codazzi_residual(ctx, X, Y)
+                for P in FRAME_INDICES:
+                    covariant_derivative_entry(ctx, X, sstar, Y, P)
+    assert len(calls) == 0
+
+
 def test_curvature_carries_no_derivative_symbols(nonhopf, hopf):
     for ctx in (nonhopf, hopf):
         for i in range(3):

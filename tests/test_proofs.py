@@ -23,6 +23,7 @@ from starricci.proofs import (
     hopf_branch,
     nonhopf_contradiction,
     quadratic_analysis,
+    quadratic_elimination,
     type_b_exclusion,
     verdict,
     verify_all,
@@ -161,7 +162,7 @@ def test_nonzero_tracker_rejects_non_dividing_factor():
 # -- quadratic analysis -----------------------------------------------------------------
 
 def test_quadratic_analysis_cp2():
-    q = quadratic_analysis(CP2)
+    q = quadratic_analysis(CP2, quadratic_elimination())
     assert q.cleared_equation == _parse("2*alpha*nu^2 + 5*c*nu - 2*alpha*c")
     assert q.proportionality_factor == Fraction(-1, 4)
     assert q.discriminant == _parse("25*c^2 + 16*alpha^2*c")
@@ -170,7 +171,7 @@ def test_quadratic_analysis_cp2():
 
 
 def test_quadratic_analysis_ch2():
-    q = quadratic_analysis(CH2)
+    q = quadratic_analysis(CH2, quadratic_elimination())
     assert q.discriminant_at_c == _parse("400 - 64*alpha^2")
     assert not q.always_solvable
     assert q.alpha_sq_bound == Fraction(25, 4)
@@ -227,6 +228,23 @@ def test_witness_equals_the_per_radius_reference(samples):
             reference = min(reference, ev.max_abs_residual)
     summary = verify_all(samples=samples)
     assert summary.witness_min_residual.hex() == reference.hex()
+
+
+def test_verify_all_rarely_enters_the_canonicalizing_constructor(monkeypatch):
+    # polynomial arithmetic takes the fast path; only the substitutions,
+    # cancellations and coefficient views build an Expr(num, den)
+    cat = builtin_catalog()
+    verify_all(samples=20, catalog=cat)  # fill the catalog's report cache
+    calls = []
+    init = Expr.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Expr, "__init__", counted)
+    assert verify_all(samples=20, catalog=cat).ok
+    assert len(calls) < 100
 
 
 def test_verify_all_evaluates_no_single_radius(monkeypatch):
