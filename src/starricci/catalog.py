@@ -414,7 +414,7 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     elif kind is ConditionKind.SEMI_PARALLEL:
         report = semi_parallel_equations(ctx, sstar, "star-ricci")
     elif kind is ConditionKind.PSEUDO_PARALLEL:
-        L = Expr.from_symbol(ctx.table.constant(_PSEUDO_PARALLEL_FUNCTION))
+        L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
         report = pseudo_parallel_equations(ctx, sstar, L, "star-ricci")
     elif kind is ConditionKind.EINSTEIN:
         report = einstein_equations(ctx)

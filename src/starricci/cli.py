@@ -236,23 +236,24 @@ def _name_values(items: Sequence[str], noun: str) -> dict[str, str]:
 
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
+    names = ctx.table.scope()  # the context's names and this command's
     kind = ConditionKind(args.condition)
     if kind is ConditionKind.EINSTEIN:  # builds its own Ricci tensor
-        report = einstein_equations(ctx)
+        report = einstein_equations(ctx, names)
     else:
         tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
         if kind is ConditionKind.PSEUDO_PARALLEL:
-            L = parse_expr(args.pseudo_l, ctx.table, define_missing=True)
+            L = parse_expr(args.pseudo_l, names, define_missing=True)
             report = pseudo_parallel_equations(ctx, tensor, L, args.tensor)
         else:
             report = _CONDITION_BUILDERS[kind](ctx, tensor, args.tensor)
     if args.assumptions:
         bindings = {}
         for name, value in _name_values(args.assumptions, "assumption").items():
-            sym = ctx.table.get(name)
+            sym = names.get(name)
             if sym is None:
                 raise ValueError(f"unknown symbol {name!r} in this context")
-            bindings[sym] = parse_expr(value, ctx.table)
+            bindings[sym] = parse_expr(value, names)
         report = report.substitute(bindings)
     payload = {
         "tensor": args.tensor,

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .frames import (
     FRAME_INDICES,
     FrameContext,
     FrameIndex,
     Tensor11,
+    _curvature_operators,
     covariant_derivative_entry,
-    curvature_operator,
     ricci,
 )
 from .rational import Expr
+from .symbols import SymbolTable
 
 
 class ConditionKind(Enum):
@@ -143,9 +144,10 @@ def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "
 
     The i > j half is the exact negation (tested, not emitted).
     """
+    R = _curvature_operators(ctx)
     entries = []
     for X, Y in _PAIRS:
-        d = _derivation(curvature_operator(ctx, X, Y), T)
+        d = _derivation(R[X.value][Y.value], T)
         for K in FRAME_INDICES:
             for L in FRAME_INDICES:
                 entries.append(ReportEntry((X, Y), K, L, d.entry(L.value, K.value)))
@@ -160,9 +162,10 @@ def pseudo_parallel_equations(
     L is checked as given: the report with L = 0 coincides with the
     semi-parallel one.
     """
+    R = _curvature_operators(ctx)
     entries = []
     for X, Y in _PAIRS:
-        d = _derivation(curvature_operator(ctx, X, Y), T)
+        d = _derivation(R[X.value][Y.value], T)
         w = _derivation(_wedge_operator(X, Y), T).scale(L)
         diff = d - w
         for K in FRAME_INDICES:
@@ -175,14 +178,16 @@ def pseudo_parallel_equations(
 EINSTEIN_SYMBOL = "lambda_e"
 
 
-def einstein_equations(ctx: FrameContext) -> ConditionReport:
+def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -> ConditionReport:
     """S_{jk} - lambda_e delta_{jk} for the Ricci tensor of the context.
 
     The Einstein constant gets its own symbol, distinct from the principal
-    curvature lambda.
+    curvature lambda.  It is minted in `scope`, a scope of ctx.table (a new
+    one by default), never in the context's own table.
     """
     S = ricci(ctx)
-    lam_e = Expr.from_symbol(ctx.table.constant(EINSTEIN_SYMBOL))
+    scope = ctx.table.scope() if scope is None else scope
+    lam_e = Expr.from_symbol(scope.constant(EINSTEIN_SYMBOL))
     entries = []
     for Y in FRAME_INDICES:
         for proj in FRAME_INDICES:

@@ -36,6 +36,17 @@ Conventions (fixed here, used everywhere):
   i.e. g(S* X, Y) = (1/2) * trace(Z -> phi(R(X, phi Y) Z)), which agrees
   exactly with the closed form S* = -[(c n / 2) phi^2 + (phi A)^2] at n = 2.
 
+Sharing (fixed here as well):
+
+* each context is built once per process: build_nonhopf_context and
+  build_hopf_context return one shared context each;
+* the tensors derived from a context -- the three operators R(e_i, e_j),
+  i < j, the Ricci tensor and the closed-form S* -- are computed once per
+  context and kept on it; a context made by dataclasses.replace (so by
+  with_shape_operator) computes its own;
+* a context's symbol table is frozen once built, so no command writes a
+  shared table: names a command defines go in a scope() of the table.
+
 Note the closed form makes S* symmetric in the Hopf context but *not* in the
 non-Hopf one (S* xi = beta mu U - beta delta phiU has no counterpart in
 S* U); the asymmetry is genuine and is never silently symmetrized.
@@ -46,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Union
 
 from .parsing import parse_expr
@@ -267,7 +279,8 @@ class FrameContext:
     """A frozen frame: structure tensor, shape operator, connection, curvature c.
 
     c is the symbol c of the context's table.  The ambient complex dimension
-    is 2 throughout (real hypersurface dimension 3).
+    is 2 throughout (real hypersurface dimension 3).  The table is frozen
+    with the context: names a caller adds go in a scope() of it.
     """
 
     kind: str                 # "non-hopf" | "hopf"
@@ -276,6 +289,16 @@ class FrameContext:
     A: Tensor11
     phi: Tensor11
     connection: ConnectionTable
+
+    def __post_init__(self) -> None:
+        self.table.frozen = True
+
+    @cached_property
+    def _derived(self) -> dict:
+        """The tensors computed from this context, by function (see
+        _once_per_context).  dataclasses.replace, and so with_shape_operator,
+        makes a context that starts without them."""
+        return {}
 
     def sym(self, name: str) -> Expr:
         s = self.table.get(name)
@@ -290,7 +313,21 @@ class FrameContext:
         return s
 
     def parse(self, text: str) -> Expr:
-        return parse_expr(text, self.table)
+        """text parsed in a scope of the table: a D(...) or cot(...) it holds
+        is interned there, not in the shared table."""
+        return parse_expr(text, self.table.scope())
+
+
+def _once_per_context(fn):
+    """fn(ctx), computed on the first call for a context and then kept on it."""
+    @wraps(fn)
+    def once(ctx: FrameContext):
+        derived = ctx._derived
+        value = derived.get(fn)
+        if value is None:
+            value = derived[fn] = fn(ctx)
+        return value
+    return once
 
 
 def _structure_tensor() -> Tensor11:
@@ -298,11 +335,13 @@ def _structure_tensor() -> Tensor11:
     return Tensor11(((0, -1, 0), (1, 0, 0), (0, 0, 0)))
 
 
+@lru_cache(maxsize=None)
 def build_nonhopf_context() -> FrameContext:
     """Frame {U, phiU, xi} with A xi = alpha xi + beta U, beta != 0 locally.
 
     alpha, beta, gamma, delta, mu and the connection coefficients kappa1..3
     are function symbols; the curvature constant c is a constant symbol.
+    Built once per process: every call returns the same context.
     """
     table = SymbolTable()
     al = table.function("alpha")
@@ -349,13 +388,15 @@ def build_nonhopf_context() -> FrameContext:
 HOPF_FUNCTIONS = ("h1", "h2", "h3")
 
 
+@lru_cache(maxsize=None)
 def build_hopf_context() -> FrameContext:
     """Principal frame {W, phiW, xi} at a point: A = diag(lambda, nu, alpha).
 
     alpha, lambda, nu and the curvature constant c are derivative-free
     symbols.  The connection's action on xi is nabla_X xi = phi A X; the
     remaining coefficients g(nabla_{e_i} W, phi W) are unconstrained fresh
-    symbols h1, h2, h3.
+    symbols h1, h2, h3.  Built once per process: every call returns the
+    same context.
     """
     table = SymbolTable()
     al = table.constant("alpha")
@@ -462,15 +503,16 @@ def curvature_operator(ctx: FrameContext, X: FrameIndex, Y: FrameIndex) -> Tenso
     return Tensor11(tuple(entry(l, k) for k in range(3)) for l in range(3))
 
 
-def _curvature_operators(ctx: FrameContext) -> list:
+@_once_per_context
+def _curvature_operators(ctx: FrameContext) -> tuple:
     """R[i][j] = R(e_i, e_j) for all i, j, from the three operators with i < j:
-    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
+    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0.  Computed once per context."""
     R = [[Tensor11.zero()] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             R[i][j] = curvature_operator(ctx, FRAME_INDICES[i], FRAME_INDICES[j])
             R[j][i] = -R[i][j]
-    return R
+    return tuple(map(tuple, R))
 
 
 def curvature(ctx: FrameContext, X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
@@ -487,8 +529,10 @@ def curvature(ctx: FrameContext, X: VectorField, Y: VectorField, Z: VectorField)
     return op.apply(Z)
 
 
+@_once_per_context
 def ricci(ctx: FrameContext) -> Tensor11:
-    """Ricci tensor: g(S e_j, e_k) = sum_i g(R(e_i, e_j) e_k, e_i)."""
+    """Ricci tensor: g(S e_j, e_k) = sum_i g(R(e_i, e_j) e_k, e_i).  Computed
+    once per context."""
     R = _curvature_operators(ctx)
     return Tensor11(
         tuple(sum((R[i][j].entry(i, k) for i in range(3)), Expr.zero()) for j in range(3))
@@ -496,8 +540,10 @@ def ricci(ctx: FrameContext) -> Tensor11:
     )
 
 
+@_once_per_context
 def star_ricci_closed(ctx: FrameContext) -> Tensor11:
-    """Closed form S* = -[(c n / 2) phi^2 + (phi A)^2], at n = 2 (c n / 2 = c)."""
+    """Closed form S* = -[(c n / 2) phi^2 + (phi A)^2], at n = 2 (c n / 2 = c).
+    Computed once per context."""
     phi, A = ctx.phi, ctx.A
     phiA = phi @ A
     return -((phi @ phi).scale(ctx.c) + (phiA @ phiA))

@@ -95,25 +95,46 @@ class SymbolTable:
     tables may give one name different kinds (alpha is a function of the
     non-Hopf frame and a constant of the Hopf frame), and a memoized product
     holds the symbols it was first computed from.
+
+    A frozen table takes no new name: a frame context freezes its table
+    once built, because one context serves every command of a process.  A
+    command mints its own names (a parsed --pseudo-l, the Einstein constant)
+    in a ``scope()`` of the table instead, which reads through to it and is
+    dropped with the command.  A scope mints no function symbol: every name
+    a scope adds is a constant or a derivative, so a name has one kind in a
+    table and all its scopes, and the table's memos, which may hold products
+    of a scope's symbols, stay right for every later scope.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, parent: Optional["SymbolTable"] = None) -> None:
         self._by_name: dict[str, Symbol] = {}
+        self._parent = parent
+        self.frozen = False
         self.monomials = None
 
     def _define(self, sym: Symbol) -> Symbol:
-        existing = self._by_name.get(sym.name)
+        existing = self.get(sym.name)
         if existing is not None:
             if existing.kind != sym.kind:
                 raise SymbolError(
                     f"symbol {sym.name!r} already defined with kind {existing.kind!r}"
                 )
             return existing
+        if self.frozen:
+            raise SymbolError(
+                f"no new symbol {sym.name!r} in a frozen table; define it in a scope()"
+            )
         self._by_name[sym.name] = sym
         return sym
 
+    def scope(self) -> "SymbolTable":
+        """A new table that reads through to this one and holds what it defines."""
+        return SymbolTable(self)
+
     def function(self, name: str) -> Symbol:
         _check_ident(name)
+        if self._parent is not None:
+            raise SymbolError(f"a scope mints no function symbol such as {name!r}")
         return self._define(Symbol(name, FUNCTION, table=self))
 
     def constant(self, name: str) -> Symbol:
@@ -129,13 +150,17 @@ class SymbolTable:
         return self._define(Symbol(text, CONSTANT, fn=fn, arg=arg, table=self))
 
     def get(self, name: str) -> Optional[Symbol]:
-        return self._by_name.get(name)
+        sym = self._by_name.get(name)
+        if sym is None and self._parent is not None:
+            return self._parent.get(name)
+        return sym
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return self.get(name) is not None
 
     def names(self) -> list[str]:
-        return sorted(self._by_name)
+        own = sorted(self._by_name)
+        return own if self._parent is None else sorted({*own, *self._parent.names()})
 
 
 def _check_ident(name: str) -> None:

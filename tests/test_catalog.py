@@ -8,7 +8,7 @@ import tokenize
 
 import pytest
 
-from starricci import catalog
+from starricci import catalog, rational
 from starricci.catalog import (
     CH2,
     CP2,
@@ -167,6 +167,20 @@ def test_catalog_roundtrip():
         assert a.space == b.space
         assert a.alpha == b.alpha and a.lam == b.lam and a.nu == b.nu
         assert a.domain == pytest.approx(b.domain)
+
+
+def test_loading_a_catalog_again_compiles_no_kernel(monkeypatch):
+    text = format_catalog(builtin_catalog())
+    first = parse_catalog(text)
+    calls = []
+    monkeypatch.setattr(rational, "compile", lambda *a: calls.append(a) or compile(*a),
+                        raising=False)
+    again = parse_catalog(text)
+    assert calls == []
+    # the code is shared, the functions are not: each load defines its own
+    for a, b in zip(first.families, again.families):
+        assert a.curvature_columns is not b.curvature_columns
+        assert a.curvature_columns.source == b.curvature_columns.source
 
 
 def test_catalog_rejects_bad_family():

@@ -410,3 +410,64 @@ def test_row_writers_match_the_generic_writers(family, rows, below):
     # the row text before the template: one f-string per row
     text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
     assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
+
+
+# Commands that define names: the --pseudo-l identifiers, the Einstein
+# constant lambda_e and the pseudo-parallel function L of the cached reports.
+_DEFINING_COMMANDS = [
+    ["check", "star-ricci", "pseudo-parallel", "hopf", "--pseudo-l", "foo"],
+    ["check", "star-ricci", "pseudo-parallel", "nonhopf", "--pseudo-l", "foo"],
+    ["check", "ricci", "einstein", "hopf"],
+    ["sweep", "cp2-a1", "0.2", "0.9", "3", "pseudo-parallel"],
+    ["prove", "all"],
+]
+# Each fails in a fresh process: the name is not one of the context's.
+_NAME_PROBES = [
+    ["check", "ricci", "parallel", "hopf", "foo=1"],
+    ["check", "ricci", "parallel", "nonhopf", "foo=1"],
+    ["check", "ricci", "parallel", "hopf", "lambda_e=1"],
+    ["check", "ricci", "parallel", "nonhopf", "lambda_e=1"],
+    ["check", "ricci", "parallel", "hopf", "L=1"],
+    ["check", "ricci", "parallel", "nonhopf", "delta=foo"],
+]
+
+
+def _in_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "starricci.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_names_a_command_defines_stay_in_that_command(monkeypatch, capsys):
+    # the contexts are shared by every command of a process, but what one
+    # command defines must not change what a later one accepts
+    fresh = [_in_fresh_process(argv) for argv in _NAME_PROBES]
+    assert [code for code, _, _ in fresh] == [2] * len(_NAME_PROBES)
+    assert all(out == "" and err.startswith("error: unknown") and err.count("\n") == 1
+               for _, out, err in fresh)
+    cited = []
+    entry = proofs.covariant_derivative_entry
+
+    def recorded(ctx, X, T, Y, P):
+        cited.append((ctx.kind, X, Y, P))
+        return entry(ctx, X, T, Y, P)
+
+    monkeypatch.setattr(proofs, "covariant_derivative_entry", recorded)
+    projections = []
+    for argv in _DEFINING_COMMANDS + [["prove", "all"]]:
+        cited.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        if argv[0] == "prove":
+            projections.append(list(cited))
+    # proof steps are not cached: the second prove all computes its
+    # projections again, exactly the cited ones
+    E1, E2, E3 = frames.FrameIndex
+    assert projections == [[("non-hopf", E3, E3, E3), ("non-hopf", E2, E3, E3),
+                            ("non-hopf", E3, E2, E3), ("hopf", E1, E3, E2),
+                            ("hopf", E2, E3, E1)]] * 2
+    for argv, expected in zip(_NAME_PROBES, fresh):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, argv

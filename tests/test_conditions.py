@@ -136,7 +136,8 @@ def test_wedge_operator_action():
 
 
 def test_einstein_report(hopf):
-    rep = einstein_equations(hopf)
+    scope = hopf.table.scope()
+    rep = einstein_equations(hopf, scope)
     assert len(rep) == 9
     # symmetric report
     for Y in FRAME_INDICES:
@@ -149,7 +150,7 @@ def test_einstein_report(hopf):
         hopf.symbol("lambda"): Expr.const(1),
         hopf.symbol("nu"): Expr.const(1),
         hopf.symbol("c"): Expr.const(-4),
-        hopf.symbol("lambda_e"): Expr.const(-6),
+        scope.get("lambda_e"): Expr.const(-6),
     }
     assert rep.substitute(bind).is_zero()
 

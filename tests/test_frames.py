@@ -22,7 +22,7 @@ from starricci.frames import (
     with_shape_operator,
 )
 from starricci.rational import Expr
-from starricci.symbols import DERIVATIVE
+from starricci.symbols import DERIVATIVE, SymbolError, SymbolTable
 
 E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
 
@@ -87,6 +87,37 @@ def test_nabla_xi_equals_phi_A(nonhopf, hopf):
             lhs = ctx.connection.nabla(X, E3)
             rhs = ctx.phi.apply(ctx.A.column(X))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
+def test_contexts_and_their_tensors_are_built_once(build):
+    ctx = build()
+    assert build() is ctx
+    for derived in (ricci, star_ricci_closed):
+        assert derived(ctx) is derived(ctx)
+    # a replaced context computes its own, equal when nothing changed
+    same = with_shape_operator(ctx, ctx.A)
+    assert ricci(same) is not ricci(ctx) and ricci(same) == ricci(ctx)
+    zero = with_shape_operator(ctx, Tensor11.zero())
+    assert star_ricci_closed(zero) != star_ricci_closed(ctx)
+
+
+def test_names_added_to_a_context_go_in_a_scope(hopf):
+    with pytest.raises(SymbolError, match="frozen"):
+        hopf.table.constant("zeta")
+    scope = hopf.table.scope()
+    zeta = scope.constant("zeta")
+    assert scope.get("zeta") is zeta and "zeta" in scope
+    assert hopf.table.get("zeta") is None and "zeta" not in hopf.table
+    assert scope.get("alpha") is hopf.symbol("alpha")
+    assert scope.constant("alpha") is hopf.symbol("alpha")
+    with pytest.raises(SymbolError, match="already defined"):
+        scope.constant("h1")
+    with pytest.raises(SymbolError, match="no function symbol"):
+        scope.function("zeta2")
+    # parsing interns D(...) and applied atoms in a scope of its own
+    assert hopf.parse("D(e1,h1) + cot(alpha)").to_text() == "D(e1,h1) + cot(alpha)"
+    assert hopf.table.get("D(e1,h1)") is None and hopf.table.get("cot(alpha)") is None
 
 
 # -- covariant derivatives --------------------------------------------------------
@@ -173,9 +204,13 @@ def _codazzi_full_matrix_form(ctx, X, Y):
 
 @pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
 def test_covariant_derivative_entry_matches_column_form(build):
-    ctx = build()
+    # function symbols from a table of their own (a context's table is frozen
+    # and its scopes mint no function symbol), on a context of its own, whose
+    # memos the foreign symbols may enter
+    ctx = build.__wrapped__()
+    table = SymbolTable()
     free = Tensor11(
-        tuple(Expr.from_symbol(ctx.table.function(f"t{i}{j}")) for j in range(3))
+        tuple(Expr.from_symbol(table.function(f"t{i}{j}")) for j in range(3))
         for i in range(3)
     )
     for T in (ctx.A, ctx.phi, star_ricci_closed(ctx), ricci(ctx), free):
@@ -273,8 +308,9 @@ def _gauss_vector_form(ctx, X, Y, Z):
 def generic():
     """The non-Hopf frame with a symmetric shape operator of six free symbols."""
     ctx = build_nonhopf_context()
+    scope = ctx.table.scope()
     a11, a12, a13, a22, a23, a33 = (
-        Expr.from_symbol(ctx.table.constant(name))
+        Expr.from_symbol(scope.constant(name))
         for name in ("a11", "a12", "a13", "a22", "a23", "a33")
     )
     A = Tensor11(((a11, a12, a13), (a12, a22, a23), (a13, a23, a33)))
@@ -313,7 +349,8 @@ def test_frame_calculus_takes_no_gcd(monkeypatch):
         return gcd(f, g)
 
     monkeypatch.setattr(rational, "poly_gcd", counted)
-    for ctx in (build_nonhopf_context(), build_hopf_context()):
+    # contexts of their own: the shared ones may hold their tensors already
+    for ctx in (build_nonhopf_context.__wrapped__(), build_hopf_context.__wrapped__()):
         ricci(ctx)
         star_ricci_trace(ctx)
         star_ricci_closed(ctx)
@@ -333,7 +370,8 @@ def test_frame_calculus_never_enters_the_canonicalizing_constructor(monkeypatch)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Expr, "__init__", counted)
-    for ctx in (build_nonhopf_context(), build_hopf_context()):
+    # contexts of their own: the shared ones may hold their tensors already
+    for ctx in (build_nonhopf_context.__wrapped__(), build_hopf_context.__wrapped__()):
         ricci(ctx)
         star_ricci_trace(ctx)
         sstar = star_ricci_closed(ctx)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starricci.frames import build_hopf_context, build_nonhopf_context, ricci
+from starricci.frames import build_hopf_context, build_nonhopf_context, ricci, with_shape_operator
 from starricci.parsing import parse_expr
 from starricci import polynomial, symbols
 from starricci.polynomial import Polynomial, poly_gcd
@@ -280,7 +280,8 @@ def test_same_name_symbols_are_equal_and_hash_as_their_name():
 
 
 def test_ricci_makes_no_python_call_into_symbols():
-    ctx = build_nonhopf_context()
+    # a context of its own: the shared one may hold its Ricci tensor already
+    ctx = build_nonhopf_context.__wrapped__()
     calls = []
 
     def profile(frame, event, _arg):
@@ -302,11 +303,15 @@ def test_second_ricci_computes_no_key_and_no_product(monkeypatch):
             misses[name] += 1
             return original(self, key)
         monkeypatch.setattr(cls, "__missing__", counted)
-    ctx = build_nonhopf_context()
+    # a context of its own, not the shared one: its table's memos start empty
+    ctx = build_nonhopf_context.__wrapped__()
     first = ricci(ctx)
     assert misses["_KeyMemo"] > 0 and misses["_ProductRow"] > 0
+    assert ricci(ctx) is first  # computed once per context
     misses.clear()
-    assert ricci(ctx) == first
+    # a new context on the same table computes Ricci again, from the memos
+    again = with_shape_operator(ctx, ctx.A)
+    assert ricci(again) == first and ricci(again) is not first
     assert misses == Counter()
 
 
