@@ -7,14 +7,11 @@ contexts are built, both with e3 = xi (the structure vector field):
 
 * non-Hopf: e1 = U, e2 = phi U, where A xi = alpha xi + beta U with beta
   treated as nonzero; the shape operator has columns
-  A U = (gamma, delta, beta), A phiU = (delta, mu, 0), A xi = (beta, 0, alpha),
-  and the connection table encodes the standard relations
-  nabla_U xi = -delta U + gamma phiU, nabla_U U = kappa1 phiU + delta xi, etc.
+  A U = (gamma, delta, beta), A phiU = (delta, mu, 0), A xi = (beta, 0, alpha);
+  its free connection coefficients are kappa1, kappa2, kappa3.
 * Hopf: e1 = W, e2 = phi W with A = diag(lambda, nu, alpha) at a point with a
-  principal frame; alpha, lambda, nu are derivative-free point values.  Only
-  the action of the connection on xi is pinned (nabla_X xi = phi A X); the
-  free coefficients g(nabla_{e_i} W, phi W) become fresh function symbols
-  h1, h2, h3.
+  principal frame; alpha, lambda, nu are derivative-free point values, and
+  the free connection coefficients are h1, h2, h3.
 
 Conventions (fixed here, used everywhere):
 
@@ -28,6 +25,10 @@ Conventions (fixed here, used everywhere):
   (d the Kronecker delta); curvature, ricci and star_ricci_trace contract
   the three operators R(e_i, e_j), i < j, extended by antisymmetry;
 * Gamma_ijk = g(nabla_{e_i} e_j, e_k) = ctx.connection.entries[i][j][k];
+  both connections follow from one rule, written once, in _frame_context:
+  nabla_X xi = phi A X gives Gamma_i3k = g(phi A e_i, e_k), metric
+  compatibility gives Gamma_ijk = -Gamma_ikj, and the free coefficients
+  Gamma_i12 = g(nabla_{e_i} e1, e2) are fresh function symbols;
 * (nabla_X T) Y = nabla_X (T Y) - T (nabla_X Y), written once, in
   covariant_derivative_entry, as the frame entries
       g((nabla_{e_X} T) e_Y, e_P) = e_X(T_PY) + sum_k Gamma_XkP T_kY
@@ -301,10 +302,7 @@ class FrameContext:
         return {}
 
     def sym(self, name: str) -> Expr:
-        s = self.table.get(name)
-        if s is None:
-            raise KeyError(f"no symbol {name!r} in this context")
-        return Expr.from_symbol(s)
+        return Expr.from_symbol(self.symbol(name))
 
     def symbol(self, name: str) -> Symbol:
         s = self.table.get(name)
@@ -335,6 +333,26 @@ def _structure_tensor() -> Tensor11:
     return Tensor11(((0, -1, 0), (1, 0, 0), (0, 0, 0)))
 
 
+def _frame_context(kind: str, table: SymbolTable, A: Tensor11,
+                   free: Iterable[str]) -> FrameContext:
+    """The context of shape operator A on the frame {e1, e2 = phi e1, xi}.
+
+    Mints the free coefficients Gamma_i12 = free[i] as function symbols, then
+    the curvature constant c, and derives every other connection entry from
+    nabla_X xi = phi A X: Gamma_i3k = g(phi A e_i, e_k), Gamma_ijk = -Gamma_ikj.
+    """
+    hs = [Expr.from_symbol(table.function(name)) for name in free]
+    ce = Expr.from_symbol(table.constant("c"))
+    phi = _structure_tensor()
+    phiA = phi @ A
+    zero = Expr.zero()
+    slices = []
+    for i, h in enumerate(hs):
+        xi = phiA.column(i)  # nabla_{e_i} xi
+        slices.append(((zero, h, -xi[0]), (-h, zero, -xi[1]), tuple(xi)))
+    return FrameContext(kind, table, ce, A, phi, ConnectionTable(slices))
+
+
 @lru_cache(maxsize=None)
 def build_nonhopf_context() -> FrameContext:
     """Frame {U, phiU, xi} with A xi = alpha xi + beta U, beta != 0 locally.
@@ -344,44 +362,12 @@ def build_nonhopf_context() -> FrameContext:
     Built once per process: every call returns the same context.
     """
     table = SymbolTable()
-    al = table.function("alpha")
-    be = table.function("beta")
-    ga = table.function("gamma")
-    de = table.function("delta")
-    mu = table.function("mu")
-    k1 = table.function("kappa1")
-    k2 = table.function("kappa2")
-    k3 = table.function("kappa3")
-    ce = Expr.from_symbol(table.constant("c"))
-
-    E = Expr.from_symbol
-    A = Tensor11((
-        (E(ga), E(de), E(be)),
-        (E(de), E(mu), Expr.zero()),
-        (E(be), Expr.zero(), E(al)),
-    ))
-    zero = Expr.zero()
-    conn = ConnectionTable((
-        # nabla_U .
-        (
-            (zero, E(k1), E(de)),            # nabla_U U       = kappa1 phiU + delta xi
-            (-E(k1), zero, -E(ga)),          # nabla_U phiU    = -kappa1 U - gamma xi
-            (-E(de), E(ga), zero),           # nabla_U xi      = -delta U + gamma phiU
-        ),
-        # nabla_phiU .
-        (
-            (zero, E(k2), E(mu)),            # nabla_phiU U    = kappa2 phiU + mu xi
-            (-E(k2), zero, -E(de)),          # nabla_phiU phiU = -kappa2 U - delta xi
-            (-E(mu), E(de), zero),           # nabla_phiU xi   = -mu U + delta phiU
-        ),
-        # nabla_xi .
-        (
-            (zero, E(k3), zero),             # nabla_xi U      = kappa3 phiU
-            (-E(k3), zero, -E(be)),          # nabla_xi phiU   = -kappa3 U - beta xi
-            (zero, E(be), zero),             # nabla_xi xi     = beta phiU
-        ),
-    ))
-    return FrameContext("non-hopf", table, ce, A, _structure_tensor(), conn)
+    al, be, ga, de, mu = (
+        Expr.from_symbol(table.function(name))
+        for name in ("alpha", "beta", "gamma", "delta", "mu")
+    )
+    A = Tensor11(((ga, de, be), (de, mu, 0), (be, 0, al)))
+    return _frame_context("non-hopf", table, A, ("kappa1", "kappa2", "kappa3"))
 
 
 # Names of the unconstrained connection coefficients of the Hopf context.
@@ -393,39 +379,14 @@ def build_hopf_context() -> FrameContext:
     """Principal frame {W, phiW, xi} at a point: A = diag(lambda, nu, alpha).
 
     alpha, lambda, nu and the curvature constant c are derivative-free
-    symbols.  The connection's action on xi is nabla_X xi = phi A X; the
-    remaining coefficients g(nabla_{e_i} W, phi W) are unconstrained fresh
-    symbols h1, h2, h3.  Built once per process: every call returns the
-    same context.
+    symbols; the connection coefficients g(nabla_{e_i} W, phi W) are
+    unconstrained function symbols h1, h2, h3.  Built once per process:
+    every call returns the same context.
     """
     table = SymbolTable()
-    al = table.constant("alpha")
-    lam = table.constant("lambda")
-    nu = table.constant("nu")
-    hs = [table.function(name) for name in HOPF_FUNCTIONS]
-    ce = Expr.from_symbol(table.constant("c"))
-
-    E = Expr.from_symbol
-    A = Tensor11((
-        (E(lam), 0, 0),
-        (0, E(nu), 0),
-        (0, 0, E(al)),
-    ))
-    phi = _structure_tensor()
-    zero = Expr.zero()
-    # nabla_{e_i} xi = phi A e_i
-    xi_cols = [phi.apply(A.apply(VectorField.basis(i))) for i in range(3)]
-    slices = []
-    for i in range(3):
-        h = E(hs[i])
-        xc = xi_cols[i]
-        slices.append((
-            (zero, h, -xc[0]),
-            (-h, zero, -xc[1]),
-            (xc[0], xc[1], zero),
-        ))
-    conn = ConnectionTable(slices)
-    return FrameContext("hopf", table, ce, A, phi, conn)
+    al, lam, nu = (Expr.from_symbol(table.constant(name)) for name in ("alpha", "lambda", "nu"))
+    A = Tensor11(((lam, 0, 0), (0, nu, 0), (0, 0, al)))
+    return _frame_context("hopf", table, A, HOPF_FUNCTIONS)
 
 
 # -- covariant differentiation ---------------------------------------------

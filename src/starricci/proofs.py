@@ -49,6 +49,7 @@ from .catalog import (
 )
 from .conditions import ConditionKind
 from .frames import (
+    FrameContext,
     FrameIndex,
     build_hopf_context,
     build_nonhopf_context,
@@ -211,11 +212,13 @@ def _expect(label: str, got: Expr, expected: Expr) -> None:
         )
 
 
-def _assert_projection_purity(label: str, e: Expr) -> None:
-    """The replayed projections must not involve the kappa coefficients or
-    any formal derivative symbol; that is the content of the projection trick."""
+def _assert_projection_purity(ctx: FrameContext, label: str, e: Expr) -> None:
+    """The replayed projections must not involve the free connection
+    coefficients Gamma_i12 of ctx or any formal derivative symbol; that is the
+    content of the projection trick."""
+    free = {s for i in range(3) for s in ctx.connection.entries[i][0][1].symbols()}
     for sym in e.symbols():
-        if sym.kind == DERIVATIVE or sym.name.startswith("kappa"):
+        if sym.kind == DERIVATIVE or sym in free:
             raise ProofError(
                 f"step {label}: unexpected symbol {sym.name} in {e.to_text()}"
             )
@@ -259,7 +262,7 @@ def nonhopf_contradiction() -> ProofTrace:
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
     _expect("1", eq, ctx.parse("beta^2*delta"))
-    _assert_projection_purity("1", eq)
+    _assert_projection_purity(ctx, "1", eq)
     _conclude_zero("1", nonzero.cancel(eq, beta), "delta")
     bindings.update(_derivative_bindings(ctx.table, "delta", Expr.zero()))
     trace.add(ProofStep(
@@ -277,7 +280,7 @@ def nonhopf_contradiction() -> ProofTrace:
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
     _expect("2", eq, ctx.parse("beta*mu^2"))
-    _assert_projection_purity("2", eq)
+    _assert_projection_purity(ctx, "2", eq)
     _conclude_zero("2", nonzero.cancel(eq, beta), "mu")
     bindings.update(_derivative_bindings(ctx.table, "mu", Expr.zero()))
     trace.add(ProofStep(
@@ -295,7 +298,7 @@ def nonhopf_contradiction() -> ProofTrace:
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = raw.substitute(bindings)  # contradiction witness: recorded as computed
     _expect("3", eq, ctx.parse("-c*beta"))
-    _assert_projection_purity("3", eq)
+    _assert_projection_purity(ctx, "3", eq)
     _expect("3", nonzero.cancel(eq, beta), -c)
     trace.add(ProofStep(
         label="3",
@@ -353,7 +356,7 @@ def hopf_branch() -> ProofTrace:
     X, Y, P = where = (E1, E3, E2)
     eq1 = sign_normalized(covariant_derivative_entry(ctx, X, sstar, Y, P))
     _expect("1", eq1, ctx.parse("lambda*(c + lambda*nu)"))
-    _assert_projection_purity("1", eq1)
+    _assert_projection_purity(ctx, "1", eq1)
     trace.add(ProofStep(
         label="1",
         equation=eq1,
@@ -375,7 +378,7 @@ def hopf_branch() -> ProofTrace:
 
     eq2 = sign_normalized(covariant_derivative_entry(ctx, E2, sstar, E3, E1))
     _expect("2b", eq2, ctx.parse("nu*(c + lambda*nu)"))
-    _assert_projection_purity("2b", eq2)
+    _assert_projection_purity(ctx, "2b", eq2)
     _conclude_zero("2b", case_nonzero.cancel(eq2, p), "nu")
     trace.add(ProofStep(
         label="2b",

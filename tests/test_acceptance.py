@@ -79,10 +79,11 @@ def test_criterion_1_exact_nonhopf_chain():
     t0 = time.perf_counter()
     trace = nonhopf_contradiction()
     elapsed = time.perf_counter() - t0
+    ctx = build_nonhopf_context()
     assert [s.equation for s in trace.steps] == [
-        _reference("beta^2*delta"),
-        _reference("beta*mu^2"),
-        _reference("-c*beta"),
+        ctx.parse("beta^2*delta"),
+        ctx.parse("beta*mu^2"),
+        ctx.parse("-c*beta"),
     ], "chain must be beta^2*delta, beta*mu^2, -c*beta with zero structural diff"
     assert trace.status == "contradiction"
     assert any("beta != 0" in h for h in trace.hypotheses)
@@ -95,9 +96,10 @@ def test_criterion_1_exact_nonhopf_chain():
 def test_criterion_2_hopf_chain():
     trace = hopf_branch()
     eqs = {s.label: s.equation for s in trace.steps}
-    assert eqs["1"] == _reference("lambda*(c + lambda*nu)")
-    assert eqs["2b"] == _reference("nu*(c + lambda*nu)")
-    assert eqs["2c"] == _reference("-c/4")
+    ctx = build_hopf_context()
+    assert eqs["1"] == ctx.parse("lambda*(c + lambda*nu)")
+    assert eqs["2b"] == ctx.parse("nu*(c + lambda*nu)")
+    assert eqs["2c"] == ctx.parse("-c/4")
     assert not eqs["2c"].is_zero
     _report(2, "Hopf projections lambda*(c+lambda*nu), nu*(c+lambda*nu); "
                "relation at lambda=nu=0 gives -c/4 != 0")

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from starricci import frames, rational
+from starricci import proofs
 from starricci.frames import (
     FRAME_INDICES,
+    ConnectionTable,
     FrameIndex,
     Tensor11,
     VectorField,
@@ -62,6 +65,64 @@ def test_hopf_connection_entries(hopf):
     assert ctx.A.column(E3) == VectorField((0, 0, ctx.sym("alpha")))
     # nabla_xi xi = phi A xi = 0
     assert ctx.connection.nabla(E3, E3).is_zero
+
+
+def _nonhopf_reference_connection(ctx):
+    """The non-Hopf connection written out entry by entry."""
+    be, ga, de, mu, k1, k2, k3 = (
+        ctx.sym(n) for n in ("beta", "gamma", "delta", "mu", "kappa1", "kappa2", "kappa3")
+    )
+    zero = Expr.zero()
+    return ConnectionTable((
+        # nabla_U .
+        (
+            (zero, k1, de),         # nabla_U U       = kappa1 phiU + delta xi
+            (-k1, zero, -ga),       # nabla_U phiU    = -kappa1 U - gamma xi
+            (-de, ga, zero),        # nabla_U xi      = -delta U + gamma phiU
+        ),
+        # nabla_phiU .
+        (
+            (zero, k2, mu),         # nabla_phiU U    = kappa2 phiU + mu xi
+            (-k2, zero, -de),       # nabla_phiU phiU = -kappa2 U - delta xi
+            (-mu, de, zero),        # nabla_phiU xi   = -mu U + delta phiU
+        ),
+        # nabla_xi .
+        (
+            (zero, k3, zero),       # nabla_xi U      = kappa3 phiU
+            (-k3, zero, -be),       # nabla_xi phiU   = -kappa3 U - beta xi
+            (zero, be, zero),       # nabla_xi xi     = beta phiU
+        ),
+    ))
+
+
+def _hopf_reference_connection(ctx):
+    """The Hopf connection slice by slice: nabla_{e_i} xi = phi A e_i, the
+    free coefficient h_i in (W, phiW), the rest by antisymmetry."""
+    zero = Expr.zero()
+    xi_cols = [ctx.phi.apply(ctx.A.apply(VectorField.basis(i))) for i in range(3)]
+    slices = []
+    for i in range(3):
+        h = ctx.sym(f"h{i + 1}")
+        xc = xi_cols[i]
+        slices.append((
+            (zero, h, -xc[0]),
+            (-h, zero, -xc[1]),
+            (xc[0], xc[1], zero),
+        ))
+    return ConnectionTable(slices)
+
+
+@pytest.mark.parametrize("build, reference", [
+    (build_nonhopf_context, _nonhopf_reference_connection),
+    (build_hopf_context, _hopf_reference_connection),
+])
+def test_connection_equals_its_reference_entry_by_entry(build, reference):
+    ctx = build()
+    expected = reference(ctx)
+    for i, j, k in product(range(3), repeat=3):
+        got, want = ctx.connection.entries[i][j][k], expected.entries[i][j][k]
+        assert got == want, (i, j, k)
+        assert got.to_text() == want.to_text(), (i, j, k)
 
 
 def test_phi_structure_relations(nonhopf, hopf):
@@ -481,6 +542,15 @@ def test_codazzi_hopf_xi_component_closed_form(hopf):
     res = codazzi_residual(hopf, E1, E2)
     al, lam, nu = (hopf.sym(n) for n in ("alpha", "lambda", "nu"))
     assert res[2] == al * lam + al * nu - 2 * lam * nu + hopf.c / 2
+
+
+def test_codazzi_hopf_xi_component_is_the_principal_curvature_relation(hopf):
+    # the relation the Hopf replay takes as input, from the derived connection
+    res = codazzi_residual(hopf, E1, E2)
+    assert res[2] == -2 * hopf.parse(proofs.BASIC_RELATION_TEXT)
+    lam, nu = hopf.sym("lambda"), hopf.sym("nu")
+    assert res[0] == hopf.sym("h1") * (lam - nu)
+    assert res[1] == -hopf.sym("h2") * (lam - nu)
 
 
 def test_codazzi_hopf_vanishes_on_models():

@@ -14,7 +14,7 @@ from starricci.catalog import (
     parse_catalog,
     radius_grid,
 )
-from starricci.frames import FrameIndex
+from starricci.frames import FrameIndex, build_hopf_context, build_nonhopf_context
 from starricci.parsing import parse_expr
 from starricci.proofs import (
     IllegalCancellationError,
@@ -133,6 +133,29 @@ def test_replays_compute_only_the_cited_projections(monkeypatch, replay, cited):
     monkeypatch.setattr(conditions, "_nabla_condition", no_report)
     replay()
     assert calls == cited
+
+
+@pytest.mark.parametrize("replay, build, names", [
+    (nonhopf_contradiction, build_nonhopf_context, ("kappa1", "kappa2", "kappa3")),
+    (hopf_branch, build_hopf_context, ("h1", "h2", "h3")),
+])
+def test_projections_holding_a_free_connection_coefficient_are_proof_errors(
+        monkeypatch, replay, build, names):
+    # the free coefficients are the context's Gamma_i12 entries, whatever their names
+    ctx = build()
+    for name in names:
+        with pytest.raises(ProofError, match=f"unexpected symbol {name} "):
+            proofs._assert_projection_purity(ctx, "1", ctx.sym(name) * ctx.c)
+    proofs._assert_projection_purity(ctx, "1", ctx.sym("alpha") * ctx.c)
+    # in a replay, a cited projection holding one is rejected before any cancellation
+    entry = proofs.covariant_derivative_entry
+    name = names[0]
+    free = ctx.sym(name) * ctx.sym("alpha")
+    monkeypatch.setattr(proofs, "covariant_derivative_entry",
+                        lambda *args: entry(*args) + free)
+    monkeypatch.setattr(proofs, "_expect", lambda *args: None)
+    with pytest.raises(ProofError, match=f"step 1: unexpected symbol {name} "):
+        replay()
 
 
 # -- cancellation discipline ----------------------------------------------------------
