@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
     else:
         lines = [f"family {fam.family_id} ({fam.description})",
                  f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-        lines += _rows(_TEXT_ROW, "\n", columns).split("\n")
+        lines.append(_rows(_TEXT_ROW, "\n", columns))  # the whole row block
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0

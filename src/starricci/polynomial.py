@@ -309,7 +309,11 @@ class Polynomial:
             if not _mono_divides(dm, rm):
                 return None
             m = _mono_div(rm, dm)
-            c = Fraction(rc) / dc
+            # an integral quotient of two ints stays an int: no Fraction is built
+            if rc.__class__ is int and dc.__class__ is int and not rc % dc:
+                c = rc // dc
+            else:
+                c = Fraction(rc) / dc
             quot[m] = quot.get(m, 0) + c
             rem = rem - divisor * Polynomial({m: c})
         return Polynomial(quot)

@@ -21,6 +21,13 @@ pieces, each produced here as a deterministic trace or report:
   curvatures; the tube families ("type B") violate lambda nu = -c
   numerically by a margin of 3 at every radius.
 
+The fixed forms the replays compare with (the expected equations and
+BASIC_RELATION_TEXT) are parsed once per frame context and kept on it, in
+the context's own table.  The elimination builds its table of the constants
+alpha, lambda, nu and c once per process, freezes it and parses its three
+forms in it once.  Only the parsing of constant text is kept: every
+comparison, purity check and cancellation runs on every replay.
+
 Algebraic discipline: a step may cancel only factors that were declared
 nonzero (the tracker rejects anything else), and equations recorded as
 vanishing statements are sign-normalized (positive leading coefficient),
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from operator import sub
 from typing import Optional
@@ -51,6 +59,7 @@ from .conditions import ConditionKind
 from .frames import (
     FrameContext,
     FrameIndex,
+    _once_per_context,
     build_hopf_context,
     build_nonhopf_context,
     covariant_derivative_entry,
@@ -205,6 +214,25 @@ class ProofTrace:
         return "\n".join(lines)
 
 
+class _Forms(dict):
+    """Fixed text -> that text parsed in a scope of `table`, parsed on first
+    use and kept: the forms a replay compares with are constants."""
+
+    def __init__(self, table: SymbolTable):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, text: str) -> Expr:
+        form = self[text] = parse_expr(text, self.table.scope())
+        return form
+
+
+@_once_per_context
+def _forms(ctx: FrameContext) -> _Forms:
+    """The fixed forms the replays compare with in ctx, kept on ctx."""
+    return _Forms(ctx.table)
+
+
 def _expect(label: str, got: Expr, expected: Expr) -> None:
     if got != expected:
         raise ProofError(
@@ -243,6 +271,7 @@ def nonhopf_contradiction() -> ProofTrace:
     forces c = 0, impossible in a non-flat ambient space.
     """
     ctx = build_nonhopf_context()
+    forms = _forms(ctx)
     sstar = star_ricci_closed(ctx)
     beta = ctx.sym("beta")
     c = ctx.sym("c")
@@ -261,7 +290,7 @@ def nonhopf_contradiction() -> ProofTrace:
     X, Y, P = where = (E3, E3, E3)
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
-    _expect("1", eq, ctx.parse("beta^2*delta"))
+    _expect("1", eq, forms["beta^2*delta"])
     _assert_projection_purity(ctx, "1", eq)
     _conclude_zero("1", nonzero.cancel(eq, beta), "delta")
     bindings.update(_derivative_bindings(ctx.table, "delta", Expr.zero()))
@@ -279,7 +308,7 @@ def nonhopf_contradiction() -> ProofTrace:
     X, Y, P = where = (E2, E3, E3)
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = sign_normalized(raw.substitute(bindings))
-    _expect("2", eq, ctx.parse("beta*mu^2"))
+    _expect("2", eq, forms["beta*mu^2"])
     _assert_projection_purity(ctx, "2", eq)
     _conclude_zero("2", nonzero.cancel(eq, beta), "mu")
     bindings.update(_derivative_bindings(ctx.table, "mu", Expr.zero()))
@@ -297,7 +326,7 @@ def nonhopf_contradiction() -> ProofTrace:
     X, Y, P = where = (E3, E2, E3)
     raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
     eq = raw.substitute(bindings)  # contradiction witness: recorded as computed
-    _expect("3", eq, ctx.parse("-c*beta"))
+    _expect("3", eq, forms["-c*beta"])
     _assert_projection_purity(ctx, "3", eq)
     _expect("3", nonzero.cancel(eq, beta), -c)
     trace.add(ProofStep(
@@ -335,6 +364,7 @@ def hopf_branch() -> ProofTrace:
     both factors nonzero.
     """
     ctx = build_hopf_context()
+    forms = _forms(ctx)
     sstar = star_ricci_closed(ctx)
     c = ctx.sym("c")
     lam = ctx.sym("lambda")
@@ -355,7 +385,7 @@ def hopf_branch() -> ProofTrace:
     # step 1: (W, xi) projection onto phiW
     X, Y, P = where = (E1, E3, E2)
     eq1 = sign_normalized(covariant_derivative_entry(ctx, X, sstar, Y, P))
-    _expect("1", eq1, ctx.parse("lambda*(c + lambda*nu)"))
+    _expect("1", eq1, forms["lambda*(c + lambda*nu)"])
     _assert_projection_purity(ctx, "1", eq1)
     trace.add(ProofStep(
         label="1",
@@ -377,7 +407,7 @@ def hopf_branch() -> ProofTrace:
     ))
 
     eq2 = sign_normalized(covariant_derivative_entry(ctx, E2, sstar, E3, E1))
-    _expect("2b", eq2, ctx.parse("nu*(c + lambda*nu)"))
+    _expect("2b", eq2, forms["nu*(c + lambda*nu)"])
     _assert_projection_purity(ctx, "2b", eq2)
     _conclude_zero("2b", case_nonzero.cancel(eq2, p), "nu")
     trace.add(ProofStep(
@@ -388,10 +418,10 @@ def hopf_branch() -> ProofTrace:
         substitution=(("nu", Expr.zero()),),
     ))
 
-    basic = ctx.parse(BASIC_RELATION_TEXT)
+    basic = forms[BASIC_RELATION_TEXT]
     eq3 = basic.substitute({ctx.symbol("lambda"): Expr.zero(),
                             ctx.symbol("nu"): Expr.zero()})
-    _expect("2c", eq3, ctx.parse("-c/4"))
+    _expect("2c", eq3, forms["-c/4"])
     trace.add(ProofStep(
         label="2c",
         equation=eq3,
@@ -476,20 +506,30 @@ class QuadraticElimination:
     discriminant: Expr              # symbolic in alpha, c
 
 
+@lru_cache(maxsize=None)
+def _elimination_forms() -> _Forms:
+    """The forms of the elimination, in one frozen table of the constants
+    alpha, lambda, nu and c built once per process."""
+    table = SymbolTable()
+    for name in ("alpha", "lambda", "nu", "c"):
+        table.constant(name)
+    table.frozen = True
+    return _Forms(table)
+
+
 def quadratic_elimination() -> QuadraticElimination:
     """Eliminate lambda via c = -lambda nu: the cleared relation must be a
     nonzero multiple of QUADRATIC_TEXT, whose discriminant in nu must be
     DISCRIMINANT_TEXT."""
-    table = SymbolTable()
-    for name in ("alpha", "lambda", "nu", "c"):
-        table.constant(name)
-    basic = parse_expr(BASIC_RELATION_TEXT, table)
+    forms = _elimination_forms()
+    table = forms.table
+    basic = forms[BASIC_RELATION_TEXT]
     lam = table.get("lambda")
     nu = table.get("nu")
     c = table.get("c")
 
     substituted = basic.substitute({lam: -Expr.from_symbol(c) / Expr.from_symbol(nu)})
-    target = parse_expr(QUADRATIC_TEXT, table)
+    target = forms[QUADRATIC_TEXT]
     quotient = substituted.num.exact_div(target.num)
     if quotient is None or not quotient.is_constant or quotient.constant_value() == 0:
         raise ProofError(
@@ -499,7 +539,7 @@ def quadratic_elimination() -> QuadraticElimination:
     factor = quotient.constant_value()
 
     disc = solve_quadratic(target, nu).discriminant
-    _expect("discriminant", disc, parse_expr(DISCRIMINANT_TEXT, table))
+    _expect("discriminant", disc, forms[DISCRIMINANT_TEXT])
     return QuadraticElimination(table, target, factor, disc)
 
 

@@ -123,7 +123,8 @@ def test_sweep_builds_only_the_requested_format(monkeypatch, capsys, fmt):
         assert len(report.payload["rows"]) == 10
     else:
         assert "rows" not in report.payload
-        assert len(report.text_lines) == 12
+        _family, _heading, rows = report.text_lines  # the row block is one item
+        assert len(rows.split("\n")) == 10
     assert report.payload["rows_below_witness_tol"] == 0
 
 

@@ -91,6 +91,51 @@ def test_exact_division(syms):
         f.exact_div(Polynomial.zero())
 
 
+def _exact_div_over_fractions(p, divisor):
+    """Polynomial.exact_div with every leading quotient built as
+    Fraction(rc) / dc: the reference for its integral int quotients."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero:
+        return Polynomial.zero()
+    if divisor.is_constant:
+        return p.scale(1 / divisor.constant_value())
+    quot = {}
+    rem = p
+    dm, dc = divisor.leading()
+    while not rem.is_zero:
+        rm, rc = rem.leading()
+        if not polynomial._mono_divides(dm, rm):
+            return None
+        m = polynomial._mono_div(rm, dm)
+        c = Fraction(rc) / dc
+        quot[m] = quot.get(m, 0) + c
+        rem = rem - divisor * Polynomial({m: c})
+    return Polynomial(quot)
+
+
+_DIV_TABLE = SymbolTable()
+_DIV_SYMS = [_DIV_TABLE.constant(n) for n in ("x", "y", "z")]
+_DIV_COEFFS = st.one_of(st.integers(-12, 12),
+                        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+_DIV_POLYS = st.dictionaries(
+    st.dictionaries(st.sampled_from(_DIV_SYMS), st.integers(1, 2), max_size=2).map(
+        lambda exps: tuple(sorted(exps.items()))),
+    _DIV_COEFFS, max_size=4).map(Polynomial)
+
+
+def _typed_terms(p):
+    return None if p is None else [(m, type(c), c) for m, c in p.terms]
+
+
+@given(_DIV_POLYS, _DIV_POLYS.filter(lambda q: not q.is_zero))
+def test_exact_div_matches_the_fraction_reference(p, q):
+    # a multiple of q divides; p itself mostly does not (None on both sides)
+    for dividend in (p * q, p):
+        assert _typed_terms(dividend.exact_div(q)) == \
+            _typed_terms(_exact_div_over_fractions(dividend, q))
+
+
 def test_gcd_univariate(syms):
     _, x, _, _ = syms
     f = P(x) ** 2 - Polynomial.one()

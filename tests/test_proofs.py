@@ -1,9 +1,10 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from starricci import catalog, conditions, proofs
+from starricci import catalog, conditions, parsing, proofs
 from starricci.catalog import (
     CH2,
     CP2,
@@ -29,7 +30,7 @@ from starricci.proofs import (
     verify_all,
 )
 from starricci.rational import Expr
-from starricci.symbols import DERIVATIVE, SymbolTable
+from starricci.symbols import DERIVATIVE, SymbolError, SymbolTable
 
 
 def _parse(text):
@@ -277,3 +278,59 @@ def test_verify_all_evaluates_no_single_radius(monkeypatch):
     for module in (catalog, proofs):
         monkeypatch.setattr(module, "evaluate_condition", boom, raising=False)
     assert verify_all(samples=20).ok
+
+
+# -- the fixed forms a replay compares with ------------------------------------------------
+
+def test_second_verify_all_parses_no_text(monkeypatch):
+    cat = builtin_catalog()
+    verify_all(samples=20, catalog=cat)  # parses each fixed form once
+    parsed = []
+    init = parsing._Parser.__init__
+
+    def counted(self, text, *args, **kwargs):
+        parsed.append(text)
+        init(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(parsing._Parser, "__init__", counted)
+    assert verify_all(samples=20, catalog=cat).ok
+    assert parsed == []
+    table = quadratic_elimination().table
+    assert quadratic_elimination().table is table
+    with pytest.raises(SymbolError, match="frozen"):
+        table.constant("kappa")
+
+
+def test_kept_forms_keep_no_verdict(monkeypatch):
+    # a kept form is only what a step is compared with: every check runs again
+    nonhopf_contradiction()
+    hopf_branch()
+    quadratic_elimination()
+    entry = proofs.covariant_derivative_entry
+    monkeypatch.setattr(proofs, "covariant_derivative_entry",
+                        lambda ctx, *args: entry(ctx, *args) + ctx.c)
+    for replay in (nonhopf_contradiction, hopf_branch):
+        with pytest.raises(ProofError, match="step 1: expected"):
+            replay()
+    monkeypatch.setattr(proofs, "solve_quadratic",
+                        lambda e, sym: SimpleNamespace(discriminant=e))
+    with pytest.raises(ProofError, match="step discriminant: expected"):
+        quadratic_elimination()
+
+
+def test_kept_forms_hold_only_the_symbols_of_their_table():
+    # each reference is compared in the table it was parsed in, so the
+    # comparison stays right when symbols of two tables no longer compare equal
+    nonhopf_contradiction()
+    hopf_branch()
+    elimination = quadratic_elimination()
+    kept = [
+        (build_nonhopf_context().table, proofs._forms(build_nonhopf_context()), 3),
+        (build_hopf_context().table, proofs._forms(build_hopf_context()), 4),
+        (elimination.table, proofs._elimination_forms(), 3),
+    ]
+    for table, forms, count in kept:
+        assert len(forms) == count
+        for form in forms.values():
+            assert form.symbols()
+            assert all(sym.table is table for sym in form.symbols())
