@@ -46,7 +46,7 @@ from .conditions import (
     xi_parallel_equations,
 )
 from .frames import build_hopf_context, build_nonhopf_context, ricci, star_ricci_closed
-from .parsing import parse_expr
+from .parsing import ExprSyntaxError, parse_expr
 from .proofs import (
     CH2,
     CP2,
@@ -63,8 +63,8 @@ from .proofs import (
     verdict,
     verify_all,
 )
-from .rational import ExprError
-from .symbols import SymbolTable
+from .rational import Expr, ExprError
+from .symbols import Symbol, SymbolTable
 
 SCHEMA = "starricci.report/1"
 
@@ -234,6 +234,22 @@ def _name_values(items: Sequence[str], noun: str) -> dict[str, str]:
     return values
 
 
+def _assumed_symbol(name: str, names: SymbolTable) -> Symbol:
+    """The symbol an assumption binds: `name` parsed in the command's scope,
+    accepted only when it is one symbol, a context name or a D(ei, f) of one
+    (D of a constant is 0, an applied atom such as cot(alpha) is no symbol
+    of the context).  Anything else is a ValueError."""
+    try:
+        expr = parse_expr(name, names)
+    except ExprSyntaxError:
+        expr = Expr.zero()
+    if len(expr.symbols()) == 1:
+        sym, = expr.symbols()
+        if sym.fn is None and expr == Expr.from_symbol(sym):
+            return sym
+    raise ValueError(f"unknown symbol {name!r} in this context")
+
+
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
     names = ctx.table.scope()  # the context's names and this command's
@@ -250,10 +266,7 @@ def cmd_check(args) -> int:
     if args.assumptions:
         bindings = {}
         for name, value in _name_values(args.assumptions, "assumption").items():
-            sym = names.get(name)
-            if sym is None:
-                raise ValueError(f"unknown symbol {name!r} in this context")
-            bindings[sym] = parse_expr(value, names)
+            bindings[_assumed_symbol(name, names)] = parse_expr(value, names)
         report = report.substitute(bindings)
     payload = {
         "tensor": args.tensor,

@@ -24,7 +24,7 @@ from .frames import (
     covariant_derivative_entry,
     ricci,
 )
-from .rational import Expr
+from .rational import Expr, dot
 from .symbols import SymbolTable
 
 
@@ -135,8 +135,18 @@ def _wedge_operator(X: FrameIndex, Y: FrameIndex) -> Tensor11:
 
 
 def _derivation(op: Tensor11, T: Tensor11) -> Tensor11:
-    """Action of an so(3)-valued operator as a derivation: op.T = op T - T op."""
-    return (op @ T) - (T @ op)
+    """Action of an so(3)-valued operator as a derivation: op.T = op T - T op,
+    each entry one accumulation of six products."""
+    o, t = op.rows, T.rows
+    o_cols, t_cols = tuple(zip(*o)), tuple(zip(*t))
+    return Tensor11(
+        tuple(
+            dot(((1, oi[0], tc[0]), (1, oi[1], tc[1]), (1, oi[2], tc[2]),
+                 (-1, ti[0], oc[0]), (-1, ti[1], oc[1]), (-1, ti[2], oc[2])))
+            for tc, oc in zip(t_cols, o_cols)
+        )
+        for oi, ti in zip(o, t)
+    )
 
 
 def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
@@ -159,18 +169,19 @@ def pseudo_parallel_equations(
 ) -> ConditionReport:
     """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j.
 
-    L is checked as given: the report with L = 0 coincides with the
-    semi-parallel one.
+    The derivation op -> op.T = op T - T op is linear in op, so
+    R(e_i,e_j).T - L ((e_i ^ e_j).T) = (R(e_i,e_j) - L (e_i ^ e_j)).T
+    exactly: each pair takes one derivation, of the operator
+    R(e_i,e_j) - L (e_i ^ e_j).  L is checked as given: the report with
+    L = 0 coincides with the semi-parallel one.
     """
     R = _curvature_operators(ctx)
     entries = []
     for X, Y in _PAIRS:
-        d = _derivation(R[X.value][Y.value], T)
-        w = _derivation(_wedge_operator(X, Y), T).scale(L)
-        diff = d - w
+        d = _derivation(R[X.value][Y.value] - _wedge_operator(X, Y).scale(L), T)
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
-                entries.append(ReportEntry((X, Y), K, P, diff.entry(P.value, K.value)))
+                entries.append(ReportEntry((X, Y), K, P, d.entry(P.value, K.value)))
     return ConditionReport(ConditionKind.PSEUDO_PARALLEL, tensor_name, tuple(entries))
 
 

@@ -35,7 +35,12 @@ Conventions (fixed here, used everywhere):
                                     - sum_k Gamma_XYk T_Pk;
 * the star-Ricci trace form contracts the operator Z -> phi(R(X, phi Y) Z),
   i.e. g(S* X, Y) = (1/2) * trace(Z -> phi(R(X, phi Y) Z)), which agrees
-  exactly with the closed form S* = -[(c n / 2) phi^2 + (phi A)^2] at n = 2.
+  exactly with the closed form S* = -[(c n / 2) phi^2 + (phi A)^2] at n = 2;
+* a sum of products is one accumulation, rational.dot, which builds one
+  Polynomial per polynomial entry rather than one per product and partial
+  sum: an entry of a matrix product, of T v, of the Leibniz rule, of the
+  contractions in curvature and star_ricci_trace and of a derivation
+  op T - T op (conditions), and the inner product of two fields.
 
 Sharing (fixed here as well):
 
@@ -62,7 +67,7 @@ from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Union
 
 from .parsing import parse_expr
-from .rational import Expr
+from .rational import Expr, dot
 from .symbols import DIRECTIONS, Symbol, SymbolTable
 
 
@@ -119,10 +124,7 @@ class VectorField:
         return VectorField(ke * a for a in self)
 
     def dot(self, other: "VectorField") -> Expr:
-        total = Expr.zero()
-        for a, b in zip(self, other):
-            total = total + a * b
-        return total
+        return dot((1, a, b) for a, b in zip(self, other))
 
     @property
     def is_zero(self) -> bool:
@@ -178,18 +180,14 @@ class Tensor11:
         return VectorField(self.rows[i][idx] for i in range(3))
 
     def apply(self, v: VectorField) -> VectorField:
-        return VectorField(
-            sum((self.rows[i][j] * v[j] for j in range(3)), Expr.zero())
-            for i in range(3)
-        )
+        x, y, z = v
+        return VectorField(dot(((1, a, x), (1, b, y), (1, c, z))) for a, b, c in self.rows)
 
     def __matmul__(self, other: "Tensor11") -> "Tensor11":
+        columns = tuple(zip(*other.rows))
         return Tensor11(
-            tuple(
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(3)), Expr.zero())
-                for j in range(3)
-            )
-            for i in range(3)
+            tuple(dot(((1, x, p), (1, y, q), (1, z, r))) for p, q, r in columns)
+            for x, y, z in self.rows
         )
 
     def __add__(self, other: "Tensor11") -> "Tensor11":
@@ -396,14 +394,13 @@ def covariant_derivative_vf(ctx: FrameContext, X: FrameIndex, Y: VectorField) ->
 
     Scalar components differentiate to formal derivative symbols.
     """
-    comps = [Expr.zero(), Expr.zero(), Expr.zero()]
-    for j in range(3):
-        yj = Y[j]
-        comps[j] = comps[j] + yj.derivative(X.direction)
-        nab = ctx.connection.nabla(X, j)
-        for k in range(3):
-            comps[k] = comps[k] + yj * nab[k]
-    return VectorField(comps)
+    gamma = ctx.connection.entries[X.value]
+    one = Expr.one()
+    return VectorField(
+        dot(((1, Y[k].derivative(X.direction), one),
+             (1, Y[0], gamma[0][k]), (1, Y[1], gamma[1][k]), (1, Y[2], gamma[2][k])))
+        for k in range(3)
+    )
 
 
 def covariant_derivative_entry(
@@ -413,20 +410,17 @@ def covariant_derivative_entry(
 
         e_X(T_PY) + sum_k Gamma_XkP T_kY - sum_k Gamma_XYk T_Pk,
 
-    with Gamma_ijk = g(nabla_{e_i} e_j, e_k) and T_ab = T.entry(a, b).  A
-    product with a zero factor is skipped.
+    with Gamma_ijk = g(nabla_{e_i} e_j, e_k) and T_ab = T.entry(a, b), as one
+    accumulation: e_X(T_PY) enters as the product e_X(T_PY) * 1.
     """
     gamma = ctx.connection.entries[X.value]
     y, p = Y.value, P.value
-    out = T.entry(p, y).derivative(X.direction)
-    for k in range(3):
-        g, t = gamma[k][p], T.entry(k, y)
-        if not (g.is_zero or t.is_zero):
-            out = out + g * t
-        g, t = gamma[y][k], T.entry(p, k)
-        if not (g.is_zero or t.is_zero):
-            out = out - g * t
-    return out
+    rows, gy = T.rows, gamma[y]
+    return dot((
+        (1, rows[p][y].derivative(X.direction), Expr.one()),
+        (1, gamma[0][p], rows[0][y]), (1, gamma[1][p], rows[1][y]), (1, gamma[2][p], rows[2][y]),
+        (-1, gy[0], rows[p][0]), (-1, gy[1], rows[p][1]), (-1, gy[2], rows[p][2]),
+    ))
 
 
 def covariant_derivative_t11(ctx: FrameContext, X: FrameIndex, T: Tensor11) -> Tensor11:
@@ -485,8 +479,11 @@ def curvature(ctx: FrameContext, X: VectorField, Y: VectorField, Z: VectorField)
     - 2 phi_ji phi_lk) + A_kj A_li - A_ki A_lj.
     """
     R = _curvature_operators(ctx)
-    op = sum((R[i][j].scale(X[i] * Y[j]) for i in range(3) for j in range(3)),
-             Tensor11.zero())
+    weights = [(X[i] * Y[j], R[i][j].rows) for i in range(3) for j in range(3)]
+    op = Tensor11(
+        tuple(dot((1, w, rows[l][k]) for w, rows in weights) for k in range(3))
+        for l in range(3)
+    )
     return op.apply(Z)
 
 
@@ -513,20 +510,21 @@ def star_ricci_closed(ctx: FrameContext) -> Tensor11:
 def star_ricci_trace(ctx: FrameContext) -> Tensor11:
     """Trace form: g(S* X, Y) = (1/2) trace(Z -> phi(R(X, phi Y) Z)).
 
-    R(e_j, phi e_k) = sum_m phi_mk R(e_j, e_m) comes from the frame operators.
-    The contraction convention is fixed by exact agreement with
-    star_ricci_closed; both are computed independently and compared in the
-    test suite.
+    R(e_j, phi e_k) = sum_m phi_mk R(e_j, e_m) comes from the frame operators,
+    and the trace is linear, so g(S* e_j, e_k) = (1/2) sum_m phi_mk t_jm with
+    t_jm = trace(phi R(e_j, e_m)).  The contraction convention is fixed by
+    exact agreement with star_ricci_closed; both are computed independently
+    and compared in the test suite.
     """
-    phi = ctx.phi
+    phi = ctx.phi.rows
     R = _curvature_operators(ctx)
-    half = Expr.const(Fraction(1, 2))
-    mat = [[Expr.zero()] * 3 for _ in range(3)]
-    for j in range(3):       # X = e_j
-        for k in range(3):   # Y = e_k
-            R_phiY = sum((R[j][m].scale(phi.entry(m, k)) for m in range(3)), Tensor11.zero())
-            mat[k][j] = half * (phi @ R_phiY).trace()  # g(S* e_j, e_k)
-    return Tensor11(mat)
+    t = [[dot((1, phi[i][l], R[j][m].rows[l][i]) for i in range(3) for l in range(3))
+          for m in range(3)] for j in range(3)]
+    half_phi = ctx.phi.scale(Fraction(1, 2)).rows
+    return Tensor11(
+        tuple(dot((1, half_phi[m][k], t[j][m]) for m in range(3)) for j in range(3))
+        for k in range(3)
+    )
 
 
 def codazzi_residual(ctx: FrameContext, X: FrameIndex, Y: FrameIndex) -> VectorField:

@@ -14,6 +14,8 @@ canonical numerator over the shared one, or the shared zero.  This is
 exactly what the canonicalizing constructor would store, since a unit
 denominator takes no gcd and ``_set`` leaves num/1 unchanged.  So canonical
 forms, text and the gcds taken do not depend on which path built a value.
+``dot`` extends the fast path to a whole sum of products: the products of
+polynomial values add into one dict, and the sum is one Polynomial.
 
 ``Expr.eval`` evaluates one expression once.  ``compile_float`` turns a
 sequence of expressions into one straight-line Python function that returns
@@ -25,9 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .polynomial import Coeff, Mono, Polynomial, _mono_mul, poly_gcd
+from .polynomial import Coeff, Mono, Polynomial, _memos, _mono_mul, poly_gcd
 from .symbols import Symbol
 
 Scalar = Union[int, Fraction, "Expr"]
@@ -389,6 +391,44 @@ def _polynomial(num: Polynomial) -> Expr:
     _set_den(out, _ONE)
     _set_hash(out, None)
     return out
+
+
+def dot(terms: Iterable[tuple[int, Expr, Expr]]) -> Expr:
+    """The sum of k * a * b over the triples (k, a, b) of `terms`, exactly.
+
+    A triple with a zero factor is skipped.  The products of the triples
+    whose factors both have the unit denominator are added term by term into
+    one dict, which becomes one Polynomial (none for a sum that cancels): the
+    terms of a * b are those Polynomial.__mul__ would form, looked up in the
+    same memo, that of the table of the lead symbol.  A triple with a
+    non-unit denominator is added through the Expr operators instead, the
+    split that + and * make.  The result is equal in every slot to
+    sum(k * a * b for k, a, b in terms), and a zero result is the shared
+    Expr.zero().
+    """
+    acc: dict = {}
+    get = acc.get
+    rest = _ZERO_EXPR
+    for k, a, b in terms:
+        ta, tb = a.num.terms, b.num.terms
+        if not (k and ta and tb):
+            continue
+        if a.den is not _ONE or b.den is not _ONE:
+            rest = rest + k * a * b
+            continue
+        lead = ta[0][0] or tb[0][0]
+        if not lead:  # two constants
+            acc[()] = get((), 0) + k * ta[0][1] * tb[0][1]
+            continue
+        products = _memos(lead[0][0]).products
+        for ma, ca in ta:
+            row = products[ma]
+            kc = k * ca
+            for mb, cb in tb:
+                m = row[mb]
+                acc[m] = get(m, 0) + kc * cb
+    total = _polynomial(Polynomial(acc)) + rest if any(acc.values()) else rest
+    return total if total.num.terms else _ZERO_EXPR
 
 
 def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from starricci import cli, conditions, frames, proofs
 from starricci.cli import main
+from starricci.parsing import parse_expr
+from starricci.polynomial import Polynomial
 from starricci.rational import Expr
 
 
@@ -66,6 +68,34 @@ def test_check_with_assumptions(capsys):
                     "delta=0", "mu=0")
     assert code == 0
     assert "x=(e3) y=e2 proj=e3 : -beta*c" in out
+
+
+def test_check_binds_a_derivative_symbol_it_prints(capsys):
+    def equations(*assumptions):
+        code, out = run(capsys, "check", "ricci", "parallel", "nonhopf",
+                        *assumptions, "--format", "json")
+        assert code == 0
+        return [e["equation"] for e in json.loads(out)["payload"]["entries"]]
+
+    ctx = frames.build_nonhopf_context()
+    scope = ctx.table.scope()
+    free, bound = equations(), equations("D(e1,alpha)=0")
+    assert any("D(e1,alpha)" in text for text in free)
+    # each equation loses exactly its terms in D(e1,alpha)
+    for text, got in zip(free, bound, strict=True):
+        terms = parse_expr(text, scope).num.terms
+        kept = {m: c for m, c in terms if "D(e1,alpha)" not in dict(m)}
+        assert got == Polynomial(kept).to_text()
+    assert equations("D(e1, alpha)=0") == bound
+
+
+def test_check_rejects_an_assumption_that_is_no_symbol(capsys):
+    # D of the constant c is 0; an applied atom or a sum binds no symbol either
+    for name in ("D(e1,c)", "cot(alpha)", "alpha + mu", "2*alpha", "D(e4,alpha)"):
+        assert main(["check", "ricci", "parallel", "nonhopf", f"{name}=0"]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown symbol {name!r} in this context\n"
 
 
 def test_check_ricci_einstein_hopf(monkeypatch, capsys):

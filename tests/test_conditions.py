@@ -8,6 +8,7 @@ from starricci.conditions import (
     pseudo_parallel_equations,
     semi_parallel_equations,
     xi_parallel_equations,
+    _PAIRS,
     _derivation,
     _wedge_operator,
 )
@@ -16,11 +17,15 @@ from starricci.frames import (
     FrameIndex,
     Tensor11,
     VectorField,
+    _curvature_operators,
     build_hopf_context,
     build_nonhopf_context,
     curvature_operator,
+    ricci,
     star_ricci_closed,
 )
+from starricci.parsing import parse_expr
+from starricci.polynomial import Polynomial
 from starricci.rational import Expr
 from starricci.symbols import DERIVATIVE
 
@@ -168,3 +173,97 @@ def test_condition_kind_names():
     assert ConditionKind("pseudo-parallel") is ConditionKind.PSEUDO_PARALLEL
     with pytest.raises(ValueError):
         ConditionKind("bogus")
+
+
+# -- one accumulation per entry -------------------------------------------------
+
+def _derivation_reference(op, T):
+    """The body of _derivation before each entry became one accumulation."""
+    return (op @ T) - (T @ op)
+
+
+def _pseudo_reference(ctx, T, L):
+    """The pseudo-parallel entries as two derivations, a scale and a
+    subtraction per pair, keyed like ConditionReport.get."""
+    R = _curvature_operators(ctx)
+    out = {}
+    for X, Y in _PAIRS:
+        d = _derivation_reference(R[X.value][Y.value], T)
+        diff = d - _derivation_reference(_wedge_operator(X, Y), T).scale(L)
+        for K in FRAME_INDICES:
+            for P in FRAME_INDICES:
+                out[(X, Y), K, P] = diff.entry(P.value, K.value)
+    return out
+
+
+def _assert_same(got, reference):
+    """Equal in every slot and in text; got takes the shared unit denominator."""
+    assert (got.num, got.den) == (reference.num, reference.den)
+    assert got.to_text() == reference.to_text()
+    if got.den.is_constant:
+        assert got.den is Polynomial.one()
+
+
+@pytest.mark.parametrize("context", ["nonhopf", "hopf", "generic"])
+def test_derivations_equal_their_reference_bodies(context, request):
+    ctx = request.getfixturevalue(context)
+    # the last T has rational entries, which take the Expr operators inside
+    # each accumulation, and so does L = 1/alpha
+    rational_part = Tensor11(((0, ctx.parse("1/(alpha + 1)"), 0),
+                              (ctx.parse("alpha/c"), 0, 0),
+                              (0, 0, ctx.parse("c/alpha"))))
+    scope = ctx.table.scope()
+    Ls = [parse_expr(text, scope, define_missing=True) for text in ("0", "alpha + mu", "1/alpha")]
+    R = _curvature_operators(ctx)
+    for T in (ricci(ctx), star_ricci_closed(ctx), ricci(ctx) + rational_part):
+        for op in (R[0][1], R[0][2], R[1][2], _wedge_operator(E1, E3), rational_part):
+            got, reference = _derivation(op, T), _derivation_reference(op, T)
+            for i in range(3):
+                for j in range(3):
+                    _assert_same(got.entry(i, j), reference.entry(i, j))
+        semi = semi_parallel_equations(ctx, T)
+        for L in Ls:
+            reference = _pseudo_reference(ctx, T, L)
+            report = pseudo_parallel_equations(ctx, T, L)
+            assert len(report) == len(reference)
+            for e in report.entries:
+                _assert_same(e.equation, reference[e.x, e.y, e.proj])
+                if L.is_zero:
+                    _assert_same(semi.get(e.x, e.y, e.proj).equation, e.equation)
+
+
+def _calls(monkeypatch, name):
+    """A list that gains one item per call of Polynomial.<name> from now on."""
+    calls = []
+    original = getattr(Polynomial, name)
+
+    def counted(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    monkeypatch.setattr(Polynomial, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
+def test_report_entries_are_one_accumulation_each(monkeypatch, build):
+    # a context of its own, whose operators and tensors are built beforehand
+    ctx = build.__wrapped__()
+    _curvature_operators(ctx)
+    tensors = (ricci(ctx), star_ricci_closed(ctx))
+    L = parse_expr("alpha + mu", ctx.table.scope(), define_missing=True)
+    built, products = _calls(monkeypatch, "__init__"), _calls(monkeypatch, "__mul__")
+    for T in tensors:
+        products.clear()
+        parallel_equations(ctx, T)
+        semi_parallel_equations(ctx, T)
+        assert products == []
+        # at most one Polynomial per semi-parallel entry and two per
+        # pseudo-parallel one; the non-Hopf Ricci tensor's reports built 186
+        # and 273 when each link of a sum built one
+        built.clear()
+        semi_parallel_equations(ctx, T)
+        assert len(built) <= 27
+        built.clear()
+        pseudo_parallel_equations(ctx, T, L)
+        assert len(built) <= 54

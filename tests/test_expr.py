@@ -511,6 +511,64 @@ def test_fast_path_equals_the_canonicalizing_constructor(a, b, k, sym, direction
         _assert_canonical(zero, Polynomial.zero(), _fresh_unit())
 
 
+# A scope of _UT: w is the scope's own constant, D(e2,x) is a derivative
+# symbol of the parent's function x, so products mix the two tables.
+_US = _UT.scope()
+_US_W = Expr.from_symbol(_US.constant("w"))
+_US_DX = Expr.from_symbol(_US.derivative(_UT_SYMS[0], "e2"))
+_DOT_FACTORS = st.one_of(
+    _UNIT_EXPRS,
+    st.just(Expr.zero()),
+    st.tuples(_UNIT_EXPRS, _UNIT_POLYS).map(lambda ep: ep[0] * _US_W + Expr(ep[1]) * _US_DX),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), _DOT_FACTORS, _DOT_FACTORS),
+                max_size=5),
+       st.booleans(), st.randoms())
+def test_dot_equals_the_sum_of_products(triples, cancel, rng):
+    if cancel:  # the negated triples, shuffled in, cancel the whole sum
+        triples = triples + [(-k, a, b) for k, a, b in triples]
+        rng.shuffle(triples)
+    reference = sum((k * a * b for k, a, b in triples), Expr.zero())
+    for got in (rational.dot(triples), rational.dot(iter(triples))):
+        assert (got.num, got.den) == (reference.num, reference.den)
+        assert got.to_text() == reference.to_text()
+        assert hash(got) == hash(reference)
+        if got.den == Polynomial.one():
+            assert got.den is Polynomial.one()
+        if got.is_zero:
+            assert got is Expr.zero()
+        if cancel:
+            assert got.is_zero
+        assert _coefficients_ok(got.num, got.den)
+
+
+def test_dot_fills_the_product_memo_that_multiplication_fills():
+    # "a" sorts before "x", so a*x has the scope's lead symbol and x*a too;
+    # x*y has the parent's
+    def tables():
+        parent = SymbolTable()
+        x, y = (Expr.from_symbol(parent.function(n)) for n in ("x", "y"))
+        scope = parent.scope()
+        a = Expr.from_symbol(scope.constant("a"))
+        return parent, scope, [(x, a + y), (a, x * y), (x + 1, y), (3 + a, x * a)]
+
+    def memo_rows(table):
+        return {m: set(row) for m, row in table.monomials.products.items()}
+
+    parent, scope, pairs = tables()
+    for p, q in pairs:
+        rational.dot([(2, p, q)])
+    twin_parent, twin_scope, twin_pairs = tables()
+    for p, q in twin_pairs:
+        (2 * p) * q
+    assert memo_rows(parent) == memo_rows(twin_parent)
+    assert memo_rows(scope) == memo_rows(twin_scope)
+    assert ((scope.get("a"), 1),) in memo_rows(scope)
+
+
 def _substitute_per_term(e, bindings):
     """The per-term substitution (one Expr per factor, a gcd per addition):
     the reference for Expr.substitute."""

@@ -24,6 +24,7 @@ from starricci.frames import (
     star_ricci_trace,
     with_shape_operator,
 )
+from starricci.polynomial import Polynomial
 from starricci.rational import Expr
 from starricci.symbols import DERIVATIVE, SymbolError, SymbolTable
 
@@ -284,6 +285,69 @@ def test_covariant_derivative_entry_matches_column_form(build):
                         reference.entry(P.value, Y.value)
 
 
+def _matmul_reference(M, N):
+    """The sum(...) body of Tensor11.__matmul__ before each entry became one
+    accumulation."""
+    return Tensor11(
+        tuple(sum((M.rows[i][k] * N.rows[k][j] for k in range(3)), Expr.zero()) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _leibniz_reference(ctx, X, T, Y, P):
+    """The six-product loop of covariant_derivative_entry before its sum
+    became one accumulation."""
+    gamma = ctx.connection.entries[X.value]
+    y, p = Y.value, P.value
+    out = T.entry(p, y).derivative(X.direction)
+    for k in range(3):
+        g, t = gamma[k][p], T.entry(k, y)
+        if not (g.is_zero or t.is_zero):
+            out = out + g * t
+        g, t = gamma[y][k], T.entry(p, k)
+        if not (g.is_zero or t.is_zero):
+            out = out - g * t
+    return out
+
+
+def _assert_same(got, reference):
+    """Equal in every slot and in text; got takes the shared unit denominator."""
+    assert (got.num, got.den) == (reference.num, reference.den)
+    assert got.to_text() == reference.to_text()
+    if got.den.is_constant:
+        assert got.den is Polynomial.one()
+
+
+def _tensors(ctx):
+    """A, the Ricci tensor, S* and a T with rational entries, which takes the
+    Expr operators inside each accumulation."""
+    rational_part = Tensor11(((0, ctx.parse("1/(alpha + 1)"), 0),
+                              (ctx.parse("alpha/c"), 0, 0),
+                              (0, 0, ctx.parse("c/alpha"))))
+    return (ctx.A, ricci(ctx), star_ricci_closed(ctx), ricci(ctx) + rational_part)
+
+
+@pytest.mark.parametrize("context", ["nonhopf", "hopf", "generic"])
+def test_fused_sums_equal_their_reference_bodies(context, request):
+    ctx = request.getfixturevalue(context)
+    tensors = _tensors(ctx)
+    v = VectorField((ctx.parse("alpha"), 1, ctx.parse("c/(alpha + 2)")))
+    for M in tensors:
+        for N in tensors + (ctx.phi,):
+            product_ = M @ N
+            reference = _matmul_reference(M, N)
+            for i in range(3):
+                for j in range(3):
+                    _assert_same(product_.entry(i, j), reference.entry(i, j))
+        for w in (v, M.column(0)):
+            for got, row in zip(M.apply(w), M.rows):
+                _assert_same(got, sum((a * b for a, b in zip(row, w)), Expr.zero()))
+            _assert_same(v.dot(w), sum((a * b for a, b in zip(v, w)), Expr.zero()))
+        for X, Y, P in product(FRAME_INDICES, repeat=3):
+            _assert_same(covariant_derivative_entry(ctx, X, M, Y, P),
+                         _leibniz_reference(ctx, X, M, Y, P))
+
+
 def test_codazzi_residual_matches_full_matrix_form(nonhopf, hopf):
     for ctx in (nonhopf, hopf):
         for X in FRAME_INDICES:
@@ -363,19 +427,6 @@ def _gauss_vector_form(ctx, X, Y, Z):
     out = out + AX.scale(AY.dot(Z))
     out = out - AY.scale(AX.dot(Z))
     return out
-
-
-@pytest.fixture(scope="module")
-def generic():
-    """The non-Hopf frame with a symmetric shape operator of six free symbols."""
-    ctx = build_nonhopf_context()
-    scope = ctx.table.scope()
-    a11, a12, a13, a22, a23, a33 = (
-        Expr.from_symbol(scope.constant(name))
-        for name in ("a11", "a12", "a13", "a22", "a23", "a33")
-    )
-    A = Tensor11(((a11, a12, a13), (a12, a22, a23), (a13, a23, a33)))
-    return with_shape_operator(ctx, A)
 
 
 @pytest.mark.parametrize("context", ["nonhopf", "hopf", "generic"])
