@@ -7,12 +7,14 @@ family against the principal-curvature relation
 
     lambda * nu = (alpha / 2) * (lambda + nu) + c / 4
 
-at 100 sampled radii; any failure aborts the load.  These homogeneous models
-have constant principal curvatures along the hypersurface, so numeric
-condition evaluation binds every formal derivative symbol, the unconstrained
-connection coefficients h1..h3, the pseudo-parallel function L and the
-Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may set
-these and no other names.
+at 100 sampled radii; any failure aborts the load.  A load validates once
+per distinct text and tolerance: parse_catalog shares the immutable Catalog
+it returns, as builtin_catalog() does, and keeps no failed load.  These
+homogeneous models have constant principal curvatures along the hypersurface,
+so numeric condition evaluation binds every formal derivative symbol, the
+unconstrained connection coefficients h1..h3, the pseudo-parallel function L
+and the Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may
+set these and no other names.
 
 All numeric evaluation on families is compiled (rational.compile_float and
 its loop form rational.compile_columns), with the same float values as
@@ -33,7 +35,7 @@ evaluation (_row_evaluator's at(r), fam.curvatures), which raises that
 radius's error.  So the values and the errors are those of
 evaluate_condition at each radius in turn.  A sweep keeps its results as
 three columns (radii, max residuals, lambda*nu + c); SweepResult.rows zips
-them into SweepRows on demand.
+them into SweepRow values on demand.
 
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
@@ -259,9 +261,10 @@ def _parse_endpoint(text: str, table: SymbolTable) -> float:
         return parse_expr(s, table).eval({"pi": math.pi})
 
 
+@lru_cache(maxsize=16)
 def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
     """Parse and validate a catalog file; every family must pass the
-    principal-curvature oracle or the whole load aborts."""
+    principal-curvature oracle or the whole load aborts.  Memoized."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)

@@ -21,10 +21,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import itemgetter, le
+from operator import le
 from typing import Optional, Sequence
 
 from . import __version__
@@ -69,21 +69,25 @@ from .symbols import Symbol, SymbolTable
 SCHEMA = "starricci.report/1"
 
 
-class SweepRows(list):
-    """payload["rows"] of a sweep: one dict {"r", "max_residual",
-    "lam_nu_plus_c"} of finite floats per radius.  Report.emit writes them
-    through one %-template instead of json's encoder."""
+@dataclass(frozen=True)
+class SweepRows:
+    """payload["rows"] of a sweep: its SweepResult columns, which the generic
+    json writer sees as one dict {"r", "max_residual", "lam_nu_plus_c"} per radius."""
+    radii: tuple
+    max_residuals: tuple
+    lam_nu_plus_c: tuple
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    def __iter__(self):
+        for r, m, x in zip(self.radii, self.max_residuals, self.lam_nu_plus_c):
+            yield {"r": r, "max_residual": m, "lam_nu_plus_c": x}
 
 
-# One sweep row in each format.  The json row is json.dumps(indent=2,
-# sort_keys=True)'s text for a SweepRows item at the depth of
-# payload["rows"]: %r writes a float as json does, with float.__repr__.
-_JSON_ROW = ('      {\n'
-             '        "lam_nu_plus_c": %r,\n'
-             '        "max_residual": %r,\n'
-             '        "r": %r\n'
-             '      }')
-_JSON_ROW_VALUES = itemgetter("lam_nu_plus_c", "max_residual", "r")
+# json.dumps(indent=2, sort_keys=True)'s texts around a row's float.__repr__ values
+_JSON_ROW_KEYS = ('\n      {\n        "lam_nu_plus_c": ', ',\n        "max_residual": ',
+                  ',\n        "r": ', '\n      },')
 _TEXT_ROW = "%12.6f  %14.6e  %+14.9f"
 
 
@@ -108,7 +112,8 @@ class Report:
             "catalog_version": self.catalog_version,
             "command": self.command,
             "status": self.status,
-            "payload": self.payload,
+            "payload": {key: list(value) if isinstance(value, SweepRows) else value
+                        for key, value in self.payload.items()},  # a dict per sweep row
         }
 
     def emit(self, fmt: str) -> str:
@@ -116,13 +121,15 @@ class Report:
             rows = self.payload.get("rows")
             if not (isinstance(rows, SweepRows) and rows):
                 return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-            # The rows go in as text.  '"rows": []' occurs once, as the key:
-            # a json string escapes every '"' it holds.
-            envelope = self.to_json_dict()
-            envelope["payload"] = {**self.payload, "rows": []}
+            # The rows go in as text, without the last row's ','.  '"rows": []'
+            # occurs once, as the key: a json string escapes every '"' it holds.
+            envelope = replace(self, payload={**self.payload, "rows": []}).to_json_dict()
             text = json.dumps(envelope, indent=2, sort_keys=True)
-            body = _rows(_JSON_ROW, ",\n", map(_JSON_ROW_VALUES, rows))
-            return text.replace('"rows": []', f'"rows": [\n{body}\n    ]', 1) + "\n"
+            body = "".join(chain.from_iterable(zip(
+                repeat(_JSON_ROW_KEYS[0]), map(repr, rows.lam_nu_plus_c),
+                repeat(_JSON_ROW_KEYS[1]), map(repr, rows.max_residuals),
+                repeat(_JSON_ROW_KEYS[2]), map(repr, rows.radii), repeat(_JSON_ROW_KEYS[3]))))
+            return text.replace('"rows": []', f'"rows": [{body[:-1]}\n    ]', 1) + "\n"
         head = [f"# {self.command}", f"status: {self.status}"]
         return "\n".join(head + self.text_lines) + "\n"
 
@@ -303,16 +310,14 @@ def cmd_sweep(args) -> int:
         "condition": kind.value,
         "rows_below_witness_tol": below,
     }
-    columns = zip(result.radii, result.max_residuals, result.lam_nu_plus_c)
+    columns = (result.radii, result.max_residuals, result.lam_nu_plus_c)
     if args.format == "json":  # each format builds only what it prints
-        payload["rows"] = SweepRows(
-            [{"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in columns]
-        )
+        payload["rows"] = SweepRows(*columns)
         lines = []
     else:
         lines = [f"family {fam.family_id} ({fam.description})",
                  f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-        lines.append(_rows(_TEXT_ROW, "\n", columns))  # the whole row block
+        lines.append(_rows(_TEXT_ROW, "\n", zip(*columns)))  # the whole row block
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0

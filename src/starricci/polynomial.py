@@ -334,7 +334,7 @@ class Polynomial:
                 lowered = ((s, e - 1),) if e > 1 else _EMPTY
                 mono = _mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),))
                 acc[mono] = acc.get(mono, 0) + c * e
-        return Polynomial(acc)
+        return Polynomial(acc) if acc else _ZERO
 
     def eval(self, values: Callable[[Symbol], float]) -> float:
         total = 0.0

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .polynomial import Coeff, Mono, Polynomial, _memos, _mono_mul, poly_gcd
@@ -612,17 +611,10 @@ class _FloatCodegen:
                 if v in self.used and v not in skip]
 
 
-@lru_cache(maxsize=256)
-def _code(source: str):
-    """The code object of a generated source, compiled once per process:
-    loading the same catalog again generates the same kernel sources."""
-    return compile(source, "<compile_float>", "exec")
-
-
 def _define(source: str, namespace: dict) -> Callable:
     """The function `compiled` of `source`, run in the fresh `namespace`."""
     namespace["__builtins__"] = {}
-    exec(_code(source), namespace)
+    exec(compile(source, "<compile_float>", "exec"), namespace)
     fn = namespace.pop("compiled")
     fn.source = source
     return fn

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starricci import cli, conditions, frames, proofs
+from starricci import catalog, cli, conditions, frames, proofs
+from starricci.catalog import ConditionKind, builtin_catalog, format_catalog
 from starricci.cli import main
 from starricci.parsing import parse_expr
 from starricci.polynomial import Polynomial
@@ -255,6 +256,93 @@ nu = tanh(r)
     assert "tube" in out
 
 
+def _captured(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_catalog_file_sweeps_equal_the_builtin_sweeps(tmp_path, capsys):
+    # F is the builtin catalog written out: every sweep and the prove on it
+    # print the builtin bytes, on the load that parses F and on the loads
+    # that reuse it
+    path = tmp_path / "builtin.cat"
+    path.write_text(format_catalog(builtin_catalog()), encoding="utf-8")
+    flag = ["--catalog", str(path)]
+    catalog.parse_catalog.cache_clear()
+    for fam in builtin_catalog().families:
+        lo, hi = fam.sample_window()
+        for kind in ConditionKind:
+            for fmt in ("text", "json"):
+                argv = ["sweep", fam.family_id, repr(lo), repr(hi), "40", kind.value,
+                        "--format", fmt]
+                expected = _captured(capsys, argv)
+                assert expected[0] == 0 and expected[1]
+                assert _captured(capsys, argv + flag) == expected, argv
+                assert _captured(capsys, argv + flag) == expected, argv
+    argv = ["prove", "all", "--samples", "20"]
+    expected = _captured(capsys, argv)
+    assert expected[0] == 0
+    assert _captured(capsys, argv + flag) == expected
+    info = catalog.parse_catalog.cache_info()
+    assert (info.misses, info.hits) == (1, 6 * 6 * 2 * 2)
+
+
+_TUBE = """
+[catalog]
+version = 1
+
+[tube]
+space = CH2
+domain = 0, inf
+alpha = 2*tanh(2*r)
+lambda = coth(r)
+nu = tanh(r)
+description = %s
+"""
+# lambda = tanh(r) breaks the principal-curvature relation
+_BROKEN_TUBE = _TUBE.replace("lambda = coth(r)", "lambda = tanh(r)")
+
+
+def test_a_failing_catalog_fails_on_every_load(monkeypatch):
+    validated = []
+    real = catalog.validate_family
+    monkeypatch.setattr(catalog, "validate_family",
+                        lambda fam, **kw: validated.append(fam.family_id) or real(fam, **kw))
+    for _ in range(3):
+        with pytest.raises(catalog.CatalogError, match="principal-curvature relation"):
+            catalog.parse_catalog(_BROKEN_TUBE % "broken")
+    assert validated == ["tube"] * 3
+
+
+def test_an_edited_catalog_file_is_loaded_again(tmp_path, capsys):
+    path = tmp_path / "tube.cat"
+    argv = ["sweep", "tube", "0.2", "1.0", "3", "parallel", "--catalog", str(path)]
+    path.write_text(_TUBE % "first text", encoding="utf-8")
+    code, out, _ = _captured(capsys, argv)
+    assert code == 0 and "family tube (first text)" in out
+    path.write_text(_TUBE % "second text", encoding="utf-8")
+    code, out, _ = _captured(capsys, argv)
+    assert code == 0 and "family tube (second text)" in out
+    path.write_text(_BROKEN_TUBE % "second text", encoding="utf-8")
+    code, out, err = _captured(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family 'tube' fails the principal-curvature relation")
+    assert err.count("\n") == 1
+
+
+def test_a_tighter_oracle_tolerance_validates_again(tmp_path, capsys):
+    path = tmp_path / "builtin.cat"
+    path.write_text(format_catalog(builtin_catalog()), encoding="utf-8")
+    argv = ["sweep", "ch2-a1", "0.5", "1", "3", "parallel", "--catalog", str(path)]
+    assert _captured(capsys, argv)[0] == 0
+    code, out, err = _captured(capsys, argv + ["--tol-oracle", "1e-300"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family ") and "principal-curvature relation" in err
+    assert err.count("\n") == 1
+    assert _captured(capsys, argv)[0] == 0
+
+
 def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
@@ -377,8 +465,10 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
 
 def _fresh(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv) with a newly built parser."""
+    """(exit code, stdout, stderr) of main(argv) with a newly built parser
+    and no catalog kept from an earlier load."""
     cli._parser.cache_clear()
+    catalog.parse_catalog.cache_clear()
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -387,7 +477,9 @@ def _fresh(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_consecutive_calls_share_no_state(capsys):
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    path = tmp_path / "builtin.cat"
+    path.write_text(format_catalog(builtin_catalog()), encoding="utf-8")
     argvs = [
         ["check", "star-ricci", "parallel", "nonhopf", "delta=0", "mu=0"],
         ["check", "star-ricci", "parallel", "nonhopf"],
@@ -400,9 +492,13 @@ def test_consecutive_calls_share_no_state(capsys):
         ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
         ["expr", "eval", "x", "x=1", "x=2"],
         ["expr", "eval", "x", "x=1"],
+        # the second load of the same file reuses the first one's catalog
+        ["sweep", "ch2-a1", "0.5", "1", "3", "parallel", "--catalog", str(path)],
+        ["sweep", "ch2-a1", "0.5", "1", "3", "parallel", "--catalog", str(path)],
     ]
     fresh = [_fresh(capsys, argv) for argv in argvs]
     cli._parser.cache_clear()
+    catalog.parse_catalog.cache_clear()
     shared = []
     for argv in argvs:
         try:
@@ -412,7 +508,7 @@ def test_consecutive_calls_share_no_state(capsys):
         captured = capsys.readouterr()
         shared.append((code, captured.out, captured.err))
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 2, 2, 0]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 0]
 
 
 _ROW_FLOATS = st.one_of(
@@ -434,8 +530,7 @@ def test_row_writers_match_the_generic_writers(family, rows, below):
     payload = {"family": family, "space": "CP2", "condition": "parallel",
                "rows_below_witness_tol": below}
     report = cli.Report(f"sweep {family}", "ok", payload, 1, [])
-    report.payload["rows"] = cli.SweepRows(
-        {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in rows)
+    report.payload["rows"] = cli.SweepRows(*zip(*rows))
     generic = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert report.emit("json") == generic
     # the row text before the template: one f-string per row

@@ -267,3 +267,33 @@ def test_report_entries_are_one_accumulation_each(monkeypatch, build):
         built.clear()
         pseudo_parallel_equations(ctx, T, L)
         assert len(built) <= 54
+
+
+# Polynomials built by parallel_equations on the Ricci and the *-Ricci
+# tensor of a prebuilt context.
+_PARALLEL_CONSTRUCTIONS = {build_nonhopf_context: (54, 37), build_hopf_context: (10, 4)}
+
+
+@pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
+def test_parallel_reports_build_no_empty_derivative(monkeypatch, build):
+    # a polynomial free of function symbols derives to the shared zero; when
+    # each such derivative built an empty Polynomial, the Hopf reports built
+    # 37 and 31 Polynomials, 27 of them empty
+    ctx = build.__wrapped__()
+    _curvature_operators(ctx)
+    tensors = (ricci(ctx), star_ricci_closed(ctx))
+    built = []
+    original = Polynomial.__init__
+
+    def counted(self, terms):
+        built.append(len(terms))
+        return original(self, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    counts = []
+    for T in tensors:
+        built.clear()
+        parallel_equations(ctx, T)
+        assert 0 not in built
+        counts.append(len(built))
+    assert tuple(counts) == _PARALLEL_CONSTRUCTIONS[build]

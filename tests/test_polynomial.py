@@ -283,8 +283,10 @@ def test_derivative_kinds():
     # derivative of the derivative symbol is unsupported
     with pytest.raises(SymbolError):
         P(df).derivative("e2")
-    # constants die
+    # constants die, to the shared zero
     assert P(k).derivative("e1").is_zero
+    assert P(k).derivative("e1") is Polynomial.zero()
+    assert Polynomial.const(3).derivative("e2") is Polynomial.zero()
 
 
 def test_derivative_symbols_agree_across_sites():
