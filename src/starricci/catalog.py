@@ -21,14 +21,16 @@ its loop form rational.compile_columns), with the same float values as
 Expr.eval.  Each family has a column kernel from radii to its (alpha,
 lambda, nu) columns and, compiled on first use, a per-radius function of r.
 Each cached condition report has a per-radius function returning all of its
-rows and a column kernel from curvature columns to the rows that are not
-constant, each distinct row once; the constant rows fold into one max|row|
-at compile time.  A non-finite binding, curvature, row or lambda*nu + c is a
-CatalogError, never a residual.
+rows and a column kernel from curvature columns to one column of max|row|:
+the constant rows fold into one max|row| at compile time, and the kernel
+keeps a running max of it and each distinct non-constant |row|.  A
+non-finite binding, curvature, row or lambda*nu + c is a CatalogError,
+never a residual.
 
 Every radius loop -- sweep (and so the witness of proofs.verify_all),
 lam_nu_plus_c_column (proofs.type_b_exclusion) and validate_family -- is
-one call per kernel plus C-level map()s, with no Python call per radius.
+one call per kernel, plus C-level map()s for lambda*nu + c and the
+principal-curvature residuals, with no Python call per radius.
 A kernel stops before the first radius at which the per-radius evaluation
 would fail; the loop then replays that radius through the per-radius
 evaluation (_row_evaluator's at(r), fam.curvatures), which raises that
@@ -348,7 +350,8 @@ def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL)
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
     text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
-    return parse_catalog(text)
+    # by keyword, as load_catalog passes it: the memo keys a call by its form
+    return parse_catalog(text, oracle_tol=DEFAULT_ORACLE_TOL)
 
 
 def builtin_families() -> list:
@@ -385,8 +388,9 @@ class _CompiledReport:
     evaluate: Callable   # (*REPORT_PARAMS values) -> tuple of row values
     # max |row| of the constant rows, folded at compile time
     constant_max: float
-    # compile_columns kernel over the distinct non-constant rows, columns
-    # alpha, lambda and nu; None when every row is constant
+    # compile_columns kernel with columns alpha, lambda and nu that returns
+    # one column: per radius, the running max of constant_max and |row| over
+    # the distinct non-constant rows; None when every row is constant
     kernel: Optional[Callable]
 
     def max_abs_column(self, curvatures: tuple, args: list) -> list:
@@ -397,8 +401,8 @@ class _CompiledReport:
             return [self.constant_max] * len(curvatures[0])
         columns = [col if bound is None else [bound] * len(col)
                    for col, bound in zip(curvatures, args)]
-        rows = self.kernel(*columns, *args[3:])
-        return list(map(max, *[map(abs, row) for row in rows], repeat(self.constant_max)))
+        column, = self.kernel(*columns, *args[3:])
+        return column
 
 
 @lru_cache(maxsize=None)
@@ -426,12 +430,13 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     rows = report.equations()
     constants = [e for e in rows if e.is_rational_constant]
     varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
+    constant_max = max(map(abs, compile_float(constants, ())()), default=0.0)
     return _CompiledReport(
         report,
         tuple(e.label() for e in report.entries),
         compile_float(rows, REPORT_PARAMS),
-        max(map(abs, compile_float(constants, ())()), default=0.0),
-        compile_columns(varying, REPORT_PARAMS, _CURVATURES) if varying else None,
+        constant_max,
+        compile_columns(varying, REPORT_PARAMS, _CURVATURES, constant_max) if varying else None,
     )
 
 

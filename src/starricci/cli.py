@@ -185,25 +185,29 @@ def cmd_prove(args) -> int:
     except ProofError as exc:
         _write(Report(f"prove {target}", f"FAILED: {exc}", {}, cat.version), args)
         return 1
+    traces = {key: trace for key, trace in (("nonhopf", nonhopf), ("hopf", hopf))
+              if trace is not None}
     payload: dict = {}
     lines: list = []
-    for key, trace in (("nonhopf", nonhopf), ("hopf", hopf)):
-        if trace is not None:
-            payload[key] = trace.to_payload()
+    if args.format == "json":  # each format builds only what it prints
+        payload.update((key, trace.to_payload()) for key, trace in traces.items())
+        if quad is not None:
+            payload["quadratic"] = [q.to_payload() for q in quad]
+        if typeb is not None:
+            payload["type_b"] = [t.to_payload() for t in typeb]
+        if summary is not None:
+            payload["witness_min_residual"] = summary.witness_min_residual
+    else:
+        for trace in traces.values():
             lines += trace.to_text().splitlines() + [""]
-    if quad is not None:
-        payload["quadratic"] = [q.to_payload() for q in quad]
-        for q in quad:
+        for q in quad or ():
             lines += q.to_text().splitlines() + [""]
-    if typeb is not None:
-        payload["type_b"] = [t.to_payload() for t in typeb]
-        lines += [t.to_text() for t in typeb]
-    if summary is not None:
-        payload["witness_min_residual"] = summary.witness_min_residual
-        lines.append(
-            f"witness: min over families of max parallel residual = "
-            f"{summary.witness_min_residual:.6e} (> {summary.witness_tol:g} required)"
-        )
+        lines += [t.to_text() for t in typeb or ()]
+        if summary is not None:
+            lines.append(
+                f"witness: min over families of max parallel residual = "
+                f"{summary.witness_min_residual:.6e} (> {summary.witness_tol:g} required)"
+            )
     _write(Report(f"prove {target}", verdict(ok), payload, cat.version, lines), args)
     return 0 if ok else 1
 

@@ -113,6 +113,19 @@ def _mono_divides(a: Mono, b: Mono) -> bool:
     eb = dict(b)
     return all(eb.get(s, 0) >= e for s, e in a)
 
+def _mono_div_or_none(b: Mono, a: Mono) -> Optional[Mono]:
+    """b / a, or None when a does not divide b."""
+    eb = dict(b)
+    for s, e in a:
+        d = eb.get(s, 0) - e
+        if d < 0:
+            return None
+        if d:
+            eb[s] = d
+        else:
+            del eb[s]
+    return tuple(eb.items())
+
 def _mono_div(b: Mono, a: Mono) -> Mono:
     """b / a, assuming divisibility."""
     ea = dict(a)
@@ -299,9 +312,19 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return _ZERO
-        if divisor.is_constant:
-            return self.scale(1 / divisor.constant_value())
-        quot: dict[Mono, Coeff] = {}
+        if len(divisor.terms) == 1:  # a term: one pass, no remainder
+            (dm, dc), = divisor.terms
+            quot: dict[Mono, Coeff] = {}
+            for rm, rc in self.terms:
+                m = _mono_div_or_none(rm, dm)
+                if m is None:
+                    return None
+                if rc.__class__ is int and dc.__class__ is int and not rc % dc:
+                    quot[m] = rc // dc
+                else:
+                    quot[m] = Fraction(rc) / dc
+            return Polynomial(quot)
+        quot = {}
         rem = self
         dm, dc = divisor.leading()
         while not rem.is_zero:

@@ -25,8 +25,9 @@ The fixed forms the replays compare with (the expected equations and
 BASIC_RELATION_TEXT) are parsed once per frame context and kept on it, in
 the context's own table.  The elimination builds its table of the constants
 alpha, lambda, nu and c once per process, freezes it and parses its three
-forms in it once.  Only the parsing of constant text is kept: every
-comparison, purity check and cancellation runs on every replay.
+forms in it once.  Only the parsing of constant text, and the set of free
+connection coefficients of a context that the purity checks read, are kept:
+every comparison, purity check and cancellation runs on every replay.
 
 Algebraic discipline: a step may cancel only factors that were declared
 nonzero (the tracker rejects anything else), and equations recorded as
@@ -115,10 +116,9 @@ class NonzeroTracker:
             raise ProofError("can only cancel inside polynomial equations")
         num = equation.num
         den = equation.den
-        fnum = factor.num.scale(1 / factor.den.constant_value())
         cancelled = False
-        while True:
-            q = num.exact_div(fnum)
+        while True:  # a declared factor is polynomial: its den is 1
+            q = num.exact_div(factor.num)
             if q is None:
                 break
             num = q
@@ -240,11 +240,17 @@ def _expect(label: str, got: Expr, expected: Expr) -> None:
         )
 
 
+@_once_per_context
+def _free_coefficients(ctx: FrameContext) -> frozenset:
+    """The symbols of the free connection coefficients Gamma_i12 of ctx."""
+    return frozenset(s for i in range(3) for s in ctx.connection.entries[i][0][1].symbols())
+
+
 def _assert_projection_purity(ctx: FrameContext, label: str, e: Expr) -> None:
     """The replayed projections must not involve the free connection
     coefficients Gamma_i12 of ctx or any formal derivative symbol; that is the
     content of the projection trick."""
-    free = {s for i in range(3) for s in ctx.connection.entries[i][0][1].symbols()}
+    free = _free_coefficients(ctx)
     for sym in e.symbols():
         if sym.kind == DERIVATIVE or sym in free:
             raise ProofError(

@@ -3,13 +3,16 @@
 Roots of a quadratic keep the radical opaque: a root is offset + coeff * s
 where s is a formal square root of the discriminant.  No radical arithmetic
 happens beyond s^2 = discriminant, which is all the solvability analysis
-needs.
+needs.  A QuadraticSolution builds its roots and its solvability condition
+only when they are read (cached_property): the proof's elimination reads
+the discriminant alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .rational import Expr, ExprError
@@ -45,12 +48,31 @@ class QuadraticSolution:
     degree: int                    # 0 (identically zero), 1 or 2
     coefficients: tuple            # (a, b, c) as Expr, highest first
     discriminant: Expr | None      # b^2 - 4ac for degree 2
-    roots: tuple                   # QuadraticRoot, 0..2 entries
-    solvability_condition: str | None  # real-root condition for degree 2
 
     @property
     def is_degenerate(self) -> bool:
         return self.degree == 0
+
+    @cached_property
+    def roots(self) -> tuple:
+        """QuadraticRoot, 0..2 entries; built on first read."""
+        a, b, c = self.coefficients
+        if self.degree == 2:
+            half = Expr.const(1) / (2 * a)
+            offset = -b * half
+            disc = self.discriminant
+            return QuadraticRoot(offset, half, disc), QuadraticRoot(offset, -half, disc)
+        if self.degree == 1:
+            zero = Expr.zero()
+            return (QuadraticRoot(-c / b, zero, zero),)
+        return ()  # degenerate: identically satisfied, every value is a root
+
+    @cached_property
+    def solvability_condition(self) -> str | None:
+        """The real-root condition for degree 2, else None."""
+        if self.degree == 2:
+            return f"{self.discriminant.to_text()} >= 0"
+        return None
 
     def residual_parts(self, root: QuadraticRoot) -> tuple[Expr, Expr]:
         """Plug a root back in; returns (rational part, sqrt-coefficient part).
@@ -67,7 +89,10 @@ class QuadraticSolution:
 
 
 def solve_quadratic(e: Expr, unknown: Symbol) -> QuadraticSolution:
-    """Solve e = 0 for `unknown`; e must be polynomial of degree <= 2 in it."""
+    """Solve e = 0 for `unknown`; e must be polynomial of degree <= 2 in it.
+
+    The coefficients and the discriminant are computed, and the errors
+    raised, here; the roots and the solvability condition on first read."""
     try:
         coeffs = e.coefficients_in(unknown)
     except ExprError as exc:
@@ -80,21 +105,11 @@ def solve_quadratic(e: Expr, unknown: Symbol) -> QuadraticSolution:
     b = coeffs.get(1, zero)
     c = coeffs.get(0, zero)
     if not a.is_zero:
-        disc = b * b - 4 * a * c
-        half = Expr.const(1) / (2 * a)
-        offset = -b * half
-        roots = (
-            QuadraticRoot(offset, half, disc),
-            QuadraticRoot(offset, -half, disc),
-        )
-        return QuadraticSolution(unknown, 2, (a, b, c), disc, roots,
-                                 f"{disc.to_text()} >= 0")
+        return QuadraticSolution(unknown, 2, (a, b, c), b * b - 4 * a * c)
     if not b.is_zero:
-        return QuadraticSolution(unknown, 1, (a, b, c), None,
-                                 (QuadraticRoot(-c / b, zero, zero),), None)
+        return QuadraticSolution(unknown, 1, (a, b, c), None)
     if c.is_zero:
-        # degenerate: identically satisfied, every value is a root
-        return QuadraticSolution(unknown, 0, (a, b, c), None, (), None)
+        return QuadraticSolution(unknown, 0, (a, b, c), None)
     raise InconsistentEquationError(
         f"{unknown.name} does not occur in {e.to_text()} = 0, which is not identically zero"
     )

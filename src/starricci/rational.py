@@ -653,7 +653,8 @@ def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[...,
 
 
 def compile_columns(
-    exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str]
+    exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str],
+    maximum: float | None = None,
 ) -> Callable[..., tuple]:
     """One compiled loop: compile_float's values over columns of inputs.
 
@@ -662,14 +663,17 @@ def compile_columns(
     loop) and a scalar for every other name.  It returns one list per
     expression in `exprs` (at least one): row by row, the values that
     compile_float(exprs, params) returns at that row's inputs, bit for bit.
-    The lists stop before the first row at which that function raises (a
-    pole, an overflow, a math domain error) or returns a value that is not
-    finite, so the caller can replay that row through the per-call function
-    for its error.  The loop calls no Python function per row: each atom
-    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
-    NUMERIC_FUNCTIONS computes).  Unlike compile_float the kernel applies
-    float() to scalars only, so columns must hold floats.  The source is
-    kept on the kernel as ``source``.
+    With a finite `maximum` it returns a single list instead: row by row, the
+    max of `maximum` and the absolute value of each expression, kept as a
+    running max (the max of finite non-negative floats does not depend on
+    the order).  The lists stop before the first row at which that function
+    raises (a pole, an overflow, a math domain error) or returns a value that
+    is not finite, so the caller can replay that row through the per-call
+    function for its error.  The loop calls no Python function per row: each
+    atom calls its math function directly (cot(x) as 1.0 / tan(x), which is
+    what NUMERIC_FUNCTIONS computes).  Unlike compile_float the kernel
+    applies float() to scalars only, so columns must hold floats.  The
+    source is kept on the kernel as ``source``.
     """
     if not exprs:
         raise ValueError("a column kernel needs at least one expression")
@@ -677,22 +681,31 @@ def compile_columns(
     values = gen.values(exprs)
     cols = [gen.params[name] for name in columns]
     outs = range(len(values))
+    kept = outs if maximum is None else range(1)  # the lists the kernel returns
     lines = [f"def compiled({', '.join(gen.params.values())}):", *gen.scalars(cols)]
     lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
-    lines.append("    " + ", ".join(f"o{i}" for i in outs) + " = " + ", ".join("[]" for _ in outs))
-    lines += [f"    w{i} = o{i}.append" for i in outs]
+    lines.append("    " + ", ".join(f"o{i}" for i in kept) + " = " + ", ".join("[]" for _ in kept))
+    lines += [f"    w{i} = o{i}.append" for i in kept]
     row = ", ".join(cols)
     lines.append(f"    for {row} in {cols[0] if len(cols) == 1 else f'zip({row})'}:")
     lines.append("        try:")
     lines += [f"            {stmt}" for stmt in gen.body]
-    lines += [f"            x{i} = {v}" for i, v in zip(outs, values)]
+    value = "{}" if maximum is None else "abs({})"
+    lines += [f"            x{i} = {value.format(v)}" for i, v in zip(outs, values)]
     lines.append("        except (ArithmeticError, ValueError):")
     lines.append("            break")
     # x - x is 0.0 for a finite x and NaN otherwise
     lines.append("        if " + " + ".join(f"(x{i} - x{i})" for i in outs) + " != 0.0:")
     lines.append("            break")
-    lines += [f"        w{i}(x{i})" for i in outs]
-    lines.append("    return " + "".join(f"o{i}, " for i in outs))
+    if maximum is None:
+        lines += [f"        w{i}(x{i})" for i in outs]
+    else:
+        top = f"x{len(values)}"
+        lines.append(f"        {top} = {float(maximum)!r}")
+        for i in outs:
+            lines += [f"        if x{i} > {top}:", f"            {top} = x{i}"]
+        lines.append(f"        w0({top})")
+    lines.append("    return " + "".join(f"o{i}, " for i in kept))
     return _define("\n".join(lines) + "\n", {
         "float": float,
         "abs": abs,

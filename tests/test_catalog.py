@@ -5,6 +5,8 @@ import math
 import re
 import sys
 import tokenize
+from importlib import resources
+from itertools import repeat
 
 import pytest
 
@@ -194,6 +196,18 @@ def test_loading_a_catalog_again_compiles_no_kernel(monkeypatch):
     # the memo keeps the module of parse_catalog, by which perfbench's
     # tracer finds the functions it wraps
     assert parse_catalog.__module__ == catalog.__name__ and callable(parse_catalog)
+
+
+def test_the_data_file_loads_as_the_builtin_catalog():
+    # builtin_catalog passes the oracle tolerance as load_catalog does, so
+    # the memo keeps one entry for the data file's text
+    parse_catalog.cache_clear()
+    builtin_catalog.cache_clear()
+    builtin = builtin_catalog()
+    path = resources.files("starricci.data").joinpath("families.cat")
+    assert catalog.load_catalog(path) is builtin
+    info = parse_catalog.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_catalog_rejects_bad_family():
@@ -605,6 +619,38 @@ def test_type_b_exclusion_raises_the_per_radius_error():
     fam = HypersurfaceFamily("cp2-b", CP2, (0.0, 4.0), fam.alpha, fam.lam, fam.nu)
     with pytest.raises(CatalogError, match=r"lambda\*nu \+ c = inf on family cp2-b at r = 0.04"):
         type_b_exclusion(CP2, samples=100, catalog=Catalog(1, (fam,)))
+
+
+def _max_abs_column_from_row_lists(compiled, curvatures, args):
+    """max_abs_column as computed from one list per distinct non-constant
+    row, before the kernel kept a running max: the reference."""
+    rows = compiled.report.equations()
+    varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
+    if not varying:
+        return [compiled.constant_max] * len(curvatures[0])
+    kernel = rational.compile_columns(varying, catalog.REPORT_PARAMS, ("alpha", "lambda", "nu"))
+    columns = [col if bound is None else [bound] * len(col)
+               for col, bound in zip(curvatures, args)]
+    lists = kernel(*columns, *args[3:])
+    return list(map(max, *[map(abs, row) for row in lists], repeat(compiled.constant_max)))
+
+
+@pytest.mark.parametrize("bindings", [None, {"L": 2.0, "alpha": 0.5}])
+def test_max_abs_column_equals_the_row_lists(bindings):
+    # the curvatures stay finite on the grid; powers of exp(400*r) in the
+    # rows overflow partway through it
+    fam = _family("1", "exp(400*r)", "-exp(400*r)")
+    radii = radius_grid(0.05, 1.5, 60)
+    curvatures = catalog._curvature_columns(fam, radii)
+    assert len(curvatures[0]) == len(radii)
+    args = catalog._report_args(fam, bindings)
+    stopped = 0
+    for kind in ConditionKind:
+        compiled = catalog._hopf_report(kind)
+        got = compiled.max_abs_column(curvatures, args)
+        assert _hex(got) == _hex(_max_abs_column_from_row_lists(compiled, curvatures, args))
+        stopped += 0 < len(got) < len(radii)
+    assert stopped >= 4
 
 
 # -- column kernels: no Python call per radius ------------------------------------------

@@ -159,6 +159,23 @@ def test_sweep_builds_only_the_requested_format(monkeypatch, capsys, fmt):
     assert report.payload["rows_below_witness_tol"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_prove_builds_only_the_requested_format(monkeypatch, capsys, fmt):
+    reports = []
+    monkeypatch.setattr(cli, "_write", lambda report, args: reports.append(report))
+    code, _ = run(capsys, "prove", "all", "--samples", "10", "--format", fmt)
+    assert code == 0
+    (report,) = reports
+    keys = {"nonhopf", "hopf", "quadratic", "type_b"}
+    if fmt == "json":
+        assert report.text_lines == []
+        assert keys <= set(report.payload)
+    else:
+        assert not keys & set(report.payload)
+        assert report.text_lines[0] == "trace: nonhopf-contradiction"
+        assert report.text_lines[-1].startswith("witness: ")
+
+
 def test_expr_eval(capsys):
     code, out = run(capsys, "expr", "eval", "l*n_ - (a/2)*(l+n_) - c/4",
                     "a=2", "l=1", "n_=1", "c=-4")

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starricci import rational
+from starricci import quadratic, rational
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
 from starricci.polynomial import Polynomial, poly_gcd
-from starricci.proofs import BASIC_RELATION_TEXT
+from starricci.proofs import BASIC_RELATION_TEXT, DISCRIMINANT_TEXT, quadratic_elimination
 from starricci.quadratic import (
     InconsistentEquationError,
     QuadraticError,
+    QuadraticRoot,
     solve_quadratic,
 )
 from starricci.rational import (
@@ -825,3 +826,46 @@ def test_solve_linear_and_degenerate(table):
         solve_quadratic(parse_expr("x^3", table), x)
     with pytest.raises(QuadraticError):
         solve_quadratic(parse_expr("1/x", table), x)
+
+
+def _eager_roots(e, unknown):
+    """The roots and the solvability condition as solve_quadratic built
+    them before it left them to first read: the reference."""
+    zero = Expr.zero()
+    coeffs = e.coefficients_in(unknown)
+    a, b, c = (coeffs.get(k, zero) for k in (2, 1, 0))
+    if not a.is_zero:
+        disc = b * b - 4 * a * c
+        half = Expr.const(1) / (2 * a)
+        offset = -b * half
+        roots = (QuadraticRoot(offset, half, disc), QuadraticRoot(offset, -half, disc))
+        return roots, f"{disc.to_text()} >= 0"
+    if not b.is_zero:
+        return (QuadraticRoot(-c / b, zero, zero),), None
+    return (), None
+
+
+@pytest.mark.parametrize("text, unknown, degree", [
+    ("2*a*v^2 + 5*c*v - 2*a*c", "v", 2),
+    ("x^2 - 9", "x", 2),
+    ("(y + 1)*x^2/3 - x*z", "x", 2),
+    ("3*x - y", "x", 1),
+    ("x*z/2 + y^2", "x", 1),
+    ("y - y", "x", 0),
+])
+def test_lazy_roots_equal_the_eager_ones(table, text, unknown, degree):
+    e = parse_expr(text, table)
+    sol = solve_quadratic(e, table.get(unknown))
+    assert sol.degree == degree
+    assert "roots" not in vars(sol) and "solvability_condition" not in vars(sol)
+    assert (sol.roots, sol.solvability_condition) == _eager_roots(e, table.get(unknown))
+    assert sol.roots is sol.roots  # built once
+
+
+def test_quadratic_elimination_builds_no_root(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a root was built")
+
+    monkeypatch.setattr(quadratic.QuadraticRoot, "__init__", refuse)
+    elimination = quadratic_elimination()
+    assert elimination.discriminant == parse_expr(DISCRIMINANT_TEXT, elimination.table.scope())

@@ -118,17 +118,18 @@ _DIV_TABLE = SymbolTable()
 _DIV_SYMS = [_DIV_TABLE.constant(n) for n in ("x", "y", "z")]
 _DIV_COEFFS = st.one_of(st.integers(-12, 12),
                         st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
-_DIV_POLYS = st.dictionaries(
-    st.dictionaries(st.sampled_from(_DIV_SYMS), st.integers(1, 2), max_size=2).map(
-        lambda exps: tuple(sorted(exps.items()))),
-    _DIV_COEFFS, max_size=4).map(Polynomial)
+_DIV_MONOS = st.dictionaries(st.sampled_from(_DIV_SYMS), st.integers(1, 2), max_size=2).map(
+    lambda exps: tuple(sorted(exps.items())))
+_DIV_POLYS = st.dictionaries(_DIV_MONOS, _DIV_COEFFS, max_size=4).map(Polynomial)
+# one-term divisors, int or Fraction coefficient: exact_div's one-pass path
+_DIV_TERMS = st.builds(lambda m, c: Polynomial({m: c}), _DIV_MONOS, _DIV_COEFFS.filter(bool))
 
 
 def _typed_terms(p):
     return None if p is None else [(m, type(c), c) for m, c in p.terms]
 
 
-@given(_DIV_POLYS, _DIV_POLYS.filter(lambda q: not q.is_zero))
+@given(_DIV_POLYS, st.one_of(_DIV_POLYS.filter(lambda q: not q.is_zero), _DIV_TERMS))
 def test_exact_div_matches_the_fraction_reference(p, q):
     # a multiple of q divides; p itself mostly does not (None on both sides)
     for dividend in (p * q, p):
