@@ -78,7 +78,7 @@ class FrameIndex(Enum):
 
     @property
     def direction(self) -> str:
-        return DIRECTIONS[self.value]
+        return DIRECTIONS[self._value_]  # an attribute; .value is a Python-level property
 
 
 FRAME_INDICES = (FrameIndex.E1, FrameIndex.E2, FrameIndex.E3)

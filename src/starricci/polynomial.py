@@ -13,11 +13,14 @@ division divides a ``Fraction``, so none yields a float; ``constant_value``
 returns a ``Fraction``.
 
 Each SymbolTable carries memos of the monomials in its symbols: the grlex
-sort key of a monomial and the product of two monomials are computed once
-and then looked up in C.  They hold monomials only, never a Polynomial or an
-Expr, and live as long as the table.  A product is memoized per table, not
-globally, because it holds the symbols it was first computed from, and two
-tables may give one name different kinds.
+sort key of a monomial, the product of two monomials, the derivative terms of
+a monomial along each frame direction and the text of a monomial are computed
+once and then looked up in C.  They hold monomials, ints and strings only,
+never a Polynomial or an Expr, and live as long as the table.  A product or a
+derivative is memoized per table, not globally, because it holds the symbols
+it was first computed from, and two tables may give one name different kinds
+(a derivative exists only for a function symbol).  A polynomial reaches the
+memos through the table of its first monomial's lead symbol.
 
 GCDs are computed with the primitive pseudo-remainder sequence, recursing on
 the number of variables; this is all the factorization the canonical
@@ -74,22 +77,61 @@ class _ProductRow(dict):
         return m
 
 
-class _ProductMemo(dict):
-    """Monomial a -> its _ProductRow."""
+class _DerivativeRow(dict):
+    """Monomial m -> the terms ((m', e), ...) of its derivative along one
+    direction, computed on the first lookup: each function symbol s^e of m
+    gives e * (m / s) * D(direction, s).  A monomial holding a derivative
+    symbol raises SymbolError on every lookup, since nothing is stored."""
 
-    def __missing__(self, a: Mono) -> _ProductRow:
-        row = self[a] = _ProductRow(a)
+    __slots__ = ("direction",)
+
+    def __init__(self, direction: str):
+        self.direction = direction
+
+    def __missing__(self, m: Mono) -> tuple:
+        terms = []
+        for idx, (s, e) in enumerate(m):
+            if s.kind == CONSTANT:
+                continue
+            dsym = derivative_symbol(s, self.direction)
+            lowered = ((s, e - 1),) if e > 1 else _EMPTY
+            terms.append((_mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),)), e))
+        out = self[m] = tuple(terms)
+        return out
+
+
+class _TextMemo(dict):
+    """Monomial -> its text, such as alpha*gamma^2, computed on the first lookup."""
+
+    def __missing__(self, m: Mono) -> str:
+        text = self[m] = "*".join([s.name if e == 1 else f"{s.name}^{e}" for s, e in m])
+        return text
+
+
+class _Rows(dict):
+    """Key -> row(key), a memo of its own, made on the first lookup."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: type):
+        self.row = row
+
+    def __missing__(self, key):
+        row = self[key] = self.row(key)
         return row
 
 
 class _Memos:
-    """The memos of one SymbolTable (see SymbolTable.monomials)."""
+    """The memos of one SymbolTable (see SymbolTable.monomials): products
+    by first factor, derivatives by direction."""
 
-    __slots__ = ("keys", "products")
+    __slots__ = ("keys", "products", "derivatives", "texts")
 
     def __init__(self) -> None:
         self.keys = _KeyMemo()
-        self.products = _ProductMemo()
+        self.products = _Rows(_ProductRow)
+        self.derivatives = _Rows(_DerivativeRow)
+        self.texts = _TextMemo()
 
 
 def _memos(sym: Symbol) -> _Memos:
@@ -348,15 +390,14 @@ class Polynomial:
 
         Constants vanish, function symbols become D(direction, .) symbols.
         """
+        terms = self.terms
+        if not terms or not terms[0][0]:  # a constant
+            return _ZERO
+        row = _memos(terms[0][0][0][0]).derivatives[direction]
         acc: dict[Mono, Coeff] = {}
-        for m, c in self.terms:
-            for idx, (s, e) in enumerate(m):
-                if s.kind == CONSTANT:
-                    continue
-                dsym = derivative_symbol(s, direction)
-                lowered = ((s, e - 1),) if e > 1 else _EMPTY
-                mono = _mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),))
-                acc[mono] = acc.get(mono, 0) + c * e
+        for m, c in terms:
+            for dm, e in row[m]:
+                acc[dm] = acc.get(dm, 0) + c * e
         return Polynomial(acc) if acc else _ZERO
 
     def eval(self, values: Callable[[Symbol], float]) -> float:
@@ -380,24 +421,24 @@ class Polynomial:
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
+        lead = terms[0][0]
+        texts = _memos(lead[0][0]).texts if lead else None  # None: a constant
         parts: list[str] = []
-        for i, (m, c) in enumerate(self.terms):
-            neg = c < 0
-            mag = -c if neg else c
-            factors = []
-            if mag != 1 or not m:
-                factors.append(str(mag.numerator) if mag.denominator == 1
-                               else f"({mag.numerator}/{mag.denominator})")
-            for s, e in m:
-                factors.append(s.name if e == 1 else f"{s.name}^{e}")
-            body = "*".join(factors)
-            if i == 0:
-                parts.append(f"-{body}" if neg else body)
+        for m, c in terms:
+            if c < 0:
+                sign, c = "- ", -c
             else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+                sign = "+ "
+            if m and c == 1:
+                parts.append(sign + texts[m])
+                continue
+            coeff = str(c.numerator) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
+            parts.append(f"{sign}{coeff}*{texts[m]}" if m else sign + coeff)
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]  # the first sign is bare
 
     def __str__(self) -> str:
         return self.to_text()

@@ -536,13 +536,14 @@ def quadratic_elimination() -> QuadraticElimination:
 
     substituted = basic.substitute({lam: -Expr.from_symbol(c) / Expr.from_symbol(nu)})
     target = forms[QUADRATIC_TEXT]
-    quotient = substituted.num.exact_div(target.num)
-    if quotient is None or not quotient.is_constant or quotient.constant_value() == 0:
+    # a constant multiple has the ratio of the leading coefficients as factor
+    cleared = substituted.num
+    factor = Fraction(cleared.leading()[1]) / target.num.leading()[1] if cleared.terms else 0
+    if factor == 0 or cleared != target.num.scale(factor):
         raise ProofError(
-            f"cleared relation {Expr(substituted.num).to_text()} is not a nonzero "
+            f"cleared relation {Expr(cleared).to_text()} is not a nonzero "
             f"multiple of {target.to_text()}"
         )
-    factor = quotient.constant_value()
 
     disc = solve_quadratic(target, nu).discriminant
     _expect("discriminant", disc, forms[DISCRIMINANT_TEXT])

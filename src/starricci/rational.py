@@ -357,7 +357,7 @@ class Expr:
 
     def to_text(self) -> str:
         """Canonical text; reparsing it reproduces this Expr exactly."""
-        if self.den == Polynomial.one():
+        if self.den is _ONE:  # _set makes every constant denominator the shared one
             return self.num.to_text()
         return f"({self.num.to_text()})/({self.den.to_text()})"
 

@@ -67,13 +67,6 @@ def criterion(n, short):
     return deco
 
 
-def _reference(text):
-    t = SymbolTable()
-    for name in ("alpha", "beta", "gamma", "delta", "mu", "lambda", "nu", "c"):
-        t.constant(name)
-    return parse_expr(text, t)
-
-
 @criterion(1, "exact non-Hopf chain")
 def test_criterion_1_exact_nonhopf_chain():
     t0 = time.perf_counter()
@@ -108,11 +101,15 @@ def test_criterion_2_hopf_chain():
 @criterion(3, "quadratic replication")
 def test_criterion_3_quadratic_replication():
     elimination = quadratic_elimination()
+    # the expected forms are parsed in the elimination's own table
+    cleared = parse_expr("2*alpha*nu^2 + 5*c*nu - 2*alpha*c", elimination.table.scope())
+    discriminant = parse_expr("25*c^2 + 16*alpha^2*c", elimination.table.scope())
     for space, expect_bound in ((CP2, None), (CH2, Fraction(25, 4))):
         q = quadratic_analysis(space, elimination)
-        assert q.cleared_equation == _reference("2*alpha*nu^2 + 5*c*nu - 2*alpha*c")
+        assert q.cleared_equation == cleared
+        assert {s.table for s in q.cleared_equation.symbols()} == {elimination.table}
         assert q.proportionality_factor != 0
-        assert q.discriminant == _reference("25*c^2 + 16*alpha^2*c")
+        assert q.discriminant == discriminant
         if space is CP2:
             assert q.always_solvable
         else:

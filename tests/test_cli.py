@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starricci import catalog, cli, conditions, frames, proofs
+from starricci import catalog, cli, conditions, frames, polynomial, proofs
 from starricci.catalog import ConditionKind, builtin_catalog, format_catalog
 from starricci.cli import main
 from starricci.parsing import parse_expr
@@ -553,6 +553,77 @@ def test_row_writers_match_the_generic_writers(family, rows, below):
     # the row text before the template: one f-string per row
     text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
     assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\t", "a", " ", "é", "∇", "\U0001d49e"]),
+            max_size=5),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.sampled_from(['"', "\\", "\x00", "k", "é", "b"]),
+                                max_size=3), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    # empty containers, nested lists, tuples and dicts, and every scalar kind
+    out = []
+    cli._json(value, "\n", out)
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _oracle(report, fmt):
+    """A report rendered through the generic path: json.dumps of its dict, or
+    its head and text lines."""
+    if fmt == "json":
+        return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return "\n".join([f"# {report.command}", f"status: {report.status}",
+                      *report.text_lines]) + "\n"
+
+
+def test_printed_reports_equal_the_generic_rendering(monkeypatch, capsys):
+    # every check tensor x condition x context and prove all, in both formats
+    reports = []
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", lambda report, args: (reports.append(report),
+                                                            write(report, args)))
+    commands = [["check", tensor, kind.value, context]
+                for tensor in ("star-ricci", "ricci") for kind in ConditionKind
+                for context in ("nonhopf", "hopf")]
+    commands += [["prove", "all", "--samples", "10"],
+                 ["sweep", "cp2-a1", "0.2", "0.9", "3", "parallel"]]
+    for argv in commands:
+        for fmt in ("text", "json"):
+            reports.clear()
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert code == 0, argv
+            (report,) = reports
+            assert out == _oracle(report, fmt), (argv, fmt)
+    assert len(commands) == 2 * 6 * 2 + 2
+
+
+def test_a_second_check_builds_no_derivative_symbol(monkeypatch, capsys):
+    # the context's table memoizes each monomial's derivative terms
+    first = run(capsys, "check", "ricci", "parallel", "nonhopf")
+
+    def refuse(*_args):
+        raise AssertionError("derivative_symbol called")
+
+    monkeypatch.setattr(polynomial, "derivative_symbol", refuse)
+    assert run(capsys, "check", "ricci", "parallel", "nonhopf") == first
 
 
 # Commands that define names: the --pseudo-l identifiers, the Einstein

@@ -12,7 +12,7 @@ from starricci import polynomial, symbols
 from starricci.polynomial import Polynomial, poly_gcd
 from starricci.proofs import _derivative_bindings
 from starricci.rational import Expr
-from starricci.symbols import DERIVATIVE, SymbolTable, SymbolError
+from starricci.symbols import CONSTANT, DERIVATIVE, SymbolTable, SymbolError
 
 
 @pytest.fixture
@@ -290,6 +290,88 @@ def test_derivative_kinds():
     assert Polynomial.const(3).derivative("e2") is Polynomial.zero()
 
 
+def _derivative_reference(p, direction):
+    """Polynomial.derivative before its per-table memo: every call builds each
+    derivative symbol and each lowered monomial again."""
+    acc = {}
+    for m, c in p.terms:
+        for idx, (s, e) in enumerate(m):
+            if s.kind == CONSTANT:
+                continue
+            dsym = symbols.derivative_symbol(s, direction)
+            lowered = ((s, e - 1),) if e > 1 else ()
+            mono = polynomial._mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),))
+            acc[mono] = acc.get(mono, 0) + c * e
+    return Polynomial(acc) if acc else Polynomial.zero()
+
+
+def _kinded_terms(p):
+    return [(tuple((s, s.kind, s.table, e) for s, e in m), type(c), c) for m, c in p.terms]
+
+
+# functions and constants interleaved by name: "a" is a constant lead symbol
+_CALC_TABLE = SymbolTable()
+_CALC_SYMS = [_CALC_TABLE.constant("a"), _CALC_TABLE.function("f"),
+              _CALC_TABLE.function("g"), _CALC_TABLE.constant("k")]
+_CALC_MONOS = st.dictionaries(st.sampled_from(_CALC_SYMS), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items())))
+_CALC_POLYS = st.dictionaries(_CALC_MONOS, _DIV_COEFFS, max_size=5).map(Polynomial)
+
+
+@given(_CALC_POLYS, st.sampled_from(symbols.DIRECTIONS))
+def test_derivative_matches_the_reference_loop(p, direction):
+    # constants, exponents above 1, Fraction coefficients and monomials mixing
+    # constants and functions; the table's memo fills across the examples
+    for _ in range(2):
+        assert _kinded_terms(p.derivative(direction)) == \
+            _kinded_terms(_derivative_reference(p, direction))
+
+
+def test_a_derivative_symbol_raises_on_every_call():
+    t = SymbolTable()
+    f, k = t.function("f"), t.constant("k")
+    df = t.derivative(f, "e1")
+    p = P(k) * P(df) + P(f)
+    for _ in range(2):
+        with pytest.raises(SymbolError, match="second-order"):
+            p.derivative("e2")
+    # the failing monomial leads, so nothing is memoized; f alone is
+    row = t.monomials.derivatives["e2"]
+    assert not row
+    assert P(f).derivative("e2") == P(t.derivative(f, "e2"))
+    assert list(row) == [((f, 1),)]
+
+
+def _to_text_reference(p):
+    """Polynomial.to_text before its per-table text memo."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for i, (m, c) in enumerate(p.terms):
+        neg = c < 0
+        mag = -c if neg else c
+        factors = []
+        if mag != 1 or not m:
+            factors.append(str(mag.numerator) if mag.denominator == 1
+                           else f"({mag.numerator}/{mag.denominator})")
+        for s, e in m:
+            factors.append(s.name if e == 1 else f"{s.name}^{e}")
+        body = "*".join(factors)
+        if i == 0:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
+
+
+@given(st.dictionaries(_CALC_MONOS, st.one_of(_DIV_COEFFS, st.sampled_from([1, -1])),
+                       max_size=5).map(Polynomial))
+def test_to_text_matches_the_reference_body(p):
+    # signs, unit and Fraction coefficients, a constant term, exponents
+    assert p.to_text() == _to_text_reference(p)
+    assert p.to_text() == _to_text_reference(p)  # from the memo
+
+
 def test_derivative_symbols_agree_across_sites():
     t = SymbolTable()
     f = t.function("f")
@@ -370,3 +452,12 @@ def test_memoized_products_keep_each_tables_kinds():
     for _ in range(2):
         assert nonhopf.parse("alpha*c").derivative("e1").to_text() == "D(e1,alpha)*c"
         assert hopf.parse("alpha*c").derivative("e1").is_zero
+    # a derivative memoized in one table is not handed to the other: contexts
+    # of their own start with empty memos, and either may fill its memo first
+    expected = {build_nonhopf_context: "D(e1,alpha)*c", build_hopf_context: "0"}
+    for order in ((build_nonhopf_context, build_hopf_context),
+                  (build_hopf_context, build_nonhopf_context)):
+        for build in order:
+            ctx = build.__wrapped__()
+            for _ in range(2):
+                assert ctx.parse("alpha*c").derivative("e1").to_text() == expected[build]

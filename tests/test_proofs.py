@@ -318,6 +318,30 @@ def test_kept_forms_keep_no_verdict(monkeypatch):
         quadratic_elimination()
 
 
+@pytest.mark.parametrize("quadratic, factor", [
+    ("2*alpha*nu^2 + 5*c*nu - 2*alpha*c", Fraction(-1, 4)),   # the kept form
+    ("-8*alpha*nu^2 - 20*c*nu + 8*alpha*c", Fraction(1, 16)),  # another multiple
+    ("2*alpha*nu^2 + 5*c*nu + 2*alpha*c", None),    # the same leading term only
+    ("2*alpha*nu^2 + 5*c*nu", None),                # a term short
+    ("alpha*nu^3 + c*nu^2", None),                  # another degree
+])
+def test_elimination_accepts_only_a_constant_multiple(monkeypatch, quadratic, factor):
+    # the cleared relation is -1/4 * (2*alpha*nu^2 + 5*c*nu - 2*alpha*c): the
+    # factor is the ratio of the leading coefficients, then the whole relation
+    # must equal the target scaled by it
+    forms = proofs._elimination_forms()
+    monkeypatch.setitem(forms, proofs.QUADRATIC_TEXT, parse_expr(quadratic, forms.table.scope()))
+    if factor is None:
+        with pytest.raises(ProofError, match="is not a nonzero multiple of"):
+            quadratic_elimination()
+        return
+    if factor != Fraction(-1, 4):  # the discriminant of another multiple is another
+        monkeypatch.setattr(proofs, "solve_quadratic",
+                            lambda e, sym: SimpleNamespace(
+                                discriminant=forms[proofs.DISCRIMINANT_TEXT]))
+    assert quadratic_elimination().proportionality_factor == factor
+
+
 def test_kept_forms_hold_only_the_symbols_of_their_table():
     # each reference is compared in the table it was parsed in, so the
     # comparison stays right when symbols of two tables no longer compare equal
