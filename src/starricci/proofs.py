@@ -21,13 +21,26 @@ pieces, each produced here as a deterministic trace or report:
   curvatures; the tube families ("type B") violate lambda nu = -c
   numerically by a margin of 3 at every radius.
 
-The fixed forms the replays compare with (the expected equations and
+Each replay is one table of `Step` rows, built once per frame context, and
+one runner, `_replay`, that checks them:
+
+* a step's equation is its cited projection g((nabla_X S*) Y, P) of the
+  parallel condition, else the form the row gives, else the previous step's;
+* `at` substitutes zero only for a name that an earlier step concluded zero
+  and that is still in force, and anything else is a ProofError;
+* a step that forces a declared-nonzero symbol (one of the names the replay
+  declares nonzero) to vanish is a contradiction: inside a case it withdraws
+  the case hypothesis and every zero concluded under it, and outside one it
+  ends the replay with status "contradiction".
+
+The fixed forms the rows compare with (the expected equations and
 BASIC_RELATION_TEXT) are parsed once per frame context and kept on it, in
 the context's own table.  The elimination builds its table of the constants
 alpha, lambda, nu and c once per process, freezes it and parses its three
-forms in it once.  Only the parsing of constant text, and the set of free
-connection coefficients of a context that the purity checks read, are kept:
-every comparison, purity check and cancellation runs on every replay.
+forms in it once.  Only the tables, the parsing of constant text, and the set
+of free connection coefficients of a context that the purity checks read,
+are kept: every comparison, purity check and cancellation runs on every
+replay.
 
 Algebraic discipline: a step may cancel only factors that were declared
 nonzero (the tracker rejects anything else), and equations recorded as
@@ -37,12 +50,12 @@ while contradiction witnesses are recorded exactly as computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import (
     CH2,
@@ -69,7 +82,7 @@ from .frames import (
 from .parsing import parse_expr
 from .quadratic import solve_quadratic
 from .rational import Expr, sign_normalized
-from .symbols import DERIVATIVE, DIRECTIONS, Symbol, SymbolTable, derivative_symbol
+from .symbols import DERIVATIVE, DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
 
 
 class ProofError(AssertionError):
@@ -153,11 +166,6 @@ def _conclude_zero(label: str, reduced: Expr, name: str) -> None:
         )
 
 
-def _directions(where: tuple) -> tuple:
-    """Frame labels of a (X, Y, proj) projection, e.g. ("e3", "e3", "e3")."""
-    return tuple(i.direction for i in where)
-
-
 @dataclass(frozen=True)
 class ProofStep:
     label: str
@@ -180,16 +188,13 @@ class ProofStep:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProofTrace:
     name: str
     hypotheses: tuple
-    steps: list = field(default_factory=list)
-    status: str = "open"          # "contradiction" | "open"
-    conclusions: tuple = ()
-
-    def add(self, step: ProofStep) -> None:
-        self.steps.append(step)
+    steps: tuple
+    status: str                   # "contradiction" | "open"
+    conclusions: tuple
 
     def to_payload(self) -> dict:
         return {
@@ -259,13 +264,122 @@ def _assert_projection_purity(ctx: FrameContext, label: str, e: Expr) -> None:
 
 
 def _derivative_bindings(table: SymbolTable, name: str, value: Expr) -> dict:
-    """Bind a function symbol (to a constant) and all its formal derivatives
-    to zero."""
+    """Bind a symbol to a constant and, if it is a function, all its formal
+    derivatives to zero."""
     sym = table.get(name)
     out = {sym: value}
-    for d in DIRECTIONS:
-        out[derivative_symbol(sym, d)] = Expr.zero()
+    if sym.kind == FUNCTION:
+        for d in DIRECTIONS:
+            out[derivative_symbol(sym, d)] = Expr.zero()
     return out
+
+
+class Step(NamedTuple):
+    """One row of a replay table; `_replay` states what each field does."""
+
+    label: str
+    justification: str
+    conclusion: str
+    cite: Optional[tuple] = None        # (X, Y, P) of g((nabla_X S*) Y, P)
+    tagged: bool = True                 # print the cited (X, Y, P)
+    equation: Optional[Expr] = None     # the given form when nothing is cited
+    at: tuple = ()                      # names concluded zero, substituted by 0
+    normalize: bool = False             # record the equation sign-normalized
+    expect: Optional[Expr] = None       # what the equation must equal
+    case: Optional[Expr] = None         # opens the case "this expression != 0"
+    cancel: Optional[Expr] = None       # a declared-nonzero factor to cancel
+    zero: Optional[str] = None          # the name the step concludes zero
+
+
+def _replay(ctx: FrameContext, name: str, hypotheses: tuple, nonzero: tuple,
+            steps: tuple, conclusions: tuple) -> ProofTrace:
+    """Run the rows `steps` in ctx with the names `nonzero` declared nonzero.
+
+    Per row: take the equation, substitute zero for the names in `at` (and a
+    function's formal derivatives), sign-normalize, compare with `expect`,
+    check a cited projection's purity, open `case`, cancel `cancel` and
+    conclude `zero` = 0.  The module docstring states the rules.
+    """
+    sstar = star_ricci_closed(ctx)
+    declared = tracker = NonzeroTracker(map(ctx.sym, nonzero))
+    zeros: dict = {}         # name concluded zero -> its bindings
+    before_case = None       # the zeros in force when the open case began
+    status = "open"
+    done = []
+    eq = None
+    for step in steps:
+        label = step.label
+        if status == "contradiction":
+            raise ProofError(f"step {label}: follows the closing contradiction")
+        if step.cite:
+            X, Y, P = step.cite
+            eq = covariant_derivative_entry(ctx, X, sstar, Y, P)
+        elif step.equation is not None:
+            eq = step.equation
+        if step.at:
+            bindings = {}
+            for n in step.at:
+                if n not in zeros:
+                    raise ProofError(f"step {label}: {n} = 0 is not in force")
+                bindings.update(zeros[n])
+            eq = eq.substitute(bindings)
+        if step.normalize:
+            eq = sign_normalized(eq)
+        if step.expect is not None:
+            _expect(label, eq, step.expect)
+        if step.cite:
+            _assert_projection_purity(ctx, label, eq)
+        if step.case is not None:
+            if before_case is not None:
+                raise ProofError(f"step {label}: a case is already open")
+            tracker = NonzeroTracker([*declared.items(), step.case])
+            before_case = dict(zeros)
+        reduced = eq if step.cancel is None else tracker.cancel(eq, step.cancel)
+        contradiction = False
+        if step.zero:
+            _conclude_zero(label, reduced, step.zero)
+            contradiction = step.zero in nonzero
+            if not contradiction:
+                zeros[step.zero] = _derivative_bindings(ctx.table, step.zero, Expr.zero())
+            elif before_case is not None:
+                tracker, zeros, before_case = declared, before_case, None
+            else:
+                status = "contradiction"
+        done.append(ProofStep(
+            label, eq, step.justification, step.conclusion,
+            projection=tuple(i.direction for i in step.cite) if step.cite and step.tagged else None,
+            substitution=((step.zero, Expr.zero()),) if step.zero and not contradiction else (),
+            contradiction=contradiction,
+        ))
+    if before_case is not None:
+        raise ProofError(f"{name}: a case is left open")
+    return ProofTrace(name, hypotheses, tuple(done), status, conclusions)
+
+
+E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
+
+
+@_once_per_context
+def _nonhopf_steps(ctx: FrameContext) -> tuple:
+    """The rows of the non-Hopf replay in ctx."""
+    forms = _forms(ctx)
+    beta = ctx.sym("beta")
+    return (
+        Step("1", "projection g((nabla_xi S*) xi, xi) of the parallel condition; "
+                  "beta^2 cancels since beta != 0", "delta = 0",
+             cite=(E3, E3, E3), normalize=True, expect=forms["beta^2*delta"],
+             cancel=beta, zero="delta"),
+        Step("2", "projection g((nabla_phiU S*) xi, xi) with delta = 0; "
+                  "beta cancels and a square vanishes only at zero", "mu = 0",
+             cite=(E2, E3, E3), at=("delta",), normalize=True, expect=forms["beta*mu^2"],
+             cancel=beta, zero="mu"),
+        # the contradiction witness is recorded as computed
+        Step("3", "projection g((nabla_xi S*) phiU, xi) with delta = mu = 0; "
+                  "beta cancels, leaving a multiple of c",
+             "c = 0 forced, contradicting c != 0; the open set with beta != 0 is empty",
+             cite=(E3, E2, E3), at=("delta", "mu"), expect=forms["-c*beta"],
+             cancel=beta, zero="c"),
+    )
 
 
 def nonhopf_contradiction() -> ProofTrace:
@@ -277,79 +391,13 @@ def nonhopf_contradiction() -> ProofTrace:
     forces c = 0, impossible in a non-flat ambient space.
     """
     ctx = build_nonhopf_context()
-    forms = _forms(ctx)
-    sstar = star_ricci_closed(ctx)
-    beta = ctx.sym("beta")
-    c = ctx.sym("c")
-    nonzero = NonzeroTracker([beta, c])
-    trace = ProofTrace(
-        name="nonhopf-contradiction",
-        hypotheses=(
-            "beta != 0 (open set where the structure vector field is not principal)",
-            "c != 0 (non-flat ambient space)",
-        ),
+    return _replay(
+        ctx, "nonhopf-contradiction",
+        ("beta != 0 (open set where the structure vector field is not principal)",
+         "c != 0 (non-flat ambient space)"),
+        ("beta", "c"), _nonhopf_steps(ctx),
+        ("no non-Hopf point exists: every hypersurface with parallel *-Ricci tensor is Hopf",),
     )
-    E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
-    bindings: dict = {}
-
-    # step 1: the (xi, xi) projection onto xi
-    X, Y, P = where = (E3, E3, E3)
-    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
-    eq = sign_normalized(raw.substitute(bindings))
-    _expect("1", eq, forms["beta^2*delta"])
-    _assert_projection_purity(ctx, "1", eq)
-    _conclude_zero("1", nonzero.cancel(eq, beta), "delta")
-    bindings.update(_derivative_bindings(ctx.table, "delta", Expr.zero()))
-    trace.add(ProofStep(
-        label="1",
-        equation=eq,
-        justification="projection g((nabla_xi S*) xi, xi) of the parallel condition; "
-                      "beta^2 cancels since beta != 0",
-        conclusion="delta = 0",
-        projection=_directions(where),
-        substitution=(("delta", Expr.zero()),),
-    ))
-
-    # step 2: the (phiU, xi) projection onto xi, after delta = 0
-    X, Y, P = where = (E2, E3, E3)
-    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
-    eq = sign_normalized(raw.substitute(bindings))
-    _expect("2", eq, forms["beta*mu^2"])
-    _assert_projection_purity(ctx, "2", eq)
-    _conclude_zero("2", nonzero.cancel(eq, beta), "mu")
-    bindings.update(_derivative_bindings(ctx.table, "mu", Expr.zero()))
-    trace.add(ProofStep(
-        label="2",
-        equation=eq,
-        justification="projection g((nabla_phiU S*) xi, xi) with delta = 0; "
-                      "beta cancels and a square vanishes only at zero",
-        conclusion="mu = 0",
-        projection=_directions(where),
-        substitution=(("mu", Expr.zero()),),
-    ))
-
-    # step 3: the (xi, phiU) projection onto xi, after delta = mu = 0
-    X, Y, P = where = (E3, E2, E3)
-    raw = covariant_derivative_entry(ctx, X, sstar, Y, P)
-    eq = raw.substitute(bindings)  # contradiction witness: recorded as computed
-    _expect("3", eq, forms["-c*beta"])
-    _assert_projection_purity(ctx, "3", eq)
-    _expect("3", nonzero.cancel(eq, beta), -c)
-    trace.add(ProofStep(
-        label="3",
-        equation=eq,
-        justification="projection g((nabla_xi S*) phiU, xi) with delta = mu = 0; "
-                      "beta cancels, leaving a multiple of c",
-        conclusion="c = 0 forced, contradicting c != 0; "
-                   "the open set with beta != 0 is empty",
-        projection=_directions(where),
-        contradiction=True,
-    ))
-    trace.status = "contradiction"
-    trace.conclusions = (
-        "no non-Hopf point exists: every hypersurface with parallel *-Ricci tensor is Hopf",
-    )
-    return trace
 
 
 def nonhopf_verified(trace: ProofTrace) -> bool:
@@ -358,6 +406,31 @@ def nonhopf_verified(trace: ProofTrace) -> bool:
 
 
 BASIC_RELATION_TEXT = "lambda*nu - (alpha/2)*(lambda + nu) - c/4"
+
+
+@_once_per_context
+def _hopf_steps(ctx: FrameContext) -> tuple:
+    """The rows of the Hopf replay in ctx; rows 2a-2c are the case c + lambda*nu != 0."""
+    forms = _forms(ctx)
+    p = ctx.sym("c") + ctx.sym("lambda") * ctx.sym("nu")
+    return (
+        Step("1", "projection g((nabla_W S*) xi, phiW) of the parallel condition",
+             "lambda*(c + lambda*nu) = 0: either lambda = 0 or c + lambda*nu = 0",
+             cite=(E1, E3, E2), normalize=True, expect=forms["lambda*(c + lambda*nu)"]),
+        Step("2a", "case c + lambda*nu != 0: the declared-nonzero factor cancels",
+             "lambda = 0", case=p, cancel=p, zero="lambda"),
+        # untagged as recorded: the tag would change the recorded digests
+        Step("2b", "projection g((nabla_phiW S*) xi, W); the same factor cancels", "nu = 0",
+             cite=(E2, E3, E1), tagged=False, normalize=True,
+             expect=forms["nu*(c + lambda*nu)"], cancel=p, zero="nu"),
+        Step("2c", "principal-curvature relation at lambda = nu = 0",
+             "c = 0 forced, contradicting c != 0: case c + lambda*nu != 0 is impossible",
+             equation=forms[BASIC_RELATION_TEXT], at=("lambda", "nu"), expect=forms["-c/4"],
+             zero="c"),
+        Step("3", "the product of step 1 vanishes and case A is impossible",
+             "c + lambda*nu = 0; lambda*nu = -c != 0 forces lambda != 0 and nu != 0",
+             equation=p, normalize=True),
+    )
 
 
 def hopf_branch() -> ProofTrace:
@@ -370,86 +443,15 @@ def hopf_branch() -> ProofTrace:
     both factors nonzero.
     """
     ctx = build_hopf_context()
-    forms = _forms(ctx)
-    sstar = star_ricci_closed(ctx)
-    c = ctx.sym("c")
-    lam = ctx.sym("lambda")
-    nu = ctx.sym("nu")
-    p = c + lam * nu
-    nonzero = NonzeroTracker([c])
-    trace = ProofTrace(
-        name="hopf-branch",
-        hypotheses=(
-            "c != 0 (non-flat ambient space)",
-            "principal frame at a point: A W = lambda W, A phiW = nu phiW, A xi = alpha xi",
-            "lambda*nu = (alpha/2)*(lambda + nu) + c/4 "
-            "(principal-curvature relation on Hopf hypersurfaces, input)",
-        ),
+    return _replay(
+        ctx, "hopf-branch",
+        ("c != 0 (non-flat ambient space)",
+         "principal frame at a point: A W = lambda W, A phiW = nu phiW, A xi = alpha xi",
+         "lambda*nu = (alpha/2)*(lambda + nu) + c/4 "
+         "(principal-curvature relation on Hopf hypersurfaces, input)"),
+        ("c",), _hopf_steps(ctx),
+        ("c + lambda*nu = 0", "lambda != 0", "nu != 0"),
     )
-    E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
-
-    # step 1: (W, xi) projection onto phiW
-    X, Y, P = where = (E1, E3, E2)
-    eq1 = sign_normalized(covariant_derivative_entry(ctx, X, sstar, Y, P))
-    _expect("1", eq1, forms["lambda*(c + lambda*nu)"])
-    _assert_projection_purity(ctx, "1", eq1)
-    trace.add(ProofStep(
-        label="1",
-        equation=eq1,
-        justification="projection g((nabla_W S*) xi, phiW) of the parallel condition",
-        conclusion="lambda*(c + lambda*nu) = 0: either lambda = 0 or c + lambda*nu = 0",
-        projection=_directions(where),
-    ))
-
-    # case A: assume c + lambda nu != 0
-    case_nonzero = NonzeroTracker([c, p])
-    _conclude_zero("2a", case_nonzero.cancel(eq1, p), "lambda")
-    trace.add(ProofStep(
-        label="2a",
-        equation=eq1,
-        justification="case c + lambda*nu != 0: the declared-nonzero factor cancels",
-        conclusion="lambda = 0",
-        substitution=(("lambda", Expr.zero()),),
-    ))
-
-    eq2 = sign_normalized(covariant_derivative_entry(ctx, E2, sstar, E3, E1))
-    _expect("2b", eq2, forms["nu*(c + lambda*nu)"])
-    _assert_projection_purity(ctx, "2b", eq2)
-    _conclude_zero("2b", case_nonzero.cancel(eq2, p), "nu")
-    trace.add(ProofStep(
-        label="2b",
-        equation=eq2,
-        justification="projection g((nabla_phiW S*) xi, W); the same factor cancels",
-        conclusion="nu = 0",
-        substitution=(("nu", Expr.zero()),),
-    ))
-
-    basic = forms[BASIC_RELATION_TEXT]
-    eq3 = basic.substitute({ctx.symbol("lambda"): Expr.zero(),
-                            ctx.symbol("nu"): Expr.zero()})
-    _expect("2c", eq3, forms["-c/4"])
-    trace.add(ProofStep(
-        label="2c",
-        equation=eq3,
-        justification="principal-curvature relation at lambda = nu = 0",
-        conclusion="c = 0 forced, contradicting c != 0: case c + lambda*nu != 0 is impossible",
-        contradiction=True,
-    ))
-
-    # case B is therefore in force
-    trace.add(ProofStep(
-        label="3",
-        equation=sign_normalized(p),
-        justification="the product of step 1 vanishes and case A is impossible",
-        conclusion="c + lambda*nu = 0; lambda*nu = -c != 0 forces lambda != 0 and nu != 0",
-    ))
-    trace.status = "open"
-    trace.conclusions = (
-        "c + lambda*nu = 0",
-        "lambda != 0",
-        "nu != 0",
-    )
-    return trace
 
 
 def hopf_verified(trace: ProofTrace) -> bool:
@@ -557,50 +559,30 @@ def quadratic_analysis(space: ModelSpace, elimination: QuadraticElimination) -> 
     c = table.get("c")
     alpha = table.get("alpha")
     target = elimination.cleared_equation
-    factor = elimination.proportionality_factor
-    disc = elimination.discriminant
-
-    disc_at_c = disc.substitute({c: Expr.const(space.c)})
+    disc_at_c = elimination.discriminant.substitute({c: Expr.const(space.c)})
     coeffs = disc_at_c.coefficients_in(alpha)
     if space.c > 0:
         # all even powers with positive coefficients: positive for every alpha
-        always = all(e % 2 == 0 and p.as_fraction() > 0 for e, p in coeffs.items())
-        if not always:
+        if not all(e % 2 == 0 and p.as_fraction() > 0 for e, p in coeffs.items()):
             raise ProofError(f"expected a positive-definite discriminant, got {disc_at_c}")
-        return QuadraticAnalysis(
-            space=space,
-            cleared_equation=target,
-            proportionality_factor=factor,
-            discriminant=disc,
-            discriminant_at_c=disc_at_c,
-            always_solvable=True,
-            alpha_sq_bound=None,
-            alpha_zero_excluded=False,
-            solvability="a real solution for nu exists for every alpha",
-        )
-    # hyperbolic case: discriminant = u - v * alpha^2 with u, v > 0
-    u = coeffs.get(0, Expr.zero()).as_fraction()
-    v = -coeffs.get(2, Expr.zero()).as_fraction()
-    if set(coeffs) - {0, 2} or u <= 0 or v <= 0:
-        raise ProofError(f"unexpected discriminant shape {disc_at_c}")
-    bound = u / v
-    # alpha = 0 exclusion: the quadratic degenerates to 5*c*nu = 0
-    at_zero = target.substitute({alpha: Expr.zero()})
-    residual = NonzeroTracker([Expr.from_symbol(c), Expr.from_symbol(nu)])
-    red = residual.cancel(residual.cancel(at_zero, Expr.from_symbol(c)), Expr.from_symbol(nu))
-    if not (red.is_rational_constant and red.as_fraction() != 0):
-        raise ProofError(f"alpha = 0 case did not reduce to a nonzero constant: {red}")
-    return QuadraticAnalysis(
-        space=space,
-        cleared_equation=target,
-        proportionality_factor=factor,
-        discriminant=disc,
-        discriminant_at_c=disc_at_c,
-        always_solvable=False,
-        alpha_sq_bound=bound,
-        alpha_zero_excluded=True,
-        solvability=f"a real solution for nu exists iff 0 < alpha^2 <= {bound}",
-    )
+        branch = (True, None, False, "a real solution for nu exists for every alpha")
+    else:
+        # hyperbolic case: discriminant = u - v * alpha^2 with u, v > 0
+        u = coeffs.get(0, Expr.zero()).as_fraction()
+        v = -coeffs.get(2, Expr.zero()).as_fraction()
+        if set(coeffs) - {0, 2} or u <= 0 or v <= 0:
+            raise ProofError(f"unexpected discriminant shape {disc_at_c}")
+        bound = u / v
+        # alpha = 0 exclusion: the quadratic degenerates to 5*c*nu = 0
+        at_zero = target.substitute({alpha: Expr.zero()})
+        residual = NonzeroTracker([Expr.from_symbol(c), Expr.from_symbol(nu)])
+        red = residual.cancel(residual.cancel(at_zero, Expr.from_symbol(c)), Expr.from_symbol(nu))
+        if not (red.is_rational_constant and red.as_fraction() != 0):
+            raise ProofError(f"alpha = 0 case did not reduce to a nonzero constant: {red}")
+        branch = (False, bound, True, f"a real solution for nu exists iff 0 < alpha^2 <= {bound}")
+    # the branch fields: always_solvable, alpha_sq_bound, alpha_zero_excluded, solvability
+    return QuadraticAnalysis(space, target, elimination.proportionality_factor,
+                             elimination.discriminant, disc_at_c, *branch)
 
 
 # Radii per family in the type-B and witness sweeps.

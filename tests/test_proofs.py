@@ -1,5 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +26,7 @@ from starricci.proofs import (
     IllegalCancellationError,
     NonzeroTracker,
     ProofError,
+    Step,
     hopf_branch,
     nonhopf_contradiction,
     quadratic_analysis,
@@ -157,6 +163,75 @@ def test_projections_holding_a_free_connection_coefficient_are_proof_errors(
     monkeypatch.setattr(proofs, "_expect", lambda *args: None)
     with pytest.raises(ProofError, match=f"step 1: unexpected symbol {name} "):
         replay()
+
+
+# -- the step runner ---------------------------------------------------------------------
+
+def _run(ctx, steps, nonzero):
+    return proofs._replay(ctx, "test", (), nonzero, tuple(steps), ())
+
+
+def _nonhopf_table():
+    ctx = build_nonhopf_context()
+    return ctx, list(proofs._nonhopf_steps(ctx))
+
+
+def _hopf_table():
+    ctx = build_hopf_context()
+    return ctx, list(proofs._hopf_steps(ctx))
+
+
+def test_the_tables_replay_as_the_named_replays():
+    ctx, steps = _nonhopf_table()
+    assert _run(ctx, steps, ("beta", "c")).steps == nonhopf_contradiction().steps
+    ctx, steps = _hopf_table()
+    assert _run(ctx, steps, ("c",)).steps == hopf_branch().steps
+
+
+@pytest.mark.parametrize("table, nonzero, index, label, wrong", [
+    (_nonhopf_table, ("beta", "c"), 1, "2", "beta*mu"),
+    (_hopf_table, ("c",), 2, "2b", "nu*(c - lambda*nu)"),
+], ids=["nonhopf-2", "hopf-2b"])
+def test_a_row_with_a_wrong_expected_form_fails_at_its_label(table, nonzero, index, label, wrong):
+    ctx, steps = table()
+    steps[index] = steps[index]._replace(expect=ctx.parse(wrong))
+    with pytest.raises(ProofError, match=f"step {label}: expected "):
+        _run(ctx, steps, nonzero)
+
+
+def test_at_substitutes_only_a_zero_in_force():
+    # mu is concluded zero by step 2, not before it
+    ctx, steps = _nonhopf_table()
+    steps[1] = steps[1]._replace(at=("delta", "mu"))
+    with pytest.raises(ProofError, match="step 2: mu = 0 is not in force"):
+        _run(ctx, steps, ("beta", "c"))
+    # lambda = 0 was concluded under the case that step 2c closed
+    ctx, steps = _hopf_table()
+    steps.append(Step("4", "lambda = 0 from the closed case", "c = 0",
+                      equation=ctx.parse("lambda + c"), at=("lambda",)))
+    with pytest.raises(ProofError, match="step 4: lambda = 0 is not in force"):
+        _run(ctx, steps, ("c",))
+
+
+def test_closing_a_case_withdraws_its_hypothesis():
+    ctx, steps = _hopf_table()
+    p = steps[1].case
+    assert p == ctx.c + ctx.sym("lambda") * ctx.sym("nu")
+    steps[4] = Step("4", "step 1 again, cancelling c + lambda*nu", "lambda = 0",
+                    cite=(E1, E3, E2), normalize=True, cancel=p, zero="lambda")
+    with pytest.raises(IllegalCancellationError, match="was not declared nonzero"):
+        _run(ctx, steps, ("c",))
+
+
+def test_tables_that_leave_the_proof_shape_are_proof_errors():
+    ctx, steps = _nonhopf_table()
+    with pytest.raises(ProofError, match="step 4: follows the closing contradiction"):
+        _run(ctx, steps + [steps[0]._replace(label="4")], ("beta", "c"))
+    ctx, steps = _hopf_table()
+    with pytest.raises(ProofError, match="a case is left open"):
+        _run(ctx, steps[:2], ("c",))
+    with pytest.raises(ProofError, match="step 2b: a case is already open"):
+        _run(ctx, [*steps[:2], steps[2]._replace(case=ctx.c), *steps[3:]], ("c",))
 
 
 # -- cancellation discipline ----------------------------------------------------------
@@ -358,3 +433,30 @@ def test_kept_forms_hold_only_the_symbols_of_their_table():
         for form in forms.values():
             assert form.symbols()
             assert all(sym.table is table for sym in form.symbols())
+
+
+# -- the printed proof ------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# SHA-256 of the standard output of `starricci prove <piece> --format <fmt>`;
+# it does not depend on the hash seed.
+PROVE_STDOUT_SHA256 = {
+    ("nonhopf", "text"): "66b91643ee1a2a020454731e72900b82e705b7f02b5faebf2b7af4417a499455",
+    ("nonhopf", "json"): "30d7040cf37d71a5672c347e090c0ad2d0fbf4af103f796c227c785725d88e82",
+    ("hopf", "text"): "b245244fc4528f702c42ef33042fe87d31223e390a99e06178080acab103e693",
+    ("hopf", "json"): "d92b20d24e55665ecd5f015c92a8822088b6d2b9544385114ba4576afc3b6a7e",
+    ("all", "text"): "ebe738781eb593c9d50174d64e6555cd339ad55c8bebbfe2b11b06621701441f",
+    ("all", "json"): "65b47cd9eaf116b7459cd2ba71d7c61772fb9fda2ccd4c7655d062fa136a3d63",
+}
+
+
+@pytest.mark.parametrize("index, piece, fmt",
+                         [(i, *key) for i, key in enumerate(PROVE_STDOUT_SHA256)])
+def test_printed_proof_is_unchanged(index, piece, fmt):
+    # hash seeds 1, 2, 3 in turn across the outputs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(1 + index % 3))
+    proc = subprocess.run([sys.executable, "-m", "starricci.cli", "prove", piece, "--format", fmt],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == PROVE_STDOUT_SHA256[piece, fmt]
