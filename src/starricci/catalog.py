@@ -16,16 +16,16 @@ unconstrained connection coefficients h1..h3, the pseudo-parallel function L
 and the Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may
 set these and no other names.
 
-All numeric evaluation on families is compiled (rational.compile_float and
-its loop form rational.compile_columns), with the same float values as
-Expr.eval.  Each family has a column kernel from radii to its (alpha,
-lambda, nu) columns and, compiled on first use, a per-radius function of r.
-Each cached condition report has a per-radius function returning all of its
-rows and a column kernel from curvature columns to one column of max|row|:
-the constant rows fold into one max|row| at compile time, and the kernel
-keeps a running max of it and each distinct non-constant |row|.  A
-non-finite binding, curvature, row or lambda*nu + c is a CatalogError,
-never a residual.
+A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
+family's alpha, lambda and nu, and a condition report's rows are evaluated
+in report order.  A radius loop runs as column kernels
+(rational.compile_columns), which return Expr.eval's float values bit for
+bit.  Each family has a column kernel from radii to its (alpha, lambda, nu)
+columns.  Each cached condition report has a column kernel from curvature
+columns to one column of max|row|: the constant rows fold into one max|row|
+at compile time, and the kernel keeps a running max of it and each
+distinct non-constant |row|.  A non-finite binding, curvature, row or
+lambda*nu + c is a CatalogError, never a residual.
 
 Every radius loop -- sweep (and so the witness of proofs.verify_all),
 lam_nu_plus_c_column (proofs.type_b_exclusion) and validate_family -- is
@@ -51,26 +51,18 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from itertools import repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Callable, Mapping, NoReturn, Optional
 
-from .conditions import (
-    EINSTEIN_SYMBOL,
-    ConditionKind,
-    ConditionReport,
-    einstein_equations,
-    d_parallel_equations,
-    parallel_equations,
-    pseudo_parallel_equations,
-    semi_parallel_equations,
-    xi_parallel_equations,
-)
+from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
+# perfbench/test_perfbench.py reads catalog.parallel_equations
+from .conditions import parallel_equations
 from .frames import HOPF_FUNCTIONS, build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
-from .rational import Expr, compile_columns, compile_float
+from .rational import Expr, compile_columns
 from .symbols import DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
 
 DEFAULT_ORACLE_TOL = 1e-9
@@ -119,12 +111,6 @@ class HypersurfaceFamily:
         fn = compile_columns((self.alpha, self.lam, self.nu), ("r", "pi"), ("r",))
         object.__setattr__(self, "curvature_columns", fn)
 
-    @cached_property
-    def curvature_fn(self) -> Callable:
-        """(r, pi) -> (alpha, lambda, nu), compiled on first use: only a
-        per-radius evaluation needs it."""
-        return compile_float((self.alpha, self.lam, self.nu), ("r", "pi"))
-
     def contains(self, r: float) -> bool:
         lo, hi = self.domain
         return lo < r < hi
@@ -135,7 +121,8 @@ class HypersurfaceFamily:
                 f"r = {r} outside the open domain ({self.domain[0]}, {self.domain[1]}) "
                 f"of family {self.family_id}"
             )
-        values = self.curvature_fn(r, math.pi)
+        bindings = {"r": r, "pi": math.pi}
+        values = (self.alpha.eval(bindings), self.lam.eval(bindings), self.nu.eval(bindings))
         a, l, n = values
         if not (math.isfinite(a) and math.isfinite(l) and math.isfinite(n)):
             raise CatalogError(
@@ -175,8 +162,8 @@ def radius_grid(lo: float, hi: float, samples: int) -> list:
 # A radius loop runs as column kernels (rational.compile_columns) and C-level
 # map()s, with no Python call per radius.  A kernel stops before the first
 # radius it cannot vouch for; the caller replays that radius through the
-# per-radius function, which raises the per-radius error, so the errors come
-# in radius order.
+# per-radius evaluation (Expr.eval), which raises the per-radius error, so
+# the errors come in radius order.
 
 def _curvature_columns(fam: HypersurfaceFamily, radii: list) -> tuple:
     """fam's (alpha, lambda, nu) columns over the leading radii, up to the
@@ -385,7 +372,6 @@ _ZEROS = (0.0,) * len(ZERO_DEFAULT)
 class _CompiledReport:
     report: ConditionReport
     labels: tuple        # one per entry, in report order
-    evaluate: Callable   # (*REPORT_PARAMS values) -> tuple of row values
     # max |row| of the constant rows, folded at compile time
     constant_max: float
     # compile_columns kernel with columns alpha, lambda and nu that returns
@@ -408,33 +394,18 @@ class _CompiledReport:
 @lru_cache(maxsize=None)
 def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces, with its compiled
-    row evaluator and max-|row| column kernel."""
+    context (c symbolic), shared by both model spaces, with its max-|row|
+    column kernel."""
     ctx = build_hopf_context()
-    sstar = star_ricci_closed(ctx)
-    if kind is ConditionKind.PARALLEL:
-        report = parallel_equations(ctx, sstar, "star-ricci")
-    elif kind is ConditionKind.XI_PARALLEL:
-        report = xi_parallel_equations(ctx, sstar, "star-ricci")
-    elif kind is ConditionKind.D_PARALLEL:
-        report = d_parallel_equations(ctx, sstar, "star-ricci")
-    elif kind is ConditionKind.SEMI_PARALLEL:
-        report = semi_parallel_equations(ctx, sstar, "star-ricci")
-    elif kind is ConditionKind.PSEUDO_PARALLEL:
-        L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
-        report = pseudo_parallel_equations(ctx, sstar, L, "star-ricci")
-    elif kind is ConditionKind.EINSTEIN:
-        report = einstein_equations(ctx)
-    else:
-        raise ValueError(f"unhandled condition kind {kind}")
+    L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
+    report = build_report(ctx, kind, star_ricci_closed(ctx), "star-ricci", L)
     rows = report.equations()
     constants = [e for e in rows if e.is_rational_constant]
     varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
-    constant_max = max(map(abs, compile_float(constants, ())()), default=0.0)
+    constant_max = max((abs(e.eval({})) for e in constants), default=0.0)
     return _CompiledReport(
         report,
         tuple(e.label() for e in report.entries),
-        compile_float(rows, REPORT_PARAMS),
         constant_max,
         compile_columns(varying, REPORT_PARAMS, _CURVATURES, constant_max) if varying else None,
     )
@@ -467,20 +438,14 @@ def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _Comp
     row is finite and that lambda*nu + c is finite.  A bound alpha, lambda
     or nu in args replaces the family's value in the report only.
     """
-    evaluate = compiled.evaluate
-    bound_a, bound_l, bound_n = args[:3]
-    rest = tuple(args[3:])
-    curvatures = fam.curvatures
+    rows = compiled.report.equations()
+    fixed = {name: value for name, value in zip(REPORT_PARAMS, args) if value is not None}
     isfinite = math.isfinite
 
     def at(r: float) -> tuple:
-        a, l, n = curvatures(r)
-        values = evaluate(
-            a if bound_a is None else bound_a,
-            l if bound_l is None else bound_l,
-            n if bound_n is None else bound_n,
-            *rest,
-        )
+        a, l, n = fam.curvatures(r)
+        bindings = {"alpha": a, "lambda": l, "nu": n, **fixed}
+        values = tuple(e.eval(bindings) for e in rows)
         if not all(map(isfinite, values)):
             bad = sum(1 for v in values if not isfinite(v))
             raise CatalogError(

@@ -40,14 +40,9 @@ from .catalog import (
     load_catalog,
     sweep as run_sweep,
 )
-from .conditions import (
-    einstein_equations,
-    d_parallel_equations,
-    parallel_equations,
-    pseudo_parallel_equations,
-    semi_parallel_equations,
-    xi_parallel_equations,
-)
+# perfbench/test_perfbench.py reads the dispatch table as cli._CONDITION_BUILDERS
+from .conditions import _BUILDERS as _CONDITION_BUILDERS
+from .conditions import build_report
 from .frames import build_hopf_context, build_nonhopf_context, ricci, star_ricci_closed
 from .parsing import ExprSyntaxError, parse_expr
 from .proofs import (
@@ -260,7 +255,7 @@ def cmd_prove(args) -> int:
                 f"witness: min over families of max parallel residual = "
                 f"{summary.witness_min_residual:.6e} (> {summary.witness_tol:g} required)"
             )
-    _write(Report(f"prove {target}", verdict(ok), payload, cat.version, lines), args)
+    _write(Report(f"prove {target}", verdict(ok, target), payload, cat.version, lines), args)
     return 0 if ok else 1
 
 
@@ -273,14 +268,6 @@ def _spaces(space: Optional[str]):
 
 
 # -- check -------------------------------------------------------------------
-
-_CONDITION_BUILDERS = {
-    ConditionKind.PARALLEL: parallel_equations,
-    ConditionKind.XI_PARALLEL: xi_parallel_equations,
-    ConditionKind.D_PARALLEL: d_parallel_equations,
-    ConditionKind.SEMI_PARALLEL: semi_parallel_equations,
-}
-
 
 def _name_values(items: Sequence[str], noun: str) -> dict[str, str]:
     """The name=value arguments as stripped name -> value, in order.  A
@@ -317,15 +304,12 @@ def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
     names = ctx.table.scope()  # the context's names and this command's
     kind = ConditionKind(args.condition)
-    if kind is ConditionKind.EINSTEIN:  # builds its own Ricci tensor
-        report = einstein_equations(ctx, names)
-    else:
+    tensor = L = None
+    if kind is not ConditionKind.EINSTEIN:  # Einstein builds its own Ricci tensor
         tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
-        if kind is ConditionKind.PSEUDO_PARALLEL:
-            L = parse_expr(args.pseudo_l, names, define_missing=True)
-            report = pseudo_parallel_equations(ctx, tensor, L, args.tensor)
-        else:
-            report = _CONDITION_BUILDERS[kind](ctx, tensor, args.tensor)
+    if kind is ConditionKind.PSEUDO_PARALLEL:
+        L = parse_expr(args.pseudo_l, names, define_missing=True)
+    report = build_report(ctx, kind, tensor, args.tensor, L, names)
     if args.assumptions:
         bindings = {}
         for name, value in _name_values(args.assumptions, "assumption").items():

@@ -207,3 +207,31 @@ def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -
                 eq = eq - lam_e
             entries.append(ReportEntry((), Y, proj, eq))
     return ConditionReport(ConditionKind.EINSTEIN, "ricci", tuple(entries))
+
+
+# The kinds whose report is built from T and its name alone.
+_BUILDERS = {
+    ConditionKind.PARALLEL: parallel_equations,
+    ConditionKind.XI_PARALLEL: xi_parallel_equations,
+    ConditionKind.D_PARALLEL: d_parallel_equations,
+    ConditionKind.SEMI_PARALLEL: semi_parallel_equations,
+}
+
+
+def build_report(
+    ctx: FrameContext,
+    kind: ConditionKind,
+    T: Optional[Tensor11],
+    tensor_name: str,
+    L: Optional[Expr] = None,
+    scope: Optional[SymbolTable] = None,
+) -> ConditionReport:
+    """The `kind` report on T over ctx.  Pseudo-parallel needs the function
+    L; the other kinds ignore it.  Einstein ignores T (which may be None)
+    and tensor_name: it is the report of the context's Ricci tensor, with
+    its constant minted in `scope` (einstein_equations)."""
+    if kind is ConditionKind.EINSTEIN:
+        return einstein_equations(ctx, scope)
+    if kind is ConditionKind.PSEUDO_PARALLEL:
+        return pseudo_parallel_equations(ctx, T, L, tensor_name)
+    return _BUILDERS[kind](ctx, T, tensor_name)

@@ -644,11 +644,19 @@ def type_b_exclusion(
     return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok)
 
 
-def verdict(ok: bool) -> str:
-    """Report status line for a verification that passed (ok) or failed."""
-    if ok:
-        return "non-existence of a parallel *-Ricci tensor verified at desk scale"
-    return "verification FAILED"
+# What a passing run of each proof piece shows; "all" is the whole theorem.
+_VERDICTS = {
+    "all": "non-existence of a parallel *-Ricci tensor verified at desk scale",
+    "nonhopf": "non-Hopf case: contradiction verified",
+    "hopf": "Hopf case: c + lambda*nu = 0 verified",
+    "quadratic": "quadratic analysis: solvability in nu derived",
+    "type-b": "type-B exclusion: lambda*nu != -c certified",
+}
+
+
+def verdict(ok: bool, piece: str = "all") -> str:
+    """Report status line for a run of `piece` that passed (ok) or failed."""
+    return _VERDICTS[piece] if ok else "verification FAILED"
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ forms, text and the gcds taken do not depend on which path built a value.
 ``dot`` extends the fast path to a whole sum of products: the products of
 polynomial values add into one dict, and the sum is one Polynomial.
 
-``Expr.eval`` evaluates one expression once.  ``compile_float`` turns a
-sequence of expressions into one straight-line Python function that returns
-the same floats, bit for bit, for repeated numeric evaluation.
+``Expr.eval`` evaluates one expression once; it is the only per-call float
+evaluator.  ``compile_columns`` turns a sequence of expressions into one
+compiled loop over columns of inputs that returns, row by row, the floats
+``Expr.eval`` returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -506,26 +507,21 @@ _RECIPROCALS = {"cot": "tan", "coth": "tanh"}
 
 
 class _FloatCodegen:
-    """Straight-line Python source for the float values of a set of Exprs.
+    """Straight-line Python source for the float values of a set of Exprs,
+    as the body of a column kernel's loop.
 
     Symbol names and expression text never enter the source: parameters,
     powers and atoms get generated identifiers, coefficients become float
-    literals and applied atoms name their function by its NUMERIC_FUNCTIONS
-    key.  Denominator texts for error messages live in ``dens``, indexed by
-    number.  The source leaves out operations that are exact identities:
-    x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
-
-    For a per-call function an atom calls ``_apply`` and a pole raises; for
-    a column kernel (kernel=True) an atom calls its math function through a
-    handle fetched once per call (``functions``) and a pole ends the loop.
+    literals and applied atoms call their math function through a handle
+    fetched once per call (``functions``, keyed by NUMERIC_FUNCTIONS name).
+    A pole ends the loop.  The source leaves out operations that are exact
+    identities: x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
     """
 
-    def __init__(self, params: Sequence[str], kernel: bool = False):
+    def __init__(self, params: Sequence[str]):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
-        self.kernel = kernel
         self.used: set[str] = set()
         self.body: list[str] = []
-        self.dens: list = []
         self.missing: set[str] = set()
         self.functions: dict[str, str] = {}
         self._atoms: dict[str, str] = {}
@@ -537,8 +533,6 @@ class _FloatCodegen:
         return ident
 
     def _call(self, fn: str, arg: str) -> str:
-        if not self.kernel:
-            return f"_apply({fn!r}, {arg})"
         base = _RECIPROCALS.get(fn, fn)
         handle = self.functions.setdefault(base, f"f{len(self.functions)}")
         return f"1.0 / {handle}({arg})" if base != fn else f"{handle}({arg})"
@@ -587,11 +581,7 @@ class _FloatCodegen:
         if e.den.is_constant:  # monic, so exactly 1.0: the value is num
             return num
         n, d = self._bind("n", num), self._bind("d", self.poly(e.den))
-        if self.kernel:
-            self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: break")
-        else:
-            self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: raise _near({len(self.dens)}, {d})")
-            self.dens.append(e.den)
+        self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: break")
         return f"{n} / {d}"
 
     def values(self, exprs: Sequence[Expr]) -> list:
@@ -611,73 +601,36 @@ class _FloatCodegen:
                 if v in self.used and v not in skip]
 
 
-def _define(source: str, namespace: dict) -> Callable:
-    """The function `compiled` of `source`, run in the fresh `namespace`."""
-    namespace["__builtins__"] = {}
-    exec(compile(source, "<compile_float>", "exec"), namespace)
-    fn = namespace.pop("compiled")
-    fn.source = source
-    return fn
-
-
-def compile_float(exprs: Sequence[Expr], params: Sequence[str]) -> Callable[..., tuple]:
-    """One compiled function returning the float values of `exprs`.
-
-    The function takes one positional value per name in `params` and returns
-    the tuple ``(e.eval(bindings) for e in exprs)`` bit for bit: it performs
-    the float operations of Expr.eval in the same order (inputs through
-    float(), each polynomial summed from 0.0, each term float(c) * x**e * ...
-    in monomial order, num / den), raises NearZeroDenominator where Expr.eval
-    does and computes each applied atom once per call through
-    NUMERIC_FUNCTIONS.  Unlike Expr.eval it does not check that its inputs
-    are finite.  A symbol that is neither a parameter nor an applied atom
-    raises UnboundSymbolError here, once.  The source is kept on the
-    function as ``source``; compile_columns builds loops from the same code.
-    """
-    gen = _FloatCodegen(params)
-    values = gen.values(exprs)
-    dens = tuple(gen.dens)
-    lines = [f"def compiled({', '.join(gen.params.values())}):", *gen.scalars(), "    try:"]
-    lines += [f"        {stmt}" for stmt in gen.body]
-    lines.append(f"        return ({''.join(v + ', ' for v in values)})")
-    lines.append("    except OverflowError:")
-    lines.append("        raise _overflow() from None")
-    return _define("\n".join(lines) + "\n", {
-        "float": float,
-        "abs": abs,
-        "OverflowError": OverflowError,
-        "_apply": _apply_function,
-        "_near": lambda k, value: _near_zero(dens[k], value),
-        "_overflow": lambda: ExprError(_OVERFLOW),
-    })
-
-
 def compile_columns(
     exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str],
     maximum: float | None = None,
 ) -> Callable[..., tuple]:
-    """One compiled loop: compile_float's values over columns of inputs.
+    """One compiled loop: Expr.eval's values over columns of inputs.
 
     The kernel takes one positional value per name in `params`: an iterable
     of floats for each name in `columns` (read in step; the shortest ends the
     loop) and a scalar for every other name.  It returns one list per
-    expression in `exprs` (at least one): row by row, the values that
-    compile_float(exprs, params) returns at that row's inputs, bit for bit.
-    With a finite `maximum` it returns a single list instead: row by row, the
-    max of `maximum` and the absolute value of each expression, kept as a
-    running max (the max of finite non-negative floats does not depend on
-    the order).  The lists stop before the first row at which that function
-    raises (a pole, an overflow, a math domain error) or returns a value that
-    is not finite, so the caller can replay that row through the per-call
-    function for its error.  The loop calls no Python function per row: each
-    atom calls its math function directly (cot(x) as 1.0 / tan(x), which is
-    what NUMERIC_FUNCTIONS computes).  Unlike compile_float the kernel
-    applies float() to scalars only, so columns must hold floats.  The
-    source is kept on the kernel as ``source``.
+    expression in `exprs` (at least one): row by row, the values
+    ``e.eval(bindings)`` at that row's finite inputs, bit for bit.  It
+    performs the float operations of Expr.eval in the same order (inputs
+    through float(), each polynomial summed from 0.0, each term float(c) *
+    x**e * ... in monomial order, num / den) and computes each applied atom
+    once per row.  With a finite `maximum` it returns a single list instead:
+    row by row, the max of `maximum` and the absolute value of each
+    expression, kept as a running max (the max of finite non-negative floats
+    does not depend on the order).  The lists stop before the first row at
+    which Expr.eval raises (a pole, an overflow, a math domain error) or
+    returns a value that is not finite, so the caller can replay that row
+    through Expr.eval for its error.  The loop calls no Python function per
+    row: each atom calls its math function directly (cot(x) as 1.0 /
+    tan(x), which is what NUMERIC_FUNCTIONS computes).  The kernel applies
+    float() to scalars only, so columns must hold floats.  A symbol that is
+    neither a parameter nor an applied atom raises UnboundSymbolError here,
+    once.  The source is kept on the kernel as ``source``.
     """
     if not exprs:
         raise ValueError("a column kernel needs at least one expression")
-    gen = _FloatCodegen(params, kernel=True)
+    gen = _FloatCodegen(params)
     values = gen.values(exprs)
     cols = [gen.params[name] for name in columns]
     outs = range(len(values))
@@ -706,11 +659,11 @@ def compile_columns(
             lines += [f"        if x{i} > {top}:", f"            {top} = x{i}"]
         lines.append(f"        w0({top})")
     lines.append("    return " + "".join(f"o{i}, " for i in kept))
-    return _define("\n".join(lines) + "\n", {
-        "float": float,
-        "abs": abs,
-        "zip": zip,
-        "ArithmeticError": ArithmeticError,
-        "ValueError": ValueError,
-        "_fns": NUMERIC_FUNCTIONS,
-    })
+    source = "\n".join(lines) + "\n"
+    namespace = {"__builtins__": {}, "float": float, "abs": abs, "zip": zip,
+                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
+                 "_fns": NUMERIC_FUNCTIONS}
+    exec(compile(source, "<compile_columns>", "exec"), namespace)
+    kernel = namespace["compiled"]
+    kernel.source = source
+    return kernel

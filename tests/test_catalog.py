@@ -369,20 +369,31 @@ description = the geodesic sphere, written with every numeric function
 
 def test_compiled_family_source_holds_no_symbol_names():
     fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
-    source = fam.curvature_fn.source
+    source = fam.curvature_columns.source
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     names = {t.string for t in tokens if t.type == tokenize.NAME}
     strings = {ast.literal_eval(t.string) for t in tokens if t.type == tokenize.STRING}
-    assert strings == set(NUMERIC_FUNCTIONS)
-    allowed = {"compiled", "float", "abs", "OverflowError", "_apply", "_near", "_overflow"}
+    # every function, cot and coth as reciprocals of tan and tanh
+    assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
+    allowed = {"compiled", "float", "abs", "zip", "append", "ArithmeticError", "ValueError",
+               "_fns"}
     assert {n for n in names if not keyword.iskeyword(n)
-            and not re.fullmatch(r"[vpand][0-9]+", n)} <= allowed
+            and not re.fullmatch(r"[vpandxowf][0-9]+", n)} <= allowed
     assert not names & {"r", "pi"}
     for text in (fam.alpha.to_text(), fam.lam.to_text(), fam.nu.to_text(), "cot(r)"):
         assert text not in source
     for r in (0.1, 0.7, 1.4):
         point = {"r": r, "pi": math.pi}
-        assert _hex(fam.curvatures(r)) == _hex(e.eval(point) for e in (fam.alpha, fam.lam, fam.nu))
+        row = [column[0] for column in fam.curvature_columns([r], math.pi)]
+        assert _hex(row) == _hex(e.eval(point) for e in (fam.alpha, fam.lam, fam.nu))
+
+
+@pytest.mark.parametrize("family_id", builtin_catalog().ids())
+def test_curvatures_equal_the_one_row_kernel_bit_for_bit(family_id):
+    fam = builtin_catalog().get(family_id)
+    for r in radius_grid(*fam.sample_window(), 50):
+        columns = fam.curvature_columns([r], math.pi)
+        assert _hex(fam.curvatures(r)) == _hex(column[0] for column in columns)
 
 
 def _kernel_sources():

@@ -50,6 +50,30 @@ def test_prove_type_b(capsys):
     assert "lambda*nu != -c certified" in out
 
 
+@pytest.mark.parametrize("piece, status", [
+    ("nonhopf", "non-Hopf case: contradiction verified"),
+    ("hopf", "Hopf case: c + lambda*nu = 0 verified"),
+    ("quadratic", "quadratic analysis: solvability in nu derived"),
+    ("type-b", "type-B exclusion: lambda*nu != -c certified"),
+])
+def test_a_single_piece_states_what_it_showed(capsys, piece, status):
+    # only prove all states the theorem
+    code, out = run(capsys, "prove", piece)
+    assert code == 0
+    assert out.splitlines()[1] == f"status: {status}"
+    assert "non-existence" not in out
+
+
+def test_prove_quadratic_fails_on_a_proof_error(monkeypatch, capsys):
+    def broken(space, elimination):
+        raise proofs.ProofError("no quadratic")
+
+    monkeypatch.setattr(cli, "quadratic_analysis", broken)
+    code, out = run(capsys, "prove", "quadratic")
+    assert code == 1
+    assert out.splitlines()[1] == "status: FAILED: no quadratic"
+
+
 def test_check_star_ricci_parallel_nonhopf(capsys):
     code, out = run(capsys, "check", "star-ricci", "parallel", "nonhopf")
     assert code == 0

@@ -442,10 +442,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of the standard output of `starricci prove <piece> --format <fmt>`;
 # it does not depend on the hash seed.
 PROVE_STDOUT_SHA256 = {
-    ("nonhopf", "text"): "66b91643ee1a2a020454731e72900b82e705b7f02b5faebf2b7af4417a499455",
-    ("nonhopf", "json"): "30d7040cf37d71a5672c347e090c0ad2d0fbf4af103f796c227c785725d88e82",
-    ("hopf", "text"): "b245244fc4528f702c42ef33042fe87d31223e390a99e06178080acab103e693",
-    ("hopf", "json"): "d92b20d24e55665ecd5f015c92a8822088b6d2b9544385114ba4576afc3b6a7e",
+    ("nonhopf", "text"): "227e0cc5f6105513285dbc7c6725019856a7f984f0d2d694f912840b7d4276d3",
+    ("nonhopf", "json"): "c04bacdd21aacd33920a4c2a3482684ca35ecf84a4ff6e3e874fcc7daf06d4c5",
+    ("hopf", "text"): "f64471621f28d5d85f55a4a8e1e4e186134861d645603985c706ac25d1f2edb5",
+    ("hopf", "json"): "6473527e75f52a3526aabb8257ade0c4916bbbe1232ecf09a9dac5d538dc81cc",
     ("all", "text"): "ebe738781eb593c9d50174d64e6555cd339ad55c8bebbfe2b11b06621701441f",
     ("all", "json"): "65b47cd9eaf116b7459cd2ba71d7c61772fb9fda2ccd4c7655d062fa136a3d63",
 }
