@@ -16,6 +16,10 @@ module unchanged.  ``_json``, a recursive writer, writes it: its bytes are
 those of ``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``, and
 it takes about half the time, since the standard module falls back to its
 pure-Python encoder whenever it indents.
+
+A command line is parsed once: ``_parse_args`` hands the arguments after a
+subcommand name straight to that subcommand's parser, where the top-level
+parser would parse them and then hand them on to be parsed again.
 """
 
 from __future__ import annotations
@@ -303,37 +307,40 @@ def _assumed_symbol(name: str, names: SymbolTable) -> Symbol:
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
     names = ctx.table.scope()  # the context's names and this command's
-    kind = ConditionKind(args.condition)
-    tensor = L = None
-    if kind is not ConditionKind.EINSTEIN:  # Einstein builds its own Ricci tensor
-        tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
-    if kind is ConditionKind.PSEUDO_PARALLEL:
-        L = parse_expr(args.pseudo_l, names, define_missing=True)
-    report = build_report(ctx, kind, tensor, args.tensor, L, names)
-    if args.assumptions:
-        bindings = {}
-        for name, value in _name_values(args.assumptions, "assumption").items():
-            bindings[_assumed_symbol(name, names)] = parse_expr(value, names)
-        report = report.substitute(bindings)
-    payload = {
-        "tensor": args.tensor,
-        "condition": kind.value,
-        "context": args.context,
-    }
-    if args.format == "json":  # each format builds only what it prints
-        payload["entries"] = [
-            {"x": [i.direction for i in e.x], "y": e.y.direction,
-             "proj": e.proj.direction, "equation": e.equation.to_text()}
-            for e in report.entries
-        ]
-        lines = []
-    else:
-        lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
-                 f"{len(report.entries)} equations"]
-        lines += [f"  {e.label()} : {e.equation.to_text()}" for e in report.entries]
-    _write(Report(f"check {args.tensor} {kind.value} {args.context}", "ok",
-                  payload, None, lines), args)
-    return 0
+    try:
+        kind = ConditionKind(args.condition)
+        tensor = L = None
+        if kind is not ConditionKind.EINSTEIN:  # Einstein builds its own Ricci tensor
+            tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
+        if kind is ConditionKind.PSEUDO_PARALLEL:
+            L = parse_expr(args.pseudo_l, names, define_missing=True)
+        report = build_report(ctx, kind, tensor, args.tensor, L, names)
+        if args.assumptions:
+            bindings = {}
+            for name, value in _name_values(args.assumptions, "assumption").items():
+                bindings[_assumed_symbol(name, names)] = parse_expr(value, names)
+            report = report.substitute(bindings)
+        payload = {
+            "tensor": args.tensor,
+            "condition": kind.value,
+            "context": args.context,
+        }
+        if args.format == "json":  # each format builds only what it prints
+            payload["entries"] = [
+                {"x": [i.direction for i in e.x], "y": e.y.direction,
+                 "proj": e.proj.direction, "equation": e.equation.to_text()}
+                for e in report.entries
+            ]
+            lines = []
+        else:
+            lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
+                     f"{len(report.entries)} equations"]
+            lines += [f"  {e.label()} : {e.equation.to_text()}" for e in report.entries]
+        _write(Report(f"check {args.tensor} {kind.value} {args.context}", "ok",
+                      payload, None, lines), args)
+        return 0
+    finally:
+        names.clear()  # frees the scope and its symbols without the cyclic gc
 
 
 # -- sweep -------------------------------------------------------------------
@@ -477,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_expr)
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for _parse_args
     return parser
 
 
@@ -486,8 +494,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with one parse of a subcommand's arguments.
+
+    The top-level parser parses argv and hands what follows the subcommand
+    name to that subcommand's parser, which parses it again.  When argv
+    starts with a subcommand name, its parser parses the rest directly into
+    Namespace(cmd=name), and leftover arguments get the top-level parser's
+    error, in parse_args' words.  Every other argv (none, -h, --version, an
+    unknown name) goes through the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     if "tol_oracle" in args and not all(math.isfinite(t) and t > 0
                                         for t in (args.tol_oracle, args.tol_witness)):
         print("error: tolerances must be finite and positive", file=sys.stderr)

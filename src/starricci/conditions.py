@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .frames import (
@@ -48,8 +49,14 @@ class ReportEntry:
     equation: Expr
 
     def label(self) -> str:
-        xs = ",".join(i.direction for i in self.x)
-        return f"x=({xs}) y={self.y.direction} proj={self.proj.direction}"
+        return _label(self.x, self.y, self.proj)
+
+
+@lru_cache(maxsize=None)
+def _label(x: tuple, y: FrameIndex, proj: FrameIndex) -> str:
+    """ReportEntry.label(), once per (x, y, proj): at most 7 * 9 keys."""
+    xs = ",".join(i.direction for i in x)
+    return f"x=({xs}) y={y.direction} proj={proj.direction}"
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,10 @@ def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "
     R = _curvature_operators(ctx)
     entries = []
     for X, Y in _PAIRS:
-        d = _derivation(R[X.value][Y.value], T)
+        d = _derivation(R[X._value_][Y._value_], T).rows
         for K in FRAME_INDICES:
             for L in FRAME_INDICES:
-                entries.append(ReportEntry((X, Y), K, L, d.entry(L.value, K.value)))
+                entries.append(ReportEntry((X, Y), K, L, d[L._value_][K._value_]))
     return ConditionReport(ConditionKind.SEMI_PARALLEL, tensor_name, tuple(entries))
 
 
@@ -172,16 +179,20 @@ def pseudo_parallel_equations(
     The derivation op -> op.T = op T - T op is linear in op, so
     R(e_i,e_j).T - L ((e_i ^ e_j).T) = (R(e_i,e_j) - L (e_i ^ e_j)).T
     exactly: each pair takes one derivation, of the operator
-    R(e_i,e_j) - L (e_i ^ e_j).  L is checked as given: the report with
-    L = 0 coincides with the semi-parallel one.
+    R(e_i,e_j) - L (e_i ^ e_j), which is R(e_i,e_j) itself when L is zero.
+    L is checked as given: the report with L = 0 coincides with the
+    semi-parallel one.
     """
     R = _curvature_operators(ctx)
     entries = []
     for X, Y in _PAIRS:
-        d = _derivation(R[X.value][Y.value] - _wedge_operator(X, Y).scale(L), T)
+        op = R[X._value_][Y._value_]
+        if not L.is_zero:
+            op = op - _wedge_operator(X, Y).scale(L)
+        d = _derivation(op, T).rows
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
-                entries.append(ReportEntry((X, Y), K, P, d.entry(P.value, K.value)))
+                entries.append(ReportEntry((X, Y), K, P, d[P._value_][K._value_]))
     return ConditionReport(ConditionKind.PSEUDO_PARALLEL, tensor_name, tuple(entries))
 
 
@@ -202,7 +213,7 @@ def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -
     entries = []
     for Y in FRAME_INDICES:
         for proj in FRAME_INDICES:
-            eq = S.entry(proj.value, Y.value)
+            eq = S.rows[proj._value_][Y._value_]
             if Y is proj:
                 eq = eq - lam_e
             entries.append(ReportEntry((), Y, proj, eq))

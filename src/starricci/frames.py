@@ -38,9 +38,10 @@ Conventions (fixed here, used everywhere):
   exactly with the closed form S* = -[(c n / 2) phi^2 + (phi A)^2] at n = 2;
 * a sum of products is one accumulation, rational.dot, which builds one
   Polynomial per polynomial entry rather than one per product and partial
-  sum: an entry of a matrix product, of T v, of the Leibniz rule, of the
-  contractions in curvature and star_ricci_trace and of a derivation
-  op T - T op (conditions), and the inner product of two fields.
+  sum: an entry of a matrix product, of T v, of the Leibniz rule (the
+  derivative term included), of the contractions in curvature and
+  star_ricci_trace and of a derivation op T - T op (conditions), and the
+  inner product of two fields.
 
 Sharing (fixed here as well):
 
@@ -411,16 +412,15 @@ def covariant_derivative_entry(
         e_X(T_PY) + sum_k Gamma_XkP T_kY - sum_k Gamma_XYk T_Pk,
 
     with Gamma_ijk = g(nabla_{e_i} e_j, e_k) and T_ab = T.entry(a, b), as one
-    accumulation: e_X(T_PY) enters as the product e_X(T_PY) * 1.
+    accumulation: dot adds the derivative e_X(T_PY) to the six products.
     """
-    gamma = ctx.connection.entries[X.value]
-    y, p = Y.value, P.value
-    rows, gy = T.rows, gamma[y]
+    x, y, p = X._value_, Y._value_, P._value_  # .value is a Python-level property
+    gamma, rows = ctx.connection.entries[x], T.rows
+    gy = gamma[y]
     return dot((
-        (1, rows[p][y].derivative(X.direction), Expr.one()),
         (1, gamma[0][p], rows[0][y]), (1, gamma[1][p], rows[1][y]), (1, gamma[2][p], rows[2][y]),
         (-1, gy[0], rows[p][0]), (-1, gy[1], rows[p][1]), (-1, gy[2], rows[p][2]),
-    ))
+    ), (rows[p][y], DIRECTIONS[x]))
 
 
 def covariant_derivative_t11(ctx: FrameContext, X: FrameIndex, T: Tensor11) -> Tensor11:

@@ -10,7 +10,9 @@ and structural equality coincides with mathematical equality.
 A coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise,
 so most term arithmetic is integer arithmetic in C.  Every coefficient
 division divides a ``Fraction``, so none yields a float; ``constant_value``
-returns a ``Fraction``.
+returns a ``Fraction``.  ``scaled()`` gives the coefficients as ints over
+their least common denominator, computed once per polynomial, so that a sum
+of products (``rational.dot``) can be accumulated in ints.
 
 Each SymbolTable carries memos of the monomials in its symbols: the grlex
 sort key of a monomial, the product of two monomials, the derivative terms of
@@ -182,7 +184,7 @@ def _mono_div(b: Mono, a: Mono) -> Mono:
 class Polynomial:
     """Canonical sparse polynomial: terms sorted descending, no zero coeffs."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_scaled")
 
     terms: tuple  # tuple[tuple[Mono, Coeff], ...]
 
@@ -197,6 +199,7 @@ class Polynomial:
             ordered = tuple(kept.items())
         object.__setattr__(self, "terms", ordered)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -336,6 +339,23 @@ class Polynomial:
             n >>= 1
         return result
 
+    def scaled(self) -> tuple:
+        """(d, terms): d the least common denominator of the coefficients and
+        terms the pairs (m, d * c), whose coefficients are ints.  Computed on
+        the first call and then kept, like the hash."""
+        out = self._scaled
+        if out is None:
+            d = 1
+            for _m, c in self.terms:
+                if c.__class__ is not int:
+                    d = math.lcm(d, c.denominator)
+            terms = self.terms if d == 1 else tuple([
+                (m, c * d if c.__class__ is int else c.numerator * (d // c.denominator))
+                for m, c in self.terms])
+            out = (d, terms)
+            object.__setattr__(self, "_scaled", out)
+        return out
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and other.terms == self.terms
 
@@ -428,14 +448,16 @@ class Polynomial:
         texts = _memos(lead[0][0]).texts if lead else None  # None: a constant
         parts: list[str] = []
         for m, c in terms:
-            if c < 0:
-                sign, c = "- ", -c
-            else:
-                sign = "+ "
-            if m and c == 1:
-                parts.append(sign + texts[m])
-                continue
-            coeff = str(c.numerator) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
+            if c.__class__ is int:
+                sign = "- " if c < 0 else "+ "
+                if m and (c == 1 or c == -1):
+                    parts.append(sign + texts[m])
+                    continue
+                coeff = str(abs(c))
+            else:  # a Fraction, whose denominator is not 1
+                n = c.numerator
+                sign = "- " if n < 0 else "+ "
+                coeff = f"({abs(n)}/{c.denominator})"
             parts.append(f"{sign}{coeff}*{texts[m]}" if m else sign + coeff)
         text = " ".join(parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]  # the first sign is bare

@@ -15,7 +15,10 @@ exactly what the canonicalizing constructor would store, since a unit
 denominator takes no gcd and ``_set`` leaves num/1 unchanged.  So canonical
 forms, text and the gcds taken do not depend on which path built a value.
 ``dot`` extends the fast path to a whole sum of products: the products of
-polynomial values add into one dict, and the sum is one Polynomial.
+polynomial values add, as ints over one common denominator, into one dict,
+and the sum is one Polynomial.  Substitution folds a binding to a rational
+constant into the coefficients, so only the other bindings take polynomial
+products.
 
 ``Expr.eval`` evaluates one expression once; it is the only per-call float
 evaluator.  ``compile_columns`` turns a sequence of expressions into one
@@ -302,6 +305,7 @@ class Expr:
         """Double-precision value.  All symbols must be bound (by Symbol or
         name); applied atoms such as cot(2*r) evaluate through their argument.
         A non-finite binding, a pole of an atom or an overflow is an ExprError.
+        The bindings are read once per call, however many atoms there are.
         """
         named: dict[str, float] = {}
         for k, v in bindings.items():
@@ -310,13 +314,18 @@ class Expr:
             if not math.isfinite(value):
                 raise ExprError(f"binding {name} = {value!r} is not finite")
             named[name] = value
+        return self._eval(named)
+
+    def _eval(self, named: dict) -> float:
+        """eval at the finite values `named` by name; an applied atom's value
+        is computed from its argument once and added to `named`."""
         missing: set[str] = set()
 
         def value_of(s: Symbol) -> float:
             if s.name in named:
                 return named[s.name]
             if s.fn is not None:
-                v = _apply_function(s.fn, s.arg.eval(bindings))
+                v = _apply_function(s.fn, s.arg._eval(named))
                 named[s.name] = v
                 return v
             missing.add(s.name)
@@ -393,29 +402,57 @@ def _polynomial(num: Polynomial) -> Expr:
     return out
 
 
-def dot(terms: Iterable[tuple[int, Expr, Expr]]) -> Expr:
-    """The sum of k * a * b over the triples (k, a, b) of `terms`, exactly.
+def dot(terms: Iterable[tuple[int, Expr, Expr]],
+        derivative: tuple[Expr, str] | None = None) -> Expr:
+    """The sum of k * a * b over the triples (k, a, b) of `terms`, exactly,
+    plus e.derivative(direction) for derivative = (e, direction).
 
     A triple with a zero factor is skipped.  The products of the triples
     whose factors both have the unit denominator are added term by term into
-    one dict, which becomes one Polynomial (none for a sum that cancels): the
-    terms of a * b are those Polynomial.__mul__ would form, looked up in the
-    same memo, that of the table of the lead symbol.  A triple with a
-    non-unit denominator is added through the Expr operators instead, the
-    split that + and * make.  The result is equal in every slot to
-    sum(k * a * b for k, a, b in terms), and a zero result is the shared
-    Expr.zero().
+    one dict of ints, which becomes one Polynomial (none for a sum that
+    cancels): each factor enters as its scaled() pair (d, integer terms), so
+    with one common denominator L, a multiple of every d_a * d_b, a product
+    adds k * (L / (d_a * d_b)) * a * b in ints.  L grows (and the dict with
+    it) only when a product's d_a * d_b does not divide it, and each output
+    term is divided by L once, to an int or a Fraction.  The terms of a * b
+    are those Polynomial.__mul__ would form, looked up in the same memo,
+    that of the table of the lead symbol.  The derivative of a polynomial e
+    enters the same dict through the table's memoized derivative terms, so
+    no Expr is built for it.  A triple or derivative with a non-unit
+    denominator is added through the Expr operators instead, the split that
+    + and * make.  The result is equal in every slot to
+    sum(k * a * b for k, a, b in terms) (+ e.derivative(direction)), and a
+    zero result is the shared Expr.zero().
     """
     acc: dict = {}
     get = acc.get
     rest = _ZERO_EXPR
+    L = 1
+    if derivative is not None:
+        e, direction = derivative
+        if e.den is not _ONE:
+            rest = e.derivative(direction)
+        elif e.num.terms and e.num.terms[0][0]:  # the derivative of a constant is 0
+            L, scaled = e.num.scaled()
+            row = _memos(scaled[0][0][0][0]).derivatives[direction]
+            for m, c in scaled:
+                for dm, k in row[m]:
+                    acc[dm] = get(dm, 0) + c * k
     for k, a, b in terms:
-        ta, tb = a.num.terms, b.num.terms
-        if not (k and ta and tb):
+        if not (k and a.num.terms and b.num.terms):
             continue
         if a.den is not _ONE or b.den is not _ONE:
             rest = rest + k * a * b
             continue
+        da, ta = a.num.scaled()
+        db, tb = b.num.scaled()
+        d = da * db
+        if L % d:
+            grow = math.lcm(L, d) // L
+            L *= grow
+            for m, n in acc.items():
+                acc[m] = n * grow
+        k *= L // d
         lead = ta[0][0] or tb[0][0]
         if not lead:  # two constants
             acc[()] = get((), 0) + k * ta[0][1] * tb[0][1]
@@ -427,7 +464,11 @@ def dot(terms: Iterable[tuple[int, Expr, Expr]]) -> Expr:
             for mb, cb in tb:
                 m = row[mb]
                 acc[m] = get(m, 0) + kc * cb
-    total = _polynomial(Polynomial(acc)) + rest if any(acc.values()) else rest
+    if not any(acc.values()):
+        return rest if rest.num.terms else _ZERO_EXPR
+    if L != 1:
+        acc = {m: n // L if not n % L else Fraction(n, L) for m, n in acc.items() if n}
+    total = _polynomial(Polynomial(acc)) + rest
     return total if total.num.terms else _ZERO_EXPR
 
 
@@ -436,10 +477,12 @@ def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
 
     D is the product of b_s^deg_s(p) over the bound symbols whose b_s is not
     constant, and each term c * u * prod s^e (u its unbound monomial)
-    contributes c * u * prod a_s^e * b_s^(deg_s - e) to N; a term holding a
-    symbol bound to zero contributes nothing.  Powers are computed once per
-    call and N is summed in one dict.  Symbols go in name order, so the
-    operation counts do not depend on hash order.
+    contributes c * u * prod a_s^e * b_s^(deg_s - e) to N.  A symbol bound
+    to a rational constant v folds into the coefficient as c * v^e, and a
+    term holding a symbol bound to zero contributes nothing; only the other
+    bindings take polynomial products.  Powers are computed once per call
+    and N is summed in one dict.  Symbols go in name order, so the operation
+    counts do not depend on hash order.
     """
     one = Polynomial.one()
     degrees: dict = {}
@@ -449,7 +492,14 @@ def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
                 degrees[s] = e
     if not degrees:
         return p, one
-    bound = sorted(degrees, key=lambda s: s.name)
+    scalars: dict = {}  # the symbols bound to rational constants, and their values
+    bound = []  # the others, in name order
+    for s in sorted(degrees, key=lambda s: s.name):
+        v = table[s]
+        if v.den is one and v.num.is_constant:
+            scalars[s] = v.num.terms[0][1] if v.num.terms else 0
+        else:
+            bound.append(s)
     powers: dict = {}
 
     def power(s: Symbol, part: str, e: int) -> Polynomial:
@@ -466,24 +516,33 @@ def _substitute_poly(p: Polynomial, table: Mapping[Symbol, Expr]) -> tuple:
             den = den * power(s, "den", degrees[s])
     acc: dict[Mono, Coeff] = {}
     for m, c in p.terms:
-        exps = dict(m)
-        if any(table[s].is_zero for s in bound if s in exps):
-            continue
-        term = {tuple((s, e) for s, e in m if s not in degrees): c}
-        for s in bound:
-            e = exps.get(s, 0)
-            factors = [power(s, "num", e)] if e else []
-            if table[s].den is not one and e != degrees[s]:
-                factors.append(power(s, "den", degrees[s] - e))
-            for f in factors:
-                prod: dict[Mono, Coeff] = {}
-                for ma, ca in term.items():
-                    for mb, cb in f.terms:
-                        key = _mono_mul(ma, mb)
-                        prod[key] = prod.get(key, 0) + ca * cb
-                term = prod
-        for mt, ct in term.items():
-            acc[mt] = acc.get(mt, 0) + ct
+        free, exps = [], {}
+        for s, e in m:  # name order
+            if s in scalars:
+                v = scalars[s]
+                if not v:
+                    break
+                c = c * v ** e
+            elif s in degrees:
+                exps[s] = e
+            else:
+                free.append((s, e))
+        else:
+            term = {tuple(free): c}
+            for s in bound:
+                e = exps.get(s, 0)
+                factors = [power(s, "num", e)] if e else []
+                if table[s].den is not one and e != degrees[s]:
+                    factors.append(power(s, "den", degrees[s] - e))
+                for f in factors:
+                    prod: dict[Mono, Coeff] = {}
+                    for ma, ca in term.items():
+                        for mb, cb in f.terms:
+                            key = _mono_mul(ma, mb)
+                            prod[key] = prod.get(key, 0) + ca * cb
+                    term = prod
+            for mt, ct in term.items():
+                acc[mt] = acc.get(mt, 0) + ct
     return Polynomial(acc), den
 
 

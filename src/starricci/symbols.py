@@ -131,6 +131,14 @@ class SymbolTable:
         """A new table that reads through to this one and holds what it defines."""
         return SymbolTable(self)
 
+    def clear(self) -> None:
+        """Drop the names this table defined and its memos.  A symbol holds
+        its table, so a table and its names form a reference cycle; a
+        command clears its scope when done, and reference counting then
+        frees both without the cyclic garbage collector."""
+        self._by_name.clear()
+        self.monomials = None
+
     def function(self, name: str) -> Symbol:
         _check_ident(name)
         if self._parent is not None:

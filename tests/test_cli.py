@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -502,6 +504,85 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+    capsys.readouterr()
+
+
+def _parsed(capsys, parse, argv):
+    """(Namespace or exit code, stdout, stderr) of parse(argv)."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+    ["--", "check", "ricci", "parallel", "hopf"],
+    ["check", "-h"],
+    ["check", "ricci", "parallel", "hopf"],
+    ["check", "ricci", "parallel", "hopf", "delta=0", "--format", "json", "--out", "x"],
+    ["check", "ricci", "bogus", "hopf"],
+    ["check", "ricci", "parallel", "hopf", "--format", "xml"],
+    ["check", "ricci", "parallel", "hopf", "--", "delta=0"],
+    ["check", "ricci", "parallel", "--", "hopf", "-x=1"],
+    ["check", "ricci", "pseudo-parallel", "hopf", "--pseudo", "alpha"],
+    ["check", "ricci", "parallel", "hopf", "--version"],
+    ["check", "ricci", "parallel"],
+    ["sweep", "ch2-a0", "-1", "2", "3", "parallel"],
+    ["sweep", "ch2-a0", "--", "-1", "2", "3", "parallel"],
+    ["sweep", "ch2-a0", "0", "1", "3", "parallel", "extra", "--args"],
+    ["sweep", "ch2-a0", "0", "1", "three", "parallel"],
+    ["prove", "all", "--samples", "20", "--space", "cp2", "--tol-witness", "1e-3"],
+    ["prove", "everything"],
+    ["expr", "eval", "x", "x=1"],
+    ["expr", "solve", "x^2 - 2", "x", "--format", "json"],
+])
+def test_one_level_parse_equals_the_full_parser(capsys, argv):
+    full = _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    one = _parsed(capsys, cli._parse_args, argv)
+    assert one == full
+    assert isinstance(full[0], int) or full[0].cmd == argv[0]
+
+
+def test_a_command_parses_its_arguments_once(monkeypatch, capsys):
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or original(self, *a, **k))
+    for argv in (["check", "star-ricci", "parallel", "hopf"],
+                 ["expr", "eval", "x", "x=1"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [f"starricci {argv[0]}"]
+    calls.clear()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert calls == ["starricci"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "star-ricci", "einstein", "hopf"],
+    ["check", "star-ricci", "pseudo-parallel", "hopf", "--pseudo-l", "alpha"],
+    ["check", "ricci", "einstein", "nonhopf", "--format", "json"],
+])
+def test_check_leaves_no_cyclic_garbage(capsys, argv):
+    assert main(argv) == 0  # warm: contexts, tensors, memos
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(argv) == 0
+            assert gc.collect() == 0
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
     capsys.readouterr()
 
 

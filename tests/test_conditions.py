@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from starricci.conditions import (
@@ -270,8 +272,9 @@ def test_report_entries_are_one_accumulation_each(monkeypatch, build):
 
 
 # Polynomials built by parallel_equations on the Ricci and the *-Ricci
-# tensor of a prebuilt context.
-_PARALLEL_CONSTRUCTIONS = {build_nonhopf_context: (54, 37), build_hopf_context: (10, 4)}
+# tensor of a prebuilt context.  The non-Hopf counts were (54, 37) when each
+# derivative e_X(T_PY) built a Polynomial of its own.
+_PARALLEL_CONSTRUCTIONS = {build_nonhopf_context: (27, 25), build_hopf_context: (10, 4)}
 
 
 @pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
@@ -297,3 +300,21 @@ def test_parallel_reports_build_no_empty_derivative(monkeypatch, build):
         assert 0 not in built
         counts.append(len(built))
     assert tuple(counts) == _PARALLEL_CONSTRUCTIONS[build]
+
+
+def test_a_repeated_parallel_report_does_no_fraction_arithmetic(monkeypatch):
+    # the c/4 coefficients of the non-Hopf Ricci tensor enter rational.dot
+    # as ints over their common denominator; once the scaled() forms are
+    # kept, a report adds and multiplies ints only
+    ctx = build_nonhopf_context()
+    T = ricci(ctx)
+    first = parallel_equations(ctx, T)
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda a, b, _name=name, _op=original: ops.append(_name) or _op(a, b))
+    second = parallel_equations(ctx, T)
+    assert ops == []
+    assert second.equations() == first.equations()
+    assert any(type(c) is Fraction for e in second.equations() for _m, c in e.num.terms)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from starricci import quadratic, rational
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
-from starricci.polynomial import Polynomial, poly_gcd
+from starricci.polynomial import Polynomial, _memos, _mono_mul, poly_gcd
 from starricci.proofs import BASIC_RELATION_TEXT, DISCRIMINANT_TEXT, quadratic_elimination
 from starricci.quadratic import (
     InconsistentEquationError,
@@ -621,6 +621,227 @@ def test_substitute_matches_per_term_reference(e, bindings):
     assert got.to_text() == expected.to_text()
     if got.den == Polynomial.one():
         assert got.den is Polynomial.one()
+
+
+# -- integer accumulation and scalar substitution: the previous bodies as oracles
+
+def _dot_reference(terms):
+    """rational.dot before it accumulated in ints: Fraction coefficients,
+    one product k * ca * cb per term pair."""
+    acc, rest = {}, Expr.zero()
+    for k, a, b in terms:
+        ta, tb = a.num.terms, b.num.terms
+        if not (k and ta and tb):
+            continue
+        if a.den != Polynomial.one() or b.den != Polynomial.one():
+            rest = rest + k * a * b
+            continue
+        lead = ta[0][0] or tb[0][0]
+        if not lead:
+            acc[()] = acc.get((), 0) + k * ta[0][1] * tb[0][1]
+            continue
+        products = _memos(lead[0][0]).products
+        for ma, ca in ta:
+            for mb, cb in tb:
+                m = products[ma][mb]
+                acc[m] = acc.get(m, 0) + k * ca * cb
+    total = rational._polynomial(Polynomial(acc)) + rest if any(acc.values()) else rest
+    return total if total.num.terms else Expr.zero()
+
+
+# Coefficients over 2, 3, 4 and 6, so that the common denominator of a sum is
+# an lcm and not the plain product of the factors' denominators.
+_LCM_COEFFS = st.builds(Fraction, st.integers(min_value=-7, max_value=7),
+                        st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def _lcm_polys(nvars):
+    monos = st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 2), max_size=2).map(
+        lambda d: tuple((_UT_SYMS[i], e) for i, e in sorted(d.items())))
+    return st.dictionaries(monos, _LCM_COEFFS, max_size=3).map(Polynomial)
+
+
+_LCM_FACTORS = st.one_of(
+    _lcm_polys(3).map(Expr),
+    st.just(Expr.zero()),
+    _LCM_COEFFS.map(Expr.const),
+    st.tuples(_lcm_polys(2), _UNIT_DENS).map(lambda pd: Expr(*pd)),
+    # polynomials in a scope's symbols too, as in _DOT_FACTORS
+    st.tuples(_lcm_polys(2), _lcm_polys(2)).map(lambda pq: Expr(pq[0].scale(Fraction(1, 6)))
+                                               * _US_W + Expr(pq[1]) * _US_DX),
+)
+
+
+# The factors free of derivative symbols, which have a derivative.
+_LCM_DERIVABLE = st.one_of(
+    _lcm_polys(3).map(Expr),
+    st.just(Expr.zero()),
+    _LCM_COEFFS.map(Expr.const),
+    st.tuples(_lcm_polys(2), _UNIT_DENS).map(lambda pd: Expr(*pd)),
+)
+
+
+def _assert_every_slot(got, reference):
+    assert (got.num, got.den) == (reference.num, reference.den)
+    assert got.to_text() == reference.to_text()
+    assert hash(got) == hash(reference)
+    assert _coefficients_ok(got.num, got.den)
+    if got.den == Polynomial.one():
+        assert got.den is Polynomial.one()
+    if got.is_zero:
+        assert got is Expr.zero()
+
+
+def _assert_scaled(p):
+    d, terms = p.scaled()
+    assert p.scaled() is p.scaled()  # kept on the polynomial
+    assert d == math.lcm(1, *(Fraction(c).denominator for _m, c in p.terms))
+    assert all(type(c) is int for _m, c in terms)
+    assert [(m, Fraction(c, d)) for m, c in terms] == [(m, Fraction(c)) for m, c in p.terms]
+    if d == 1:
+        assert terms is p.terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), _LCM_FACTORS, _LCM_FACTORS),
+                max_size=5),
+       st.one_of(st.none(), st.tuples(_LCM_DERIVABLE, st.sampled_from(("e1", "e2", "e3")))),
+       st.booleans(), st.randoms())
+def test_integer_dot_equals_the_fraction_dot_in_every_slot(triples, derivative, cancel, rng):
+    if cancel:  # the negated triples, shuffled in, cancel the products
+        triples = triples + [(-k, a, b) for k, a, b in triples]
+        rng.shuffle(triples)
+    reference = sum((k * a * b for k, a, b in triples), Expr.zero())
+    assert _dot_reference(triples) == reference
+    if derivative is not None:
+        e, direction = derivative
+        reference = reference + e.derivative(direction)
+    for got in (rational.dot(triples, derivative), rational.dot(iter(triples), derivative)):
+        _assert_every_slot(got, reference)
+    if derivative is None:
+        _assert_every_slot(rational.dot(triples), reference)
+    for _k, a, b in triples:
+        for e in (a, b):
+            _assert_scaled(e.num)
+            _assert_scaled(e.den)
+
+
+def test_scaled_coefficients_over_their_lcm():
+    x, y = (Polynomial.from_symbol(s) for s in _UT_SYMS[:2])
+    p = x.scale(Fraction(1, 4)) + y.scale(Fraction(5, 6)) + Polynomial.const(2)
+    assert p.scaled() == (12, (((p.terms[0][0]), 3), (p.terms[1][0], 10), ((), 24)))
+    for q in (p, x + y, Polynomial.zero(), Polynomial.const(Fraction(-3, 4))):
+        _assert_scaled(q)
+
+
+def _substitute_poly_reference(p, table):
+    """rational._substitute_poly before it folded rational constants into the
+    coefficients: every binding enters as a power of its numerator and
+    denominator polynomials."""
+    one = Polynomial.one()
+    degrees = {}
+    for m, _c in p.terms:
+        for s, e in m:
+            if s in table and e > degrees.get(s, 0):
+                degrees[s] = e
+    if not degrees:
+        return p, one
+    bound = sorted(degrees, key=lambda s: s.name)
+
+    def power(s, part, e):
+        return getattr(table[s], part) ** e
+
+    den = one
+    for s in bound:
+        if table[s].den is not one:
+            den = den * power(s, "den", degrees[s])
+    acc = {}
+    for m, c in p.terms:
+        exps = dict(m)
+        if any(table[s].is_zero for s in bound if s in exps):
+            continue
+        term = {tuple((s, e) for s, e in m if s not in degrees): c}
+        for s in bound:
+            e = exps.get(s, 0)
+            factors = [power(s, "num", e)] if e else []
+            if table[s].den is not one and e != degrees[s]:
+                factors.append(power(s, "den", degrees[s] - e))
+            for f in factors:
+                prod = {}
+                for ma, ca in term.items():
+                    for mb, cb in f.terms:
+                        key = _mono_mul(ma, mb)
+                        prod[key] = prod.get(key, 0) + ca * cb
+                term = prod
+        for mt, ct in term.items():
+            acc[mt] = acc.get(mt, 0) + ct
+    return Polynomial(acc), den
+
+
+# Bindings of every kind: zero, an int, a Fraction, a polynomial and a
+# rational function.
+_MIXED_BINDINGS = st.one_of(
+    st.just(Expr.zero()),
+    st.integers(min_value=-3, max_value=3).map(Expr.const),
+    _LCM_COEFFS.map(Expr.const),
+    _lcm_polys(3).map(Expr),
+    st.tuples(_unit_polys(1), _UNIT_DENS).map(lambda pd: Expr(*pd)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lcm_polys(3), st.dictionaries(st.sampled_from(_UT_SYMS), _MIXED_BINDINGS, max_size=3))
+def test_substitute_poly_equals_its_previous_body(p, bindings):
+    got = rational._substitute_poly(p, bindings)
+    reference = _substitute_poly_reference(p, bindings)
+    assert got == reference
+    assert got[1] is Polynomial.one() or got[1] != Polynomial.one()
+    assert _coefficients_ok(*got)
+
+
+def test_constant_bindings_take_no_polynomial_product(monkeypatch):
+    t = SymbolTable()
+    x, y, z, w = (t.constant(n) for n in ("x", "y", "z", "w"))
+    p = parse_expr("3*x^2*y + (1/2)*x*z^3*w - y*z + 7", t).num
+    bindings = {x: Expr.const(Fraction(2, 3)), y: Expr.zero(), z: Expr.const(-2)}
+    products = []
+    original = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: products.append(1) or original(a, b))
+    num, den = rational._substitute_poly(p, bindings)
+    assert products == []
+    assert den is Polynomial.one()
+    assert num == parse_expr("-(8/3)*w + 7", t).num
+
+
+class _CountingBindings(dict):
+    """A binding mapping that counts how often it is read."""
+
+    reads = 0
+
+    def items(self):
+        type(self).reads += 1
+        return super().items()
+
+
+def test_eval_reads_its_bindings_once_whatever_the_number_of_atoms():
+    t = SymbolTable()
+    e = parse_expr("cot(2*r) + tanh(cot(r) + sin(r)) * cos(r/3) + exp(-r) + r", t,
+                   define_missing=True)
+    _CountingBindings.reads = 0
+    value = e.eval(_CountingBindings(r=0.7))
+    assert _CountingBindings.reads == 1
+    r = 0.7
+    assert value == pytest.approx(1 / math.tan(2 * r)
+                                  + math.tanh(1 / math.tan(r) + math.sin(r)) * math.cos(r / 3)
+                                  + math.exp(-r) + r, rel=1e-12)
+    # an atom's argument is still checked for its own unbound symbols and poles
+    for text, bindings, error in (("cot(r*s)", {"r": 1.0}, UnboundSymbolError),
+                                  ("cot(1/(r - 1))", {"r": 1.0}, NearZeroDenominator),
+                                  ("cot(r)", {"r": float("inf")}, ExprError)):
+        with pytest.raises(error) as caught:
+            parse_expr(text, SymbolTable(), define_missing=True).eval(bindings)
+        assert type(caught.value) is error
 
 
 def _coefficients_ok(*polys):

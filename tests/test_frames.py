@@ -348,6 +348,24 @@ def test_fused_sums_equal_their_reference_bodies(context, request):
                          _leibniz_reference(ctx, X, M, Y, P))
 
 
+@pytest.mark.parametrize("context", ["nonhopf", "hopf"])
+def test_leibniz_entry_builds_no_derivative_of_a_polynomial_entry(context, request, monkeypatch):
+    # e_X(T_PY) of a polynomial entry goes into dot's accumulation (the values
+    # are compared with _leibniz_reference above); only the rational entries
+    # of the last tensor take Expr.derivative
+    ctx = request.getfixturevalue(context)
+    tensors = _tensors(ctx)
+    derivatives = []
+    original = Expr.derivative
+    monkeypatch.setattr(Expr, "derivative",
+                        lambda e, direction: derivatives.append(e) or original(e, direction))
+    for T in tensors:
+        for X, Y, P in product(FRAME_INDICES, repeat=3):
+            covariant_derivative_entry(ctx, X, T, Y, P)
+    rational_entries = [e for row in tensors[-1].rows for e in row if not e.is_polynomial()]
+    assert derivatives and all(e in rational_entries for e in derivatives)
+
+
 def test_codazzi_residual_matches_full_matrix_form(nonhopf, hopf):
     for ctx in (nonhopf, hopf):
         for X in FRAME_INDICES:
