@@ -50,12 +50,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from itertools import repeat
 from operator import add, lt, mul, sub, truediv
-from typing import Callable, Mapping, NoReturn, Optional
+from typing import Callable, Mapping, NamedTuple, NoReturn, Optional
 
 from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
 # perfbench/test_perfbench.py reads catalog.parallel_equations
@@ -78,8 +76,7 @@ class DomainError(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(NamedTuple):
     name: str
     c: int
 
@@ -94,22 +91,25 @@ def hopf_relation_residual(alpha: float, lam: float, nu: float, c: float) -> flo
     return lam * nu - (alpha / 2.0) * (lam + nu) - c / 4.0
 
 
-@dataclass(frozen=True)
 class HypersurfaceFamily:
-    family_id: str
-    space: ModelSpace
-    domain: tuple  # (lo, hi) open interval, ends may be +-inf
-    alpha: Expr
-    lam: Expr
-    nu: Expr
-    description: str = ""
-    # (radii, pi) -> (alpha, lambda, nu) columns, compiled once per family
-    # (rational.compile_columns); used through _curvature_columns
-    curvature_columns: Callable = field(init=False, repr=False, compare=False)
+    """One family of the catalog: the curvatures alpha, lambda and nu as
+    expressions in the radius r over the open interval `domain` (lo, hi),
+    whose ends may be +-inf."""
 
-    def __post_init__(self):
-        fn = compile_columns((self.alpha, self.lam, self.nu), ("r", "pi"), ("r",))
-        object.__setattr__(self, "curvature_columns", fn)
+    __slots__ = ("family_id", "space", "domain", "alpha", "lam", "nu", "description",
+                 "curvature_columns")
+
+    def __init__(self, family_id: str, space: ModelSpace, domain: tuple, alpha: Expr,
+                 lam: Expr, nu: Expr, description: str = ""):
+        # curvature_columns: (radii, pi) -> (alpha, lambda, nu) columns, compiled
+        # once per family (rational.compile_columns); used through _curvature_columns
+        columns = compile_columns((alpha, lam, nu), ("r", "pi"), ("r",))
+        for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
+                                                description, columns)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HypersurfaceFamily is immutable")
 
     def contains(self, r: float) -> bool:
         lo, hi = self.domain
@@ -147,6 +147,10 @@ class HypersurfaceFamily:
         if math.isfinite(hi):
             return (hi - 5.0, hi - 0.05)
         return (0.05, 5.0)
+
+
+# Radii per family in the type-B and witness sweeps.
+DEFAULT_SAMPLES = 100
 
 
 def radius_grid(lo: float, hi: float, samples: int) -> list:
@@ -220,8 +224,7 @@ def lam_nu_plus_c_column(fam: HypersurfaceFamily, radii: list) -> list:
     return values
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     version: int
     families: tuple
 
@@ -336,6 +339,8 @@ def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL)
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
+    from importlib import resources  # only a builtin load reads the package data
+
     text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
     # by keyword, as load_catalog passes it: the memo keys a call by its form
     return parse_catalog(text, oracle_tol=DEFAULT_ORACLE_TOL)
@@ -368,8 +373,7 @@ REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
 _ZEROS = (0.0,) * len(ZERO_DEFAULT)
 
 
-@dataclass(frozen=True)
-class _CompiledReport:
+class _CompiledReport(NamedTuple):
     report: ConditionReport
     labels: tuple        # one per entry, in report order
     # max |row| of the constant rows, folded at compile time
@@ -457,8 +461,7 @@ def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _Comp
     return at
 
 
-@dataclass(frozen=True)
-class ConditionEvaluation:
+class ConditionEvaluation(NamedTuple):
     family_id: str
     r: float
     kind: ConditionKind
@@ -504,15 +507,13 @@ def evaluate_condition(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     r: float
     max_residual: float
     lam_nu_plus_c: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """A sweep's results as three columns, ordered by r."""
     family_id: str
     kind: ConditionKind

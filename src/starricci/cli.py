@@ -28,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import le
@@ -36,9 +35,12 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .catalog import (
+    CH2,
+    CP2,
     Catalog,
     ConditionKind,
     DEFAULT_ORACLE_TOL,
+    DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
     builtin_catalog,
     load_catalog,
@@ -49,35 +51,23 @@ from .conditions import _BUILDERS as _CONDITION_BUILDERS
 from .conditions import build_report
 from .frames import build_hopf_context, build_nonhopf_context, ricci, star_ricci_closed
 from .parsing import ExprSyntaxError, parse_expr
-from .proofs import (
-    CH2,
-    CP2,
-    DEFAULT_SAMPLES,
-    ProofError,
-    hopf_branch,
-    hopf_verified,
-    nonhopf_contradiction,
-    nonhopf_verified,
-    quadratic_analysis,
-    quadratic_elimination,
-    solve_quadratic,
-    type_b_exclusion,
-    verdict,
-    verify_all,
-)
 from .rational import Expr, ExprError
 from .symbols import Symbol, SymbolTable
 
 SCHEMA = "starricci.report/1"
 
 
-@dataclass(frozen=True)
 class SweepRows:
     """payload["rows"] of a sweep: its SweepResult columns, which the generic
-    json writer sees as one dict {"r", "max_residual", "lam_nu_plus_c"} per radius."""
-    radii: tuple
-    max_residuals: tuple
-    lam_nu_plus_c: tuple
+    json writer sees as one dict {"r", "max_residual", "lam_nu_plus_c"} per radius.
+    Not a tuple: _json tells the two apart."""
+
+    __slots__ = ("radii", "max_residuals", "lam_nu_plus_c")
+
+    def __init__(self, radii: tuple, max_residuals: tuple, lam_nu_plus_c: tuple):
+        self.radii = radii
+        self.max_residuals = max_residuals
+        self.lam_nu_plus_c = lam_nu_plus_c
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -153,13 +143,18 @@ def _json(value, nl: str, out: list) -> None:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-@dataclass
 class Report:
-    command: str
-    status: str
-    payload: dict
-    catalog_version: Optional[int] = None
-    text_lines: list = field(default_factory=list)
+    """One command's result: its status, its json payload and its text lines."""
+
+    __slots__ = ("command", "status", "payload", "catalog_version", "text_lines")
+
+    def __init__(self, command: str, status: str, payload: dict,
+                 catalog_version: Optional[int] = None, text_lines: Optional[list] = None):
+        self.command = command
+        self.status = status
+        self.payload = payload
+        self.catalog_version = catalog_version
+        self.text_lines = [] if text_lines is None else text_lines
 
     def _envelope(self, payload: dict) -> dict:
         return {
@@ -203,6 +198,19 @@ def _catalog(args) -> Catalog:
 # -- prove -------------------------------------------------------------------
 
 def cmd_prove(args) -> int:
+    from .proofs import (  # only prove loads the proof layer, and reads it at each call
+        ProofError,
+        hopf_branch,
+        hopf_verified,
+        nonhopf_contradiction,
+        nonhopf_verified,
+        quadratic_analysis,
+        quadratic_elimination,
+        type_b_exclusion,
+        verdict,
+        verify_all,
+    )
+
     cat = _catalog(args)
     target = args.target
     spaces = _spaces(args.space)
@@ -389,6 +397,8 @@ def cmd_expr(args) -> int:
         _write(Report("expr eval", "ok", payload, None, lines), args)
         return 0
     # solve
+    from .quadratic import solve_quadratic  # only expr solve loads the quadratic layer
+
     if len(args.args) != 1:
         raise ExprError("expr solve needs exactly one unknown name")
     unknown = table.get(args.args[0])

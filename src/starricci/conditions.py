@@ -11,10 +11,9 @@ normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .frames import (
     FRAME_INDICES,
@@ -38,8 +37,7 @@ class ConditionKind(Enum):
     EINSTEIN = "einstein"
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     """One scalar equation: x is () for Einstein, (X,) for nabla conditions,
     (X, Y) for the curvature-derivation conditions."""
 
@@ -59,11 +57,19 @@ def _label(x: tuple, y: FrameIndex, proj: FrameIndex) -> str:
     return f"x=({xs}) y={y.direction} proj={proj.direction}"
 
 
-@dataclass(frozen=True)
 class ConditionReport:
-    kind: ConditionKind
-    tensor_name: str
-    entries: tuple
+    """The scalar equations of one condition on one tensor: `entries` holds
+    one ReportEntry per projection, in report order."""
+
+    __slots__ = ("kind", "tensor_name", "entries")
+
+    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tensor_name", tensor_name)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ConditionReport is immutable")
 
     def __len__(self) -> int:
         return len(self.entries)

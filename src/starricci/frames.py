@@ -49,8 +49,8 @@ Sharing (fixed here as well):
   build_hopf_context return one shared context each;
 * the tensors derived from a context -- the three operators R(e_i, e_j),
   i < j, the Ricci tensor and the closed-form S* -- are computed once per
-  context and kept on it; a context made by dataclasses.replace (so by
-  with_shape_operator) computes its own;
+  context and kept on it; a context made by with_shape_operator starts
+  without them and computes its own;
 * a context's symbol table is frozen once built, so no command writes a
   shared table: names a command defines go in a scope() of the table.
 
@@ -61,10 +61,9 @@ S* U); the asymmetry is genuine and is never silently symmetrized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from typing import Iterable, Union
 
 from .parsing import parse_expr
@@ -274,31 +273,29 @@ class ConnectionTable:
         return True
 
 
-@dataclass(frozen=True)
 class FrameContext:
     """A frozen frame: structure tensor, shape operator, connection, curvature c.
 
     c is the symbol c of the context's table.  The ambient complex dimension
     is 2 throughout (real hypersurface dimension 3).  The table is frozen
     with the context: names a caller adds go in a scope() of it.
+
+    _derived holds the tensors computed from this context, by function (see
+    _once_per_context).  A new context, and so one made by
+    with_shape_operator, starts without them.
     """
 
-    kind: str                 # "non-hopf" | "hopf"
-    table: SymbolTable
-    c: Expr
-    A: Tensor11
-    phi: Tensor11
-    connection: ConnectionTable
+    __slots__ = ("kind", "table", "c", "A", "phi", "connection", "_derived")
 
-    def __post_init__(self) -> None:
-        self.table.frozen = True
+    def __init__(self, kind: str, table: SymbolTable, c: Expr, A: Tensor11, phi: Tensor11,
+                 connection: ConnectionTable):
+        # kind is "non-hopf" | "hopf"
+        for name, value in zip(self.__slots__, (kind, table, c, A, phi, connection, {})):
+            object.__setattr__(self, name, value)
+        table.frozen = True
 
-    @cached_property
-    def _derived(self) -> dict:
-        """The tensors computed from this context, by function (see
-        _once_per_context).  dataclasses.replace, and so with_shape_operator,
-        makes a context that starts without them."""
-        return {}
+    def __setattr__(self, *a):
+        raise AttributeError("FrameContext is immutable")
 
     def sym(self, name: str) -> Expr:
         return Expr.from_symbol(self.symbol(name))
@@ -552,4 +549,4 @@ def codazzi_residual(ctx: FrameContext, X: FrameIndex, Y: FrameIndex) -> VectorF
 def with_shape_operator(ctx: FrameContext, A: Tensor11) -> FrameContext:
     """Context with A replaced (testing hook for algebraic operations only;
     the connection is left untouched and no longer matches nabla xi = phi A)."""
-    return replace(ctx, A=A)
+    return FrameContext(ctx.kind, ctx.table, ctx.c, A, ctx.phi, ctx.connection)

@@ -14,6 +14,11 @@ D of a constant is the zero expression.  A small whitelist of numeric
 functions (cot, tanh, ...) is admitted for the model-catalog layer; each
 application becomes an opaque constant atom.  Printing an Expr emits
 canonical text that reparses to the identical Expr.
+
+Each '(' the parser descends into, of a group or of a function's argument,
+takes a few stack frames, so text nesting parentheses more than MAX_NESTING
+deep is a syntax error, not a RecursionError.  A run of unary minus signs
+takes none.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ class ExprSyntaxError(ValueError):
 
 class UnknownIdentifierError(ExprSyntaxError):
     pass
+
+
+# Parentheses a text may nest, groups and function arguments together.
+MAX_NESTING = 100
 
 
 # Every character of the text starts exactly one match: a token, a run of
@@ -64,6 +73,7 @@ class _Parser:
         self.define_missing = define_missing
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -120,11 +130,14 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
+        negate = False
         kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        while kind == "op" and val == "-":
             self.next()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+            kind, val, _ = self.peek()
+        e = self.power()
+        return -e if negate else e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -155,9 +168,7 @@ class _Parser:
         if kind == "num":
             return Expr.const(int(val))
         if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group(pos)
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
@@ -165,7 +176,18 @@ class _Parser:
             return self.resolve(val, pos)
         raise ExprSyntaxError(f"unexpected token {val!r}", pos)
 
+    def group(self, pos: int) -> Expr:
+        """The expr after the '(' at pos, up to its ')'."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"more than {MAX_NESTING} nested parentheses", pos)
+        self.depth += 1
+        e = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
     def call(self, name: str, pos: int) -> Expr:
+        paren = self.peek()[2]
         self.expect_op("(")
         if name == "D":
             dkind, dval, dpos = self.next()
@@ -183,8 +205,7 @@ class _Parser:
                 return Expr.zero()
             return Expr.from_symbol(self.table.derivative(sym, dval))
         if name in NUMERIC_FUNCTIONS:
-            arg = self.expr()
-            self.expect_op(")")
+            arg = self.group(paren)
             text = f"{name}({arg.to_text()})"
             return Expr.from_symbol(self.table.applied(name, arg, text))
         raise ExprSyntaxError(f"unknown function {name!r}", pos)

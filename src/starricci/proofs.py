@@ -50,7 +50,6 @@ while contradiction witnesses are recorded exactly as computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -62,6 +61,7 @@ from .catalog import (
     CP2,
     Catalog,
     DEFAULT_ORACLE_TOL,
+    DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
     ModelSpace,
     builtin_catalog,
@@ -166,8 +166,7 @@ def _conclude_zero(label: str, reduced: Expr, name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     label: str
     equation: Expr
     justification: str
@@ -188,8 +187,7 @@ class ProofStep:
         }
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     name: str
     hypotheses: tuple
     steps: tuple
@@ -463,8 +461,7 @@ QUADRATIC_TEXT = "2*alpha*nu^2 + 5*c*nu - 2*alpha*c"
 DISCRIMINANT_TEXT = "25*c^2 + 16*alpha^2*c"
 
 
-@dataclass(frozen=True)
-class QuadraticAnalysis:
+class QuadraticAnalysis(NamedTuple):
     space: ModelSpace
     cleared_equation: Expr          # canonical quadratic in nu, c symbolic
     proportionality_factor: Fraction
@@ -504,8 +501,7 @@ class QuadraticAnalysis:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class QuadraticElimination:
+class QuadraticElimination(NamedTuple):
     """The space-independent part of the quadratic analysis."""
 
     table: SymbolTable              # constants alpha, lambda, nu, c
@@ -585,15 +581,11 @@ def quadratic_analysis(space: ModelSpace, elimination: QuadraticElimination) -> 
                              elimination.discriminant, disc_at_c, *branch)
 
 
-# Radii per family in the type-B and witness sweeps.
-DEFAULT_SAMPLES = 100
-
 TYPE_B_FAMILIES = {CP2.name: "cp2-b", CH2.name: "ch2-b"}
 TYPE_B_EXPECTED = {CP2.name: 3.0, CH2.name: -3.0}
 
 
-@dataclass(frozen=True)
-class TypeBReport:
+class TypeBReport(NamedTuple):
     space: ModelSpace
     family_id: str
     samples: int
@@ -659,8 +651,7 @@ def verdict(ok: bool, piece: str = "all") -> str:
     return _VERDICTS[piece] if ok else "verification FAILED"
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     nonhopf: ProofTrace
     hopf: ProofTrace
     quadratic: tuple      # (QuadraticAnalysis for CP2, for CH2)

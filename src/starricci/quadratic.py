@@ -11,9 +11,8 @@ the discriminant alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .rational import Expr, ExprError
 from .symbols import Symbol
@@ -27,8 +26,7 @@ class InconsistentEquationError(QuadraticError):
     """The unknown is absent but the expression is not identically zero."""
 
 
-@dataclass(frozen=True)
-class QuadraticRoot:
+class QuadraticRoot(NamedTuple):
     """offset + sqrt_coeff * sqrt(radicand); sqrt_coeff is 0 for linear roots."""
 
     offset: Expr
@@ -42,12 +40,18 @@ class QuadraticRoot:
         return self.offset.eval(bindings) + self.sqrt_coeff.eval(bindings) * math.sqrt(rad)
 
 
-@dataclass(frozen=True)
 class QuadraticSolution:
-    unknown: Symbol
-    degree: int                    # 0 (identically zero), 1 or 2
-    coefficients: tuple            # (a, b, c) as Expr, highest first
-    discriminant: Expr | None      # b^2 - 4ac for degree 2
+    """e = 0 solved for `unknown`: its degree, 0 (identically zero), 1 or 2,
+    its coefficients (a, b, c) as Expr, highest first, and the discriminant
+    b^2 - 4ac for degree 2, else None."""
+
+    def __init__(self, unknown: Symbol, degree: int, coefficients: tuple,
+                 discriminant: Expr | None):
+        self.__dict__.update(unknown=unknown, degree=degree, coefficients=coefficients,
+                             discriminant=discriminant)
+
+    def __setattr__(self, *a):
+        raise AttributeError("QuadraticSolution is immutable")
 
     @property
     def is_degenerate(self) -> bool:

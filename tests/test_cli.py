@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starricci import catalog, cli, conditions, frames, polynomial, proofs
+from starricci import catalog, cli, conditions, frames, parsing, polynomial, proofs
 from starricci.catalog import ConditionKind, builtin_catalog, format_catalog
 from starricci.cli import main
 from starricci.parsing import parse_expr
@@ -70,7 +70,7 @@ def test_prove_quadratic_fails_on_a_proof_error(monkeypatch, capsys):
     def broken(space, elimination):
         raise proofs.ProofError("no quadratic")
 
-    monkeypatch.setattr(cli, "quadratic_analysis", broken)
+    monkeypatch.setattr(proofs, "quadratic_analysis", broken)
     code, out = run(capsys, "prove", "quadratic")
     assert code == 1
     assert out.splitlines()[1] == "status: FAILED: no quadratic"
@@ -374,6 +374,41 @@ def test_an_edited_catalog_file_is_loaded_again(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _nested(depth: int, opening: str, inner: str = "x") -> str:
+    return opening * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("opening", ["(", "tanh("])
+def test_deeply_nested_input_is_one_error_line(tmp_path, capsys, opening):
+    deep = _nested(2000, opening)
+    path = tmp_path / "deep.cat"
+    path.write_text((_TUBE % "deep").replace("2*tanh(2*r)", _nested(2000, opening, "r")),
+                    encoding="utf-8")
+    for argv in (["expr", "eval", deep, "x=1"],
+                 ["check", "ricci", "pseudo-parallel", "hopf", "--pseudo-l", deep],
+                 ["check", "ricci", "parallel", "nonhopf", f"delta={deep}"],
+                 ["sweep", "tube", "0.2", "1.0", "3", "parallel", "--catalog", str(path)]):
+        code, out, err = _captured(capsys, argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
+        assert f"more than {parsing.MAX_NESTING} nested parentheses" in err
+
+
+@pytest.mark.parametrize("opening", ["(", "tanh("])
+def test_input_nested_to_the_limit_evaluates(capsys, opening):
+    code, out, _ = _captured(capsys, ["expr", "eval", _nested(parsing.MAX_NESTING, opening),
+                                      "x=1"])
+    assert code == 0 and out.startswith("# expr eval\nstatus: ok\n")
+    code, out, _ = _captured(capsys, ["check", "ricci", "parallel", "nonhopf",
+                                      f"delta={_nested(parsing.MAX_NESTING, opening, 'mu')}"])
+    assert code == 0 and "27 equations" in out
+
+
+def test_a_run_of_minus_signs_takes_no_recursion(capsys):
+    code, out, _ = _captured(capsys, ["expr", "eval", "0" + "-" * 3001 + "x", "x=2"])
+    assert code == 0 and "-x = -2.0" in out
+
+
 def test_a_tighter_oracle_tolerance_validates_again(tmp_path, capsys):
     path = tmp_path / "builtin.cat"
     path.write_text(format_catalog(builtin_catalog()), encoding="utf-8")
@@ -448,9 +483,7 @@ def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
     pieces = ("nonhopf_contradiction", "hopf_branch", "quadratic_analysis",
               "type_b_exclusion")
     for name in (*pieces, "quadratic_elimination"):
-        wrapper = counted(name, getattr(proofs, name))
-        for module in (proofs, cli):
-            monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(proofs, name, counted(name, getattr(proofs, name)))
     code, _ = run(capsys, "prove", "all", "--samples", "5")
     assert code == 0
     assert [calls[name] for name in pieces] == [1, 1, 2, 2]
