@@ -10,11 +10,16 @@ family against the principal-curvature relation
 at 100 sampled radii; any failure aborts the load.  A load validates once
 per distinct text and tolerance: parse_catalog shares the immutable Catalog
 it returns, as builtin_catalog() does, and keeps no failed load.  These
-homogeneous models have constant principal curvatures along the hypersurface,
-so numeric condition evaluation binds every formal derivative symbol, the
-unconstrained connection coefficients h1..h3, the pseudo-parallel function L
-and the Einstein constant lambda_e to zero (ZERO_DEFAULT); extra_bindings may
-set these and no other names.
+homogeneous models have constant principal curvatures along the hypersurface.
+Numeric condition evaluation binds exactly REPORT_PARAMS, the names that the
+reports read: parallel and d-parallel read c, lambda and nu, xi-parallel
+none, semi-parallel adds alpha, pseudo-parallel L, and einstein (on the
+Ricci tensor) lambda_e.  The family supplies alpha, lambda and nu, the space
+c, and L and lambda_e (ZERO_DEFAULT) are zero unless extra_bindings sets
+them.  No report reads a connection coefficient h1..h3, so none is bound:
+S* = (c + lambda*nu)(I - eta(x)xi) commutes with rotations of D, and the
+Ricci tensor is algebraic in the curvatures.  A Ricci-parallel report would
+read them, and would need h3 = alpha/2 from Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
@@ -58,10 +63,10 @@ from typing import Callable, Mapping, NamedTuple, NoReturn, Optional
 from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
 # perfbench/test_perfbench.py reads catalog.parallel_equations
 from .conditions import parallel_equations
-from .frames import HOPF_FUNCTIONS, build_hopf_context, star_ricci_closed
+from .frames import build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
 from .rational import Expr, compile_columns
-from .symbols import DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
+from .symbols import SymbolTable
 
 DEFAULT_ORACLE_TOL = 1e-9
 DEFAULT_WITNESS_TOL = 1e-6
@@ -355,22 +360,14 @@ def builtin_families() -> list:
 # The pseudo-parallel function of the PSEUDO_PARALLEL report.
 _PSEUDO_PARALLEL_FUNCTION = "L"
 
-# Symbols of the Hopf condition reports that no family fixes; numeric
+# The report names that neither the family nor the space fixes; numeric
 # evaluation binds them to zero unless extra_bindings sets them.
-ZERO_DEFAULT = (
-    (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
-    + HOPF_FUNCTIONS
-    + tuple(
-        derivative_symbol(Symbol(h, FUNCTION), d).name
-        for h in HOPF_FUNCTIONS
-        for d in DIRECTIONS
-    )
-)
+ZERO_DEFAULT = (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
 # The report parameters that a family supplies per radius.
 _CURVATURES = ("alpha", "lambda", "nu")
-# The parameters of every compiled report, in call order.
+# The parameters of every compiled report, in call order: exactly the names
+# the reports read (compile_columns rejects any other).
 REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
-_ZEROS = (0.0,) * len(ZERO_DEFAULT)
 
 
 class _CompiledReport(NamedTuple):
@@ -383,15 +380,13 @@ class _CompiledReport(NamedTuple):
     # the distinct non-constant rows; None when every row is constant
     kernel: Optional[Callable]
 
-    def max_abs_column(self, curvatures: tuple, args: list) -> list:
+    def max_abs_column(self, curvatures: tuple, scalars: Mapping[str, float]) -> list:
         """max |row| at each radius, over the leading radii up to the first
         one whose rows raise or are not finite.  curvatures holds the alpha,
-        lambda and nu columns; args is _report_args' vector."""
+        lambda and nu columns; scalars is _report_scalars' mapping."""
         if self.kernel is None:
             return [self.constant_max] * len(curvatures[0])
-        columns = [col if bound is None else [bound] * len(col)
-                   for col, bound in zip(curvatures, args)]
-        column, = self.kernel(*columns, *args[3:])
+        column, = self.kernel(*curvatures, *scalars.values())
         return column
 
 
@@ -415,40 +410,39 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     )
 
 
-def _report_args(fam: HypersurfaceFamily, extra_bindings: Optional[Mapping[str, float]]) -> list:
-    """The REPORT_PARAMS values of a report on fam: None for alpha, lambda
-    and nu unless extra_bindings sets them (the family supplies them per
-    radius), the space's c, and zero for the rest.  An unknown name or a
-    non-finite value in extra_bindings is a CatalogError."""
-    args = [None, None, None, float(fam.space.c), *_ZEROS]
+def _report_scalars(fam: HypersurfaceFamily,
+                    extra_bindings: Optional[Mapping[str, float]]) -> dict:
+    """The values of the REPORT_PARAMS after the curvatures, in order: the
+    space's c, then each ZERO_DEFAULT name at zero unless extra_bindings sets
+    it.  Another name or a non-finite value in extra_bindings is a
+    CatalogError."""
+    scalars = {"c": float(fam.space.c), **dict.fromkeys(ZERO_DEFAULT, 0.0)}
     for name, value in (extra_bindings or {}).items():
-        if name not in REPORT_PARAMS:
+        if name not in ZERO_DEFAULT:
             raise CatalogError(
-                f"unknown binding {name!r} (known: {', '.join(REPORT_PARAMS)})"
+                f"unknown binding {name!r} (known: {', '.join(ZERO_DEFAULT)})"
             )
         value = float(value)
         if not math.isfinite(value):
             raise CatalogError(f"binding {name} = {value!r} is not finite")
-        args[REPORT_PARAMS.index(name)] = value
-    return args
+        scalars[name] = value
+    return scalars
 
 
 def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _CompiledReport,
-                   args: list) -> Callable:
+                   scalars: Mapping[str, float]) -> Callable:
     """at(r) -> (alpha, lambda, nu, row values, lambda*nu + c) of one
     condition report on one family: the per-radius evaluation.
 
     at(r) checks the domain and the curvatures (fam.curvatures), that every
-    row is finite and that lambda*nu + c is finite.  A bound alpha, lambda
-    or nu in args replaces the family's value in the report only.
+    row is finite and that lambda*nu + c is finite.
     """
     rows = compiled.report.equations()
-    fixed = {name: value for name, value in zip(REPORT_PARAMS, args) if value is not None}
     isfinite = math.isfinite
 
     def at(r: float) -> tuple:
         a, l, n = fam.curvatures(r)
-        bindings = {"alpha": a, "lambda": l, "nu": n, **fixed}
+        bindings = {"alpha": a, "lambda": l, "nu": n, **scalars}
         values = tuple(e.eval(bindings) for e in rows)
         if not all(map(isfinite, values)):
             bad = sum(1 for v in values if not isfinite(v))
@@ -486,15 +480,14 @@ def evaluate_condition(
 ) -> ConditionEvaluation:
     """Evaluate a condition report on the *-Ricci tensor at radius r.
 
-    The names in ZERO_DEFAULT (formal derivative symbols, the free connection
-    coefficients h1..h3, the pseudo-parallel function L and the Einstein
-    constant lambda_e) are bound to zero.  extra_bindings overrides any name
-    in REPORT_PARAMS; another name, or a non-finite value, raises
-    CatalogError, and so does a non-finite row or lambda*nu + c.
+    The family's curvatures at r and the space's c are bound, and L and
+    lambda_e are zero unless extra_bindings sets them.  Another name in
+    extra_bindings, or a non-finite value, raises CatalogError, and so does
+    a non-finite row or lambda*nu + c.
     """
     compiled = _hopf_report(kind)
     a, l, n, values, lam_nu_plus_c = _row_evaluator(
-        fam, kind, compiled, _report_args(fam, extra_bindings))(r)
+        fam, kind, compiled, _report_scalars(fam, extra_bindings))(r)
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
@@ -554,13 +547,13 @@ def sweep(
         )
     radii = radius_grid(r_min, r_max, samples)
     compiled = _hopf_report(kind)
-    args = _report_args(fam, extra_bindings)
+    scalars = _report_scalars(fam, extra_bindings)
     curvatures = _curvature_columns(fam, radii)
-    max_residuals = compiled.max_abs_column(curvatures, args)
+    max_residuals = compiled.max_abs_column(curvatures, scalars)
     lam_nu_plus_c = _lam_nu_plus_c_values(fam, *curvatures[1:])
     clean = min(len(max_residuals), _leading_finite(lam_nu_plus_c))
     if clean < len(radii):
-        _replay(_row_evaluator(fam, kind, compiled, args), radii[clean])
+        _replay(_row_evaluator(fam, kind, compiled, scalars), radii[clean])
     return SweepResult(
         fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
     )

@@ -162,23 +162,8 @@ def _derivation(op: Tensor11, T: Tensor11) -> Tensor11:
     )
 
 
-def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
-    """g((R(e_i, e_j) . T) e_k, e_l) over i < j: 27 equations, all algebraic.
-
-    The i > j half is the exact negation (tested, not emitted).
-    """
-    R = _curvature_operators(ctx)
-    entries = []
-    for X, Y in _PAIRS:
-        d = _derivation(R[X._value_][Y._value_], T).rows
-        for K in FRAME_INDICES:
-            for L in FRAME_INDICES:
-                entries.append(ReportEntry((X, Y), K, L, d[L._value_][K._value_]))
-    return ConditionReport(ConditionKind.SEMI_PARALLEL, tensor_name, tuple(entries))
-
-
-def pseudo_parallel_equations(
-    ctx: FrameContext, T: Tensor11, L: Expr, tensor_name: str = "T"
+def _curvature_derivation(
+    ctx: FrameContext, T: Tensor11, L: Expr, kind: ConditionKind, tensor_name: str
 ) -> ConditionReport:
     """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j.
 
@@ -186,8 +171,6 @@ def pseudo_parallel_equations(
     R(e_i,e_j).T - L ((e_i ^ e_j).T) = (R(e_i,e_j) - L (e_i ^ e_j)).T
     exactly: each pair takes one derivation, of the operator
     R(e_i,e_j) - L (e_i ^ e_j), which is R(e_i,e_j) itself when L is zero.
-    L is checked as given: the report with L = 0 coincides with the
-    semi-parallel one.
     """
     R = _curvature_operators(ctx)
     entries = []
@@ -199,7 +182,23 @@ def pseudo_parallel_equations(
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
                 entries.append(ReportEntry((X, Y), K, P, d[P._value_][K._value_]))
-    return ConditionReport(ConditionKind.PSEUDO_PARALLEL, tensor_name, tuple(entries))
+    return ConditionReport(kind, tensor_name, tuple(entries))
+
+
+def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
+    """g((R(e_i, e_j) . T) e_k, e_l) over i < j: 27 equations, all algebraic.
+
+    The i > j half is the exact negation (tested, not emitted).
+    """
+    return _curvature_derivation(ctx, T, Expr.zero(), ConditionKind.SEMI_PARALLEL, tensor_name)
+
+
+def pseudo_parallel_equations(
+    ctx: FrameContext, T: Tensor11, L: Expr, tensor_name: str = "T"
+) -> ConditionReport:
+    """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j, L as given:
+    with L = 0 the rows are the semi-parallel ones."""
+    return _curvature_derivation(ctx, T, L, ConditionKind.PSEUDO_PARALLEL, tensor_name)
 
 
 # Name of the Einstein constant in einstein_equations' report.

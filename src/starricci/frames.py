@@ -366,10 +366,6 @@ def build_nonhopf_context() -> FrameContext:
     return _frame_context("non-hopf", table, A, ("kappa1", "kappa2", "kappa3"))
 
 
-# Names of the unconstrained connection coefficients of the Hopf context.
-HOPF_FUNCTIONS = ("h1", "h2", "h3")
-
-
 @lru_cache(maxsize=None)
 def build_hopf_context() -> FrameContext:
     """Principal frame {W, phiW, xi} at a point: A = diag(lambda, nu, alpha).
@@ -382,7 +378,7 @@ def build_hopf_context() -> FrameContext:
     table = SymbolTable()
     al, lam, nu = (Expr.from_symbol(table.constant(name)) for name in ("alpha", "lambda", "nu"))
     A = Tensor11(((lam, 0, 0), (0, nu, 0), (0, 0, al)))
-    return _frame_context("hopf", table, A, HOPF_FUNCTIONS)
+    return _frame_context("hopf", table, A, ("h1", "h2", "h3"))
 
 
 # -- covariant differentiation ---------------------------------------------

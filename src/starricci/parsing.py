@@ -18,11 +18,13 @@ canonical text that reparses to the identical Expr.
 Each '(' the parser descends into, of a group or of a function's argument,
 takes a few stack frames, so text nesting parentheses more than MAX_NESTING
 deep is a syntax error, not a RecursionError.  A run of unary minus signs
-takes none.
+takes none.  A power of k terms to the n whose C(n + k - 1, k - 1) terms
+could exceed MAX_POWER_TERMS, in a numerator or denominator, is one too.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .rational import NUMERIC_FUNCTIONS, Expr
@@ -41,6 +43,8 @@ class UnknownIdentifierError(ExprSyntaxError):
 
 # Parentheses a text may nest, groups and function arguments together.
 MAX_NESTING = 100
+# Terms the expansion of one power may reach, in its numerator or denominator.
+MAX_POWER_TERMS = 2000
 
 
 # Every character of the text starts exactly one match: a token, a run of
@@ -141,10 +145,16 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return base ** self.exponent()
+            n = self.exponent()
+            for poly in (base.num, base.den):
+                k = len(poly.terms)
+                if k > 1 and math.comb(abs(n) + k - 1, k - 1) > MAX_POWER_TERMS:
+                    raise ExprSyntaxError(f"the power of a {k}-term polynomial to {abs(n)} "
+                                          f"could expand to more than {MAX_POWER_TERMS} terms", pos)
+            return base ** n
         return base
 
     def exponent(self) -> int:

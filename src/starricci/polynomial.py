@@ -335,8 +335,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the last bit takes no square
+                base = base * base
         return result
 
     def scaled(self) -> tuple:

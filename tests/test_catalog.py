@@ -441,16 +441,13 @@ def test_evaluate_condition_bindings_are_checked():
     default = evaluate_condition(fam, 0.5, kind)
     assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 0.0}) == default
     assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 2.0}) != default
-    for name in ("D(e1,h2)", "h3", "lambda_e"):  # zero-default names are accepted
-        assert evaluate_condition(fam, 0.5, kind, extra_bindings={name: 0}) == default
-    with pytest.raises(CatalogError, match="unknown binding 'LL'"):
-        evaluate_condition(fam, 0.5, kind, extra_bindings={"LL": 5.0})
-    # a bound curvature replaces the family's value in the report only
-    a = fam.curvatures(0.5)[0]
-    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"alpha": a}) == default
-    moved = evaluate_condition(fam, 0.5, kind, extra_bindings={"alpha": a + 1.0})
-    assert moved.values != default.values
-    assert (moved.curvatures, moved.lam_nu_plus_c) == (default.curvatures, default.lam_nu_plus_c)
+    # the pseudo-parallel report does not read lambda_e, but it may be set
+    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"lambda_e": 1.0}) == default
+    # no report reads a connection coefficient, and the family fixes the curvatures
+    for name in ("LL", "D(e1,h2)", "h3", "alpha"):
+        with pytest.raises(CatalogError, match=f"unknown binding '{re.escape(name)}' "
+                                               r"\(known: L, lambda_e\)"):
+            evaluate_condition(fam, 0.5, kind, extra_bindings={name: 0.0})
     for bad in (math.nan, math.inf):
         with pytest.raises(CatalogError, match="not finite"):
             evaluate_condition(fam, 0.5, kind, extra_bindings={"L": bad})
@@ -481,7 +478,7 @@ def test_non_finite_rows_and_curvatures_are_errors():
 
 @pytest.mark.parametrize("kind, bindings", [(kind, None) for kind in ConditionKind] + [
     (ConditionKind.PSEUDO_PARALLEL, {"L": 2.0}),
-    (ConditionKind.PARALLEL, {"alpha": 1.0, "h1": 0.5}),
+    (ConditionKind.EINSTEIN, {"lambda_e": 0.5}),
 ])
 def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
     for fam in builtin_families():
@@ -498,9 +495,8 @@ def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
         )
 
 
-def test_sweep_with_every_curvature_bound():
-    # no column of the report kernel comes from the family
-    bindings = {"alpha": 1.0, "lambda": 2.0, "nu": 0.5, "L": 1.0}
+def test_sweep_with_both_free_names_bound():
+    bindings = {"lambda_e": -1.5, "L": 1.0}
     fam = builtin_catalog().get("ch2-b")
     for kind in ConditionKind:
         res = sweep(fam, 0.2, 3.0, 7, kind, extra_bindings=bindings)
@@ -508,6 +504,19 @@ def test_sweep_with_every_curvature_bound():
                for r in radius_grid(0.2, 3.0, 7)]
         assert _hex(res.max_residuals) == _hex(ev.max_abs_residual for ev in evs)
         assert _hex(res.lam_nu_plus_c) == _hex(ev.lam_nu_plus_c for ev in evs)
+        unbound = sweep(fam, 0.2, 3.0, 7, kind)
+        # only the pseudo-parallel and einstein reports read L and lambda_e
+        moved = kind in (ConditionKind.PSEUDO_PARALLEL, ConditionKind.EINSTEIN)
+        assert (res.max_residuals != unbound.max_residuals) == moved, kind
+
+
+def test_report_params_are_the_names_the_reports_read():
+    assert catalog.REPORT_PARAMS == catalog._CURVATURES + ("c",) + catalog.ZERO_DEFAULT
+    read = set()
+    for kind in ConditionKind:
+        for e in catalog._hopf_report(kind).report.equations():
+            read |= {sym.name for sym in e.symbols()}
+    assert read == set(catalog.REPORT_PARAMS)
 
 
 def test_sweep_raises_the_per_radius_error():
@@ -632,7 +641,7 @@ def test_type_b_exclusion_raises_the_per_radius_error():
         type_b_exclusion(CP2, samples=100, catalog=Catalog(1, (fam,)))
 
 
-def _max_abs_column_from_row_lists(compiled, curvatures, args):
+def _max_abs_column_from_row_lists(compiled, curvatures, scalars):
     """max_abs_column as computed from one list per distinct non-constant
     row, before the kernel kept a running max: the reference."""
     rows = compiled.report.equations()
@@ -640,13 +649,11 @@ def _max_abs_column_from_row_lists(compiled, curvatures, args):
     if not varying:
         return [compiled.constant_max] * len(curvatures[0])
     kernel = rational.compile_columns(varying, catalog.REPORT_PARAMS, ("alpha", "lambda", "nu"))
-    columns = [col if bound is None else [bound] * len(col)
-               for col, bound in zip(curvatures, args)]
-    lists = kernel(*columns, *args[3:])
+    lists = kernel(*curvatures, *scalars.values())
     return list(map(max, *[map(abs, row) for row in lists], repeat(compiled.constant_max)))
 
 
-@pytest.mark.parametrize("bindings", [None, {"L": 2.0, "alpha": 0.5}])
+@pytest.mark.parametrize("bindings", [None, {"L": 2.0, "lambda_e": 0.5}])
 def test_max_abs_column_equals_the_row_lists(bindings):
     # the curvatures stay finite on the grid; powers of exp(400*r) in the
     # rows overflow partway through it
@@ -654,12 +661,12 @@ def test_max_abs_column_equals_the_row_lists(bindings):
     radii = radius_grid(0.05, 1.5, 60)
     curvatures = catalog._curvature_columns(fam, radii)
     assert len(curvatures[0]) == len(radii)
-    args = catalog._report_args(fam, bindings)
+    scalars = catalog._report_scalars(fam, bindings)
     stopped = 0
     for kind in ConditionKind:
         compiled = catalog._hopf_report(kind)
-        got = compiled.max_abs_column(curvatures, args)
-        assert _hex(got) == _hex(_max_abs_column_from_row_lists(compiled, curvatures, args))
+        got = compiled.max_abs_column(curvatures, scalars)
+        assert _hex(got) == _hex(_max_abs_column_from_row_lists(compiled, curvatures, scalars))
         stopped += 0 < len(got) < len(radii)
     assert stopped >= 4
 

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from starricci import catalog, cli, conditions, frames, parsing, polynomial, proofs
 from starricci.catalog import ConditionKind, builtin_catalog, format_catalog
 from starricci.cli import main
-from starricci.parsing import parse_expr
+from starricci.parsing import ExprSyntaxError, parse_expr
 from starricci.polynomial import Polynomial
 from starricci.rational import Expr
+from starricci.symbols import SymbolTable
 
 
 def run(capsys, *argv):
@@ -407,6 +409,53 @@ def test_input_nested_to_the_limit_evaluates(capsys, opening):
 def test_a_run_of_minus_signs_takes_no_recursion(capsys):
     code, out, _ = _captured(capsys, ["expr", "eval", "0" + "-" * 3001 + "x", "x=2"])
     assert code == 0 and "-x = -2.0" in out
+
+
+# stdout of `expr eval` before powers were bounded, by SHA-256
+_BIG_POWERS = [
+    (["(x+y)^1000", "x=1", "y=1"],
+     "e96e384e164cda333405e7a7dbe99cf4d1324511366e6b82104d04810849e784"),
+    (["(x+y+z)^60", "x=1", "y=1", "z=1"],
+     "e510762460752306b86c85e37ad6df9c86ef267e7956ddf2a82cfcc3e70359e7"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _BIG_POWERS, ids=["binomial", "trinomial"])
+def test_a_power_within_the_term_bound_expands(args, digest):
+    # 1001 and 1891 terms, at most parsing.MAX_POWER_TERMS
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "starricci.cli", "expr", "eval", *args],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ["(x+y)^3000", "(x+y)^100000"])
+def test_a_power_past_the_term_bound_is_one_error_line(text):
+    # expanding these ran out of time or memory: the bound rejects them unexpanded
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "starricci.cli", "expr", "eval", text,
+                           "x=1", "y=1"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the power of a ") and proc.stderr.count("\n") == 1
+    assert f"more than {parsing.MAX_POWER_TERMS} terms (at position " in proc.stderr
+
+
+def test_a_power_bounds_the_terms_of_the_numerator_and_the_denominator(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_POWER_TERMS", 10)
+    table = SymbolTable()
+    x, y, z = (Expr.from_symbol(table.constant(name)) for name in ("x", "y", "z"))
+    assert parse_expr("(x+y)^9", table) == (x + y) ** 9            # 10 terms
+    assert parse_expr("(x+y+z)^3", table) == (x + y + z) ** 3      # C(5, 2) = 10
+    assert parse_expr("(x*y)^100000", table) == (x * y) ** 100000  # one term
+    assert parse_expr("(x+y-y)^100000", table) == x ** 100000      # the base is x
+    for text, pos, k, n in [("(x+y)^10", 5, 2, 10), ("(x+y+z)^4", 7, 3, 4),
+                            ("(x/(x+y))^10", 9, 2, 10), ("2*(x+y)^(-10)", 7, 2, 10)]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, table)
+        assert str(err.value) == (f"the power of a {k}-term polynomial to {n} could expand "
+                                  f"to more than 10 terms (at position {pos})")
 
 
 def test_a_tighter_oracle_tolerance_validates_again(tmp_path, capsys):
