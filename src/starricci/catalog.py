@@ -23,19 +23,19 @@ read them, and would need h3 = alpha/2 from Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
-in report order.  A radius loop runs as column kernels
-(rational.compile_columns), which return Expr.eval's float values bit for
-bit.  Each family has a column kernel from radii to its (alpha, lambda, nu)
-columns.  Each cached condition report has a column kernel from curvature
-columns to one column of max|row|: the constant rows fold into one max|row|
-at compile time, and the kernel keeps a running max of it and each
-distinct non-constant |row|.  A non-finite binding, curvature, row or
+in report order.  A radius loop runs as one compiled kernel, which returns
+Expr.eval's float values bit for bit.  A sweep runs one kernel per family
+and condition kind (rational.compile_sweep), compiled on first use and kept
+on the family: per radius of the grid it checks the domain, evaluates
+alpha, lambda and nu, then the report's distinct non-constant rows over
+them, and lambda*nu + c, and keeps the max of the constant rows' max|row|
+(folded once per cached report) and each |row|.  validate_family and
+lam_nu_plus_c_column (proofs.type_b_exclusion) run the family's curvature
+kernel (rational.compile_columns) over a radius list, plus C-level map()s
+for the principal-curvature residuals and lambda*nu + c.  No radius loop
+makes a Python call per radius.  A non-finite binding, curvature, row or
 lambda*nu + c is a CatalogError, never a residual.
 
-Every radius loop -- sweep (and so the witness of proofs.verify_all),
-lam_nu_plus_c_column (proofs.type_b_exclusion) and validate_family -- is
-one call per kernel, plus C-level map()s for lambda*nu + c and the
-principal-curvature residuals, with no Python call per radius.
 A kernel stops before the first radius at which the per-radius evaluation
 would fail; the loop then replays that radius through the per-radius
 evaluation (_row_evaluator's at(r), fam.curvatures), which raises that
@@ -65,7 +65,7 @@ from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_r
 from .conditions import parallel_equations
 from .frames import build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
-from .rational import Expr, compile_columns
+from .rational import Expr, compile_columns, compile_sweep
 from .symbols import SymbolTable
 
 DEFAULT_ORACLE_TOL = 1e-9
@@ -102,15 +102,16 @@ class HypersurfaceFamily:
     whose ends may be +-inf."""
 
     __slots__ = ("family_id", "space", "domain", "alpha", "lam", "nu", "description",
-                 "curvature_columns")
+                 "curvature_columns", "_sweeps")
 
     def __init__(self, family_id: str, space: ModelSpace, domain: tuple, alpha: Expr,
                  lam: Expr, nu: Expr, description: str = ""):
         # curvature_columns: (radii, pi) -> (alpha, lambda, nu) columns, compiled
-        # once per family (rational.compile_columns); used through _curvature_columns
+        # once per family (rational.compile_columns); used through _curvature_columns.
+        # _sweeps: the sweep kernel per condition kind, filled by _sweep_kernel
         columns = compile_columns((alpha, lam, nu), ("r", "pi"), ("r",))
         for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
-                                                description, columns)):
+                                                description, columns, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -158,21 +159,26 @@ class HypersurfaceFamily:
 DEFAULT_SAMPLES = 100
 
 
-def radius_grid(lo: float, hi: float, samples: int) -> list:
-    """`samples` uniformly spaced radii from lo to hi, both ends included."""
+def _grid(lo: float, hi: float, samples: int) -> tuple:
+    """(lo, width, steps, samples) of radius_grid: radius i is lo + width * i / steps."""
     if samples < 2:
         raise CatalogError("a radius grid needs at least 2 samples")
-    width, steps = hi - lo, samples - 1
+    return lo, hi - lo, samples - 1, samples
+
+
+def radius_grid(lo: float, hi: float, samples: int) -> list:
+    """`samples` uniformly spaced radii from lo to hi, both ends included."""
+    lo, width, steps, samples = _grid(lo, hi, samples)
     return [lo + width * i / steps for i in range(samples)]
 
 
 # -- columns ------------------------------------------------------------------
 #
-# A radius loop runs as column kernels (rational.compile_columns) and C-level
-# map()s, with no Python call per radius.  A kernel stops before the first
-# radius it cannot vouch for; the caller replays that radius through the
-# per-radius evaluation (Expr.eval), which raises the per-radius error, so
-# the errors come in radius order.
+# A radius loop runs as a compiled kernel (rational.compile_columns or
+# compile_sweep), with no Python call per radius.  A kernel stops before the
+# first radius it cannot vouch for; the caller replays that radius through
+# the per-radius evaluation (Expr.eval), which raises the per-radius error,
+# so the errors come in radius order.
 
 def _curvature_columns(fam: HypersurfaceFamily, radii: list) -> tuple:
     """fam's (alpha, lambda, nu) columns over the leading radii, up to the
@@ -199,18 +205,6 @@ def _lam_nu_plus_c(fam: HypersurfaceFamily, r: float, lam: float, nu: float) -> 
     return value
 
 
-def _lam_nu_plus_c_values(fam: HypersurfaceFamily, lam: list, nu: list) -> list:
-    """lambda*nu + c at each row of the lambda and nu columns, unchecked."""
-    return list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
-
-
-def _leading_finite(values: list) -> int:
-    isfinite = math.isfinite
-    if all(map(isfinite, values)):
-        return len(values)
-    return next(k for k, v in enumerate(values) if not isfinite(v))
-
-
 def _replay(evaluate: Callable, r: float) -> NoReturn:
     """Raise the error of evaluate(r), the per-radius evaluation of the
     radius at which a column stopped."""
@@ -222,9 +216,9 @@ def lam_nu_plus_c_column(fam: HypersurfaceFamily, radii: list) -> list:
     """lambda*nu + c of fam at each radius.  The errors are those of
     fam.curvatures and _lam_nu_plus_c at each radius in turn."""
     _alpha, lam, nu = _curvature_columns(fam, radii)
-    values = _lam_nu_plus_c_values(fam, lam, nu)
-    clean = _leading_finite(values)
-    if clean < len(radii):
+    values = list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
+    if len(values) < len(radii) or not all(map(math.isfinite, values)):
+        clean = next((k for k, v in enumerate(values) if not math.isfinite(v)), len(values))
         _replay(lambda r: _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:]), radii[clean])
     return values
 
@@ -365,36 +359,27 @@ _PSEUDO_PARALLEL_FUNCTION = "L"
 ZERO_DEFAULT = (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
 # The report parameters that a family supplies per radius.
 _CURVATURES = ("alpha", "lambda", "nu")
-# The parameters of every compiled report, in call order: exactly the names
-# the reports read (compile_columns rejects any other).
+# The names the reports read: the curvatures, then the scalars in
+# _report_scalars' order (compile_sweep rejects any other).
 REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
+# The parameters of every sweep kernel: the radius, pi, then those scalars.
+_SWEEP_PARAMS = ("r", "pi") + REPORT_PARAMS[len(_CURVATURES):]
 
 
 class _CompiledReport(NamedTuple):
     report: ConditionReport
     labels: tuple        # one per entry, in report order
-    # max |row| of the constant rows, folded at compile time
+    # max |row| of the constant rows, folded once
     constant_max: float
-    # compile_columns kernel with columns alpha, lambda and nu that returns
-    # one column: per radius, the running max of constant_max and |row| over
-    # the distinct non-constant rows; None when every row is constant
-    kernel: Optional[Callable]
-
-    def max_abs_column(self, curvatures: tuple, scalars: Mapping[str, float]) -> list:
-        """max |row| at each radius, over the leading radii up to the first
-        one whose rows raise or are not finite.  curvatures holds the alpha,
-        lambda and nu columns; scalars is _report_scalars' mapping."""
-        if self.kernel is None:
-            return [self.constant_max] * len(curvatures[0])
-        column, = self.kernel(*curvatures, *scalars.values())
-        return column
+    # the distinct non-constant rows, which a sweep kernel evaluates
+    varying: tuple
 
 
 @lru_cache(maxsize=None)
 def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces, with its max-|row|
-    column kernel."""
+    context (c symbolic), shared by both model spaces, with its constant
+    rows folded into one max |row|."""
     ctx = build_hopf_context()
     L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
     report = build_report(ctx, kind, star_ricci_closed(ctx), "star-ricci", L)
@@ -402,12 +387,21 @@ def _hopf_report(kind: ConditionKind) -> _CompiledReport:
     constants = [e for e in rows if e.is_rational_constant]
     varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
     constant_max = max((abs(e.eval({})) for e in constants), default=0.0)
-    return _CompiledReport(
-        report,
-        tuple(e.label() for e in report.entries),
-        constant_max,
-        compile_columns(varying, REPORT_PARAMS, _CURVATURES, constant_max) if varying else None,
-    )
+    return _CompiledReport(report, tuple(e.label() for e in report.entries), constant_max,
+                           varying)
+
+
+def _sweep_kernel(fam: HypersurfaceFamily, kind: ConditionKind,
+                  compiled: _CompiledReport) -> Callable:
+    """fam's compile_sweep kernel for the report of kind: (grid, domain, pi,
+    scalars) -> (radii, max |row|, lambda*nu + c) columns."""
+    kernel = fam._sweeps.get(kind)
+    if kernel is None:
+        curvatures = dict(zip(_CURVATURES, (fam.alpha, fam.lam, fam.nu)))
+        kernel = fam._sweeps[kind] = compile_sweep(
+            _SWEEP_PARAMS, curvatures, compiled.varying, compiled.constant_max,
+            ("lambda", "nu", "c"))
+    return kernel
 
 
 def _report_scalars(fam: HypersurfaceFamily,
@@ -531,10 +525,9 @@ def sweep(
 ) -> SweepResult:
     """Uniform-grid condition evaluation over [r_min, r_max].
 
-    Two column kernels cover the whole grid: the family's curvatures, then
-    the report's max |row|; lambda*nu + c is a column too.  The values and
-    errors are those of evaluate_condition at each radius in turn: where a
-    column stops, that radius is replayed through the per-radius
+    One kernel call (_sweep_kernel) covers the whole grid.  The values and
+    errors are those of evaluate_condition at each radius in turn: where the
+    columns stop, that radius is replayed through the per-radius
     evaluation, which raises its error.
     """
     if r_min > r_max:
@@ -545,15 +538,14 @@ def sweep(
             f"sweep range [{r_min}, {r_max}] must lie strictly inside the open domain "
             f"({lo}, {hi}) of {fam.family_id}"
         )
-    radii = radius_grid(r_min, r_max, samples)
+    grid = _grid(r_min, r_max, samples)
     compiled = _hopf_report(kind)
     scalars = _report_scalars(fam, extra_bindings)
-    curvatures = _curvature_columns(fam, radii)
-    max_residuals = compiled.max_abs_column(curvatures, scalars)
-    lam_nu_plus_c = _lam_nu_plus_c_values(fam, *curvatures[1:])
-    clean = min(len(max_residuals), _leading_finite(lam_nu_plus_c))
-    if clean < len(radii):
-        _replay(_row_evaluator(fam, kind, compiled, scalars), radii[clean])
+    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, kind, compiled)(
+        *grid, *fam.domain, math.pi, *scalars.values())
+    if len(radii) < samples:
+        _replay(_row_evaluator(fam, kind, compiled, scalars),
+                radius_grid(r_min, r_max, samples)[len(radii)])
     return SweepResult(
         fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
     )

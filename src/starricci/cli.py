@@ -86,10 +86,37 @@ _JSON_ROW_KEYS = ('\n      {\n        "lam_nu_plus_c": ', ',\n        "max_resid
 _TEXT_ROW = "%12.6f  %14.6e  %+14.9f"
 
 
+def _constant(column) -> bool:
+    """Whether column has values that all print as the first: all are ==
+    and, when zero, of one sign (0.0 and -0.0 print apart)."""
+    return bool(column) and column.count(column[0]) == len(column) and (
+        column[0] != 0.0 or len(set(map(math.copysign, repeat(1.0), column))) == 1)
+
+
+def _reprs(column):
+    """repr of each value of column; a constant column's repr is taken once."""
+    return repeat(repr(column[0]), len(column)) if _constant(column) else map(repr, column)
+
+
 def _rows(template: str, sep: str, rows) -> str:
-    """One template per row of values, joined by sep, in one % call."""
-    rows = list(rows)
-    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
+    """One template per row of floats, joined by sep, in one % call.  The
+    template holds one conversion specifier per column and no other %.
+    Each constant column is formatted once, into the template, so the %
+    call formats only the varying columns."""
+    values = tuple(chain.from_iterable(rows))
+    head, *specs = template.split("%")  # each specifier with the text after it
+    width, varying = len(specs), []
+    for k in range(width):
+        column = values[k::width]
+        if _constant(column):
+            specs[k] = ("%" + specs[k]) % column[0]  # a float's text holds no %
+        else:
+            specs[k] = "%" + specs[k]
+            varying.append(column)
+    count = len(values) // width
+    if len(varying) < width:
+        values = tuple(chain.from_iterable(zip(*varying)))
+    return sep.join([head + "".join(specs)] * count) % values
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -135,9 +162,9 @@ def _json(value, nl: str, out: list) -> None:
         out.append(nl + "]")
     elif isinstance(value, SweepRows):  # at payload["rows"] only
         body = "".join(chain.from_iterable(zip(
-            repeat(_JSON_ROW_KEYS[0]), map(repr, value.lam_nu_plus_c),
-            repeat(_JSON_ROW_KEYS[1]), map(repr, value.max_residuals),
-            repeat(_JSON_ROW_KEYS[2]), map(repr, value.radii), repeat(_JSON_ROW_KEYS[3]))))
+            repeat(_JSON_ROW_KEYS[0]), _reprs(value.lam_nu_plus_c),
+            repeat(_JSON_ROW_KEYS[1]), _reprs(value.max_residuals),
+            repeat(_JSON_ROW_KEYS[2]), _reprs(value.radii), repeat(_JSON_ROW_KEYS[3]))))
         out.append(f"[{body[:-1]}{nl}]" if value else "[]")  # without the last row's ','
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

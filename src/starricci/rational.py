@@ -23,7 +23,9 @@ products.
 ``Expr.eval`` evaluates one expression once; it is the only per-call float
 evaluator.  ``compile_columns`` turns a sequence of expressions into one
 compiled loop over columns of inputs that returns, row by row, the floats
-``Expr.eval`` returns, bit for bit.
+``Expr.eval`` returns, bit for bit.  ``compile_sweep`` does the same over a
+uniform grid that it computes itself, in two stages (values, then rows over
+those values), and returns the grid, each row's max |row| and one product.
 """
 
 from __future__ import annotations
@@ -660,9 +662,40 @@ class _FloatCodegen:
                 if v in self.used and v not in skip]
 
 
+def _kernel(gen: _FloatCodegen, args: Sequence[str], skip: Sequence[str],
+            loop: Sequence[str], checked: int, tail: Sequence[str], outs: int) -> Callable:
+    """Compile ``compiled(*args)``, which takes the used parameters other than
+    `skip` through float() and returns `outs` lists o0.. (appended by w0..)
+    from one row loop: the `loop` lines open it, gen.body runs in one try,
+    and an error or a value among x0..x{checked-1} that is not finite ends
+    it; the `tail` lines end each row."""
+    kept = range(outs)
+    lines = [f"def compiled({', '.join(args)}):", *gen.scalars(skip)]
+    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
+    lines.append("    " + ", ".join(f"o{i}" for i in kept) + " = " + ", ".join("[]" for _ in kept))
+    lines += [f"    w{i} = o{i}.append" for i in kept]
+    lines += [f"    {line}" for line in loop]
+    lines.append("        try:")
+    lines += [f"            {stmt}" for stmt in gen.body]
+    lines.append("        except (ArithmeticError, ValueError):")
+    lines.append("            break")
+    # x - x is 0.0 for a finite x and NaN otherwise
+    lines.append("        if " + " + ".join(f"(x{i} - x{i})" for i in range(checked)) + " != 0.0:")
+    lines.append("            break")
+    lines += [f"        {line}" for line in tail]
+    lines.append("    return " + "".join(f"o{i}, " for i in kept))
+    source = "\n".join(lines) + "\n"
+    namespace = {"__builtins__": {}, "float": float, "abs": abs, "zip": zip, "range": range,
+                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
+                 "_fns": NUMERIC_FUNCTIONS}
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    kernel = namespace["compiled"]
+    kernel.source = source
+    return kernel
+
+
 def compile_columns(
     exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str],
-    maximum: float | None = None,
 ) -> Callable[..., tuple]:
     """One compiled loop: Expr.eval's values over columns of inputs.
 
@@ -674,55 +707,67 @@ def compile_columns(
     performs the float operations of Expr.eval in the same order (inputs
     through float(), each polynomial summed from 0.0, each term float(c) *
     x**e * ... in monomial order, num / den) and computes each applied atom
-    once per row.  With a finite `maximum` it returns a single list instead:
-    row by row, the max of `maximum` and the absolute value of each
-    expression, kept as a running max (the max of finite non-negative floats
-    does not depend on the order).  The lists stop before the first row at
-    which Expr.eval raises (a pole, an overflow, a math domain error) or
-    returns a value that is not finite, so the caller can replay that row
-    through Expr.eval for its error.  The loop calls no Python function per
-    row: each atom calls its math function directly (cot(x) as 1.0 /
-    tan(x), which is what NUMERIC_FUNCTIONS computes).  The kernel applies
-    float() to scalars only, so columns must hold floats.  A symbol that is
-    neither a parameter nor an applied atom raises UnboundSymbolError here,
-    once.  The source is kept on the kernel as ``source``.
+    once per row.  The lists stop before the first row at which Expr.eval
+    raises (a pole, an overflow, a math domain error) or returns a value
+    that is not finite, so the caller can replay that row through Expr.eval
+    for its error.  The loop calls no Python function per row: each atom
+    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
+    NUMERIC_FUNCTIONS computes).  The kernel applies float() to scalars
+    only, so columns must hold floats.  A symbol that is neither a parameter
+    nor an applied atom raises UnboundSymbolError here, once.  The source is
+    kept on the kernel as ``source``.
     """
     if not exprs:
         raise ValueError("a column kernel needs at least one expression")
     gen = _FloatCodegen(params)
     values = gen.values(exprs)
+    gen.body += [f"x{i} = {v}" for i, v in enumerate(values)]
     cols = [gen.params[name] for name in columns]
-    outs = range(len(values))
-    kept = outs if maximum is None else range(1)  # the lists the kernel returns
-    lines = [f"def compiled({', '.join(gen.params.values())}):", *gen.scalars(cols)]
-    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
-    lines.append("    " + ", ".join(f"o{i}" for i in kept) + " = " + ", ".join("[]" for _ in kept))
-    lines += [f"    w{i} = o{i}.append" for i in kept]
     row = ", ".join(cols)
-    lines.append(f"    for {row} in {cols[0] if len(cols) == 1 else f'zip({row})'}:")
-    lines.append("        try:")
-    lines += [f"            {stmt}" for stmt in gen.body]
-    value = "{}" if maximum is None else "abs({})"
-    lines += [f"            x{i} = {value.format(v)}" for i, v in zip(outs, values)]
-    lines.append("        except (ArithmeticError, ValueError):")
-    lines.append("            break")
-    # x - x is 0.0 for a finite x and NaN otherwise
-    lines.append("        if " + " + ".join(f"(x{i} - x{i})" for i in outs) + " != 0.0:")
-    lines.append("            break")
-    if maximum is None:
-        lines += [f"        w{i}(x{i})" for i in outs]
-    else:
-        top = f"x{len(values)}"
-        lines.append(f"        {top} = {float(maximum)!r}")
-        for i in outs:
-            lines += [f"        if x{i} > {top}:", f"            {top} = x{i}"]
-        lines.append(f"        w0({top})")
-    lines.append("    return " + "".join(f"o{i}, " for i in kept))
-    source = "\n".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "float": float, "abs": abs, "zip": zip,
-                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
-                 "_fns": NUMERIC_FUNCTIONS}
-    exec(compile(source, "<compile_columns>", "exec"), namespace)
-    kernel = namespace["compiled"]
-    kernel.source = source
-    return kernel
+    loop = [f"for {row} in {cols[0] if len(cols) == 1 else f'zip({row})'}:"]
+    n = len(values)
+    return _kernel(gen, list(gen.params.values()), cols, loop, n,
+                   [f"w{i}(x{i})" for i in range(n)], n)
+
+
+def compile_sweep(
+    params: Sequence[str], values: Mapping[str, Expr], rows: Sequence[Expr],
+    maximum: float, shifted: Sequence[str],
+) -> Callable[..., tuple]:
+    """One compiled loop over a uniform grid of the parameter params[0].
+
+    The kernel takes lo, width, steps, n, the ends low and high of an open
+    interval, and a scalar per name in params[1:].  Row i < n has the grid
+    point t = lo + width * i / steps.  It checks low < t < high, evaluates
+    `values` (Exprs in the params) and binds each to its name, then `rows`
+    (Exprs in the params and those names) and y = p * q + s for the names
+    (p, q, s) = `shifted`, each as Expr.eval would, bit for bit (see
+    compile_columns).  It returns the lists of t, of the max of `maximum`
+    and each |row|, and of y.  They stop before the first row outside the
+    interval, at which an evaluation raises, or at which a value, a row or
+    y is not finite, so the caller can replay that row for its error.
+    """
+    gen = _FloatCodegen(params)
+    named = gen.values(values.values())
+    gen.body += [f"x{i} = {v}" for i, v in enumerate(named)]
+    # the rows read each value through its name; _kernel skips the float()
+    # of these x names
+    gen.params.update((name, f"x{i}") for i, name in enumerate(values))
+    k = len(named)
+    gen.body += [f"x{k + i} = abs({v})" for i, v in enumerate(gen.values(rows))]
+    y = k + len(rows)
+    p, q, s = (gen.params[name] for name in shifted)
+    gen.used.update((p, q, s))
+    gen.body.append(f"x{y} = {p} * {q} + {s}")
+    t, top, i = gen.params[params[0]], f"x{y + 1}", f"x{y + 2}"
+    lo, width, steps, n, low, high = grid = [f"v{len(params) + j}" for j in range(6)]
+    loop = [f"for {i} in range({n}):",
+            f"    {t} = {lo} + {width} * {i} / {steps}",
+            f"    if not {low} < {t} < {high}:",
+            "        break"]
+    tail = [f"{top} = {float(maximum)!r}"]
+    for j in range(k, y):
+        tail += [f"if x{j} > {top}:", f"    {top} = x{j}"]
+    tail += [f"w0({t})", f"w1({top})", f"w2(x{y})"]
+    scalars = [f"v{j}" for j in range(1, len(params))]
+    return _kernel(gen, grid + scalars, [t, *(f"x{j}" for j in range(k))], loop, y + 1, tail, 3)

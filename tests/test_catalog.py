@@ -2,6 +2,7 @@ import ast
 import io
 import keyword
 import math
+import random
 import re
 import sys
 import tokenize
@@ -397,20 +398,21 @@ def test_curvatures_equal_the_one_row_kernel_bit_for_bit(family_id):
 
 
 def _kernel_sources():
+    # the family's curvature kernel, then its sweep kernel per condition
+    # kind, which holds the family's statements and the report's rows
     fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
-    yield fam, fam.curvature_columns.source
+    yield fam, None, fam.curvature_columns.source
     for kind in ConditionKind:
-        kernel = catalog._hopf_report(kind).kernel
-        if kernel is not None:
-            yield catalog._hopf_report(kind).report, kernel.source
+        compiled = catalog._hopf_report(kind)
+        yield fam, compiled.report, catalog._sweep_kernel(fam, kind, compiled).source
 
 
 def test_column_kernel_sources_hold_no_symbol_names():
     # a kernel source holds generated identifiers, float literals (and int
     # exponents) and NUMERIC_FUNCTIONS keys, nothing else
-    allowed = {"compiled", "float", "abs", "zip", "append", "ArithmeticError", "ValueError",
-               "_fns"}
-    for owner, source in _kernel_sources():
+    allowed = {"compiled", "float", "abs", "zip", "range", "append", "ArithmeticError",
+               "ValueError", "_fns"}
+    for owner, report, source in _kernel_sources():
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         names = {t.string for t in tokens if t.type == tokenize.NAME}
         assert {n for n in names if not keyword.iskeyword(n)
@@ -423,14 +425,13 @@ def test_column_kernel_sources_hold_no_symbol_names():
         assert {t.type for t in tokens} <= {
             tokenize.NAME, tokenize.OP, tokenize.NUMBER, tokenize.STRING, tokenize.NEWLINE,
             tokenize.INDENT, tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER}
-        if isinstance(owner, HypersurfaceFamily):
-            # every function, cot and coth as reciprocals of tan and tanh
-            assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
-            assert not names & {"r", "pi"}
-            texts = [owner.alpha.to_text(), owner.lam.to_text(), owner.nu.to_text(), "cot(r)"]
-        else:
+        # every function, cot and coth as reciprocals of tan and tanh
+        assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
+        assert not names & {"r", "pi"}
+        texts = [owner.alpha.to_text(), owner.lam.to_text(), owner.nu.to_text(), "cot(r)"]
+        if report is not None:
             assert not names & {"alpha", "lambda", "nu", "c", "L", "lambda_e"}
-            texts = [e.equation.to_text() for e in owner.entries if not e.equation.is_zero]
+            texts += [e.equation.to_text() for e in report.entries if not e.equation.is_zero]
         for text in texts:
             assert text not in source
 
@@ -642,8 +643,8 @@ def test_type_b_exclusion_raises_the_per_radius_error():
 
 
 def _max_abs_column_from_row_lists(compiled, curvatures, scalars):
-    """max_abs_column as computed from one list per distinct non-constant
-    row, before the kernel kept a running max: the reference."""
+    """The max |row| column as computed from one list per distinct
+    non-constant row, before a kernel kept a running max: the reference."""
     rows = compiled.report.equations()
     varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
     if not varying:
@@ -653,22 +654,133 @@ def _max_abs_column_from_row_lists(compiled, curvatures, scalars):
     return list(map(max, *[map(abs, row) for row in lists], repeat(compiled.constant_max)))
 
 
+def _fused(fam, r_min, r_max, samples, kind, bindings=None):
+    """The sweep kernel's three columns, before any replay."""
+    compiled = catalog._hopf_report(kind)
+    scalars = catalog._report_scalars(fam, bindings).values()
+    return catalog._sweep_kernel(fam, kind, compiled)(
+        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *scalars)
+
+
+def _two_kernel_sweep(fam, r_min, r_max, samples, kind, bindings=None):
+    """The sweep's three columns by the path before the fused kernel:
+    radius_grid, the family's curvature kernel, one column kernel over the
+    report's distinct non-constant rows with the max taken here, then
+    lambda*nu + c, all cut at the first radius where one of them stops."""
+    radii = radius_grid(r_min, r_max, samples)
+    curvatures = catalog._curvature_columns(fam, radii)
+    scalars = catalog._report_scalars(fam, bindings)
+    maxima = _max_abs_column_from_row_lists(catalog._hopf_report(kind), curvatures, scalars)
+    shifted = [lam * nu + float(fam.space.c) for lam, nu in zip(*curvatures[1:])]
+    clean = len(maxima)
+    if not all(map(math.isfinite, shifted[:clean])):
+        clean = next(k for k, v in enumerate(shifted) if not math.isfinite(v))
+    return radii[:clean], maxima[:clean], shifted[:clean]
+
+
 @pytest.mark.parametrize("bindings", [None, {"L": 2.0, "lambda_e": 0.5}])
 def test_max_abs_column_equals_the_row_lists(bindings):
     # the curvatures stay finite on the grid; powers of exp(400*r) in the
-    # rows overflow partway through it
+    # rows overflow partway through it, before lambda*nu + c does
     fam = _family("1", "exp(400*r)", "-exp(400*r)")
     radii = radius_grid(0.05, 1.5, 60)
     curvatures = catalog._curvature_columns(fam, radii)
     assert len(curvatures[0]) == len(radii)
     scalars = catalog._report_scalars(fam, bindings)
+    shifted = [lam * nu + float(fam.space.c) for lam, nu in zip(*curvatures[1:])]
+    clean = next(k for k, v in enumerate(shifted) if not math.isfinite(v))
     stopped = 0
     for kind in ConditionKind:
         compiled = catalog._hopf_report(kind)
-        got = compiled.max_abs_column(curvatures, scalars)
-        assert _hex(got) == _hex(_max_abs_column_from_row_lists(compiled, curvatures, scalars))
-        stopped += 0 < len(got) < len(radii)
+        _radii, got, _shifted = _fused(fam, 0.05, 1.5, 60, kind, bindings)
+        expected = _max_abs_column_from_row_lists(compiled, curvatures, scalars)[:clean]
+        assert _hex(got) == _hex(expected)
+        stopped += 0 < len(got) < clean
     assert stopped >= 4
+
+
+# The benchmark's sweep grids (perfbench/workloads.py): per family, its three
+# radius windows; menu item (family fi, kind ci) takes window (fi + 2*ci) % 3
+# and (fi + ci) % 3 of the sample counts.
+_MENU_WINDOWS = {
+    "cp2-a1": ((0.05, 1.5), (0.2, 0.9), (0.7, 1.4)),
+    "cp2-b": ((0.05, 0.75), (0.1, 0.45), (0.35, 0.7)),
+    "ch2-a0": ((0.1, 4.9), (0.5, 2.5), (2.0, 4.5)),
+    "ch2-a1": ((0.1, 4.9), (0.2, 1.5), (1.0, 4.0)),
+    "ch2-a1p": ((0.1, 4.9), (0.2, 1.5), (1.0, 4.0)),
+    "ch2-b": ((0.1, 4.9), (0.2, 1.5), (1.0, 4.0)),
+}
+_MENU_GRIDS = [
+    (family_id, kind, *_MENU_WINDOWS[family_id][(fi + 2 * ci) % 3],
+     (600, 800, 1000)[(fi + ci) % 3])
+    for fi, family_id in enumerate(EXPECTED_IDS) for ci, kind in enumerate(ConditionKind)
+]
+
+
+@pytest.mark.parametrize("family_id, kind, r_min, r_max, samples", _MENU_GRIDS)
+def test_sweep_equals_the_two_kernel_path_on_the_menu_grids(family_id, kind, r_min, r_max,
+                                                            samples):
+    fam = builtin_catalog().get(family_id)
+    expected = [_hex(column) for column in _two_kernel_sweep(fam, r_min, r_max, samples, kind)]
+    assert len(expected[0]) == samples
+    res = sweep(fam, r_min, r_max, samples, kind)
+    assert [_hex(res.radii), _hex(res.max_residuals), _hex(res.lam_nu_plus_c)] == expected
+
+
+@pytest.mark.parametrize("fam, r_min, r_max, samples", [
+    # the rows overflow at r = 1e-100; the curvatures fail (sqrt) past r = 1
+    (_family(*_SPHERE, "cot(r) + sqrt(1 - r)"), 1e-100, 2.0, 5),
+    # lambda*nu + c overflows at r = 1e-200
+    (_family(*_SPHERE, "cot(r) + sqrt(1 - r)"), 1e-200, 2.0, 3),
+    # finite rows up to the first curvature error (sqrt at r = 0.75)
+    (_family(*_SPHERE, _SPHERE_NU_TO_HALF), 0.25, 1.0, 4),
+    # a pole of nu at r = 1
+    (_family(*_SPHERE, "cot(r) + 1/(r - 1)"), 0.5, 2.0, 4),
+    # alpha alone overflows (to inf, raising nothing) past r = 1.8; the
+    # parallel and xi-parallel reports read no alpha
+    (_family("10^308*r", "cot(r)", "cot(r)"), 0.5, 3.0, 6),
+    # powers of exp(400*r) overflow in the rows, then in lambda*nu + c
+    (_family("1", "exp(400*r)", "-exp(400*r)"), 0.05, 1.5, 60),
+    # the last radius lands one ulp past r_max, on the open end pi/2
+    (builtin_catalog().get("cp2-a1"), 0.362, 1.5707963267948963, 14),
+])
+def test_sweep_kernel_stops_where_the_two_kernel_path_stops(fam, r_min, r_max, samples):
+    stops = set()
+    for kind in ConditionKind:
+        for bindings in (None, {"L": 2.0, "lambda_e": 0.5}):
+            got = _fused(fam, r_min, r_max, samples, kind, bindings)
+            expected = _two_kernel_sweep(fam, r_min, r_max, samples, kind, bindings)
+            assert [_hex(column) for column in got] == [_hex(column) for column in expected]
+            stops.add(len(got[0]))
+    assert max(stops) < samples
+
+
+# radius_grid's last point is one ulp off r_max on these grids of the
+# benchmark's sweeps and of prove all --samples 50
+_ULP_OFF_GRIDS = [("cp2-a1", 0.2, 0.9, 1000), ("cp2-b", 0.1, 0.45, 800),
+                  ("cp2-a1", None, None, 50), ("cp2-b", None, None, 50)]
+
+
+def test_sweep_kernel_radii_equal_radius_grid_bit_for_bit():
+    cat = builtin_catalog()
+    for family_id, r_min, r_max, samples in _ULP_OFF_GRIDS:
+        fam = cat.get(family_id)
+        if r_min is None:
+            r_min, r_max = fam.sample_window()
+        radii = radius_grid(r_min, r_max, samples)
+        assert radii[-1] != r_max
+        for kind in ConditionKind:
+            got, _, _ = _fused(fam, r_min, r_max, samples, kind)
+            assert _hex(got) == _hex(radii)
+    # the horosphere's constant curvatures over the whole line
+    line = HypersurfaceFamily("line", CH2, (-math.inf, math.inf), *map(Expr.const, (2, 1, 1)))
+    rng = random.Random(20240)
+    for _ in range(1000):
+        r_min = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 4)
+        r_max = r_min + rng.choice((0.0, 10.0 ** rng.uniform(-8, 4)))
+        samples = rng.randint(2, 40)
+        got, _, _ = _fused(line, r_min, r_max, samples, ConditionKind.PARALLEL)
+        assert _hex(got) == _hex(radius_grid(r_min, r_max, samples))
 
 
 # -- column kernels: no Python call per radius ------------------------------------------

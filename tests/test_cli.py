@@ -301,6 +301,40 @@ nu = tanh(r)
     assert "tube" in out
 
 
+_POLE_CATALOG = """
+[catalog]
+version = 1
+
+[pole]
+space = CP2
+domain = -1, 1
+alpha = (r^2 - 2)/r
+lambda = 1 + r
+nu = r - 1
+"""
+
+
+def test_a_pole_of_alpha_stops_every_sweep(tmp_path, capsys):
+    # lambda + nu = 2r vanishes where alpha has its pole, r = 0, so lambda
+    # and nu stay finite there; the parallel and xi-parallel reports read no
+    # alpha, yet the sweep stops at r = 0 with the per-radius error
+    path = tmp_path / "pole.cat"
+    path.write_text(_POLE_CATALOG, encoding="utf-8")
+    for kind in ("parallel", "xi-parallel", "semi-parallel"):
+        argv = ["sweep", "pole", "-0.5", "0.5", "3", kind, "--catalog", str(path)]
+        assert _fresh(capsys, argv) == (2, "", "error: denominator r evaluates to 0.0\n")
+    argv = ["sweep", "pole", "-0.5", "0.4", "3", "parallel", "--catalog", str(path)]
+    assert _fresh(capsys, argv) == (0, "\n".join([
+        "# sweep pole",
+        "status: ok",
+        "family pole ()",
+        "           r    max residual   lambda*nu + c",
+        "   -0.500000    4.875000e+00    +3.250000000",
+        "   -0.050000    3.152625e+00    +3.002500000",
+        "    0.400000    4.424000e+00    +3.160000000",
+    ]) + "\n", "")
+
+
 def _captured(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -740,6 +774,55 @@ def test_row_writers_match_the_generic_writers(family, rows, below):
     # the row text before the template: one f-string per row
     text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
     assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
+
+
+def _assert_row_writers_match(rows):
+    """The json and text row writers against the oracles of
+    test_row_writers_match_the_generic_writers: json.dumps and one f-string
+    per row."""
+    report = cli.Report("sweep f", "ok", {"family": "f", "rows_below_witness_tol": 0}, 1, [])
+    report.payload["rows"] = cli.SweepRows(*zip(*rows))
+    assert report.emit("json") == json.dumps(report.to_json_dict(), indent=2,
+                                             sort_keys=True) + "\n"
+    text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
+    assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
+
+
+@pytest.mark.parametrize("rows", [
+    # 0.0 and -0.0 mixed in a column: == but printed apart
+    [(0.1, 0.0, 3.0), (0.2, -0.0, 3.0), (0.3, 0.0, 3.0)],
+    [(-0.0, 1.0, 0.0), (0.0, 1.0, -0.0)],
+    # an all-zero max column, and every column at -0.0
+    [(0.1, 0.0, 2.5), (0.2, 0.0, -1.5), (0.3, 0.0, 3.0)],
+    [(-0.0, -0.0, -0.0), (-0.0, -0.0, -0.0)],
+    # a single row: every column is constant
+    [(0.5, 1e-3, -3.0)],
+    # exactly one varying column, in each place
+    [(0.1, 2.0, 3.0), (0.2, 2.0, 3.0), (0.3, 2.0, 3.0)],
+    [(0.5, 2.0, 3.0), (0.5, 7.0, 3.0)],
+    [(0.5, 2.0, 3.0), (0.5, 2.0, -3.0)],
+    # the extremes of the float range, all constant
+    [(1e16, 5e-324, -1.7976931348623157e308), (1e16, 5e-324, -1.7976931348623157e308)],
+])
+def test_row_writers_format_constant_columns_once(rows):
+    _assert_row_writers_match(rows)
+
+
+def test_sweep_over_one_radius_prints_constant_columns(capsys):
+    # r_min == r_max: all three columns are constant
+    result = catalog.sweep(builtin_catalog().get("cp2-a1"), 0.5, 0.5, 3,
+                           ConditionKind.PARALLEL)
+    rows = list(zip(result.radii, result.max_residuals, result.lam_nu_plus_c))
+    assert len(set(rows)) == 1 and len(rows) == 3
+    _assert_row_writers_match(rows)
+    code, out = run(capsys, "sweep", "cp2-a1", "0.5", "0.5", "3", "parallel")
+    assert code == 0
+    assert out.splitlines()[-3:] == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
+    code, out = run(capsys, "sweep", "cp2-a1", "0.5", "0.5", "3", "parallel",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["payload"]["rows"] == [
+        {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in rows]
 
 
 _JSON_SCALARS = st.one_of(

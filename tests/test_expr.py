@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starricci import quadratic, rational
@@ -24,6 +24,7 @@ from starricci.rational import (
     NearZeroDenominator,
     UnboundSymbolError,
     compile_columns,
+    compile_sweep,
 )
 from starricci.symbols import SymbolTable
 
@@ -324,6 +325,48 @@ def test_column_kernel_equals_the_per_call_function_row_by_row(exprs, rows, y):
         expected.append(outcome)
     assert [tuple(v.hex() for v in row) for row in zip(*columns)] == expected
     assert all(len(column) == len(expected) for column in columns)
+
+
+def _sweep_rows(value, rows, maximum, grid, ends, y):
+    """compile_sweep's columns by Expr.eval, row by row: x on the grid, the
+    scalar y, z = value at (x, y), then the rows at (x, y, z)."""
+    lo, width, steps, n = grid
+    out = ([], [], [])
+    for i in range(n):
+        x = lo + width * i / steps
+        if not ends[0] < x < ends[1]:
+            break
+        try:
+            z = value.eval({"x": x, "y": y})
+            values = [e.eval({"x": x, "y": y, "z": z}) for e in rows]
+        except ExprError:
+            break
+        shifted = z * z + y
+        if not all(map(math.isfinite, [z, *values, shifted])):
+            break
+        top = maximum
+        for v in values:
+            top = max(top, abs(v))
+        for column, v in zip(out, (x, top, shifted)):
+            column.append(v)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, st.lists(_EXPRS, max_size=3), st.sampled_from([0.0, 0.5, 2.0]),
+       _POINTS, st.floats(min_value=0.0, max_value=4.0), st.integers(1, 6),
+       st.sampled_from([(-2.5, 2.5), (-math.inf, math.inf), (0.0, 1.0)]), _ROW_POINTS)
+def test_sweep_kernel_equals_eval_row_by_row(value, rows, maximum, lo, width, n, ends, y):
+    # x runs over the grid, y is a scalar and z the value bound for the rows
+    try:
+        kernel = compile_sweep(("x", "y"), {"z": value}, rows, maximum, ("z", "z", "y"))
+    except UnboundSymbolError:  # the value reads z
+        assume(False)
+    grid = (lo, width, max(n - 1, 1), n)
+    got = kernel(*grid, *ends, y)
+    expected = _sweep_rows(value, rows, maximum, grid, ends, y)
+    assert [[v.hex() for v in column] for column in got] == [
+        [v.hex() for v in column] for column in expected]
 
 
 def test_compiled_vanishing_denominator_and_unbound_symbol():
