@@ -29,11 +29,11 @@ and condition kind (rational.compile_sweep), compiled on first use and kept
 on the family: per radius of the grid it checks the domain, evaluates
 alpha, lambda and nu, then the report's distinct non-constant rows over
 them, and lambda*nu + c, and keeps the max of the constant rows' max|row|
-(folded once per cached report) and each |row|.  validate_family and
-lam_nu_plus_c_column (proofs.type_b_exclusion) run the family's curvature
-kernel (rational.compile_columns) over a radius list, plus C-level map()s
-for the principal-curvature residuals and lambda*nu + c.  No radius loop
-makes a Python call per radius.  A non-finite binding, curvature, row or
+(folded once per cached report) and each |row|.  proofs.type_b_exclusion
+reads the lambda*nu + c column of a parallel sweep.  validate_family runs
+the family's curvature kernel (rational.compile_columns) over a radius
+list, plus C-level map()s for the principal-curvature residuals.  No radius
+loop makes a Python call per radius.  A non-finite binding, curvature, row or
 lambda*nu + c is a CatalogError, never a residual.
 
 A kernel stops before the first radius at which the per-radius evaluation
@@ -210,17 +210,6 @@ def _replay(evaluate: Callable, r: float) -> NoReturn:
     radius at which a column stopped."""
     evaluate(r)
     raise AssertionError(f"a column stopped at r = {r!r}, where the per-radius evaluation succeeds")
-
-
-def lam_nu_plus_c_column(fam: HypersurfaceFamily, radii: list) -> list:
-    """lambda*nu + c of fam at each radius.  The errors are those of
-    fam.curvatures and _lam_nu_plus_c at each radius in turn."""
-    _alpha, lam, nu = _curvature_columns(fam, radii)
-    values = list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
-    if len(values) < len(radii) or not all(map(math.isfinite, values)):
-        clean = next((k for k, v in enumerate(values) if not math.isfinite(v)), len(values))
-        _replay(lambda r: _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:]), radii[clean])
-    return values
 
 
 class Catalog(NamedTuple):

@@ -27,9 +27,10 @@ memos through the table of its first monomial's lead symbol.
 GCDs are computed with the primitive pseudo-remainder sequence, recursing on
 the number of variables; this is all the factorization the canonical
 fraction layer needs.  Primitive parts have integer, coprime coefficients.
-Before any sequence runs, monomial factors are split off, and so is a symbol
-that only one operand holds (the gcd is then that of the other operand and
-the coefficients); the sequence then runs in the variable of least degree.
+With a single-term operand the gcd is the largest common monomial.  Before
+any sequence runs, monomial factors are split off, and so is a symbol that
+only one operand holds (the gcd is then that of the other operand and the
+coefficients); the sequence then runs in the variable of least degree.
 """
 
 from __future__ import annotations
@@ -475,10 +476,8 @@ _ONE = Polynomial({_EMPTY: 1})
 
 
 def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero:
-        return p
-    _, lc = p.leading()
-    return p.scale(1 / Fraction(lc))
+    lc = p.terms[0][1] if p.terms else 1
+    return p if lc == 1 else p.scale(1 / Fraction(lc))
 
 
 def _content_and_primitive(coeffs: dict[int, Polynomial]) -> tuple[Polynomial, dict[int, Polynomial]]:
@@ -539,10 +538,7 @@ def _mono_quotient(p: Polynomial, m: Mono) -> Polynomial:
 
 
 def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
+    """The gcd of nonzero f and g, up to a rational factor."""
     if f.is_constant or g.is_constant:
         return _ONE
     mf, mg = _mono_content(f), _mono_content(g)
@@ -589,12 +585,10 @@ def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the rationals."""
-    if f.is_zero and g.is_zero:
-        return _ZERO
-    if f.is_zero:
-        return _monic(g)
-    if g.is_zero:
-        return _monic(f)
-    if f.is_constant or g.is_constant:
-        return _ONE
+    if f.is_zero or g.is_zero:
+        return _monic(g if f.is_zero else f)
+    if len(f.terms) == 1 or len(g.terms) == 1:  # a constant or a monomial
+        ef = dict(_mono_content(f))
+        common = tuple((s, min(e, ef[s])) for s, e in _mono_content(g) if s in ef)
+        return Polynomial({common: 1}) if common else _ONE
     return _monic(_gcd_rec(f, g))

@@ -19,7 +19,7 @@ pieces, each produced here as a deterministic trace or report:
   quadratic at the space's c decides solvability.
 * type_b_exclusion -- the remaining candidates have constant principal
   curvatures; the tube families ("type B") violate lambda nu = -c
-  numerically by a margin of 3 at every radius.
+  numerically by a margin of 3 at every radius of their witness sweeps.
 
 Each replay is one table of `Step` rows, built once per frame context, and
 one runner, `_replay`, that checks them:
@@ -63,9 +63,11 @@ from .catalog import (
     DEFAULT_ORACLE_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
+    HypersurfaceFamily,
     ModelSpace,
+    SweepResult,
+    _lam_nu_plus_c,
     builtin_catalog,
-    lam_nu_plus_c_column,
     radius_grid,
     sweep,
 )
@@ -614,22 +616,35 @@ class TypeBReport(NamedTuple):
         )
 
 
+def _type_b_sweep(fam: HypersurfaceFamily, samples: int) -> SweepResult:
+    """The witness sweep of a type-B family.  Where it fails, the certificate's
+    check (the curvatures, then lambda*nu + c, per radius) raises first if it can."""
+    try:
+        return sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+    except ValueError:
+        for r in radius_grid(*fam.sample_window(), samples):
+            _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:])
+        raise
+
+
 def type_b_exclusion(
     space: ModelSpace,
     *,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_ORACLE_TOL,
     catalog: Optional[Catalog] = None,
+    witness: Optional[SweepResult] = None,
 ) -> TypeBReport:
     """Certify lambda nu + c = +-3 on the type-B tube family of a space.
 
     The remaining Hopf candidates would need lambda nu = -c; the constant
-    offset of 3 rules them out at every sampled radius.
+    offset of 3 rules them out at every sampled radius: the lambda*nu + c
+    column of the family's witness sweep, run here unless passed as `witness`.
     """
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
+    values = (witness if witness is not None else _type_b_sweep(fam, samples)).lam_nu_plus_c
     expected = TYPE_B_EXPECTED[space.name]
-    values = lam_nu_plus_c_column(fam, radius_grid(*fam.sample_window(), samples))
     max_dev = max(map(abs, map(sub, values, repeat(expected))))
     min_abs = min(map(abs, values))
     ok = max_dev <= tol and min_abs >= 3.0 - tol
@@ -673,26 +688,28 @@ def verify_all(
     The witness is one catalog.sweep per family over its sample window: on
     every family the parallel condition on the *-Ricci tensor must stay
     numerically violated at the sampled radii (no family poses as a
-    counterexample).
+    counterexample).  The type-B families are swept first (CP2's, then CH2's)
+    and their sweeps serve the certificates too.
     """
     cat = catalog if catalog is not None else builtin_catalog()
     nonhopf = nonhopf_contradiction()
     hopf = hopf_branch()
     elimination = quadratic_elimination()
     quad = (quadratic_analysis(CP2, elimination), quadratic_analysis(CH2, elimination))
-    typeb = (
-        type_b_exclusion(CP2, samples=samples, tol=tol_oracle, catalog=cat),
-        type_b_exclusion(CH2, samples=samples, tol=tol_oracle, catalog=cat),
-    )
-    witness_min = min(
-        (min(sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL).max_residuals)
-         for fam in cat.families),
-        default=float("inf"),
-    )
+    typeb, swept = [], {}
+    for space in (CP2, CH2):
+        fam = cat.get(TYPE_B_FAMILIES[space.name])
+        swept[fam] = witness = _type_b_sweep(fam, samples)
+        typeb.append(type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat,
+                                      witness=witness))
+    for fam in cat.families:
+        if fam not in swept:
+            swept[fam] = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+    witness_min = min(min(s.max_residuals) for s in swept.values())
     ok = (
         nonhopf_verified(nonhopf)
         and hopf_verified(hopf)
         and all(t.ok for t in typeb)
         and witness_min > tol_witness
     )
-    return VerificationSummary(nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok)
+    return VerificationSummary(nonhopf, hopf, quad, tuple(typeb), witness_min, tol_witness, ok)

@@ -803,6 +803,9 @@ def _python_calls(thunk) -> int:
 
 def test_radius_loops_make_no_python_call_per_radius(monkeypatch):
     cat = builtin_catalog()
+    for kind in ConditionKind:  # build each cached report and sweep kernel outside the counts
+        for fam in cat.families:
+            sweep(fam, *fam.sample_window(), 2, kind)
     for kind in ConditionKind:
         for fam in cat.families:
             lo, hi = fam.sample_window()

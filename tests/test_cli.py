@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,57 @@ def _captured(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _edited_builtin(*edits):
+    """The builtin catalog file with each (family, key, suffix) appended to
+    that family's line, or with each (family, None, None) section removed."""
+    text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
+    for family_id, key, suffix in edits:
+        start = text.index(f"[{family_id}]")
+        if key is None:
+            end = text.find("\n[", start)
+            text = text[:start] + text[end + 1:]
+        else:
+            end = text.index("\n", text.index(f"\n{key} = ", start) + 1)
+            text = text[:end] + suffix + text[end:]
+    return text
+
+
+def _notch(m):
+    """A zero in r that is sqrt of a negative within 1e-3 of m only: between
+    two of the 100 oracle radii, and on the midpoint of a 3-radius window."""
+    return f" + sqrt((r - {m})^2 - 1/1000000) - sqrt(4*(r - {m})^2 - 4/1000000)/2"
+
+
+@pytest.mark.parametrize("edits, error", [
+    # the type-B family is missing: its lookup fails first
+    ((("cp2-b", None, None),),
+     "no family 'cp2-b' in catalog (known: cp2-a1, ch2-a0, ch2-a1, ch2-a1p, ch2-b)"),
+    # cp2-a1, cp2-b and ch2-b fail at their windows' midpoints: cp2-b is swept first
+    ((("cp2-a1", "nu", _notch("pi/4")), ("cp2-b", "nu", _notch("pi/8")),
+      ("ch2-b", "nu", _notch("101/40"))),
+     "sqrt(-4.000000000111022e-06) cannot be evaluated: math domain error"),
+    # cp2-a1 and ch2-b fail: ch2-b is swept before cp2-a1, as CH2's type-B family
+    ((("cp2-a1", "nu", _notch("pi/4")), ("ch2-b", "nu", _notch("101/40"))),
+     "sqrt(-3.999999997006398e-06) cannot be evaluated: math domain error"),
+])
+def test_prove_reports_the_type_b_family_error_first(tmp_path, capsys, edits, error):
+    # the error lines of the proofs before the type-B certificate read the
+    # witness sweep, in which each type-B family had a radius loop of its own
+    path = tmp_path / "edited.cat"
+    path.write_text(_edited_builtin(*edits), encoding="utf-8")
+    for target in ("all", "type-b"):
+        argv = ["prove", target, "--samples", "3", "--catalog", str(path)]
+        assert _captured(capsys, argv) == (2, "", f"error: {error}\n")
+    # only cp2-a1 fails: prove all reports it from the witness, type-b certifies
+    path.write_text(_edited_builtin(("cp2-a1", "nu", _notch("pi/4"))), encoding="utf-8")
+    argv = ["prove", "all", "--samples", "3", "--catalog", str(path)]
+    assert _captured(capsys, argv) == (
+        2, "", "error: sqrt(-1.0000000001110223e-06) cannot be evaluated: math domain error\n")
+    code, out, err = _captured(capsys, ["prove", "type-b", "--samples", "3",
+                                        "--catalog", str(path)])
+    assert (code, err) == (0, "") and "lambda*nu != -c certified" in out
 
 
 def test_catalog_file_sweeps_equal_the_builtin_sweeps(tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from starricci.frames import build_hopf_context, build_nonhopf_context, ricci, with_shape_operator
 from starricci.parsing import parse_expr
-from starricci import polynomial, symbols
+from starricci import polynomial, rational, symbols
 from starricci.polynomial import Polynomial, poly_gcd
-from starricci.proofs import _derivative_bindings
+from starricci.proofs import _derivative_bindings, quadratic_elimination
 from starricci.rational import Expr
 from starricci.symbols import CONSTANT, DERIVATIVE, SymbolTable, SymbolError
 
@@ -271,6 +271,54 @@ def test_gcd_splits_off_monomial_factors_and_picks_the_lowest_degree(monkeypatch
     monkeypatch.setattr(polynomial, "_pseudo_rem", counted)
     assert poly_gcd(f, g) == Polynomial.one()
     assert len(calls) == 1
+
+
+_GCD_TABLE = SymbolTable()
+_GCD_SYMS = [_GCD_TABLE.constant(n) for n in ("w", "x", "y", "z")]
+_GCD_MONOS = st.dictionaries(st.sampled_from(_GCD_SYMS), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items())))
+_GCD_POLYS = st.dictionaries(_GCD_MONOS, _DIV_COEFFS, max_size=4).map(Polynomial)
+_GCD_TERMS = st.builds(lambda m, c: Polynomial({m: c}), _GCD_MONOS, _DIV_COEFFS.filter(bool))
+
+
+@given(_GCD_TERMS, st.one_of(_GCD_TERMS, _GCD_POLYS.filter(lambda q: not q.is_zero)))
+def test_gcd_with_a_single_term_is_the_common_monomial(term, other):
+    # shared and disjoint symbols, int and Fraction coefficients, both orders
+    for f, g in ((term, other), (other, term)):
+        expected = polynomial._monic(polynomial._gcd_rec(f, g))
+        assert _typed_terms(poly_gcd(f, g)) == _typed_terms(expected)
+
+
+def test_gcd_with_a_single_term_takes_no_remainder_sequence(monkeypatch):
+    def no_sequence(f, g):
+        raise AssertionError("a single-term gcd entered _gcd_rec")
+
+    monkeypatch.setattr(polynomial, "_gcd_rec", no_sequence)
+    _w, x, y, z = _GCD_SYMS
+    f = Polynomial({((x, 2), (y, 1)): Fraction(-3, 2), ((y, 3),): 4})
+    assert poly_gcd(f, Polynomial({((x, 1), (y, 2), (z, 1)): Fraction(7, 3)})) == P(y)
+    assert poly_gcd(Polynomial({((z, 4),): 5}), f) == Polynomial.one()
+    monic = Polynomial({((x, 1),): 1, ((y, 1),): Fraction(2, 3)})
+    assert polynomial._monic(monic) is monic
+
+
+def test_quadratic_elimination_takes_two_closed_form_gcds(monkeypatch):
+    quadratic_elimination()  # parses its fixed forms once per process
+    gcds, sequences = [], []
+    gcd, rec = rational.poly_gcd, polynomial._gcd_rec
+
+    def counted_gcd(f, g):
+        gcds.append((f, g))
+        return gcd(f, g)
+
+    def counted_rec(f, g):
+        sequences.append((f, g))
+        return rec(f, g)
+
+    monkeypatch.setattr(rational, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(polynomial, "_gcd_rec", counted_rec)
+    quadratic_elimination()
+    assert len(gcds) == 2 and sequences == []
 
 
 def test_derivative_kinds():

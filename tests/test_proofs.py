@@ -1,9 +1,14 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from importlib import resources
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +40,7 @@ from starricci.proofs import (
     verdict,
     verify_all,
 )
-from starricci.rational import Expr
+from starricci.rational import Expr, ExprError
 from starricci.symbols import DERIVATIVE, SymbolError, SymbolTable
 
 
@@ -303,6 +308,92 @@ nu = cot(r)
 """)
     with pytest.raises(CatalogError):
         type_b_exclusion(CP2, catalog=only_sphere)
+
+
+def _lam_nu_plus_c_column(fam, radii):
+    """lambda*nu + c by the family's curvature kernel over radius_grid: the
+    type-B certificate's own radius loop before it read the witness sweep."""
+    _alpha, lam, nu = catalog._curvature_columns(fam, radii)
+    assert len(lam) == len(radii)
+    return list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
+
+
+def _type_b_fields(space, samples, tol=catalog.DEFAULT_ORACLE_TOL):
+    fam = builtin_catalog().get(proofs.TYPE_B_FAMILIES[space.name])
+    values = _lam_nu_plus_c_column(fam, radius_grid(*fam.sample_window(), samples))
+    expected = proofs.TYPE_B_EXPECTED[space.name]
+    max_dev = max(abs(v - expected) for v in values)
+    min_abs = min(abs(v) for v in values)
+    ok = max_dev <= tol and min_abs >= 3.0 - tol
+    return (space, fam.family_id, samples, expected.hex(), max_dev.hex(), min_abs.hex(), ok)
+
+
+def _hexed(rep):
+    return (rep.space, rep.family_id, rep.samples, rep.expected.hex(),
+            rep.max_deviation.hex(), rep.min_abs.hex(), rep.ok)
+
+
+def test_type_b_certificate_equals_the_curvature_kernel_column():
+    rng = random.Random(24)
+    for samples in [20, 50, 100, 4829] + rng.sample(range(2, 5000), 200):
+        for space in (CP2, CH2):
+            assert _hexed(type_b_exclusion(space, samples=samples)) == \
+                _type_b_fields(space, samples), (space, samples)
+    for samples in (20, 50):
+        summary = verify_all(samples=samples)
+        assert [_hexed(rep) for rep in summary.type_b] == \
+            [_type_b_fields(space, samples) for space in (CP2, CH2)]
+
+
+def test_verify_all_reports_an_overflowing_type_b_offset_as_such():
+    # lambda = nu ~ 1e200 at r = 0.04 overflow lambda*nu + c and the parallel
+    # rows alike; the certificate's error comes first, as from type_b_exclusion
+    table = SymbolTable()
+    table.constant("r")
+    big = parse_expr("10^200*(1 - r) + sqrt(2 - r) - sqrt(8 - 4*r)/2", table)
+    alpha = parse_expr("2*cot(2*r)", table)
+    fam = catalog.HypersurfaceFamily("cp2-b", CP2, (0.0, 4.0), alpha, big, big)
+    cat = catalog.Catalog(1, builtin_catalog().families[:1] + (fam,))
+    with pytest.raises(CatalogError, match=r"^lambda\*nu \+ c = inf on family cp2-b at r = 0.04$"):
+        verify_all(samples=100, catalog=cat)
+
+
+def test_a_type_b_family_whose_rows_overflow_is_an_error():
+    # lambda*nu + c = 5 is finite, but lambda^2 overflows in the parallel
+    # rows: the witness sweep's per-radius error, where the certificate
+    # alone read a failed offset
+    big, tiny = Expr.const(10 ** 200), Expr.const(Fraction(1, 10 ** 200))
+    fam = catalog.HypersurfaceFamily("cp2-b", CP2, (0.0, 1.0), Expr.const(1), big, tiny)
+    cat = catalog.Catalog(1, (fam,))
+    expected = "floating-point overflow"
+    with pytest.raises(ExprError, match=f"^{expected}$"):
+        evaluate_condition(fam, 0.5, ConditionKind.PARALLEL)
+    for run in (lambda: type_b_exclusion(CP2, samples=5, catalog=cat),
+                lambda: verify_all(samples=5, catalog=cat)):
+        with pytest.raises(ExprError, match=f"^{expected}$"):
+            run()
+
+
+def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel():
+    # a fresh load of the builtin catalog, whose families' kernels are wrapped
+    cat = parse_catalog.__wrapped__(
+        resources.files("starricci.data").joinpath("families.cat").read_text("utf-8"))
+    report = catalog._hopf_report(ConditionKind.PARALLEL)
+    calls = Counter()
+
+    def counted(key, kernel):
+        def wrapper(*args):
+            calls[key] += 1
+            return kernel(*args)
+        return wrapper
+
+    for fam in cat.families:
+        kernel = catalog._sweep_kernel(fam, ConditionKind.PARALLEL, report)
+        fam._sweeps[ConditionKind.PARALLEL] = counted(("sweep", fam.family_id), kernel)
+        object.__setattr__(fam, "curvature_columns",
+                           counted(("curvatures", fam.family_id), fam.curvature_columns))
+    assert verify_all(samples=50, catalog=cat).ok
+    assert calls == Counter({("sweep", fam.family_id): 1 for fam in cat.families})
 
 
 # -- the whole chain --------------------------------------------------------------------------
