@@ -23,22 +23,23 @@ read them, and would need h3 = alpha/2 from Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
-in report order.  A radius loop runs as one compiled kernel, which returns
-Expr.eval's float values bit for bit.  A sweep runs one kernel per family
-and condition kind (rational.compile_sweep), compiled on first use and kept
-on the family: per radius of the grid it checks the domain, evaluates
-alpha, lambda and nu, then the report's distinct non-constant rows over
-them, and lambda*nu + c, and keeps the max of the constant rows' max|row|
-(folded once per cached report) and each |row|.  proofs.type_b_exclusion
-reads the lambda*nu + c column of a parallel sweep.  validate_family runs
-the family's curvature kernel (rational.compile_columns) over a radius
-list, plus C-level map()s for the principal-curvature residuals.  No radius
-loop makes a Python call per radius.  A non-finite binding, curvature, row or
+in report order.  A radius loop runs as one rational.compile_sweep kernel,
+which returns Expr.eval's float values bit for bit: per radius of the grid
+it checks the domain, evaluates alpha, lambda and nu, then report rows over
+them and one float expression, its tail.  A sweep runs one kernel per
+family and condition kind, compiled on first use and kept on the family:
+its rows are the report's distinct non-constant rows, it keeps the max of
+the constant rows' max|row| (folded once per cached report) and each |row|,
+and its tail is lambda*nu + c.  proofs.type_b_exclusion reads the
+lambda*nu + c column of a parallel sweep.  validate_family is one call of
+the family's oracle kernel, compiled with the family: no rows, and the
+float operations of hopf_relation_residual as its tail.  No radius loop
+makes a Python call per radius.  A non-finite binding, curvature, row or
 lambda*nu + c is a CatalogError, never a residual.
 
 A kernel stops before the first radius at which the per-radius evaluation
 would fail; the loop then replays that radius through the per-radius
-evaluation (_row_evaluator's at(r), fam.curvatures), which raises that
+evaluation (_row_evaluator's at(r), fam.hopf_residual), which raises that
 radius's error.  So the values and the errors are those of
 evaluate_condition at each radius in turn.  A sweep keeps its results as
 three columns (radii, max residuals, lambda*nu + c); SweepResult.rows zips
@@ -57,7 +58,7 @@ import io
 import math
 from functools import lru_cache
 from itertools import repeat
-from operator import add, lt, mul, sub, truediv
+from operator import lt
 from typing import Callable, Mapping, NamedTuple, NoReturn, Optional
 
 from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
@@ -65,7 +66,7 @@ from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_r
 from .conditions import parallel_equations
 from .frames import build_hopf_context, star_ricci_closed
 from .parsing import parse_expr
-from .rational import Expr, compile_columns, compile_sweep
+from .rational import Expr, ExprError, compile_sweep
 from .symbols import SymbolTable
 
 DEFAULT_ORACLE_TOL = 1e-9
@@ -96,22 +97,29 @@ def hopf_relation_residual(alpha: float, lam: float, nu: float, c: float) -> flo
     return lam * nu - (alpha / 2.0) * (lam + nu) - c / 4.0
 
 
+# The float operations of hopf_relation_residual, as a compile_sweep tail.
+_HOPF_RESIDUAL = "{lambda} * {nu} - ({alpha} / 2.0) * ({lambda} + {nu}) - {c} / 4.0"
+# The report parameters that a family supplies per radius.
+_CURVATURES = ("alpha", "lambda", "nu")
+
+
 class HypersurfaceFamily:
     """One family of the catalog: the curvatures alpha, lambda and nu as
     expressions in the radius r over the open interval `domain` (lo, hi),
     whose ends may be +-inf."""
 
     __slots__ = ("family_id", "space", "domain", "alpha", "lam", "nu", "description",
-                 "curvature_columns", "_sweeps")
+                 "oracle", "_sweeps")
 
     def __init__(self, family_id: str, space: ModelSpace, domain: tuple, alpha: Expr,
                  lam: Expr, nu: Expr, description: str = ""):
-        # curvature_columns: (radii, pi) -> (alpha, lambda, nu) columns, compiled
-        # once per family (rational.compile_columns); used through _curvature_columns.
+        # oracle: the compile_sweep kernel of validate_family, with no report
+        # rows and hopf_relation_residual as its tail; compiled once per family.
         # _sweeps: the sweep kernel per condition kind, filled by _sweep_kernel
-        columns = compile_columns((alpha, lam, nu), ("r", "pi"), ("r",))
+        oracle = compile_sweep(("r", "pi", "c"), dict(zip(_CURVATURES, (alpha, lam, nu))),
+                               (), 0.0, _HOPF_RESIDUAL)
         for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
-                                                description, columns, {})):
+                                                description, oracle, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -174,28 +182,11 @@ def radius_grid(lo: float, hi: float, samples: int) -> list:
 
 # -- columns ------------------------------------------------------------------
 #
-# A radius loop runs as a compiled kernel (rational.compile_columns or
-# compile_sweep), with no Python call per radius.  A kernel stops before the
-# first radius it cannot vouch for; the caller replays that radius through
-# the per-radius evaluation (Expr.eval), which raises the per-radius error,
-# so the errors come in radius order.
-
-def _curvature_columns(fam: HypersurfaceFamily, radii: list) -> tuple:
-    """fam's (alpha, lambda, nu) columns over the leading radii, up to the
-    first one at which fam.curvatures raises."""
-    lo, hi = fam.domain
-    if not (all(map(lt, repeat(lo), radii)) and all(map(lt, radii, repeat(hi)))):
-        radii = radii[:next(k for k, r in enumerate(radii) if not lo < r < hi)]
-    return fam.curvature_columns(radii, math.pi)
-
-
-def _hopf_residuals(fam: HypersurfaceFamily, alpha: list, lam: list, nu: list) -> list:
-    """hopf_relation_residual at each row of the curvature columns, with the
-    same float operations."""
-    lam_nu = map(mul, lam, nu)
-    half_alpha_sum = map(mul, map(truediv, alpha, repeat(2.0)), map(add, lam, nu))
-    return list(map(sub, map(sub, lam_nu, half_alpha_sum), repeat(float(fam.space.c) / 4.0)))
-
+# A radius loop runs as one compiled kernel (rational.compile_sweep), with no
+# Python call per radius.  A kernel stops before the first radius it cannot
+# vouch for; the caller replays that radius through the per-radius
+# evaluation (Expr.eval), which raises the per-radius error, so the errors
+# come in radius order.
 
 def _lam_nu_plus_c(fam: HypersurfaceFamily, r: float, lam: float, nu: float) -> float:
     """lambda*nu + c of fam at r; a value that is not finite is a CatalogError."""
@@ -312,17 +303,21 @@ def load_catalog(path, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
 
 
 def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL) -> None:
-    radii = radius_grid(*fam.sample_window(), ORACLE_SAMPLES)
-    curvatures = _curvature_columns(fam, radii)
-    residuals = _hopf_residuals(fam, *curvatures)
-    if not all(map(lt, map(abs, residuals), repeat(tol))):
-        k = next(k for k, res in enumerate(residuals) if not abs(res) < tol)
+    """Check the principal-curvature relation at ORACLE_SAMPLES radii of
+    fam's sample window, in one call of fam.oracle.  The first radius at
+    which the kernel stops or |residual| >= tol is replayed through
+    fam.hopf_residual: its curvature or domain error, else the relation's."""
+    window, samples = fam.sample_window(), ORACLE_SAMPLES
+    residuals = fam.oracle(*_grid(*window, samples), *fam.domain, math.pi,
+                           float(fam.space.c))[2]
+    k = [*map(lt, map(abs, residuals), repeat(tol)), False].index(False)
+    if k < samples:
+        r = radius_grid(*window, samples)[k]
+        residual = fam.hopf_residual(r)
         raise CatalogError(
             f"family {fam.family_id!r} fails the principal-curvature relation "
-            f"at r = {radii[k]}: residual {residuals[k]!r}"
+            f"at r = {r}: residual {residual!r}"
         )
-    if len(residuals) < len(radii):
-        _replay(fam.curvatures, radii[len(residuals)])
 
 
 @lru_cache(maxsize=1)
@@ -346,8 +341,6 @@ _PSEUDO_PARALLEL_FUNCTION = "L"
 # The report names that neither the family nor the space fixes; numeric
 # evaluation binds them to zero unless extra_bindings sets them.
 ZERO_DEFAULT = (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
-# The report parameters that a family supplies per radius.
-_CURVATURES = ("alpha", "lambda", "nu")
 # The names the reports read: the curvatures, then the scalars in
 # _report_scalars' order (compile_sweep rejects any other).
 REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
@@ -389,7 +382,7 @@ def _sweep_kernel(fam: HypersurfaceFamily, kind: ConditionKind,
         curvatures = dict(zip(_CURVATURES, (fam.alpha, fam.lam, fam.nu)))
         kernel = fam._sweeps[kind] = compile_sweep(
             _SWEEP_PARAMS, curvatures, compiled.varying, compiled.constant_max,
-            ("lambda", "nu", "c"))
+            "{lambda} * {nu} + {c}")
     return kernel
 
 
@@ -418,7 +411,8 @@ def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _Comp
     condition report on one family: the per-radius evaluation.
 
     at(r) checks the domain and the curvatures (fam.curvatures), that every
-    row is finite and that lambda*nu + c is finite.
+    row is finite and that lambda*nu + c is finite.  An ExprError of a row
+    keeps its class, and its text names the kind, the family and r.
     """
     rows = compiled.report.equations()
     isfinite = math.isfinite
@@ -426,7 +420,12 @@ def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _Comp
     def at(r: float) -> tuple:
         a, l, n = fam.curvatures(r)
         bindings = {"alpha": a, "lambda": l, "nu": n, **scalars}
-        values = tuple(e.eval(bindings) for e in rows)
+        try:
+            values = tuple(e.eval(bindings) for e in rows)
+        except ExprError as exc:
+            exc.args = (f"{kind.value} rows cannot be evaluated on {fam.family_id} "
+                        f"at r = {r}: {exc}",)
+            raise
         if not all(map(isfinite, values)):
             bad = sum(1 for v in values if not isfinite(v))
             raise CatalogError(

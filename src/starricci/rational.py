@@ -21,11 +21,11 @@ constant into the coefficients, so only the other bindings take polynomial
 products.
 
 ``Expr.eval`` evaluates one expression once; it is the only per-call float
-evaluator.  ``compile_columns`` turns a sequence of expressions into one
-compiled loop over columns of inputs that returns, row by row, the floats
-``Expr.eval`` returns, bit for bit.  ``compile_sweep`` does the same over a
+evaluator.  ``compile_sweep`` is the only compiled one: one loop over a
 uniform grid that it computes itself, in two stages (values, then rows over
-those values), and returns the grid, each row's max |row| and one product.
+those values), that returns the grid, each row's max |row| and one float
+expression over the values, each value as ``Expr.eval`` returns it, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -563,13 +563,13 @@ def sign_normalized(e: Expr) -> Expr:
 # -- compiled float evaluation -------------------------------------------------
 
 # The NUMERIC_FUNCTIONS entries that are reciprocals: NUMERIC_FUNCTIONS["cot"](x)
-# is 1.0 / math.tan(x), and a column kernel computes it that way.
+# is 1.0 / math.tan(x), and a sweep kernel computes it that way.
 _RECIPROCALS = {"cot": "tan", "coth": "tanh"}
 
 
 class _FloatCodegen:
     """Straight-line Python source for the float values of a set of Exprs,
-    as the body of a column kernel's loop.
+    as the body of a sweep kernel's loop.
 
     Symbol names and expression text never enter the source: parameters,
     powers and atoms get generated identifiers, coefficients become float
@@ -662,77 +662,9 @@ class _FloatCodegen:
                 if v in self.used and v not in skip]
 
 
-def _kernel(gen: _FloatCodegen, args: Sequence[str], skip: Sequence[str],
-            loop: Sequence[str], checked: int, tail: Sequence[str], outs: int) -> Callable:
-    """Compile ``compiled(*args)``, which takes the used parameters other than
-    `skip` through float() and returns `outs` lists o0.. (appended by w0..)
-    from one row loop: the `loop` lines open it, gen.body runs in one try,
-    and an error or a value among x0..x{checked-1} that is not finite ends
-    it; the `tail` lines end each row."""
-    kept = range(outs)
-    lines = [f"def compiled({', '.join(args)}):", *gen.scalars(skip)]
-    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
-    lines.append("    " + ", ".join(f"o{i}" for i in kept) + " = " + ", ".join("[]" for _ in kept))
-    lines += [f"    w{i} = o{i}.append" for i in kept]
-    lines += [f"    {line}" for line in loop]
-    lines.append("        try:")
-    lines += [f"            {stmt}" for stmt in gen.body]
-    lines.append("        except (ArithmeticError, ValueError):")
-    lines.append("            break")
-    # x - x is 0.0 for a finite x and NaN otherwise
-    lines.append("        if " + " + ".join(f"(x{i} - x{i})" for i in range(checked)) + " != 0.0:")
-    lines.append("            break")
-    lines += [f"        {line}" for line in tail]
-    lines.append("    return " + "".join(f"o{i}, " for i in kept))
-    source = "\n".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "float": float, "abs": abs, "zip": zip, "range": range,
-                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
-                 "_fns": NUMERIC_FUNCTIONS}
-    exec(compile(source, "<kernel>", "exec"), namespace)
-    kernel = namespace["compiled"]
-    kernel.source = source
-    return kernel
-
-
-def compile_columns(
-    exprs: Sequence[Expr], params: Sequence[str], columns: Sequence[str],
-) -> Callable[..., tuple]:
-    """One compiled loop: Expr.eval's values over columns of inputs.
-
-    The kernel takes one positional value per name in `params`: an iterable
-    of floats for each name in `columns` (read in step; the shortest ends the
-    loop) and a scalar for every other name.  It returns one list per
-    expression in `exprs` (at least one): row by row, the values
-    ``e.eval(bindings)`` at that row's finite inputs, bit for bit.  It
-    performs the float operations of Expr.eval in the same order (inputs
-    through float(), each polynomial summed from 0.0, each term float(c) *
-    x**e * ... in monomial order, num / den) and computes each applied atom
-    once per row.  The lists stop before the first row at which Expr.eval
-    raises (a pole, an overflow, a math domain error) or returns a value
-    that is not finite, so the caller can replay that row through Expr.eval
-    for its error.  The loop calls no Python function per row: each atom
-    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
-    NUMERIC_FUNCTIONS computes).  The kernel applies float() to scalars
-    only, so columns must hold floats.  A symbol that is neither a parameter
-    nor an applied atom raises UnboundSymbolError here, once.  The source is
-    kept on the kernel as ``source``.
-    """
-    if not exprs:
-        raise ValueError("a column kernel needs at least one expression")
-    gen = _FloatCodegen(params)
-    values = gen.values(exprs)
-    gen.body += [f"x{i} = {v}" for i, v in enumerate(values)]
-    cols = [gen.params[name] for name in columns]
-    row = ", ".join(cols)
-    loop = [f"for {row} in {cols[0] if len(cols) == 1 else f'zip({row})'}:"]
-    n = len(values)
-    return _kernel(gen, list(gen.params.values()), cols, loop, n,
-                   [f"w{i}(x{i})" for i in range(n)], n)
-
-
 def compile_sweep(
     params: Sequence[str], values: Mapping[str, Expr], rows: Sequence[Expr],
-    maximum: float, shifted: Sequence[str],
+    maximum: float, tail: str,
 ) -> Callable[..., tuple]:
     """One compiled loop over a uniform grid of the parameter params[0].
 
@@ -740,34 +672,62 @@ def compile_sweep(
     interval, and a scalar per name in params[1:].  Row i < n has the grid
     point t = lo + width * i / steps.  It checks low < t < high, evaluates
     `values` (Exprs in the params) and binds each to its name, then `rows`
-    (Exprs in the params and those names) and y = p * q + s for the names
-    (p, q, s) = `shifted`, each as Expr.eval would, bit for bit (see
-    compile_columns).  It returns the lists of t, of the max of `maximum`
-    and each |row|, and of y.  They stop before the first row outside the
-    interval, at which an evaluation raises, or at which a value, a row or
-    y is not finite, so the caller can replay that row for its error.
+    (Exprs in the params and those names) and y = `tail`, a float expression
+    in ``{name}`` placeholders for the params and the values' names.  It
+    returns the lists of t, of the max of `maximum` and each |row|, and of y.
+
+    Each Expr takes the float operations of Expr.eval in the same order
+    (scalars through float(), each polynomial summed from 0.0, each term
+    float(c) * x**e * ... in monomial order, num / den), so its value is
+    Expr.eval's, bit for bit; each applied atom is computed once per row.
+    The lists stop before the first row outside the interval, at which
+    Expr.eval would raise (a pole, an overflow, a math domain error), or at
+    which a value, a row or y is not finite, so the caller can replay that
+    row for its error.  The loop calls no Python function per row: each atom
+    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
+    NUMERIC_FUNCTIONS computes).  A symbol that is neither a parameter, a
+    value's name nor an applied atom raises UnboundSymbolError here, once.
+    The source is kept on the kernel as ``source``.
     """
     gen = _FloatCodegen(params)
     named = gen.values(values.values())
     gen.body += [f"x{i} = {v}" for i, v in enumerate(named)]
-    # the rows read each value through its name; _kernel skips the float()
-    # of these x names
+    # the rows and the tail read each value through its name, which takes no float()
     gen.params.update((name, f"x{i}") for i, name in enumerate(values))
     k = len(named)
     gen.body += [f"x{k + i} = abs({v})" for i, v in enumerate(gen.values(rows))]
     y = k + len(rows)
-    p, q, s = (gen.params[name] for name in shifted)
-    gen.used.update((p, q, s))
-    gen.body.append(f"x{y} = {p} * {q} + {s}")
+    gen.used.update(v for name, v in gen.params.items() if f"{{{name}}}" in tail)
+    gen.body.append(f"x{y} = {tail.format_map(gen.params)}")
     t, top, i = gen.params[params[0]], f"x{y + 1}", f"x{y + 2}"
     lo, width, steps, n, low, high = grid = [f"v{len(params) + j}" for j in range(6)]
-    loop = [f"for {i} in range({n}):",
-            f"    {t} = {lo} + {width} * {i} / {steps}",
-            f"    if not {low} < {t} < {high}:",
-            "        break"]
-    tail = [f"{top} = {float(maximum)!r}"]
-    for j in range(k, y):
-        tail += [f"if x{j} > {top}:", f"    {top} = x{j}"]
-    tail += [f"w0({t})", f"w1({top})", f"w2(x{y})"]
     scalars = [f"v{j}" for j in range(1, len(params))]
-    return _kernel(gen, grid + scalars, [t, *(f"x{j}" for j in range(k))], loop, y + 1, tail, 3)
+    lines = [f"def compiled({', '.join(grid + scalars)}):",
+             *gen.scalars([t, *(f"x{j}" for j in range(k))])]
+    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
+    lines += ["    o0, o1, o2 = [], [], []",
+              "    w0 = o0.append", "    w1 = o1.append", "    w2 = o2.append",
+              f"    for {i} in range({n}):",
+              f"        {t} = {lo} + {width} * {i} / {steps}",
+              f"        if not {low} < {t} < {high}:",
+              "            break",
+              "        try:"]
+    lines += [f"            {stmt}" for stmt in gen.body]
+    lines += ["        except (ArithmeticError, ValueError):",
+              "            break",
+              # x - x is 0.0 for a finite x and NaN otherwise
+              "        if " + " + ".join(f"(x{j} - x{j})" for j in range(y + 1)) + " != 0.0:",
+              "            break",
+              f"        {top} = {float(maximum)!r}"]
+    for j in range(k, y):
+        lines += [f"        if x{j} > {top}:", f"            {top} = x{j}"]
+    lines += [f"        w0({t})", f"        w1({top})", f"        w2(x{y})",
+              "    return o0, o1, o2"]
+    source = "\n".join(lines) + "\n"
+    namespace = {"__builtins__": {}, "float": float, "abs": abs, "range": range,
+                 "ArithmeticError": ArithmeticError, "ValueError": ValueError,
+                 "_fns": NUMERIC_FUNCTIONS}
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    kernel = namespace["compiled"]
+    kernel.source = source
+    return kernel

@@ -7,7 +7,6 @@ import re
 import sys
 import tokenize
 from importlib import resources
-from itertools import repeat
 
 import pytest
 
@@ -368,40 +367,63 @@ description = the geodesic sphere, written with every numeric function
 """
 
 
+def _oracle(fam, lo, width, steps, samples):
+    """The residual column of fam's oracle kernel over a grid, before any replay."""
+    return fam.oracle(lo, width, steps, samples, *fam.domain, math.pi, float(fam.space.c))[2]
+
+
+def _one_row_residual(fam, r):
+    """The oracle kernel at r alone: r + -0.0 is r."""
+    return _oracle(fam, r, -0.0, 1, 1)
+
+
 def test_compiled_family_source_holds_no_symbol_names():
     fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
-    source = fam.curvature_columns.source
+    source = fam.oracle.source
     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     names = {t.string for t in tokens if t.type == tokenize.NAME}
     strings = {ast.literal_eval(t.string) for t in tokens if t.type == tokenize.STRING}
     # every function, cot and coth as reciprocals of tan and tanh
     assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
-    allowed = {"compiled", "float", "abs", "zip", "append", "ArithmeticError", "ValueError",
+    allowed = {"compiled", "float", "abs", "range", "append", "ArithmeticError", "ValueError",
                "_fns"}
     assert {n for n in names if not keyword.iskeyword(n)
             and not re.fullmatch(r"[vpandxowf][0-9]+", n)} <= allowed
-    assert not names & {"r", "pi"}
+    assert not names & {"r", "pi", "c", "alpha", "lambda", "nu"}
+    assert "{" not in source and "}" not in source  # no tail placeholder is left
     for text in (fam.alpha.to_text(), fam.lam.to_text(), fam.nu.to_text(), "cot(r)"):
         assert text not in source
     for r in (0.1, 0.7, 1.4):
         point = {"r": r, "pi": math.pi}
-        row = [column[0] for column in fam.curvature_columns([r], math.pi)]
-        assert _hex(row) == _hex(e.eval(point) for e in (fam.alpha, fam.lam, fam.nu))
+        curvatures = [e.eval(point) for e in (fam.alpha, fam.lam, fam.nu)]
+        assert _hex(_one_row_residual(fam, r)) == \
+            _hex([hopf_relation_residual(*curvatures, float(fam.space.c))])
 
 
 @pytest.mark.parametrize("family_id", builtin_catalog().ids())
 def test_curvatures_equal_the_one_row_kernel_bit_for_bit(family_id):
+    # the one-row oracle kernel's residual is hopf_relation_residual over
+    # fam.curvatures
     fam = builtin_catalog().get(family_id)
     for r in radius_grid(*fam.sample_window(), 50):
-        columns = fam.curvature_columns([r], math.pi)
-        assert _hex(fam.curvatures(r)) == _hex(column[0] for column in columns)
+        expected = hopf_relation_residual(*fam.curvatures(r), float(fam.space.c))
+        assert _hex(_one_row_residual(fam, r)) == _hex([expected])
+
+
+@pytest.mark.parametrize("family_id", builtin_catalog().ids())
+def test_oracle_column_equals_the_relation_residual_bit_for_bit(family_id):
+    fam = builtin_catalog().get(family_id)
+    window = fam.sample_window()
+    radii = radius_grid(*window, ORACLE_SAMPLES)
+    expected = [hopf_relation_residual(*fam.curvatures(r), float(fam.space.c)) for r in radii]
+    assert _hex(_oracle(fam, *catalog._grid(*window, ORACLE_SAMPLES))) == _hex(expected)
 
 
 def _kernel_sources():
-    # the family's curvature kernel, then its sweep kernel per condition
-    # kind, which holds the family's statements and the report's rows
+    # the family's oracle kernel, then its sweep kernel per condition kind,
+    # which holds the family's statements and the report's rows
     fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
-    yield fam, None, fam.curvature_columns.source
+    yield fam, None, fam.oracle.source
     for kind in ConditionKind:
         compiled = catalog._hopf_report(kind)
         yield fam, compiled.report, catalog._sweep_kernel(fam, kind, compiled).source
@@ -410,7 +432,7 @@ def _kernel_sources():
 def test_column_kernel_sources_hold_no_symbol_names():
     # a kernel source holds generated identifiers, float literals (and int
     # exponents) and NUMERIC_FUNCTIONS keys, nothing else
-    allowed = {"compiled", "float", "abs", "zip", "range", "append", "ArithmeticError",
+    allowed = {"compiled", "float", "abs", "range", "append", "ArithmeticError",
                "ValueError", "_fns"}
     for owner, report, source in _kernel_sources():
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -427,10 +449,10 @@ def test_column_kernel_sources_hold_no_symbol_names():
             tokenize.INDENT, tokenize.DEDENT, tokenize.NL, tokenize.ENDMARKER}
         # every function, cot and coth as reciprocals of tan and tanh
         assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
-        assert not names & {"r", "pi"}
+        assert not names & {"r", "pi", "alpha", "lambda", "nu", "c", "L", "lambda_e"}
+        assert "{" not in source and "}" not in source  # no tail placeholder is left
         texts = [owner.alpha.to_text(), owner.lam.to_text(), owner.nu.to_text(), "cot(r)"]
         if report is not None:
-            assert not names & {"alpha", "lambda", "nu", "c", "L", "lambda_e"}
             texts += [e.equation.to_text() for e in report.entries if not e.equation.is_zero]
         for text in texts:
             assert text not in source
@@ -622,8 +644,15 @@ def test_non_finite_lambda_nu_plus_c_is_an_error():
 def test_validate_family_raises_the_per_radius_error():
     # the relation fails at the first radius, the curvatures only past r = 3
     bad = _family("1", "cot(r)", "cot(r) + sqrt(3 - r)")
-    with pytest.raises(CatalogError, match="fails the principal-curvature relation at r = 0.04"):
-        catalog.validate_family(bad)
+    assert _error(lambda: catalog.validate_family(bad)) == (
+        CatalogError, "family 'probe' fails the principal-curvature relation at r = 0.04: "
+                      "residual 640.4752266100751")
+    # finite curvatures whose residual overflows: the kernel stops at the
+    # first radius, and its replay reads the relation's error
+    huge = _family("1", "10^200", "10^200")
+    assert _error(lambda: catalog.validate_family(huge)) == (
+        CatalogError, "family 'probe' fails the principal-curvature relation at r = 0.04: "
+                      "residual inf")
     # the curvatures fail past r = 1/2, and the relation holds up to there
     fam = _family(*_SPHERE, _SPHERE_NU_TO_HALF)
     radii = radius_grid(*fam.sample_window(), ORACLE_SAMPLES)
@@ -642,18 +671,6 @@ def test_type_b_exclusion_raises_the_per_radius_error():
         type_b_exclusion(CP2, samples=100, catalog=Catalog(1, (fam,)))
 
 
-def _max_abs_column_from_row_lists(compiled, curvatures, scalars):
-    """The max |row| column as computed from one list per distinct
-    non-constant row, before a kernel kept a running max: the reference."""
-    rows = compiled.report.equations()
-    varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
-    if not varying:
-        return [compiled.constant_max] * len(curvatures[0])
-    kernel = rational.compile_columns(varying, catalog.REPORT_PARAMS, ("alpha", "lambda", "nu"))
-    lists = kernel(*curvatures, *scalars.values())
-    return list(map(max, *[map(abs, row) for row in lists], repeat(compiled.constant_max)))
-
-
 def _fused(fam, r_min, r_max, samples, kind, bindings=None):
     """The sweep kernel's three columns, before any replay."""
     compiled = catalog._hopf_report(kind)
@@ -662,20 +679,27 @@ def _fused(fam, r_min, r_max, samples, kind, bindings=None):
         *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *scalars)
 
 
-def _two_kernel_sweep(fam, r_min, r_max, samples, kind, bindings=None):
-    """The sweep's three columns by the path before the fused kernel:
-    radius_grid, the family's curvature kernel, one column kernel over the
-    report's distinct non-constant rows with the max taken here, then
-    lambda*nu + c, all cut at the first radius where one of them stops."""
-    radii = radius_grid(r_min, r_max, samples)
-    curvatures = catalog._curvature_columns(fam, radii)
+def _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings=None):
+    """The sweep's three columns by the per-radius evaluation, the
+    reference: radius_grid, fam.curvatures, Expr.eval of every report row
+    with the max |row| taken here, then lambda*nu + c, all cut at the first
+    radius where one of them raises or is not finite."""
+    rows = catalog._hopf_report(kind).report.equations()
     scalars = catalog._report_scalars(fam, bindings)
-    maxima = _max_abs_column_from_row_lists(catalog._hopf_report(kind), curvatures, scalars)
-    shifted = [lam * nu + float(fam.space.c) for lam, nu in zip(*curvatures[1:])]
-    clean = len(maxima)
-    if not all(map(math.isfinite, shifted[:clean])):
-        clean = next(k for k, v in enumerate(shifted) if not math.isfinite(v))
-    return radii[:clean], maxima[:clean], shifted[:clean]
+    columns = ([], [], [])
+    for r in radius_grid(r_min, r_max, samples):
+        try:
+            alpha, lam, nu = fam.curvatures(r)
+            bound = {"alpha": alpha, "lambda": lam, "nu": nu, **scalars}
+            values = [abs(e.eval(bound)) for e in rows]
+        except (CatalogError, ExprError):
+            break
+        shifted = lam * nu + scalars["c"]
+        if not all(map(math.isfinite, [*values, shifted])):
+            break
+        for column, value in zip(columns, (r, max(values, default=0.0), shifted)):
+            column.append(value)
+    return columns
 
 
 @pytest.mark.parametrize("bindings", [None, {"L": 2.0, "lambda_e": 0.5}])
@@ -683,17 +707,14 @@ def test_max_abs_column_equals_the_row_lists(bindings):
     # the curvatures stay finite on the grid; powers of exp(400*r) in the
     # rows overflow partway through it, before lambda*nu + c does
     fam = _family("1", "exp(400*r)", "-exp(400*r)")
-    radii = radius_grid(0.05, 1.5, 60)
-    curvatures = catalog._curvature_columns(fam, radii)
-    assert len(curvatures[0]) == len(radii)
-    scalars = catalog._report_scalars(fam, bindings)
-    shifted = [lam * nu + float(fam.space.c) for lam, nu in zip(*curvatures[1:])]
+    curvatures = [fam.curvatures(r) for r in radius_grid(0.05, 1.5, 60)]
+    shifted = [lam * nu + float(fam.space.c) for _alpha, lam, nu in curvatures]
     clean = next(k for k, v in enumerate(shifted) if not math.isfinite(v))
     stopped = 0
     for kind in ConditionKind:
-        compiled = catalog._hopf_report(kind)
         _radii, got, _shifted = _fused(fam, 0.05, 1.5, 60, kind, bindings)
-        expected = _max_abs_column_from_row_lists(compiled, curvatures, scalars)[:clean]
+        expected = _per_radius_sweep(fam, 0.05, 1.5, 60, kind, bindings)[1]
+        assert len(expected) <= clean
         assert _hex(got) == _hex(expected)
         stopped += 0 < len(got) < clean
     assert stopped >= 4
@@ -721,7 +742,8 @@ _MENU_GRIDS = [
 def test_sweep_equals_the_two_kernel_path_on_the_menu_grids(family_id, kind, r_min, r_max,
                                                             samples):
     fam = builtin_catalog().get(family_id)
-    expected = [_hex(column) for column in _two_kernel_sweep(fam, r_min, r_max, samples, kind)]
+    # the reference is the per-radius evaluation
+    expected = [_hex(column) for column in _per_radius_sweep(fam, r_min, r_max, samples, kind)]
     assert len(expected[0]) == samples
     res = sweep(fam, r_min, r_max, samples, kind)
     assert [_hex(res.radii), _hex(res.max_residuals), _hex(res.lam_nu_plus_c)] == expected
@@ -749,7 +771,7 @@ def test_sweep_kernel_stops_where_the_two_kernel_path_stops(fam, r_min, r_max, s
     for kind in ConditionKind:
         for bindings in (None, {"L": 2.0, "lambda_e": 0.5}):
             got = _fused(fam, r_min, r_max, samples, kind, bindings)
-            expected = _two_kernel_sweep(fam, r_min, r_max, samples, kind, bindings)
+            expected = _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings)
             assert [_hex(column) for column in got] == [_hex(column) for column in expected]
             stops.add(len(got[0]))
     assert max(stops) < samples

@@ -606,6 +606,23 @@ def test_expr_syntax_error_names_the_offending_character(capsys):
     assert captured.err == "error: unexpected character '$' (at position 2)\n"
 
 
+@pytest.mark.parametrize("r_min, message", [
+    # cot(1e-170)^2 overflows in the power, which raises
+    ("1e-170", "semi-parallel rows cannot be evaluated on cp2-a1 at r = 1e-170: "
+               "floating-point overflow"),
+    # products of cot(1e-100) = 1e100 overflow to inf, which raises nothing
+    ("1e-100", "4 of 27 semi-parallel rows are not finite on cp2-a1 at r = 1e-100"),
+])
+def test_a_sweep_whose_rows_overflow_names_the_kind_family_and_radius(capsys, r_min,
+                                                                      message):
+    for fmt in ("text", "json"):
+        assert main(["sweep", "cp2-a1", r_min, "0.5", "3", "semi-parallel",
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
     calls = Counter()
 

@@ -23,7 +23,6 @@ from starricci.rational import (
     ExprError,
     NearZeroDenominator,
     UnboundSymbolError,
-    compile_columns,
     compile_sweep,
 )
 from starricci.symbols import SymbolTable
@@ -290,17 +289,29 @@ def _eval_row(exprs, point):
     return tuple(v.hex() for v in values) if all(map(math.isfinite, values)) else None
 
 
+def _signed_kernels(exprs):
+    """One compile_sweep kernel per expression, over x on the grid and the
+    scalars y and z: the expression is its one value, and its one-value
+    tail exposes that value with its sign."""
+    return [compile_sweep(_CT_NAMES, {"e": e}, (), 0.0, "{e}") for e in exprs]
+
+
+def _one_row(kernels, point):
+    """The kernels' tails at the point as a one-row grid, each [value] or []
+    where the kernel stops: x + -0.0 is x for every float x, signed zeros
+    included."""
+    x, y, z = point
+    return [kernel(x, -0.0, 1, 1, -math.inf, math.inf, y, z)[2] for kernel in kernels]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_EXPRS, min_size=1, max_size=3), st.tuples(_POINTS, _POINTS, _POINTS))
 def test_compiled_values_equal_eval_bit_for_bit(exprs, point):
-    # a one-row kernel over all three names as columns
-    columns = compile_columns(exprs, _CT_NAMES, _CT_NAMES)(*([v] for v in point))
-    expected = _eval_row(exprs, point)
-    if expected is None:
-        assert columns == ([],) * len(exprs)
-    else:
-        assert tuple(column[0].hex() for column in columns) == expected
-        assert all(len(column) == 1 for column in columns)
+    # a one-row kernel per expression, with its signed value as the tail
+    columns = _one_row(_signed_kernels(exprs), point)
+    for e, column in zip(exprs, columns, strict=True):
+        expected = _eval_row([e], point)
+        assert [v.hex() for v in column] == list(expected or ())
 
 
 # large values overflow products and powers; exact values hit poles
@@ -312,19 +323,21 @@ _ROW_POINTS = st.one_of(_POINTS, st.sampled_from([1e100, -1e160, 1e300, 700.0]))
        st.lists(st.tuples(_ROW_POINTS, _ROW_POINTS), max_size=5),
        _ROW_POINTS)
 def test_column_kernel_equals_the_per_call_function_row_by_row(exprs, rows, y):
-    # x and z are columns, y a scalar; Expr.eval at each row is the reference
-    kernel = compile_columns(exprs, _CT_NAMES, ("x", "z"))
-    xs, zs = [x for x, _ in rows], [z for _, z in rows]
-    columns = kernel(xs, y, zs)
-    assert len(columns) == len(exprs)
-    expected = []
+    # the same kernels at each row (x, z) in turn, with the scalar y;
+    # Expr.eval at each row is the reference
+    kernels = _signed_kernels(exprs)
+    got, expected = [], []
     for x, z in rows:
+        columns = _one_row(kernels, (x, y, z))
         outcome = _eval_row(exprs, (x, y, z))
+        # a kernel stops where its expression raises or is not finite
+        assert [[v.hex() for v in column] for column in columns] == \
+            [list(_eval_row([e], (x, y, z)) or ()) for e in exprs]
         if outcome is None:
-            break  # the kernel stops before the first row that raises or is not finite
+            break  # the row loop ends at the first row where one of them stops
+        got.append(tuple(column[0].hex() for column in columns))
         expected.append(outcome)
-    assert [tuple(v.hex() for v in row) for row in zip(*columns)] == expected
-    assert all(len(column) == len(expected) for column in columns)
+    assert got == expected
 
 
 def _sweep_rows(value, rows, maximum, grid, ends, y):
@@ -359,7 +372,7 @@ def _sweep_rows(value, rows, maximum, grid, ends, y):
 def test_sweep_kernel_equals_eval_row_by_row(value, rows, maximum, lo, width, n, ends, y):
     # x runs over the grid, y is a scalar and z the value bound for the rows
     try:
-        kernel = compile_sweep(("x", "y"), {"z": value}, rows, maximum, ("z", "z", "y"))
+        kernel = compile_sweep(("x", "y"), {"z": value}, rows, maximum, "{z} * {z} + {y}")
     except UnboundSymbolError:  # the value reads z
         assume(False)
     grid = (lo, width, max(n - 1, 1), n)
@@ -375,9 +388,11 @@ def test_compiled_vanishing_denominator_and_unbound_symbol():
         e.eval({"x": 1.5, "y": 1.5})
     with pytest.raises(UnboundSymbolError):
         e.eval({"x": 1.5})
-    assert compile_columns([e], ("x", "y"), ("x",))([1.5, 2.5, 3.5], 1.5) == ([],)
+    # the grid 1.5, 2.5, 3.5 of x stops at its first point, x = y
+    kernel = compile_sweep(("x", "y"), {"e": e}, (), 0.0, "{e}")
+    assert kernel(1.5, 2.0, 2, 3, -math.inf, math.inf, 1.5) == ([], [], [])
     with pytest.raises(UnboundSymbolError):
-        compile_columns([e], ("x",), ("x",))
+        compile_sweep(("x",), {"e": e}, (), 0.0, "{e}")
 
 
 # -- randomized properties -------------------------------------------------------

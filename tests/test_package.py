@@ -74,7 +74,7 @@ def _records():
     report = parallel_equations(ctx, star_ricci_closed(ctx))
     return [
         (with_shape_operator(ctx, ctx.A), ("kind", "A", "table", "_derived")),
-        (builtin_catalog().families[0], ("alpha", "domain", "curvature_columns")),
+        (builtin_catalog().families[0], ("alpha", "domain", "oracle")),
         (builtin_catalog(), ("version", "families")),
         (report, ("kind", "entries")),
         (report.entries[0], ("equation", "x")),

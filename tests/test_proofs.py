@@ -1,14 +1,14 @@
 import hashlib
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
-from itertools import repeat
-from operator import add, mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -311,11 +311,14 @@ nu = cot(r)
 
 
 def _lam_nu_plus_c_column(fam, radii):
-    """lambda*nu + c by the family's curvature kernel over radius_grid: the
-    type-B certificate's own radius loop before it read the witness sweep."""
-    _alpha, lam, nu = catalog._curvature_columns(fam, radii)
-    assert len(lam) == len(radii)
-    return list(map(add, map(mul, lam, nu), repeat(float(fam.space.c))))
+    """lambda*nu + c over radius_grid by the per-radius evaluation: Expr.eval
+    of the family's lambda and nu, as in fam.curvatures (alpha is not read)."""
+    c, bindings = float(fam.space.c), {"pi": math.pi}
+    column = []
+    for r in radii:
+        bindings["r"] = r
+        column.append(fam.lam.eval(bindings) * fam.nu.eval(bindings) + c)
+    return column
 
 
 def _type_b_fields(space, samples, tol=catalog.DEFAULT_ORACLE_TOL):
@@ -365,12 +368,15 @@ def test_a_type_b_family_whose_rows_overflow_is_an_error():
     big, tiny = Expr.const(10 ** 200), Expr.const(Fraction(1, 10 ** 200))
     fam = catalog.HypersurfaceFamily("cp2-b", CP2, (0.0, 1.0), Expr.const(1), big, tiny)
     cat = catalog.Catalog(1, (fam,))
-    expected = "floating-point overflow"
-    with pytest.raises(ExprError, match=f"^{expected}$"):
+    expected = ("parallel rows cannot be evaluated on cp2-b at r = 0.5: "
+                "floating-point overflow")
+    with pytest.raises(ExprError, match=f"^{re.escape(expected)}$"):
         evaluate_condition(fam, 0.5, ConditionKind.PARALLEL)
+    # the window's first radius is 0.01
+    expected = expected.replace("r = 0.5", "r = 0.01")
     for run in (lambda: type_b_exclusion(CP2, samples=5, catalog=cat),
                 lambda: verify_all(samples=5, catalog=cat)):
-        with pytest.raises(ExprError, match=f"^{expected}$"):
+        with pytest.raises(ExprError, match=f"^{re.escape(expected)}$"):
             run()
 
 
@@ -390,9 +396,9 @@ def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel():
     for fam in cat.families:
         kernel = catalog._sweep_kernel(fam, ConditionKind.PARALLEL, report)
         fam._sweeps[ConditionKind.PARALLEL] = counted(("sweep", fam.family_id), kernel)
-        object.__setattr__(fam, "curvature_columns",
-                           counted(("curvatures", fam.family_id), fam.curvature_columns))
+        object.__setattr__(fam, "oracle", counted(("oracle", fam.family_id), fam.oracle))
     assert verify_all(samples=50, catalog=cat).ok
+    # one sweep-kernel call per family, and no oracle-kernel call
     assert calls == Counter({("sweep", fam.family_id): 1 for fam in cat.families})
 
 
