@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``prove {nonhopf,hopf,quadratic,type-b,all}`` -- replay a proof piece;
-  exit 0 only when every trace reaches its expected verdict.
+* ``prove {nonhopf,hopf,quadratic,type-b,all}`` -- replay a proof piece,
+  or all of them, by one ``proofs.verify_all`` call, and print its summary;
+  exit 0 only when every piece reaches its expected verdict.
 * ``check TENSOR CONDITION CONTEXT [name=value ...]`` -- emit the symbolic
   condition report, optionally after substituting assumptions.
 * ``sweep FAMILY RMIN RMAX SAMPLES CONDITION`` -- numeric residual table
@@ -42,6 +43,7 @@ from .catalog import (
     DEFAULT_ORACLE_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
+    SPACES,
     builtin_catalog,
     load_catalog,
     sweep as run_sweep,
@@ -225,85 +227,24 @@ def _catalog(args) -> Catalog:
 # -- prove -------------------------------------------------------------------
 
 def cmd_prove(args) -> int:
-    from .proofs import (  # only prove loads the proof layer, and reads it at each call
-        ProofError,
-        hopf_branch,
-        hopf_verified,
-        nonhopf_contradiction,
-        nonhopf_verified,
-        quadratic_analysis,
-        quadratic_elimination,
-        type_b_exclusion,
-        verdict,
-        verify_all,
-    )
+    # only prove loads the proof layer, and reads it at each call
+    from .proofs import ProofError, verdict, verify_all
 
     cat = _catalog(args)
-    target = args.target
-    spaces = _spaces(args.space)
-    nonhopf = hopf = quad = typeb = summary = None
+    command = f"prove {args.target}"
+    spaces = (SPACES[args.space.upper()],) if args.space else (CP2, CH2)
     try:
-        if target == "all":
-            summary = verify_all(
-                samples=args.samples,
-                tol_oracle=args.tol_oracle,
-                tol_witness=args.tol_witness,
-                catalog=cat,
-            )
-            nonhopf, hopf = summary.nonhopf, summary.hopf
-            quad = [q for q in summary.quadratic if q.space in spaces]
-            typeb = [t for t in summary.type_b if t.space in spaces]
-            ok = summary.ok
-        elif target == "nonhopf":
-            nonhopf = nonhopf_contradiction()
-            ok = nonhopf_verified(nonhopf)
-        elif target == "hopf":
-            hopf = hopf_branch()
-            ok = hopf_verified(hopf)
-        elif target == "quadratic":
-            elimination = quadratic_elimination()
-            quad = [quadratic_analysis(sp, elimination) for sp in spaces]
-            ok = True
-        else:
-            typeb = [type_b_exclusion(sp, samples=args.samples, tol=args.tol_oracle, catalog=cat)
-                     for sp in spaces]
-            ok = all(t.ok for t in typeb)
+        summary = verify_all(args.target, spaces, samples=args.samples,
+                             tol_oracle=args.tol_oracle, tol_witness=args.tol_witness,
+                             catalog=cat)
     except ProofError as exc:
-        _write(Report(f"prove {target}", f"FAILED: {exc}", {}, cat.version), args)
+        _write(Report(command, f"FAILED: {exc}", {}, cat.version), args)
         return 1
-    traces = {key: trace for key, trace in (("nonhopf", nonhopf), ("hopf", hopf))
-              if trace is not None}
-    payload: dict = {}
-    lines: list = []
-    if args.format == "json":  # each format builds only what it prints
-        payload.update((key, trace.to_payload()) for key, trace in traces.items())
-        if quad is not None:
-            payload["quadratic"] = [q.to_payload() for q in quad]
-        if typeb is not None:
-            payload["type_b"] = [t.to_payload() for t in typeb]
-        if summary is not None:
-            payload["witness_min_residual"] = summary.witness_min_residual
-    else:
-        for trace in traces.values():
-            lines += trace.to_text().splitlines() + [""]
-        for q in quad or ():
-            lines += q.to_text().splitlines() + [""]
-        lines += [t.to_text() for t in typeb or ()]
-        if summary is not None:
-            lines.append(
-                f"witness: min over families of max parallel residual = "
-                f"{summary.witness_min_residual:.6e} (> {summary.witness_tol:g} required)"
-            )
-    _write(Report(f"prove {target}", verdict(ok, target), payload, cat.version, lines), args)
-    return 0 if ok else 1
-
-
-def _spaces(space: Optional[str]):
-    if space == "cp2":
-        return (CP2,)
-    if space == "ch2":
-        return (CH2,)
-    return (CP2, CH2)
+    json_out = args.format == "json"  # each format builds only what it prints
+    _write(Report(command, verdict(summary.ok, args.target),
+                  summary.to_payload() if json_out else {}, cat.version,
+                  None if json_out else summary.text_lines()), args)
+    return 0 if summary.ok else 1
 
 
 # -- check -------------------------------------------------------------------

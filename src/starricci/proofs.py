@@ -21,6 +21,11 @@ pieces, each produced here as a deterministic trace or report:
   curvatures; the tube families ("type B") violate lambda nu = -c
   numerically by a margin of 3 at every radius of their witness sweeps.
 
+verify_all is the one place that composes them: it runs the pieces of a
+prove target (one piece, or "all" with the numeric witness) and returns one
+VerificationSummary, whose ok is decided there and which renders the
+command's JSON payload and text lines itself.
+
 Each replay is one table of `Step` rows, built once per frame context, and
 one runner, `_replay`, that checks them:
 
@@ -400,11 +405,6 @@ def nonhopf_contradiction() -> ProofTrace:
     )
 
 
-def nonhopf_verified(trace: ProofTrace) -> bool:
-    """The non-Hopf replay reached its contradiction."""
-    return trace.status == "contradiction"
-
-
 BASIC_RELATION_TEXT = "lambda*nu - (alpha/2)*(lambda + nu) - c/4"
 
 
@@ -452,11 +452,6 @@ def hopf_branch() -> ProofTrace:
         ("c",), _hopf_steps(ctx),
         ("c + lambda*nu = 0", "lambda != 0", "nu != 0"),
     )
-
-
-def hopf_verified(trace: ProofTrace) -> bool:
-    """The Hopf replay stays open and concludes c + lambda*nu = 0."""
-    return trace.status == "open" and "c + lambda*nu = 0" in trace.conclusions
 
 
 QUADRATIC_TEXT = "2*alpha*nu^2 + 5*c*nu - 2*alpha*c"
@@ -667,49 +662,94 @@ def verdict(ok: bool, piece: str = "all") -> str:
 
 
 class VerificationSummary(NamedTuple):
-    nonhopf: ProofTrace
-    hopf: ProofTrace
-    quadratic: tuple      # (QuadraticAnalysis for CP2, for CH2)
-    type_b: tuple         # (TypeBReport for CP2, for CH2)
-    witness_min_residual: float
+    """What `verify_all` ran: a piece that did not run is None or ()."""
+
+    nonhopf: Optional[ProofTrace]
+    hopf: Optional[ProofTrace]
+    quadratic: tuple      # QuadraticAnalysis per printed space
+    type_b: tuple         # TypeBReport per printed space
+    witness_min_residual: Optional[float]   # prove all only
     witness_tol: float
     ok: bool
 
+    def to_payload(self) -> dict:
+        payload = {key: trace.to_payload() for key, trace in
+                   (("nonhopf", self.nonhopf), ("hopf", self.hopf)) if trace is not None}
+        if self.quadratic:
+            payload["quadratic"] = [q.to_payload() for q in self.quadratic]
+        if self.type_b:
+            payload["type_b"] = [t.to_payload() for t in self.type_b]
+        if self.witness_min_residual is not None:
+            payload["witness_min_residual"] = self.witness_min_residual
+        return payload
+
+    def text_lines(self) -> list:
+        lines = []
+        for piece in (self.nonhopf, self.hopf, *self.quadratic):
+            if piece is not None:
+                lines += piece.to_text().splitlines() + [""]
+        lines += [t.to_text() for t in self.type_b]
+        if self.witness_min_residual is not None:
+            lines.append(
+                f"witness: min over families of max parallel residual = "
+                f"{self.witness_min_residual:.6e} (> {self.witness_tol:g} required)"
+            )
+        return lines
+
 
 def verify_all(
+    target: str = "all",
+    spaces: tuple = (CP2, CH2),
     *,
     samples: int = DEFAULT_SAMPLES,
     tol_oracle: float = DEFAULT_ORACLE_TOL,
     tol_witness: float = DEFAULT_WITNESS_TOL,
     catalog: Optional[Catalog] = None,
 ) -> VerificationSummary:
-    """Run the whole chain and a numeric non-existence witness sweep.
+    """Run the pieces of `target` (a key of _VERDICTS) on `spaces`.
 
-    The witness is one catalog.sweep per family over its sample window: on
-    every family the parallel condition on the *-Ricci tensor must stay
-    numerically violated at the sampled radii (no family poses as a
-    counterexample).  The type-B families are swept first (CP2's, then CH2's)
-    and their sweeps serve the certificates too.
+    "all" runs every piece on both spaces, since its verdict covers both,
+    and keeps the quadratic and type-B records of `spaces` only.  It adds a
+    numeric non-existence witness: one catalog.sweep per family over its
+    sample window, and on every family the parallel condition on the
+    *-Ricci tensor must stay numerically violated at the sampled radii (no
+    family poses as a counterexample).  The type-B families are swept first
+    (CP2's, then CH2's) and their sweeps serve the certificates too.  "ok"
+    is decided here, once.  An unknown target or no space is a ValueError.
     """
-    cat = catalog if catalog is not None else builtin_catalog()
-    nonhopf = nonhopf_contradiction()
-    hopf = hopf_branch()
-    elimination = quadratic_elimination()
-    quad = (quadratic_analysis(CP2, elimination), quadratic_analysis(CH2, elimination))
-    typeb, swept = [], {}
-    for space in (CP2, CH2):
-        fam = cat.get(TYPE_B_FAMILIES[space.name])
-        swept[fam] = witness = _type_b_sweep(fam, samples)
-        typeb.append(type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat,
-                                      witness=witness))
-    for fam in cat.families:
-        if fam not in swept:
-            swept[fam] = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
-    witness_min = min(min(s.max_residuals) for s in swept.values())
+    if target not in _VERDICTS:
+        raise ValueError(f"unknown proof target {target!r} (known: {', '.join(_VERDICTS)})")
+    if not spaces:
+        raise ValueError("no model space to verify")
+    whole = target == "all"
+    run = (CP2, CH2) if whole else spaces
+    nonhopf = nonhopf_contradiction() if target in ("all", "nonhopf") else None
+    hopf = hopf_branch() if target in ("all", "hopf") else None
+    quad = typeb = ()
+    if target in ("all", "quadratic"):
+        elimination = quadratic_elimination()
+        quad = tuple(quadratic_analysis(space, elimination) for space in run)
+    witness_min = None
+    if target in ("all", "type-b"):
+        cat = catalog if catalog is not None else builtin_catalog()
+        swept = {}
+        for space in run:
+            fam = cat.get(TYPE_B_FAMILIES[space.name])
+            swept[fam] = witness = _type_b_sweep(fam, samples)
+            typeb += (type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat,
+                                       witness=witness),)
+        if whole:
+            for fam in cat.families:
+                if fam not in swept:
+                    swept[fam] = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+            witness_min = min(min(s.max_residuals) for s in swept.values())
     ok = (
-        nonhopf_verified(nonhopf)
-        and hopf_verified(hopf)
+        (nonhopf is None or nonhopf.status == "contradiction")
+        and (hopf is None or hopf.status == "open" and "c + lambda*nu = 0" in hopf.conclusions)
         and all(t.ok for t in typeb)
-        and witness_min > tol_witness
+        and (witness_min is None or witness_min > tol_witness)
     )
-    return VerificationSummary(nonhopf, hopf, quad, tuple(typeb), witness_min, tol_witness, ok)
+    if whole:
+        quad = tuple(q for q in quad if q.space in spaces)
+        typeb = tuple(t for t in typeb if t.space in spaces)
+    return VerificationSummary(nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok)

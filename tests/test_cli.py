@@ -624,6 +624,7 @@ def test_a_sweep_whose_rows_overflow_names_the_kind_family_and_radius(capsys, r_
 
 
 def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
+    # and a single target runs only its pieces, on the --space it names
     calls = Counter()
 
     def counted(name, fn):
@@ -632,19 +633,49 @@ def test_prove_all_runs_each_piece_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    pieces = ("nonhopf_contradiction", "hopf_branch", "quadratic_analysis",
-              "type_b_exclusion")
-    for name in (*pieces, "quadratic_elimination"):
+    names = ("nonhopf_contradiction", "hopf_branch", "quadratic_elimination",
+             "quadratic_analysis", "type_b_exclusion", "sweep")
+    for name in names:
         monkeypatch.setattr(proofs, name, counted(name, getattr(proofs, name)))
-    code, _ = run(capsys, "prove", "all", "--samples", "5")
-    assert code == 0
-    assert [calls[name] for name in pieces] == [1, 1, 2, 2]
-    # the space-independent elimination serves both spaces
-    assert calls["quadratic_elimination"] == 1
-    calls.clear()
-    code, _ = run(capsys, "prove", "quadratic")
-    assert code == 0
-    assert (calls["quadratic_elimination"], calls["quadratic_analysis"]) == (1, 2)
+    # calls of each name per target, without and with --space; prove all
+    # runs every piece on both spaces, and the space-independent
+    # elimination serves both spaces
+    expected = {
+        "all": ((1, 1, 1, 2, 2, 6), (1, 1, 1, 2, 2, 6)),
+        "nonhopf": ((1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+        "hopf": ((0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+        "quadratic": ((0, 0, 1, 2, 0, 0), (0, 0, 1, 1, 0, 0)),
+        "type-b": ((0, 0, 0, 0, 2, 2), (0, 0, 0, 0, 1, 1)),
+    }
+    for target, counts in expected.items():
+        for flags, want in zip(([], ["--space", "ch2"]), counts):
+            calls.clear()
+            code, _ = run(capsys, "prove", target, "--samples", "5", *flags)
+            assert code == 0, (target, flags)
+            assert tuple(calls[name] for name in names) == want, (target, flags)
+
+
+def test_space_narrows_only_what_prove_all_prints(tmp_path, capsys):
+    # ch2-b with ch2-a1p's curvatures passes the load oracle, but its
+    # lambda*nu + c = tanh(r)^2 - 4 fails the CH2 type-B certificate
+    text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
+    start = text.index("[ch2-b]")
+    section = text[start:].replace("alpha = 2*tanh(2*r)", "alpha = 2*coth(2*r)")
+    path = tmp_path / "ch2-b-as-ch2-a1p.cat"
+    path.write_text(text[:start] + section.replace("lambda = coth(r)", "lambda = tanh(r)"),
+                    encoding="utf-8")
+    argv = ["--space", "cp2", "--catalog", str(path)]
+    code, out, err = _captured(capsys, ["prove", "all", *argv])
+    lines = out.splitlines()
+    assert (code, err, lines[1]) == (1, "", "status: verification FAILED")
+    assert [line for line in lines if line.startswith("type-B")] == [
+        "type-B exclusion (CP2, family cp2-b): lambda*nu + c = +3 at 100 radii "
+        "(max deviation 0.000e+00); lambda*nu != -c certified"]
+    code, out, err = _captured(capsys, ["prove", "type-b", *argv])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "status: type-B exclusion: lambda*nu != -c certified"
+    code, out, _ = _captured(capsys, ["prove", "type-b", "--catalog", str(path)])
+    assert code == 1 and "lambda*nu != -c FAILED" in out
 
 
 @pytest.mark.parametrize("space", [None, "cp2", "ch2"])
