@@ -28,22 +28,23 @@ which returns Expr.eval's float values bit for bit: per radius of the grid
 it checks the domain, evaluates alpha, lambda and nu, then report rows over
 them and one float expression, its tail.  A sweep runs one kernel per
 family and condition kind, compiled on first use and kept on the family:
-its rows are the report's distinct non-constant rows, it keeps the max of
-the constant rows' max|row| (folded once per cached report) and each |row|,
-and its tail is lambda*nu + c.  proofs.type_b_exclusion reads the
-lambda*nu + c column of a parallel sweep.  validate_family is one call of
-the family's oracle kernel, compiled with the family: no rows, and the
-float operations of hopf_relation_residual as its tail.  No radius loop
-makes a Python call per radius.  A non-finite binding, curvature, row or
-lambda*nu + c is a CatalogError, never a residual.
+its rows are the cached report's distinct non-zero rows, it keeps the max
+of 0.0 and each |row|, and its tail is lambda*nu + c.  A zero row adds
+nothing to the max, and a non-zero constant row is a row like any other.
+proofs.type_b_exclusion reads the lambda*nu + c column of a parallel
+sweep.  validate_family is one call of the family's oracle kernel,
+compiled with the family: no rows, and the float operations of
+hopf_relation_residual as its tail.  No radius loop makes a Python call per
+radius.  A non-finite binding, curvature, row or lambda*nu + c is a
+CatalogError, never a residual.
 
 A kernel stops before the first radius at which the per-radius evaluation
-would fail; the loop then replays that radius through the per-radius
-evaluation (_row_evaluator's at(r), fam.hopf_residual), which raises that
-radius's error.  So the values and the errors are those of
-evaluate_condition at each radius in turn.  A sweep keeps its results as
-three columns (radii, max residuals, lambda*nu + c); SweepResult.rows zips
-them into SweepRow values on demand.
+would fail; the caller then replays that radius through the per-radius
+evaluation (_evaluate_rows, fam.hopf_residual), which raises that radius's
+error.  So the values and the errors are those of evaluate_condition at
+each radius in turn.  A sweep keeps its results as three columns (radii,
+max residuals, lambda*nu + c); SweepResult.rows zips them into SweepRow
+values on demand.
 
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
@@ -59,7 +60,7 @@ import math
 from functools import lru_cache
 from itertools import repeat
 from operator import lt
-from typing import Callable, Mapping, NamedTuple, NoReturn, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
 # perfbench/test_perfbench.py reads catalog.parallel_equations
@@ -117,7 +118,7 @@ class HypersurfaceFamily:
         # rows and hopf_relation_residual as its tail; compiled once per family.
         # _sweeps: the sweep kernel per condition kind, filled by _sweep_kernel
         oracle = compile_sweep(("r", "pi", "c"), dict(zip(_CURVATURES, (alpha, lam, nu))),
-                               (), 0.0, _HOPF_RESIDUAL)
+                               (), _HOPF_RESIDUAL)
         for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
                                                 description, oracle, {})):
             object.__setattr__(self, name, value)
@@ -196,13 +197,6 @@ def _lam_nu_plus_c(fam: HypersurfaceFamily, r: float, lam: float, nu: float) -> 
     return value
 
 
-def _replay(evaluate: Callable, r: float) -> NoReturn:
-    """Raise the error of evaluate(r), the per-radius evaluation of the
-    radius at which a column stopped."""
-    evaluate(r)
-    raise AssertionError(f"a column stopped at r = {r!r}, where the per-radius evaluation succeeds")
-
-
 class Catalog(NamedTuple):
     version: int
     families: tuple
@@ -243,7 +237,13 @@ def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catal
         raise CatalogError(f"malformed catalog file: {exc}") from exc
     if "catalog" not in cp:
         raise CatalogError("missing [catalog] section with a version")
-    version = cp.getint("catalog", "version")
+    version = cp["catalog"].get("version")
+    if version is None:
+        raise CatalogError("missing catalog version in the [catalog] section")
+    try:
+        version = int(version)
+    except ValueError:
+        raise CatalogError(f"catalog version {version!r} is not an integer") from None
     if version != 1:
         raise CatalogError(f"unsupported catalog version {version}")
     families = []
@@ -348,41 +348,26 @@ REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
 _SWEEP_PARAMS = ("r", "pi") + REPORT_PARAMS[len(_CURVATURES):]
 
 
-class _CompiledReport(NamedTuple):
-    report: ConditionReport
-    labels: tuple        # one per entry, in report order
-    # max |row| of the constant rows, folded once
-    constant_max: float
-    # the distinct non-constant rows, which a sweep kernel evaluates
-    varying: tuple
-
-
 @lru_cache(maxsize=None)
-def _hopf_report(kind: ConditionKind) -> _CompiledReport:
+def _hopf_report(kind: ConditionKind) -> ConditionReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces, with its constant
-    rows folded into one max |row|."""
+    context (c symbolic), shared by both model spaces."""
     ctx = build_hopf_context()
     L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
-    report = build_report(ctx, kind, star_ricci_closed(ctx), "star-ricci", L)
-    rows = report.equations()
-    constants = [e for e in rows if e.is_rational_constant]
-    varying = tuple(dict.fromkeys(e for e in rows if not e.is_rational_constant))
-    constant_max = max((abs(e.eval({})) for e in constants), default=0.0)
-    return _CompiledReport(report, tuple(e.label() for e in report.entries), constant_max,
-                           varying)
+    return build_report(ctx, kind, star_ricci_closed(ctx), "star-ricci", L)
 
 
 def _sweep_kernel(fam: HypersurfaceFamily, kind: ConditionKind,
-                  compiled: _CompiledReport) -> Callable:
-    """fam's compile_sweep kernel for the report of kind: (grid, domain, pi,
-    scalars) -> (radii, max |row|, lambda*nu + c) columns."""
+                  report: ConditionReport) -> Callable:
+    """fam's compile_sweep kernel for the report of kind, over the report's
+    distinct non-zero rows: (grid, domain, pi, scalars) -> (radii, max |row|,
+    lambda*nu + c) columns."""
     kernel = fam._sweeps.get(kind)
     if kernel is None:
         curvatures = dict(zip(_CURVATURES, (fam.alpha, fam.lam, fam.nu)))
+        rows = dict.fromkeys(e for e in report.equations() if not e.is_zero)
         kernel = fam._sweeps[kind] = compile_sweep(
-            _SWEEP_PARAMS, curvatures, compiled.varying, compiled.constant_max,
-            "{lambda} * {nu} + {c}")
+            _SWEEP_PARAMS, curvatures, tuple(rows), "{lambda} * {nu} + {c}")
     return kernel
 
 
@@ -405,36 +390,29 @@ def _report_scalars(fam: HypersurfaceFamily,
     return scalars
 
 
-def _row_evaluator(fam: HypersurfaceFamily, kind: ConditionKind, compiled: _CompiledReport,
-                   scalars: Mapping[str, float]) -> Callable:
-    """at(r) -> (alpha, lambda, nu, row values, lambda*nu + c) of one
-    condition report on one family: the per-radius evaluation.
+def _evaluate_rows(fam: HypersurfaceFamily, report: ConditionReport,
+                   scalars: Mapping[str, float], r: float) -> tuple:
+    """(alpha, lambda, nu, row values, lambda*nu + c) of report on fam at r:
+    the per-radius evaluation.
 
-    at(r) checks the domain and the curvatures (fam.curvatures), that every
+    It checks the domain and the curvatures (fam.curvatures), that every
     row is finite and that lambda*nu + c is finite.  An ExprError of a row
     keeps its class, and its text names the kind, the family and r.
     """
-    rows = compiled.report.equations()
-    isfinite = math.isfinite
-
-    def at(r: float) -> tuple:
-        a, l, n = fam.curvatures(r)
-        bindings = {"alpha": a, "lambda": l, "nu": n, **scalars}
-        try:
-            values = tuple(e.eval(bindings) for e in rows)
-        except ExprError as exc:
-            exc.args = (f"{kind.value} rows cannot be evaluated on {fam.family_id} "
-                        f"at r = {r}: {exc}",)
-            raise
-        if not all(map(isfinite, values)):
-            bad = sum(1 for v in values if not isfinite(v))
-            raise CatalogError(
-                f"{bad} of {len(values)} {kind.value} rows are not finite on "
-                f"{fam.family_id} at r = {r}"
-            )
-        return a, l, n, values, _lam_nu_plus_c(fam, r, l, n)
-
-    return at
+    a, l, n = fam.curvatures(r)
+    bindings = {"alpha": a, "lambda": l, "nu": n, **scalars}
+    kind = report.kind.value
+    try:
+        values = tuple(e.eval(bindings) for e in report.equations())
+    except ExprError as exc:
+        exc.args = (f"{kind} rows cannot be evaluated on {fam.family_id} at r = {r}: {exc}",)
+        raise
+    bad = sum(1 for v in values if not math.isfinite(v))
+    if bad:
+        raise CatalogError(
+            f"{bad} of {len(values)} {kind} rows are not finite on {fam.family_id} at r = {r}"
+        )
+    return a, l, n, values, _lam_nu_plus_c(fam, r, l, n)
 
 
 class ConditionEvaluation(NamedTuple):
@@ -467,16 +445,16 @@ def evaluate_condition(
     extra_bindings, or a non-finite value, raises CatalogError, and so does
     a non-finite row or lambda*nu + c.
     """
-    compiled = _hopf_report(kind)
-    a, l, n, values, lam_nu_plus_c = _row_evaluator(
-        fam, kind, compiled, _report_scalars(fam, extra_bindings))(r)
+    report = _hopf_report(kind)
+    a, l, n, values, lam_nu_plus_c = _evaluate_rows(
+        fam, report, _report_scalars(fam, extra_bindings), r)
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
         kind=kind,
         curvatures=(a, l, n),
         lam_nu_plus_c=lam_nu_plus_c,
-        labels=compiled.labels,
+        labels=tuple(e.label() for e in report.entries),
         values=values,
         max_abs_residual=max(map(abs, values), default=0.0),
     )
@@ -527,13 +505,15 @@ def sweep(
             f"({lo}, {hi}) of {fam.family_id}"
         )
     grid = _grid(r_min, r_max, samples)
-    compiled = _hopf_report(kind)
+    report = _hopf_report(kind)
     scalars = _report_scalars(fam, extra_bindings)
-    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, kind, compiled)(
+    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, kind, report)(
         *grid, *fam.domain, math.pi, *scalars.values())
     if len(radii) < samples:
-        _replay(_row_evaluator(fam, kind, compiled, scalars),
-                radius_grid(r_min, r_max, samples)[len(radii)])
+        r = radius_grid(r_min, r_max, samples)[len(radii)]
+        _evaluate_rows(fam, report, scalars, r)
+        raise AssertionError(f"a sweep stopped at r = {r!r}, where the per-radius "
+                             "evaluation succeeds")
     return SweepResult(
         fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
     )

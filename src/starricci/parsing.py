@@ -1,9 +1,9 @@
 """Recursive-descent parser for the ASCII expression grammar.
 
 Grammar:
-    expr    := ['-'] term (('+' | '-') term)*
+    expr    := ['+'] term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
-    factor  := ['-'] power
+    factor  := '-'* power
     power   := atom ['^' exponent]
     atom    := INTEGER | IDENT | IDENT '(' args ')' | '(' expr ')'
     exponent:= INTEGER | '(' ['-'] INTEGER ')'
@@ -101,13 +101,9 @@ class _Parser:
 
     def expr(self) -> Expr:
         kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
+        if kind == "op" and val == "+":
             self.next()
-            negate = val == "-"
         e = self.term()
-        if negate:
-            e = -e
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":

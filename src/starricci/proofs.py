@@ -73,6 +73,7 @@ from .catalog import (
     SweepResult,
     _lam_nu_plus_c,
     builtin_catalog,
+    evaluate_condition,
     radius_grid,
     sweep,
 )
@@ -612,13 +613,15 @@ class TypeBReport(NamedTuple):
 
 
 def _type_b_sweep(fam: HypersurfaceFamily, samples: int) -> SweepResult:
-    """The witness sweep of a type-B family.  Where it fails, the certificate's
-    check (the curvatures, then lambda*nu + c, per radius) raises first if it can."""
+    """The witness sweep of a type-B family.  Where it fails, each radius in
+    turn gets the certificate's check (the curvatures, then lambda*nu + c),
+    then the per-radius evaluation: the first failing radius raises."""
     try:
         return sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
     except ValueError:
         for r in radius_grid(*fam.sample_window(), samples):
             _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:])
+            evaluate_condition(fam, r, ConditionKind.PARALLEL)
         raise
 
 

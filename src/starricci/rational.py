@@ -663,8 +663,7 @@ class _FloatCodegen:
 
 
 def compile_sweep(
-    params: Sequence[str], values: Mapping[str, Expr], rows: Sequence[Expr],
-    maximum: float, tail: str,
+    params: Sequence[str], values: Mapping[str, Expr], rows: Sequence[Expr], tail: str,
 ) -> Callable[..., tuple]:
     """One compiled loop over a uniform grid of the parameter params[0].
 
@@ -674,7 +673,7 @@ def compile_sweep(
     `values` (Exprs in the params) and binds each to its name, then `rows`
     (Exprs in the params and those names) and y = `tail`, a float expression
     in ``{name}`` placeholders for the params and the values' names.  It
-    returns the lists of t, of the max of `maximum` and each |row|, and of y.
+    returns the lists of t, of the max of 0.0 and each |row|, and of y.
 
     Each Expr takes the float operations of Expr.eval in the same order
     (scalars through float(), each polynomial summed from 0.0, each term
@@ -718,7 +717,7 @@ def compile_sweep(
               # x - x is 0.0 for a finite x and NaN otherwise
               "        if " + " + ".join(f"(x{j} - x{j})" for j in range(y + 1)) + " != 0.0:",
               "            break",
-              f"        {top} = {float(maximum)!r}"]
+              f"        {top} = 0.0"]
     for j in range(k, y):
         lines += [f"        if x{j} > {top}:", f"            {top} = x{j}"]
     lines += [f"        w0({t})", f"        w1({top})", f"        w2(x{y})",

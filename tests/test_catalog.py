@@ -30,6 +30,7 @@ from starricci.catalog import (
     radius_grid,
     sweep,
 )
+from starricci.conditions import ConditionReport
 from starricci.parsing import parse_expr
 from starricci.proofs import type_b_exclusion
 from starricci.rational import NUMERIC_FUNCTIONS, Expr, ExprError
@@ -332,7 +333,7 @@ def test_compiled_rows_equal_interpreted_oracle(kind):
     # the oracle is the evaluation before compilation: Expr.eval per
     # curvature and per row, unbound report symbols at zero, max folded
     # from 0.0
-    entries = catalog._hopf_report(kind).report.entries
+    entries = catalog._hopf_report(kind).entries
     for fam in builtin_families():
         c = float(fam.space.c)
         for r in radius_grid(*fam.sample_window(), ORACLE_SAMPLES):
@@ -425,8 +426,8 @@ def _kernel_sources():
     fam = parse_catalog(_EVERY_FUNCTION).get("every-function")
     yield fam, None, fam.oracle.source
     for kind in ConditionKind:
-        compiled = catalog._hopf_report(kind)
-        yield fam, compiled.report, catalog._sweep_kernel(fam, kind, compiled).source
+        report = catalog._hopf_report(kind)
+        yield fam, report, catalog._sweep_kernel(fam, kind, report).source
 
 
 def test_column_kernel_sources_hold_no_symbol_names():
@@ -537,7 +538,7 @@ def test_report_params_are_the_names_the_reports_read():
     assert catalog.REPORT_PARAMS == catalog._CURVATURES + ("c",) + catalog.ZERO_DEFAULT
     read = set()
     for kind in ConditionKind:
-        for e in catalog._hopf_report(kind).report.equations():
+        for e in catalog._hopf_report(kind).equations():
             read |= {sym.name for sym in e.symbols()}
     assert read == set(catalog.REPORT_PARAMS)
 
@@ -671,11 +672,46 @@ def test_type_b_exclusion_raises_the_per_radius_error():
         type_b_exclusion(CP2, samples=100, catalog=Catalog(1, (fam,)))
 
 
+def test_sweep_kernel_rows_are_the_distinct_non_zero_report_rows(monkeypatch):
+    compiled = []
+
+    def recording(params, values, rows, tail):
+        compiled.append(tuple(rows))
+        return rational.compile_sweep(params, values, rows, tail)
+
+    monkeypatch.setattr(catalog, "compile_sweep", recording)
+    fam = _family(*_SPHERE, "cot(r)")
+    for kind in ConditionKind:
+        report = catalog._hopf_report(kind)
+        catalog._sweep_kernel(fam, kind, report)
+        rows, equations = compiled[-1], report.equations()
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == {e for e in equations if not e.is_zero}
+        assert list(rows) == sorted(rows, key=equations.index)  # first occurrences
+
+
+def test_a_non_zero_constant_row_sets_the_max():
+    # every xi-parallel row is zero, so its kernel has no row and its max is
+    # 0.0; a row -3 appended to that report is a kernel row like any other
+    xi = catalog._hopf_report(ConditionKind.XI_PARALLEL)
+    assert all(e.is_zero for e in xi.equations())
+    entry = xi.entries[0]._replace(equation=Expr.const(-3))
+    report = ConditionReport(xi.kind, xi.tensor_name, xi.entries + (entry,))
+    for source, top in ((xi, 0.0), (report, 3.0)):
+        fam = _family(*_SPHERE, "cot(r)")  # a family keeps one kernel per kind
+        scalars = catalog._report_scalars(fam, None)
+        _radii, got, _shifted = catalog._sweep_kernel(fam, xi.kind, source)(
+            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, *scalars.values())
+        assert got == [top] * 5
+        values = catalog._evaluate_rows(fam, source, scalars, 0.7)[3]
+        assert max(map(abs, values)) == top
+
+
 def _fused(fam, r_min, r_max, samples, kind, bindings=None):
     """The sweep kernel's three columns, before any replay."""
-    compiled = catalog._hopf_report(kind)
+    report = catalog._hopf_report(kind)
     scalars = catalog._report_scalars(fam, bindings).values()
-    return catalog._sweep_kernel(fam, kind, compiled)(
+    return catalog._sweep_kernel(fam, kind, report)(
         *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *scalars)
 
 
@@ -684,7 +720,7 @@ def _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings=None):
     reference: radius_grid, fam.curvatures, Expr.eval of every report row
     with the max |row| taken here, then lambda*nu + c, all cut at the first
     radius where one of them raises or is not finite."""
-    rows = catalog._hopf_report(kind).report.equations()
+    rows = catalog._hopf_report(kind).equations()
     scalars = catalog._report_scalars(fam, bindings)
     columns = ([], [], [])
     for r in radius_grid(r_min, r_max, samples):

@@ -302,6 +302,17 @@ nu = tanh(r)
     assert "tube" in out
 
 
+@pytest.mark.parametrize("header, error", [
+    ("[catalog]\n", "missing catalog version in the [catalog] section"),
+    ("[catalog]\nversion = x\n", "catalog version 'x' is not an integer"),
+])
+def test_a_bad_catalog_version_is_one_error_line(tmp_path, capsys, header, error):
+    path = tmp_path / "version.cat"
+    path.write_text(header + "\n[tube]\nspace = CH2\ndomain = 0, inf\n", encoding="utf-8")
+    argv = ["sweep", "cp2-a1", "0.2", "0.9", "3", "parallel", "--catalog", str(path)]
+    assert _captured(capsys, argv) == (2, "", f"error: {error}\n")
+
+
 _POLE_CATALOG = """
 [catalog]
 version = 1
@@ -348,9 +359,9 @@ def _edited_builtin(*edits):
     text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
     for family_id, key, suffix in edits:
         start = text.index(f"[{family_id}]")
-        if key is None:
-            end = text.find("\n[", start)
-            text = text[:start] + text[end + 1:]
+        if key is None:  # up to the next section, or the end of the last one
+            end = text.find("\n[", start) + 1 or len(text)
+            text = text[:start] + text[end:]
         else:
             end = text.index("\n", text.index(f"\n{key} = ", start) + 1)
             text = text[:end] + suffix + text[end:]
@@ -374,6 +385,9 @@ def _notch(m):
     # cp2-a1 and ch2-b fail: ch2-b is swept before cp2-a1, as CH2's type-B family
     ((("cp2-a1", "nu", _notch("pi/4")), ("ch2-b", "nu", _notch("101/40"))),
      "sqrt(-3.999999997006398e-06) cannot be evaluated: math domain error"),
+    # the last section of the file, ch2-b, is missing
+    ((("ch2-b", None, None),),
+     "no family 'ch2-b' in catalog (known: cp2-a1, cp2-b, ch2-a0, ch2-a1, ch2-a1p)"),
 ])
 def test_prove_reports_the_type_b_family_error_first(tmp_path, capsys, edits, error):
     # the error lines of the proofs before the type-B certificate read the

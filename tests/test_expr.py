@@ -293,7 +293,7 @@ def _signed_kernels(exprs):
     """One compile_sweep kernel per expression, over x on the grid and the
     scalars y and z: the expression is its one value, and its one-value
     tail exposes that value with its sign."""
-    return [compile_sweep(_CT_NAMES, {"e": e}, (), 0.0, "{e}") for e in exprs]
+    return [compile_sweep(_CT_NAMES, {"e": e}, (), "{e}") for e in exprs]
 
 
 def _one_row(kernels, point):
@@ -340,7 +340,7 @@ def test_column_kernel_equals_the_per_call_function_row_by_row(exprs, rows, y):
     assert got == expected
 
 
-def _sweep_rows(value, rows, maximum, grid, ends, y):
+def _sweep_rows(value, rows, grid, ends, y):
     """compile_sweep's columns by Expr.eval, row by row: x on the grid, the
     scalar y, z = value at (x, y), then the rows at (x, y, z)."""
     lo, width, steps, n = grid
@@ -357,7 +357,7 @@ def _sweep_rows(value, rows, maximum, grid, ends, y):
         shifted = z * z + y
         if not all(map(math.isfinite, [z, *values, shifted])):
             break
-        top = maximum
+        top = 0.0
         for v in values:
             top = max(top, abs(v))
         for column, v in zip(out, (x, top, shifted)):
@@ -366,18 +366,20 @@ def _sweep_rows(value, rows, maximum, grid, ends, y):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_EXPRS, st.lists(_EXPRS, max_size=3), st.sampled_from([0.0, 0.5, 2.0]),
+@given(_EXPRS, st.lists(_EXPRS, max_size=3), st.sampled_from([0, Fraction(1, 2), -2]),
        _POINTS, st.floats(min_value=0.0, max_value=4.0), st.integers(1, 6),
        st.sampled_from([(-2.5, 2.5), (-math.inf, math.inf), (0.0, 1.0)]), _ROW_POINTS)
-def test_sweep_kernel_equals_eval_row_by_row(value, rows, maximum, lo, width, n, ends, y):
-    # x runs over the grid, y is a scalar and z the value bound for the rows
+def test_sweep_kernel_equals_eval_row_by_row(value, rows, constant, lo, width, n, ends, y):
+    # x runs over the grid, y is a scalar and z the value bound for the rows,
+    # which end with a constant row
+    rows = [*rows, Expr.const(constant)]
     try:
-        kernel = compile_sweep(("x", "y"), {"z": value}, rows, maximum, "{z} * {z} + {y}")
+        kernel = compile_sweep(("x", "y"), {"z": value}, rows, "{z} * {z} + {y}")
     except UnboundSymbolError:  # the value reads z
         assume(False)
     grid = (lo, width, max(n - 1, 1), n)
     got = kernel(*grid, *ends, y)
-    expected = _sweep_rows(value, rows, maximum, grid, ends, y)
+    expected = _sweep_rows(value, rows, grid, ends, y)
     assert [[v.hex() for v in column] for column in got] == [
         [v.hex() for v in column] for column in expected]
 
@@ -389,10 +391,10 @@ def test_compiled_vanishing_denominator_and_unbound_symbol():
     with pytest.raises(UnboundSymbolError):
         e.eval({"x": 1.5})
     # the grid 1.5, 2.5, 3.5 of x stops at its first point, x = y
-    kernel = compile_sweep(("x", "y"), {"e": e}, (), 0.0, "{e}")
+    kernel = compile_sweep(("x", "y"), {"e": e}, (), "{e}")
     assert kernel(1.5, 2.0, 2, 3, -math.inf, math.inf, 1.5) == ([], [], [])
     with pytest.raises(UnboundSymbolError):
-        compile_sweep(("x",), {"e": e}, (), 0.0, "{e}")
+        compile_sweep(("x",), {"e": e}, (), "{e}")
 
 
 # -- randomized properties -------------------------------------------------------

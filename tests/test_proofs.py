@@ -380,6 +380,27 @@ def test_a_type_b_family_whose_rows_overflow_is_an_error():
             run()
 
 
+def test_the_type_b_replay_stops_at_the_first_failing_radius():
+    # the parallel rows overflow from the window's first radius, r = 0.01,
+    # and lambda*nu + c only from its second, r = 0.255: each radius gets
+    # the certificate's check, then the rows, before the next radius
+    table = SymbolTable()
+    table.constant("r")
+    nu = parse_expr("10^200*r^100 + 1/10^200", table)
+    fam = catalog.HypersurfaceFamily("cp2-b", CP2, (0.0, 1.0), Expr.const(1),
+                                     Expr.const(10 ** 200), nu)
+    cat = catalog.Catalog(1, (fam,))
+    catalog._lam_nu_plus_c(fam, 0.01, *fam.curvatures(0.01)[1:])
+    with pytest.raises(CatalogError, match=r"^lambda\*nu \+ c = inf on family cp2-b at r = 0.255$"):
+        catalog._lam_nu_plus_c(fam, 0.255, *fam.curvatures(0.255)[1:])
+    expected = "parallel rows cannot be evaluated on cp2-b at r = 0.01: floating-point overflow"
+    for run in (lambda: evaluate_condition(fam, 0.01, ConditionKind.PARALLEL),
+                lambda: type_b_exclusion(CP2, samples=5, catalog=cat),
+                lambda: verify_all(samples=5, catalog=cat)):
+        with pytest.raises(ExprError, match=f"^{re.escape(expected)}$"):
+            run()
+
+
 def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel():
     # a fresh load of the builtin catalog, whose families' kernels are wrapped
     cat = parse_catalog.__wrapped__(
