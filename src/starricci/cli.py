@@ -282,14 +282,18 @@ def _assumed_symbol(name: str, names: SymbolTable) -> Symbol:
 
 def cmd_check(args) -> int:
     ctx = build_nonhopf_context() if args.context == "nonhopf" else build_hopf_context()
+    kind = ConditionKind(args.condition)
+    if args.pseudo_l is not None and kind is not ConditionKind.PSEUDO_PARALLEL:
+        raise ValueError(f"--pseudo-l applies only to the pseudo-parallel condition, "
+                         f"not {kind.value}")
     names = ctx.table.scope()  # the context's names and this command's
     try:
-        kind = ConditionKind(args.condition)
         tensor = L = None
         if kind is not ConditionKind.EINSTEIN:  # Einstein builds its own Ricci tensor
             tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
         if kind is ConditionKind.PSEUDO_PARALLEL:
-            L = parse_expr(args.pseudo_l, names, define_missing=True)
+            L = parse_expr("0" if args.pseudo_l is None else args.pseudo_l, names,
+                           define_missing=True)
         report = build_report(ctx, kind, tensor, args.tensor, L, names)
         if args.assumptions:
             bindings = {}
@@ -301,17 +305,22 @@ def cmd_check(args) -> int:
             "condition": kind.value,
             "context": args.context,
         }
+        # one text per distinct equation object: mirrored entries share theirs
+        texts = {}
+        for e in report.entries:
+            if id(e.equation) not in texts:
+                texts[id(e.equation)] = e.equation.to_text()
         if args.format == "json":  # each format builds only what it prints
             payload["entries"] = [
                 {"x": [i.direction for i in e.x], "y": e.y.direction,
-                 "proj": e.proj.direction, "equation": e.equation.to_text()}
+                 "proj": e.proj.direction, "equation": texts[id(e.equation)]}
                 for e in report.entries
             ]
             lines = []
         else:
             lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
                      f"{len(report.entries)} equations"]
-            lines += [f"  {e.label()} : {e.equation.to_text()}" for e in report.entries]
+            lines += [f"  {e.label()} : {texts[id(e.equation)]}" for e in report.entries]
         _write(Report(f"check {args.tensor} {kind.value} {args.context}", "ok",
                       payload, None, lines), args)
         return 0
@@ -439,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("context", choices=("nonhopf", "hopf"))
     p.add_argument("assumptions", nargs="*", metavar="name=value",
                    help="substitutions applied to the report")
-    p.add_argument("--pseudo-l", default="0", metavar="EXPR",
-                   help="the function L for the pseudo-parallel condition")
+    p.add_argument("--pseudo-l", default=None, metavar="EXPR",
+                   help="the function L for the pseudo-parallel condition "
+                        "(default 0); an error with any other condition")
     common(p)
     p.set_defaults(func=cmd_check)
 

@@ -7,6 +7,22 @@ single projections (the ones a proof consumes) can be addressed directly.
 Sign conventions follow the frame module: equations are the raw projections
 of (nabla_X T) Y, of (R(X,Y) . T) Z, etc., with no per-entry sign
 normalization.
+
+Mirrored entries share one Expr.  Two identities make a report on a
+symmetric T (T_ab == T_ba, checked on every call) symmetric in (y, proj):
+
+* over a metric connection (Gamma_ijk = -Gamma_ikj), nabla_X T is symmetric,
+  so the nabla conditions build the entries with y <= proj and give each
+  (X, proj, y) entry the equation of (X, y, proj);
+* a skew operator acts as a derivation on T with a symmetric result, so the
+  curvature-derivation conditions build 6 of the 9 entries of each pair.
+
+The connection's metric compatibility and the skewness of the three
+R(e_i, e_j) are checked once per context, and e_i ^ e_j is skew by
+construction; nothing is assumed.  The Ricci tensor qualifies on both
+frames, S* on the Hopf frame only; the non-Hopf S* is asymmetric (see
+frames) and takes the full path, building every entry.  The mirror is
+exact: a shared Expr is the one the full path builds, in every slot.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ from .frames import (
     FrameIndex,
     Tensor11,
     _curvature_operators,
+    _once_per_context,
     covariant_derivative_entry,
     ricci,
 )
@@ -85,29 +102,58 @@ class ConditionReport:
         return tuple(e.equation for e in self.entries)
 
     def substitute(self, bindings: Mapping) -> "ConditionReport":
-        return ConditionReport(
-            self.kind,
-            self.tensor_name,
-            tuple(
-                ReportEntry(e.x, e.y, e.proj, e.equation.substitute(bindings))
-                for e in self.entries
-            ),
-        )
+        """The report with bindings substituted: each distinct equation object
+        once, so entries that share an equation share its substitution."""
+        done = {}  # id(equation) -> substituted equation, for this call only
+        entries = []
+        for e in self.entries:
+            eq = done.get(id(e.equation))
+            if eq is None:
+                eq = done[id(e.equation)] = e.equation.substitute(bindings)
+            entries.append(ReportEntry(e.x, e.y, e.proj, eq))
+        return ConditionReport(self.kind, self.tensor_name, tuple(entries))
 
     def is_zero(self) -> bool:
         return all(e.equation.is_zero for e in self.entries)
 
 
+@_once_per_context
+def _metric_connection(ctx: FrameContext) -> bool:
+    """Whether Gamma_ijk = -Gamma_ikj throughout.  Checked once per context."""
+    return ctx.connection.is_metric_compatible()
+
+
+def _is_skew(op: Tensor11) -> bool:
+    """Whether op_ij = -op_ji for all i, j (so the diagonal is zero)."""
+    rows = op.rows
+    return all((rows[i][j] + rows[j][i]).is_zero for i in range(3) for j in range(i + 1))
+
+
+@_once_per_context
+def _skew_curvature(ctx: FrameContext) -> bool:
+    """Whether the three R(e_i, e_j), i < j, are skew.  Checked once per context."""
+    R = _curvature_operators(ctx)
+    return all(_is_skew(R[X._value_][Y._value_]) for X, Y in _PAIRS)
+
+
 def _nabla_condition(
     ctx: FrameContext, T: Tensor11, kind: ConditionKind, xs, tensor_name: str
 ) -> ConditionReport:
-    entries = tuple(
-        ReportEntry((X,), Y, proj, covariant_derivative_entry(ctx, X, T, Y, proj))
-        for X in xs
-        for Y in FRAME_INDICES
-        for proj in FRAME_INDICES
-    )
-    return ConditionReport(kind, tensor_name, entries)
+    """g((nabla_{e_X} T) e_Y, e_P) over X in xs, then Y, then P.  When nabla_X T
+    is symmetric (T symmetric, the connection metric) an entry with P < Y takes
+    the equation of (X, P, Y), built earlier in the same X block."""
+    mirrored = T.is_symmetric() and _metric_connection(ctx)
+    entries = []
+    for X in xs:
+        block = len(entries)
+        for Y in FRAME_INDICES:
+            for P in FRAME_INDICES:
+                if mirrored and P._value_ < Y._value_:
+                    eq = entries[block + 3 * P._value_ + Y._value_].equation
+                else:
+                    eq = covariant_derivative_entry(ctx, X, T, Y, P)
+                entries.append(ReportEntry((X,), Y, P, eq))
+    return ConditionReport(kind, tensor_name, tuple(entries))
 
 
 def parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
@@ -147,19 +193,26 @@ def _wedge_operator(X: FrameIndex, Y: FrameIndex) -> Tensor11:
     return Tensor11(rows)
 
 
-def _derivation(op: Tensor11, T: Tensor11) -> Tensor11:
+def _derivation(op: Tensor11, T: Tensor11, symmetric: bool = False) -> Tensor11:
     """Action of an so(3)-valued operator as a derivation: op.T = op T - T op,
-    each entry one accumulation of six products."""
+    each entry one accumulation of six products.  A caller that has checked
+    op skew and T symmetric passes symmetric=True: op.T is then symmetric, and
+    entry (j, i), j > i, is the Expr of entry (i, j)."""
     o, t = op.rows, T.rows
     o_cols, t_cols = tuple(zip(*o)), tuple(zip(*t))
-    return Tensor11(
-        tuple(
-            dot(((1, oi[0], tc[0]), (1, oi[1], tc[1]), (1, oi[2], tc[2]),
-                 (-1, ti[0], oc[0]), (-1, ti[1], oc[1]), (-1, ti[2], oc[2])))
-            for tc, oc in zip(t_cols, o_cols)
-        )
-        for oi, ti in zip(o, t)
-    )
+
+    def entry(i: int, j: int) -> Expr:
+        oi, ti, tc, oc = o[i], t[i], t_cols[j], o_cols[j]
+        return dot(((1, oi[0], tc[0]), (1, oi[1], tc[1]), (1, oi[2], tc[2]),
+                    (-1, ti[0], oc[0]), (-1, ti[1], oc[1]), (-1, ti[2], oc[2])))
+
+    if not symmetric:
+        return Tensor11(tuple(entry(i, j) for j in range(3)) for i in range(3))
+    rows = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return Tensor11(rows)
 
 
 def _curvature_derivation(
@@ -171,14 +224,17 @@ def _curvature_derivation(
     R(e_i,e_j).T - L ((e_i ^ e_j).T) = (R(e_i,e_j) - L (e_i ^ e_j)).T
     exactly: each pair takes one derivation, of the operator
     R(e_i,e_j) - L (e_i ^ e_j), which is R(e_i,e_j) itself when L is zero.
+    That operator is skew when R(e_i,e_j) is, so on a symmetric T each
+    derivation is symmetric and builds 6 of its 9 entries.
     """
     R = _curvature_operators(ctx)
+    symmetric = T.is_symmetric() and _skew_curvature(ctx)
     entries = []
     for X, Y in _PAIRS:
         op = R[X._value_][Y._value_]
         if not L.is_zero:
             op = op - _wedge_operator(X, Y).scale(L)
-        d = _derivation(op, T).rows
+        d = _derivation(op, T, symmetric).rows
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
                 entries.append(ReportEntry((X, Y), K, P, d[P._value_][K._value_]))

@@ -151,6 +151,23 @@ def test_check_pseudo_parallel_with_l(capsys):
     assert "27 equations" in out
 
 
+@pytest.mark.parametrize("condition", [k.value for k in ConditionKind
+                                       if k is not ConditionKind.PSEUDO_PARALLEL])
+def test_pseudo_l_with_another_condition_is_one_error_line(capsys, condition):
+    # the flag was dropped silently: this exited 0 with the parallel report
+    argv = ["check", "ricci", condition, "hopf", "--pseudo-l", "1/0"]
+    assert _captured(capsys, argv) == (
+        2, "", f"error: --pseudo-l applies only to the pseudo-parallel condition, "
+               f"not {condition}\n")
+
+
+def test_pseudo_parallel_defaults_to_l_zero(capsys):
+    default = run(capsys, "check", "ricci", "pseudo-parallel", "hopf")
+    assert default == run(capsys, "check", "ricci", "pseudo-parallel", "hopf",
+                          "--pseudo-l", "0")
+    assert default[0] == 0 and "27 equations" in default[1]
+
+
 def test_sweep_rows(capsys):
     code, out = run(capsys, "sweep", "cp2-b", "0.1", "0.7", "5", "parallel")
     assert code == 0
@@ -255,22 +272,36 @@ def test_text_and_json_agree_on_equations(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_renders_each_equation_once(monkeypatch, capsys, fmt):
-    # each format builds only what it prints: one to_text per report entry
-    rendered = []
-    to_text = Expr.to_text
+    # each format builds only what it prints: one to_text per distinct
+    # equation object, so mirrored entries and the shared zero take one each
+    rendered, reports = [], []
+    to_text, build_report = Expr.to_text, cli.build_report
 
     def counted(self):
         rendered.append(self)
         return to_text(self)
 
+    def kept(*args):
+        reports.append(build_report(*args))
+        return reports[-1]
+
     monkeypatch.setattr(Expr, "to_text", counted)
-    code, out = run(capsys, "check", "star-ricci", "parallel", "nonhopf", "--format", fmt)
-    assert code == 0
-    if fmt == "json":
-        entries = len(json.loads(out)["payload"]["entries"])
-    else:
-        entries = sum(" : " in line for line in out.splitlines())
-    assert entries > 0 and len(rendered) == entries
+    monkeypatch.setattr(cli, "build_report", kept)
+    for tensor, context in (("star-ricci", "nonhopf"), ("ricci", "hopf")):
+        rendered.clear()
+        reports.clear()
+        code, out = run(capsys, "check", tensor, "parallel", context, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            entries = len(json.loads(out)["payload"]["entries"])
+        else:
+            entries = sum(" : " in line for line in out.splitlines())
+        [report] = reports
+        distinct = {id(e.equation) for e in report.entries}
+        assert entries == len(report) == 27
+        assert sorted(map(id, rendered)) == sorted(distinct)
+        # the Hopf Ricci tensor is symmetric: 9 of its 27 entries are mirrors
+        assert len(distinct) < (18 if tensor == "ricci" else 27)
 
 
 def test_out_writes_file(tmp_path, capsys):

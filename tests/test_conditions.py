@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from starricci import conditions
 from starricci.conditions import (
     ConditionKind,
     einstein_equations,
@@ -12,16 +13,21 @@ from starricci.conditions import (
     xi_parallel_equations,
     _PAIRS,
     _derivation,
+    _is_skew,
+    _metric_connection,
     _wedge_operator,
 )
 from starricci.frames import (
     FRAME_INDICES,
+    ConnectionTable,
+    FrameContext,
     FrameIndex,
     Tensor11,
     VectorField,
     _curvature_operators,
     build_hopf_context,
     build_nonhopf_context,
+    covariant_derivative_entry,
     curvature_operator,
     ricci,
     star_ricci_closed,
@@ -234,16 +240,16 @@ def test_derivations_equal_their_reference_bodies(context, request):
                     _assert_same(semi.get(e.x, e.y, e.proj).equation, e.equation)
 
 
-def _calls(monkeypatch, name):
-    """A list that gains one item per call of Polynomial.<name> from now on."""
+def _calls(monkeypatch, name, owner=Polynomial):
+    """A list that gains one item per call of owner.<name> from now on."""
     calls = []
-    original = getattr(Polynomial, name)
+    original = getattr(owner, name)
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(None)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(Polynomial, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -274,16 +280,20 @@ def test_report_entries_are_one_accumulation_each(monkeypatch, build):
 # Polynomials built by parallel_equations on the Ricci and the *-Ricci
 # tensor of a prebuilt context.  The non-Hopf counts were (54, 37) when each
 # derivative e_X(T_PY) built a Polynomial of its own.
-_PARALLEL_CONSTRUCTIONS = {build_nonhopf_context: (27, 25), build_hopf_context: (10, 4)}
+# Symmetric tensors (both Ricci tensors, the Hopf S*) build only the entries
+# with y <= proj: the counts were (27, 25) and (10, 4) when every entry was built.
+_PARALLEL_CONSTRUCTIONS = {build_nonhopf_context: (18, 25), build_hopf_context: (5, 2)}
 
 
 @pytest.mark.parametrize("build", [build_nonhopf_context, build_hopf_context])
 def test_parallel_reports_build_no_empty_derivative(monkeypatch, build):
     # a polynomial free of function symbols derives to the shared zero; when
     # each such derivative built an empty Polynomial, the Hopf reports built
-    # 37 and 31 Polynomials, 27 of them empty
+    # 37 and 31 Polynomials, 27 of them empty.  The context's once-per-context
+    # check that its connection is metric is made beforehand, like its operators.
     ctx = build.__wrapped__()
     _curvature_operators(ctx)
+    assert _metric_connection(ctx)
     tensors = (ricci(ctx), star_ricci_closed(ctx))
     built = []
     original = Polynomial.__init__
@@ -318,3 +328,103 @@ def test_a_repeated_parallel_report_does_no_fraction_arithmetic(monkeypatch):
     assert ops == []
     assert second.equations() == first.equations()
     assert any(type(c) is Fraction for e in second.equations() for _m, c in e.num.terms)
+
+
+# -- mirrored entries ---------------------------------------------------------------
+
+@pytest.mark.parametrize("context", ["nonhopf", "hopf", "generic"])
+def test_the_mirror_premises_hold_on_the_frames(context, request):
+    ctx = request.getfixturevalue(context)
+    assert ricci(ctx).is_symmetric()
+    assert star_ricci_closed(ctx).is_symmetric() == (context == "hopf")
+    assert ctx.connection.is_metric_compatible()
+    R = _curvature_operators(ctx)
+    for i in range(3):
+        for j in range(3):
+            assert _is_skew(R[i][j])
+
+
+def test_wedge_operators_are_skew():
+    for X in FRAME_INDICES:
+        for Y in FRAME_INDICES:
+            assert _is_skew(_wedge_operator(X, Y))
+    assert not _is_skew(Tensor11.identity())
+    assert not _is_skew(Tensor11(((0, 1, 0), (1, 0, 0), (0, 0, 0))))
+
+
+_NABLA_BUILDERS = ((parallel_equations, 27), (xi_parallel_equations, 9),
+                   (d_parallel_equations, 18))
+
+
+@pytest.mark.parametrize("context, tensor", [
+    ("nonhopf", ricci), ("hopf", ricci), ("hopf", star_ricci_closed),
+    ("nonhopf", star_ricci_closed)])
+def test_symmetric_tensors_build_each_mirrored_pair_once(monkeypatch, request, context, tensor):
+    ctx = request.getfixturevalue(context)
+    T = tensor(ctx)
+    symmetric = T.is_symmetric()
+    assert symmetric == (tensor is ricci or context == "hopf")
+    calls = _calls(monkeypatch, "covariant_derivative_entry", conditions)
+    for build, entries in _NABLA_BUILDERS:
+        calls.clear()
+        report = build(ctx, T)
+        assert len(report) == entries
+        assert len(calls) == (entries * 2 // 3 if symmetric else entries)
+        for e in report.entries:
+            _assert_same(e.equation, covariant_derivative_entry(ctx, e.x[0], T, e.y, e.proj))
+            if symmetric:
+                assert report.get(e.x, e.proj, e.y).equation is e.equation
+    # each of the 3 derivations builds 6 of its 9 entries on a symmetric T
+    products = _calls(monkeypatch, "dot", conditions)
+    for L in (Expr.zero(), parse_expr("alpha + c", ctx.table.scope())):
+        products.clear()
+        report = pseudo_parallel_equations(ctx, T, L)
+        assert len(products) == (18 if symmetric else 27)
+        reference = _pseudo_reference(ctx, T, L)
+        for e in report.entries:
+            _assert_same(e.equation, reference[e.x, e.y, e.proj])
+            if symmetric:
+                assert report.get(e.x, e.proj, e.y).equation is e.equation
+
+
+def test_a_connection_that_is_not_metric_builds_every_entry(monkeypatch, nonhopf):
+    # Gamma_112 gains alpha while Gamma_121 keeps its value, so Gamma_1jk is
+    # no longer skew in (j, k), and nabla_{e1} of a symmetric T need not be
+    # symmetric
+    entries = [list(map(list, slice_)) for slice_ in nonhopf.connection.entries]
+    entries[0][0][1] = entries[0][0][1] + nonhopf.sym("alpha")
+    connection = ConnectionTable(entries)
+    assert not connection.is_metric_compatible()
+    ctx = FrameContext(nonhopf.kind, nonhopf.table, nonhopf.c, nonhopf.A, nonhopf.phi,
+                       connection)
+    T = ricci(ctx)
+    assert T.is_symmetric()
+    calls = _calls(monkeypatch, "covariant_derivative_entry", conditions)
+    report = parallel_equations(ctx, T)
+    assert len(calls) == 27
+    monkeypatch.undo()
+    expected = [covariant_derivative_entry(ctx, X, T, Y, P)
+                for X in FRAME_INDICES for Y in FRAME_INDICES for P in FRAME_INDICES]
+    assert report.equations() == tuple(expected)
+    assert report.get(E1, E1, E2).equation != report.get(E1, E2, E1).equation
+
+
+def test_substitute_takes_each_distinct_equation_once(monkeypatch, hopf):
+    report = parallel_equations(hopf, ricci(hopf))
+    distinct = {id(e.equation) for e in report.entries}
+    assert len(distinct) < 18
+    substituted = []
+    original = Expr.substitute
+
+    def counted(self, bindings):
+        substituted.append(id(self))
+        return original(self, bindings)
+
+    monkeypatch.setattr(Expr, "substitute", counted)
+    out = report.substitute({hopf.symbol("c"): Expr.const(4)})
+    assert sorted(substituted) == sorted(distinct)
+    monkeypatch.undo()
+    for e, s in zip(report.entries, out.entries):
+        assert (s.x, s.y, s.proj) == (e.x, e.y, e.proj)
+        _assert_same(s.equation, e.equation.substitute({hopf.symbol("c"): Expr.const(4)}))
+        assert out.get(s.x, s.proj, s.y).equation is s.equation
