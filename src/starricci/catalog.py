@@ -24,10 +24,11 @@ read them, and would need h3 = alpha/2 from Codazzi on type-B tubes, not 0.
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
 in report order.  A radius loop runs as one rational.compile_sweep kernel,
-which returns Expr.eval's float values bit for bit: per radius of the grid
-it checks the domain, evaluates alpha, lambda and nu, then report rows over
-them and one float expression, its tail.  A sweep runs one kernel per
-family and condition kind, compiled on first use and kept on the family:
+which returns Expr.eval's float values bit for bit.  It evaluates alpha,
+lambda and nu, then report rows over them and one float expression, its
+tail: once per call what does not read r, once per radius of the grid
+points inside the domain what does.  A sweep runs one kernel per family
+and condition kind, compiled on first use and kept on the family:
 its rows are the cached report's distinct non-zero rows, it keeps the max
 of 0.0 and each |row|, and its tail is lambda*nu + c.  A zero row adds
 nothing to the max, and a non-zero constant row is a row like any other.

@@ -100,25 +100,26 @@ def _reprs(column):
     return repeat(repr(column[0]), len(column)) if _constant(column) else map(repr, column)
 
 
-def _rows(template: str, sep: str, rows) -> str:
-    """One template per row of floats, joined by sep, in one % call.  The
-    template holds one conversion specifier per column and no other %.
-    Each constant column is formatted once, into the template, so the %
-    call formats only the varying columns."""
-    values = tuple(chain.from_iterable(rows))
+def _columns(template: str, sep: str, columns) -> str:
+    """One template per row of the float columns, joined by sep, in one %
+    call.  The template holds one conversion specifier per column and no
+    other %.  Each constant column is formatted once, into the template, so
+    the % call formats only the varying columns."""
     head, *specs = template.split("%")  # each specifier with the text after it
-    width, varying = len(specs), []
-    for k in range(width):
-        column = values[k::width]
+    varying = []
+    for k, column in enumerate(columns):
         if _constant(column):
             specs[k] = ("%" + specs[k]) % column[0]  # a float's text holds no %
         else:
             specs[k] = "%" + specs[k]
             varying.append(column)
-    count = len(values) // width
-    if len(varying) < width:
-        values = tuple(chain.from_iterable(zip(*varying)))
-    return sep.join([head + "".join(specs)] * count) % values
+    values = tuple(chain.from_iterable(zip(*varying)))
+    return sep.join([head + "".join(specs)] * len(columns[0])) % values
+
+
+def _rows(template: str, sep: str, rows) -> str:
+    """_columns of rows given as tuples of floats, one per row."""
+    return _columns(template, sep, tuple(zip(*rows)))
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -349,7 +350,7 @@ def cmd_sweep(args) -> int:
     else:
         lines = [f"family {fam.family_id} ({fam.description})",
                  f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-        lines.append(_rows(_TEXT_ROW, "\n", zip(*columns)))  # the whole row block
+        lines.append(_columns(_TEXT_ROW, "\n", columns))  # the whole row block
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0

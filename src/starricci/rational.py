@@ -25,7 +25,11 @@ evaluator.  ``compile_sweep`` is the only compiled one: one loop over a
 uniform grid that it computes itself, in two stages (values, then rows over
 those values), that returns the grid, each row's max |row| and one float
 expression over the values, each value as ``Expr.eval`` returns it, bit for
-bit.
+bit.  Once per call a kernel finds the grid points inside the domain (a
+prefix of the grid, whose points are monotone) and computes every binding
+that does not read the grid parameter; once per radius it computes only the
+bindings that do, each distinct one once.  A float operation gives the same
+result wherever it runs, so moving it out of the loop changes no bit.
 """
 
 from __future__ import annotations
@@ -569,34 +573,66 @@ _RECIPROCALS = {"cot": "tan", "coth": "tanh"}
 
 class _FloatCodegen:
     """Straight-line Python source for the float values of a set of Exprs,
-    as the body of a sweep kernel's loop.
+    split into the statements a sweep kernel runs once per call (``setup``)
+    and those it runs once per radius (``body``).
 
     Symbol names and expression text never enter the source: parameters,
-    powers and atoms get generated identifiers, coefficients become float
-    literals and applied atoms call their math function through a handle
-    fetched once per call (``functions``, keyed by NUMERIC_FUNCTIONS name).
-    A pole ends the loop.  The source leaves out operations that are exact
-    identities: x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
+    powers, atoms and other bindings get generated identifiers, coefficients
+    become float literals and applied atoms call their math function through
+    a handle fetched once per call (``functions``, keyed by NUMERIC_FUNCTIONS
+    name).  The source leaves out operations that are exact identities:
+    x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
+
+    Each distinct code is bound once, to one identifier, so two names with
+    one expression share its value and its powers.  A binding varies when it
+    reads the radius params[0]; one that does not goes to setup.  A sum or a
+    product is a left-associative chain of operands, so its longest prefix
+    of non-varying operands is one value, which setup binds; so is each
+    later non-varying operand that holds an operation.  A pole ends the loop
+    in the body and returns no rows in setup.
     """
 
     def __init__(self, params: Sequence[str]):
         self.params = {name: f"v{i}" for i, name in enumerate(params)}
+        self.varying = {"v0"}  # the identifiers whose values read the radius
         self.used: set[str] = set()
+        self.setup: list[str] = []
         self.body: list[str] = []
         self.missing: set[str] = set()
         self.functions: dict[str, str] = {}
-        self._atoms: dict[str, str] = {}
-        self._powers: dict[tuple, str] = {}
+        self._bound: dict[str, str] = {}  # code -> identifier
+        self._guarded: set[str] = set()
+        self._count = 0
 
-    def _bind(self, prefix: str, code: str) -> str:
-        ident = f"{prefix}{len(self.body)}"
-        self.body.append(f"{ident} = {code}")
+    def fresh(self, prefix: str) -> str:
+        self._count += 1
+        return f"{prefix}{self._count}"
+
+    def bind(self, prefix: str, code: str, varying: bool, guard: bool = False) -> str:
+        """The identifier of code, bound on first use in body (varying) or
+        setup; with guard, a pole test follows it once."""
+        ident = self._bound.get(code)
+        if ident is None:
+            ident = self._bound[code] = self.fresh(prefix)
+            (self.body if varying else self.setup).append(f"{ident} = {code}")
+            if varying:
+                self.varying.add(ident)
+        if guard and ident not in self._guarded:
+            self._guarded.add(ident)
+            block, stop = ((self.body, "break") if ident in self.varying
+                           else (self.setup, "return o0, o1, o2"))
+            block.append(f"if abs({ident}) <= {_DEN_TOL!r}: {stop}")
         return ident
 
-    def _call(self, fn: str, arg: str) -> str:
-        base = _RECIPROCALS.get(fn, fn)
-        handle = self.functions.setdefault(base, f"f{len(self.functions)}")
-        return f"1.0 / {handle}({arg})" if base != fn else f"{handle}({arg})"
+    def _chain(self, op: str, operands: list) -> tuple:
+        """op.join of the codes of operands, (code, varying) pairs, as a
+        (code, varying) pair; see the class docstring for what setup binds."""
+        k = next((i for i, (_, v) in enumerate(operands) if v), None)
+        if k is None:
+            return op.join(code for code, _ in operands), False
+        head = [(op.join(code for code, _ in operands[:k]), False)] if k else []
+        return op.join(code if v or " " not in code else self.bind("p", code, False)
+                       for code, v in head + operands[k:]), True
 
     def value(self, sym: Symbol) -> str:
         ident = self.params.get(sym.name)
@@ -606,60 +642,54 @@ class _FloatCodegen:
         if sym.fn is None:
             self.missing.add(sym.name)
             return "0.0"
-        ident = self._atoms.get(sym.name)
-        if ident is None:
-            if sym.fn not in NUMERIC_FUNCTIONS:
-                raise ExprError("applied atom with an unknown numeric function")
-            ident = self._bind("a", self._call(sym.fn, self.expr(sym.arg)))
-            self._atoms[sym.name] = ident
-        return ident
+        if sym.fn not in NUMERIC_FUNCTIONS:
+            raise ExprError("applied atom with an unknown numeric function")
+        arg, varying = self.expr(sym.arg)
+        base = _RECIPROCALS.get(sym.fn, sym.fn)
+        handle = self.functions.setdefault(base, f"f{len(self.functions)}")
+        call = f"1.0 / {handle}({arg})" if base != sym.fn else f"{handle}({arg})"
+        return self.bind("a", call, varying)
 
     def power(self, sym: Symbol, e: int) -> str:
         base = self.value(sym)
-        if e == 1:
-            return base
-        ident = self._powers.get((base, e))
-        if ident is None:
-            ident = self._powers[base, e] = self._bind("p", f"{base} ** {e}")
-        return ident
+        return base if e == 1 else self.bind("p", f"{base} ** {e}", base in self.varying)
 
-    def poly(self, p: Polynomial) -> str:
-        """Polynomial.eval's order: a sum from 0.0 of float(c) * x**e * ...,
-        where 1.0 * x is x and -1.0 * x is -x."""
-        code = "0.0"
+    def poly(self, p: Polynomial, start: bool = True) -> tuple:
+        """Polynomial.eval's order, as (code, varying): a sum from 0.0 of
+        float(c) * x**e * ..., where 1.0 * x is x and -1.0 * x is -x.
+        Without start the sum begins at its first term: 0.0 + x is x but
+        for x = -0.0, which only a sign can tell."""
+        terms = [("0.0", False)] if start or not p.terms else []
         for m, c in p.terms:
             factors = [self.power(s, e) for s, e in m]
             coeff = float(c)
             if factors and coeff in (1.0, -1.0):
-                code += (" + -" if coeff < 0 else " + ") + " * ".join(factors)
+                factors[0] = ("-" if coeff < 0 else "") + factors[0]
             else:
-                code += " + " + " * ".join([repr(coeff), *factors])
-        return code
+                factors.insert(0, repr(coeff))
+            terms.append(self._chain(" * ", [(f, f.lstrip("-") in self.varying)
+                                             for f in factors]))
+        return self._chain(" + ", terms)
 
-    def expr(self, e: Expr) -> str:
-        """Python expression for e's value; statements it needs go to body."""
-        num = self.poly(e.num)
+    def expr(self, e: Expr, start: bool = True) -> tuple:
+        """(Python expression for e's value, varying); statements it needs
+        go to setup or body.  start is poly's, for a polynomial e."""
         if e.den.is_constant:  # monic, so exactly 1.0: the value is num
-            return num
-        n, d = self._bind("n", num), self._bind("d", self.poly(e.den))
-        self.body.append(f"if abs({d}) <= {_DEN_TOL!r}: break")
-        return f"{n} / {d}"
+            return self.poly(e.num, start)
+        n = self.bind("n", *self.poly(e.num))
+        d = self.bind("d", *self.poly(e.den), guard=True)
+        return f"{n} / {d}", n in self.varying or d in self.varying
 
-    def values(self, exprs: Sequence[Expr]) -> list:
-        """expr(e) for each e; an unbound symbol or a coefficient beyond the
-        float range raises here, once."""
+    def values(self, exprs: Sequence[Expr], start: bool = True) -> list:
+        """expr(e, start) for each e; an unbound symbol or a coefficient
+        beyond the float range raises here, once."""
         try:
-            values = [self.expr(e) for e in exprs]
+            values = [self.expr(e, start) for e in exprs]
         except OverflowError:  # a coefficient beyond the float range
             raise ExprError(_OVERFLOW) from None
         if self.missing:
             raise UnboundSymbolError(self.missing)
         return values
-
-    def scalars(self, skip: Sequence[str] = ()) -> list:
-        """The lines that convert the used parameters, other than `skip`, with float()."""
-        return [f"    {v} = float({v})" for v in self.params.values()
-                if v in self.used and v not in skip]
 
 
 def compile_sweep(
@@ -669,58 +699,88 @@ def compile_sweep(
 
     The kernel takes lo, width, steps, n, the ends low and high of an open
     interval, and a scalar per name in params[1:].  Row i < n has the grid
-    point t = lo + width * i / steps.  It checks low < t < high, evaluates
-    `values` (Exprs in the params) and binds each to its name, then `rows`
-    (Exprs in the params and those names) and y = `tail`, a float expression
-    in ``{name}`` placeholders for the params and the values' names.  It
-    returns the lists of t, of the max of 0.0 and each |row|, and of y.
+    point t = lo + width * i / steps.  It evaluates `values` (Exprs in the
+    params) and binds each to its name, then `rows` (Exprs in the params and
+    those names) and y = `tail`, a float expression in ``{name}``
+    placeholders for the params and the values' names.  It returns the lists
+    of t, of the max of 0.0 and each |row|, and of y.
 
     Each Expr takes the float operations of Expr.eval in the same order
     (scalars through float(), each polynomial summed from 0.0, each term
     float(c) * x**e * ... in monomial order, num / den), so its value is
-    Expr.eval's, bit for bit; each applied atom is computed once per row.
+    Expr.eval's, bit for bit.  The work is split by what it reads:
+
+    - once per call: the float() of each scalar, the number of grid points
+      inside the interval, and every binding that does not read t (a
+      left-associative prefix such as -0.25 * c, a power such as c ** 2, an
+      atom, a value, a row, y), with their pole tests and the finite check
+      of such values, rows and y;
+    - once per row: t and the bindings that read it, each distinct code
+      once (a value that two names share, its powers, an applied atom),
+      with their pole tests and finite check.
+
+    A float operation gives the same result whenever it runs, so moving a
+    binding out of the loop moves no bit.  t is monotone in i, so the points
+    inside the interval are a prefix of the grid: the first point is tested,
+    then points are dropped from the last until one is inside.  A row is
+    |sum|, so its sum starts at its first term rather than at 0.0: the two
+    differ only in the sign of a zero.  The invariant rows seed each row's
+    max, which does not depend on the order of |row| values.
+
     The lists stop before the first row outside the interval, at which
     Expr.eval would raise (a pole, an overflow, a math domain error), or at
     which a value, a row or y is not finite, so the caller can replay that
-    row for its error.  The loop calls no Python function per row: each atom
-    calls its math function directly (cot(x) as 1.0 / tan(x), which is what
-    NUMERIC_FUNCTIONS computes).  A symbol that is neither a parameter, a
-    value's name nor an applied atom raises UnboundSymbolError here, once.
+    row for its error; a failure in the once-per-call work fails every row,
+    so the lists are empty.  The loop calls no Python function per row: each
+    atom calls its math function directly (cot(x) as 1.0 / tan(x), which is
+    what NUMERIC_FUNCTIONS computes).  A symbol that is neither a parameter,
+    a value's name nor an applied atom raises UnboundSymbolError here, once.
     The source is kept on the kernel as ``source``.
     """
     gen = _FloatCodegen(params)
-    named = gen.values(values.values())
-    gen.body += [f"x{i} = {v}" for i, v in enumerate(named)]
+    scalars = list(gen.params.values())[1:]
+    named = [gen.bind("x", *v) for v in gen.values(values.values())]
     # the rows and the tail read each value through its name, which takes no float()
-    gen.params.update((name, f"x{i}") for i, name in enumerate(values))
-    k = len(named)
-    gen.body += [f"x{k + i} = abs({v})" for i, v in enumerate(gen.values(rows))]
-    y = k + len(rows)
-    gen.used.update(v for name, v in gen.params.items() if f"{{{name}}}" in tail)
-    gen.body.append(f"x{y} = {tail.format_map(gen.params)}")
-    t, top, i = gen.params[params[0]], f"x{y + 1}", f"x{y + 2}"
+    gen.params.update(zip(values, named))
+    rows = dict.fromkeys(gen.bind("x", f"abs({code})", varying)
+                         for code, varying in gen.values(rows, start=False))
+    reads = [v for name, v in gen.params.items() if f"{{{name}}}" in tail]
+    gen.used.update(reads)
+    y = gen.bind("x", tail.format_map(gen.params), any(v in gen.varying for v in reads))
+    checked = dict.fromkeys([*named, *rows, y])
+    t, m, i = gen.params[params[0]], gen.fresh("x"), gen.fresh("x")
     lo, width, steps, n, low, high = grid = [f"v{len(params) + j}" for j in range(6)]
-    scalars = [f"v{j}" for j in range(1, len(params))]
+    stop = "return o0, o1, o2"
     lines = [f"def compiled({', '.join(grid + scalars)}):",
-             *gen.scalars([t, *(f"x{j}" for j in range(k))])]
-    lines += [f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()]
-    lines += ["    o0, o1, o2 = [], [], []",
-              "    w0 = o0.append", "    w1 = o1.append", "    w2 = o2.append",
-              f"    for {i} in range({n}):",
-              f"        {t} = {lo} + {width} * {i} / {steps}",
-              f"        if not {low} < {t} < {high}:",
-              "            break",
-              "        try:"]
-    lines += [f"            {stmt}" for stmt in gen.body]
-    lines += ["        except (ArithmeticError, ValueError):",
-              "            break",
-              # x - x is 0.0 for a finite x and NaN otherwise
-              "        if " + " + ".join(f"(x{j} - x{j})" for j in range(y + 1)) + " != 0.0:",
-              "            break",
-              f"        {top} = 0.0"]
-    for j in range(k, y):
-        lines += [f"        if x{j} > {top}:", f"            {top} = x{j}"]
-    lines += [f"        w0({t})", f"        w1({top})", f"        w2(x{y})",
+             *(f"    {v} = float({v})" for v in scalars if v in gen.used),
+             *(f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()),
+             "    o0, o1, o2 = [], [], []",
+             # the grid is monotone in i, so its points inside the interval are a prefix
+             f"    {m} = {n} if {n} > 0 and {low} < {lo} + {width} * 0 / {steps} < {high} else 0",
+             f"    while {m} > 0 and not {low} < {lo} + {width} * ({m} - 1) / {steps} < {high}:",
+             f"        {m} -= 1"]
+    if gen.setup:
+        lines += ["    try:", *(f"        {s}" for s in gen.setup),
+                  "    except (ArithmeticError, ValueError):", f"        {stop}"]
+    lines += _finite([x for x in checked if x not in gen.varying], "    ", stop)
+    seed = "0.0"
+    fixed = [x for x in rows if x not in gen.varying]
+    if fixed:
+        seed = gen.fresh("x")
+        lines += [f"    {seed} = 0.0", *_max(seed, fixed, "    ")]
+    lines += ["    w0 = o0.append", "    w1 = o1.append", "    w2 = o2.append",
+              f"    for {i} in range({m}):",
+              f"        {t} = {lo} + {width} * {i} / {steps}"]
+    if gen.body:
+        lines += ["        try:", *(f"            {s}" for s in gen.body),
+                  "        except (ArithmeticError, ValueError):", "            break"]
+    lines += _finite([x for x in checked if x in gen.varying], "        ", "break")
+    moving = [x for x in rows if x in gen.varying]
+    if moving:
+        top = gen.fresh("x")
+        lines += [f"        {top} = {seed}", *_max(top, moving, "        ")]
+        seed = top
+    lines += [f"        w0({t})", f"        w1({seed})", f"        w2({y})",
               "    return o0, o1, o2"]
     source = "\n".join(lines) + "\n"
     namespace = {"__builtins__": {}, "float": float, "abs": abs, "range": range,
@@ -730,3 +790,18 @@ def compile_sweep(
     kernel = namespace["compiled"]
     kernel.source = source
     return kernel
+
+
+def _finite(idents: list, indent: str, stop: str) -> list:
+    """The lines that stop unless every one of idents is finite: x - x is
+    0.0 for a finite x and NaN otherwise."""
+    if not idents:
+        return []
+    test = " + ".join(f"({x} - {x})" for x in idents)
+    return [f"{indent}if {test} != 0.0:", f"{indent}    {stop}"]
+
+
+def _max(top: str, idents, indent: str) -> list:
+    """The lines that raise top to each of idents in turn."""
+    return [line for x in idents for line in (f"{indent}if {x} > {top}:",
+                                                f"{indent}    {top} = {x}")]

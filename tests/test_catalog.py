@@ -878,3 +878,91 @@ def test_radius_loops_make_no_python_call_per_radius(monkeypatch):
             monkeypatch.setattr(catalog, "ORACLE_SAMPLES", n)
             counts[n] = _python_calls(lambda: catalog.validate_family(fam))
         assert counts[10] == counts[1000], (fam.family_id, counts)
+
+
+# -- column kernels: once per call, once per radius --------------------------------------
+
+def _kernels(fam):
+    """fam's oracle kernel, then its sweep kernel per condition kind."""
+    yield fam.oracle
+    for kind in ConditionKind:
+        yield catalog._sweep_kernel(fam, kind, catalog._hopf_report(kind))
+
+
+def _radius_loop(tree) -> ast.For:
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+
+
+def test_the_horosphere_loops_compute_only_the_radius():
+    # no curvature or row of ch2-a0 reads r, so each loop binds r and
+    # appends it with the values the call computed once
+    for kernel in _kernels(builtin_catalog().get("ch2-a0")):
+        loop = _radius_loop(ast.parse(kernel.source))
+        assert [type(node) for node in loop.body] == [ast.Assign, ast.Expr, ast.Expr, ast.Expr]
+        assert [node for node in ast.walk(loop) if isinstance(node, ast.Assign)] == loop.body[:1]
+
+
+@pytest.mark.parametrize("family_id", ["cp2-a1", "ch2-a1", "ch2-a1p"])
+def test_equal_curvatures_bind_one_identifier(family_id):
+    # lambda and nu have one expression, so they share one value: each tail
+    # starts with lambda * nu as x * x
+    fam = builtin_catalog().get(family_id)
+    assert fam.lam == fam.nu
+    for kernel in _kernels(fam):
+        tree = ast.parse(kernel.source)
+        bound = {node.targets[0].id: node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and not isinstance(node.value, (ast.Constant, ast.Name))}
+        codes = [ast.dump(value) for value in bound.values()]
+        assert len(codes) == len(set(codes))  # each distinct code is bound once
+        tail = _radius_loop(tree).body[-1].value.args[0].id  # w2(y)
+        assert re.match(r"(x[0-9]+) \* \1 ", ast.unparse(bound[tail])), kernel.source
+
+
+@pytest.mark.parametrize("family_id", ["cp2-a1", "ch2-a0"])
+def test_a_failure_once_per_call_raises_the_first_radius_error(family_id):
+    # L = 1e308 makes L * c infinite: on the horosphere every row is
+    # computed once per call, on the sphere every row reads r
+    fam = builtin_catalog().get(family_id)
+    kind, bindings = ConditionKind.PSEUDO_PARALLEL, {"L": 1e308}
+    r_min, r_max = fam.sample_window()
+    assert _fused(fam, r_min, r_max, 5, kind, bindings) == ([], [], [])
+    text = f"4 of 27 pseudo-parallel rows are not finite on {family_id} at r = {r_min}"
+    with pytest.raises(CatalogError, match=f"^{re.escape(text)}$"):
+        sweep(fam, r_min, r_max, 5, kind, extra_bindings=bindings)
+
+
+def _overshooting_grid(fam):
+    """(end, r_min, r_max, samples): a grid from the start of fam's sample
+    window to r_max, the float below end, whose last point lands on end:
+    fam's upper domain end, or the float past its sample window when that
+    end is inf."""
+    r_min, hi = fam.sample_window()
+    end = fam.domain[1] if math.isfinite(fam.domain[1]) else math.nextafter(hi, math.inf)
+    r_max = math.nextafter(end, -math.inf)
+    samples = next(n for n in range(2, 100) if radius_grid(r_min, r_max, n)[-1] >= end)
+    return end, r_min, r_max, samples
+
+
+@pytest.mark.parametrize("family_id", EXPECTED_IDS)
+def test_every_kernel_equals_the_per_radius_evaluation_to_an_overshooting_end(family_id):
+    # the kernels take the domain's ends as arguments, so each kernel stops
+    # before the last point; the per-radius evaluation is the reference
+    fam = builtin_catalog().get(family_id)
+    end, r_min, r_max, samples = _overshooting_grid(fam)
+    radii = radius_grid(r_min, r_max, samples)
+    assert radii[-2] < end == radii[-1]
+    args = (*catalog._grid(r_min, r_max, samples), fam.domain[0], end, math.pi)
+    expected = [fam.hopf_residual(r) for r in radii[:-1]]
+    assert _hex(fam.oracle(*args, float(fam.space.c))[2]) == _hex(expected)
+    for kind in ConditionKind:
+        report = catalog._hopf_report(kind)
+        scalars = catalog._report_scalars(fam, None).values()
+        got = catalog._sweep_kernel(fam, kind, report)(*args, *scalars)
+        evaluations = [evaluate_condition(fam, r, kind) for r in radii[:-1]]
+        expected = [radii[:-1], [e.max_abs_residual for e in evaluations],
+                    [e.lam_nu_plus_c for e in evaluations]]
+        assert [_hex(column) for column in got] == [_hex(column) for column in expected]
+        if end == fam.domain[1]:
+            with pytest.raises(DomainError):
+                evaluate_condition(fam, radii[-1], kind)
