@@ -18,9 +18,17 @@ those of ``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``, and
 it takes about half the time, since the standard module falls back to its
 pure-Python encoder whenever it indents.
 
+A sweep's json payload["rows"] is the catalog.SweepResult that the sweep
+returned: ``_json`` joins its three columns into one object per radius, and
+``Report.to_json_dict`` expands it as SweepRow._asdict() per row.  Its text
+rows are the same columns through one % template per row (``_columns``).
+
 A command line is parsed once: ``_parse_args`` hands the arguments after a
 subcommand name straight to that subcommand's parser, where the top-level
-parser would parse them and then hand them on to be parsed again.
+parser would parse them and then hand them on to be parsed again.  A value
+may begin with "-" (``expr eval -x x=2``, ``sweep ch2-a0 -1e3 2 3
+parallel``): a subcommand reads an argument with one leading "-" that names
+none of its options as a value.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 from itertools import chain, repeat
@@ -44,6 +53,7 @@ from .catalog import (
     DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
     SPACES,
+    SweepResult,
     builtin_catalog,
     load_catalog,
     sweep as run_sweep,
@@ -59,30 +69,9 @@ from .symbols import Symbol, SymbolTable
 SCHEMA = "starricci.report/1"
 
 
-class SweepRows:
-    """payload["rows"] of a sweep: its SweepResult columns, which the generic
-    json writer sees as one dict {"r", "max_residual", "lam_nu_plus_c"} per radius.
-    Not a tuple: _json tells the two apart."""
-
-    __slots__ = ("radii", "max_residuals", "lam_nu_plus_c")
-
-    def __init__(self, radii: tuple, max_residuals: tuple, lam_nu_plus_c: tuple):
-        self.radii = radii
-        self.max_residuals = max_residuals
-        self.lam_nu_plus_c = lam_nu_plus_c
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def __iter__(self):
-        for r, m, x in zip(self.radii, self.max_residuals, self.lam_nu_plus_c):
-            yield {"r": r, "max_residual": m, "lam_nu_plus_c": x}
-
-
 # json.dumps(indent=2, sort_keys=True)'s texts around a row's float.__repr__
-# values, for a row of payload["rows"], the one place a SweepRows occurs: _json
-# writes a SweepRows as these joined with its columns, the generic writers
-# write it as one dict per row
+# values, for a row of payload["rows"], the one place a SweepResult occurs:
+# _json writes its columns joined with these, to_json_dict gives one dict per row
 _JSON_ROW_KEYS = ('\n      {\n        "lam_nu_plus_c": ', ',\n        "max_residual": ',
                   ',\n        "r": ', '\n      },')
 _TEXT_ROW = "%12.6f  %14.6e  %+14.9f"
@@ -117,11 +106,6 @@ def _columns(template: str, sep: str, columns) -> str:
     return sep.join([head + "".join(specs)] * len(columns[0])) % values
 
 
-def _rows(template: str, sep: str, rows) -> str:
-    """_columns of rows given as tuples of floats, one per row."""
-    return _columns(template, sep, tuple(zip(*rows)))
-
-
 _json_str = json.encoder.encode_basestring_ascii
 
 
@@ -152,6 +136,12 @@ def _json(value, nl: str, out: list) -> None:
             _json(value[key], inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif value.__class__ is SweepResult:  # at payload["rows"] only; before tuple
+        body = "".join(chain.from_iterable(zip(
+            repeat(_JSON_ROW_KEYS[0]), _reprs(value.lam_nu_plus_c),
+            repeat(_JSON_ROW_KEYS[1]), _reprs(value.max_residuals),
+            repeat(_JSON_ROW_KEYS[2]), _reprs(value.radii), repeat(_JSON_ROW_KEYS[3]))))
+        out.append(f"[{body[:-1]}{nl}]" if value.radii else "[]")  # without the last row's ','
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -163,12 +153,6 @@ def _json(value, nl: str, out: list) -> None:
             _json(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif isinstance(value, SweepRows):  # at payload["rows"] only
-        body = "".join(chain.from_iterable(zip(
-            repeat(_JSON_ROW_KEYS[0]), _reprs(value.lam_nu_plus_c),
-            repeat(_JSON_ROW_KEYS[1]), _reprs(value.max_residuals),
-            repeat(_JSON_ROW_KEYS[2]), _reprs(value.radii), repeat(_JSON_ROW_KEYS[3]))))
-        out.append(f"[{body[:-1]}{nl}]" if value else "[]")  # without the last row's ','
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
@@ -197,8 +181,9 @@ class Report:
         }
 
     def to_json_dict(self) -> dict:
-        return self._envelope({key: list(value) if isinstance(value, SweepRows) else value
-                               for key, value in self.payload.items()})  # a dict per sweep row
+        return self._envelope({  # a dict per sweep row
+            key: [row._asdict() for row in value.rows] if value.__class__ is SweepResult
+            else value for key, value in self.payload.items()})
 
     def emit(self, fmt: str) -> str:
         if fmt == "json":
@@ -343,14 +328,14 @@ def cmd_sweep(args) -> int:
         "condition": kind.value,
         "rows_below_witness_tol": below,
     }
-    columns = (result.radii, result.max_residuals, result.lam_nu_plus_c)
     if args.format == "json":  # each format builds only what it prints
-        payload["rows"] = SweepRows(*columns)
+        payload["rows"] = result
         lines = []
     else:
         lines = [f"family {fam.family_id} ({fam.description})",
-                 f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}"]
-        lines.append(_columns(_TEXT_ROW, "\n", columns))  # the whole row block
+                 f"{'r':>12}  {'max residual':>14}  {'lambda*nu + c':>14}",
+                 _columns(_TEXT_ROW, "\n", (result.radii, result.max_residuals,
+                                            result.lam_nu_plus_c))]  # the whole row block
     status = "ok" if below == 0 else f"{below} rows at or below the witness tolerance"
     _write(Report(f"sweep {fam.family_id}", status, payload, cat.version, lines), args)
     return 0
@@ -411,6 +396,13 @@ def cmd_expr(args) -> int:
 
 
 # -- argument parsing ----------------------------------------------------------
+
+# What a subcommand's parser reads as a value, not an option, when it names
+# none of its options: any argument with one leading "-", such as the
+# expression -x or the radius -1e3.  argparse's own pattern, which this
+# replaces, takes only numbers such as -1 and -2.5.
+_DASH_VALUE = re.compile(r"-[^-]")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -473,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_expr)
 
+    for p in sub.choices.values():  # after add_argument, which tests -h against it
+        p._negative_number_matcher = _DASH_VALUE
     parser.commands = sub.choices  # subcommand name -> its parser, for _parse_args
     return parser
 

@@ -28,8 +28,10 @@ expression over the values, each value as ``Expr.eval`` returns it, bit for
 bit.  Once per call a kernel finds the grid points inside the domain (a
 prefix of the grid, whose points are monotone) and computes every binding
 that does not read the grid parameter; once per radius it computes only the
-bindings that do, each distinct one once.  A float operation gives the same
-result wherever it runs, so moving it out of the loop changes no bit.
+bindings that do, each distinct one once, so a math function is called once
+per argument (cot(x) is 1.0 / the tan(x) call that tan(x) also reads).  A
+float operation gives the same result wherever it runs, so moving it out of
+the loop or sharing it changes no bit.
 """
 
 from __future__ import annotations
@@ -580,8 +582,10 @@ class _FloatCodegen:
     powers, atoms and other bindings get generated identifiers, coefficients
     become float literals and applied atoms call their math function through
     a handle fetched once per call (``functions``, keyed by NUMERIC_FUNCTIONS
-    name).  The source leaves out operations that are exact identities:
-    x ** 1, 1.0 * x and x / 1.0 are x, and -1.0 * x is -x.
+    name).  A call is a code of its own, so cot and tan of one argument share
+    one tan call: cot is 1.0 / its identifier.  The source leaves out
+    operations that are exact identities: x ** 1, 1.0 * x and x / 1.0 are x,
+    and -1.0 * x is -x.
 
     Each distinct code is bound once, to one identifier, so two names with
     one expression share its value and its powers.  A binding varies when it
@@ -647,8 +651,8 @@ class _FloatCodegen:
         arg, varying = self.expr(sym.arg)
         base = _RECIPROCALS.get(sym.fn, sym.fn)
         handle = self.functions.setdefault(base, f"f{len(self.functions)}")
-        call = f"1.0 / {handle}({arg})" if base != sym.fn else f"{handle}({arg})"
-        return self.bind("a", call, varying)
+        call = self.bind("a", f"{handle}({arg})", varying)  # once per function and argument
+        return call if base == sym.fn else self.bind("a", f"1.0 / {call}", varying)
 
     def power(self, sym: Symbol, e: int) -> str:
         base = self.value(sym)
@@ -732,8 +736,9 @@ def compile_sweep(
     which a value, a row or y is not finite, so the caller can replay that
     row for its error; a failure in the once-per-call work fails every row,
     so the lists are empty.  The loop calls no Python function per row: each
-    atom calls its math function directly (cot(x) as 1.0 / tan(x), which is
-    what NUMERIC_FUNCTIONS computes).  A symbol that is neither a parameter,
+    atom calls its math function directly, once per distinct argument (cot(x)
+    as 1.0 / tan(x), which is what NUMERIC_FUNCTIONS computes, from the one
+    tan(x) call).  A symbol that is neither a parameter,
     a value's name nor an applied atom raises UnboundSymbolError here, once.
     The source is kept on the kernel as ``source``.
     """

@@ -919,6 +919,17 @@ def test_equal_curvatures_bind_one_identifier(family_id):
         assert re.match(r"(x[0-9]+) \* \1 ", ast.unparse(bound[tail])), kernel.source
 
 
+@pytest.mark.parametrize("family_id", EXPECTED_IDS)
+def test_each_math_call_is_bound_once(family_id):
+    # cot and tan of one argument (cp2-b), coth and tanh (ch2-b) share one
+    # call: the reciprocal divides 1.0 by the call's identifier
+    for kernel in _kernels(builtin_catalog().get(family_id)):
+        calls = re.findall(r"\bf[0-9]+\([^()]*\)", kernel.source)
+        assert len(calls) == len(set(calls)), kernel.source
+        if family_id.endswith("-b"):
+            assert re.search(r" = 1\.0 / a[0-9]+\n", kernel.source), kernel.source
+
+
 @pytest.mark.parametrize("family_id", ["cp2-a1", "ch2-a0"])
 def test_a_failure_once_per_call_raises_the_first_radius_error(family_id):
     # L = 1e308 makes L * c infinite: on the horosphere every row is

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starricci import catalog, cli, conditions, frames, parsing, polynomial, proofs
-from starricci.catalog import ConditionKind, builtin_catalog, format_catalog
+from starricci.catalog import ConditionKind, SweepResult, builtin_catalog, format_catalog
 from starricci.cli import main
 from starricci.parsing import ExprSyntaxError, parse_expr
 from starricci.polynomial import Polynomial
@@ -197,7 +197,7 @@ def test_sweep_builds_only_the_requested_format(monkeypatch, capsys, fmt):
     (report,) = reports
     if fmt == "json":
         assert report.text_lines == []
-        assert len(report.payload["rows"]) == 10
+        assert len(report.payload["rows"].radii) == 10
     else:
         assert "rows" not in report.payload
         _family, _heading, rows = report.text_lines  # the row block is one item
@@ -802,12 +802,46 @@ def _parsed(capsys, parse, argv):
     ["prove", "everything"],
     ["expr", "eval", "x", "x=1"],
     ["expr", "solve", "x^2 - 2", "x", "--format", "json"],
+    # values that begin with "-": argparse alone reads only -1 and -2.5 so
+    ["expr", "eval", "-x", "x=2"],
+    ["expr", "eval", "-1/2"],
+    ["expr", "solve", "-x^2+1", "x"],
+    ["check", "ricci", "pseudo-parallel", "hopf", "--pseudo-l", "-alpha"],
+    ["sweep", "ch2-a0", "-1e3", "2", "3", "parallel"],
+    ["sweep", "ch2-a0", "-2.5", "-1e-3", "3", "parallel"],
+    ["sweep", "ch2-a0", "-inf", "2", "3", "parallel"],
+    ["expr", "eval", "-h"],
+    ["sweep", "ch2-a0", "-1", "2", "3", "parallel", "--bogus"],
 ])
 def test_one_level_parse_equals_the_full_parser(capsys, argv):
     full = _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
     one = _parsed(capsys, cli._parse_args, argv)
     assert one == full
     assert isinstance(full[0], int) or full[0].cmd == argv[0]
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["expr", "eval", "-x", "x=2"], ["expr", "eval", "--", "-x", "x=2"]),
+    (["expr", "eval", "-1/2"], ["expr", "eval", "--", "-1/2"]),
+    (["expr", "solve", "-x^2+1", "x"], ["expr", "solve", "--", "-x^2+1", "x"]),
+    (["check", "ricci", "pseudo-parallel", "hopf", "--pseudo-l", "-alpha"],
+     ["check", "ricci", "pseudo-parallel", "hopf", "--pseudo-l=-alpha"]),
+    (["sweep", "ch2-a0", "-1e3", "2", "3", "parallel"],
+     ["sweep", "ch2-a0", "--", "-1e3", "2", "3", "parallel"]),
+    (["sweep", "ch2-a0", "-2.5", "-1e-3", "3", "parallel"],
+     ["sweep", "ch2-a0", "--", "-2.5", "-1e-3", "3", "parallel"]),
+])
+def test_a_value_may_begin_with_a_minus(capsys, argv, spelled):
+    # each prints what its "--" or "=" spelling prints
+    out = _parsed(capsys, main, argv)
+    assert out == _parsed(capsys, main, spelled)
+    assert out[0] == 0 and out[1] and out[2] == ""
+
+
+def test_a_radius_of_minus_inf_is_the_domain_error(capsys):
+    assert _parsed(capsys, main, ["sweep", "ch2-a0", "-inf", "2", "3", "parallel"]) == (
+        2, "", "error: sweep range [-inf, 2.0] must lie strictly inside the open domain "
+               "(-inf, inf) of ch2-a0\n")
 
 
 def test_a_command_parses_its_arguments_once(monkeypatch, capsys):
@@ -913,11 +947,11 @@ def test_row_writers_match_the_generic_writers(family, rows, below):
     payload = {"family": family, "space": "CP2", "condition": "parallel",
                "rows_below_witness_tol": below}
     report = cli.Report(f"sweep {family}", "ok", payload, 1, [])
-    report.payload["rows"] = cli.SweepRows(*zip(*rows))
+    report.payload["rows"] = SweepResult("f", ConditionKind.PARALLEL, *zip(*rows))
     generic = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert report.emit("json") == generic
     # the row text before the template: one f-string per row
-    text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
+    text = cli._columns(cli._TEXT_ROW, "\n", tuple(zip(*rows))).split("\n")
     assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
 
 
@@ -926,10 +960,10 @@ def _assert_row_writers_match(rows):
     test_row_writers_match_the_generic_writers: json.dumps and one f-string
     per row."""
     report = cli.Report("sweep f", "ok", {"family": "f", "rows_below_witness_tol": 0}, 1, [])
-    report.payload["rows"] = cli.SweepRows(*zip(*rows))
+    report.payload["rows"] = SweepResult("f", ConditionKind.PARALLEL, *zip(*rows))
     assert report.emit("json") == json.dumps(report.to_json_dict(), indent=2,
                                              sort_keys=True) + "\n"
-    text = cli._rows(cli._TEXT_ROW, "\n", rows).split("\n")
+    text = cli._columns(cli._TEXT_ROW, "\n", tuple(zip(*rows))).split("\n")
     assert text == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}" for r, m, x in rows]
 
 
@@ -968,6 +1002,27 @@ def test_sweep_over_one_radius_prints_constant_columns(capsys):
     assert code == 0
     assert json.loads(out)["payload"]["rows"] == [
         {"r": r, "max_residual": m, "lam_nu_plus_c": x} for r, m, x in rows]
+
+
+@pytest.mark.parametrize("kind", list(ConditionKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family_id", builtin_catalog().ids())
+def test_every_kernels_sweep_rows_match_the_oracles(monkeypatch, capsys, family_id, kind):
+    # the writers on the rows of real kernels, constant columns included: no
+    # xi-parallel residual, no ch2-a0 curvature and no type-B lambda*nu + c reads r
+    r_min, r_max = builtin_catalog().get(family_id).sample_window()
+    argv = ["sweep", family_id, repr(r_min), repr(r_max), "4", kind.value]
+    reports, write = [], cli._write
+    monkeypatch.setattr(cli, "_write", lambda report, args: write(report, args)
+                        or reports.append(report))
+    code, out = run(capsys, *argv, "--format", "json")
+    (report,) = reports
+    assert code == 0 and report.payload["rows"].__class__ is SweepResult
+    assert out == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    rows = report.payload["rows"].rows
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-len(rows):] == [f"{r:12.6f}  {m:14.6e}  {x:+14.9f}"
+                                            for r, m, x in rows]
 
 
 _JSON_SCALARS = st.one_of(

@@ -509,3 +509,21 @@ def test_memoized_products_keep_each_tables_kinds():
             ctx = build.__wrapped__()
             for _ in range(2):
                 assert ctx.parse("alpha*c").derivative("e1").to_text() == expected[build]
+
+
+@given(_DIV_POLYS, st.integers(0, 6))
+def test_a_power_equals_repeated_products(p, n):
+    # constant terms, fraction coefficients and like terms (x * x^2 and x^2 * x)
+    expected = Polynomial.one()
+    for _ in range(n):
+        expected = expected * p
+    assert _typed_terms(p ** n) == _typed_terms(expected)
+
+
+def test_a_power_of_a_sum_leaves_the_product_memo_small():
+    # repeated squaring through the memo left 415,657 monomial pairs, each used once
+    table = SymbolTable()
+    expr = parse_expr("(x+y)^1000", table, define_missing=True)
+    assert len(expr.num.terms) == 1001
+    products = table.monomials.products
+    assert sum(map(len, products.values())) < 100
