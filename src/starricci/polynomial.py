@@ -22,9 +22,9 @@ never a Polynomial or an Expr, and live as long as the table.  A product or a
 derivative is memoized per table, not globally, because it holds the symbols
 it was first computed from, and two tables may give one name different kinds
 (a derivative exists only for a function symbol).  A polynomial reaches the
-memos through the table of its first monomial's lead symbol.  A power of a
-sum of terms expands by multinomial coefficients into one dict and takes no
-product from the memo, since each of its monomial pairs is met once.
+memos through the table of its first monomial's lead symbol.  A power
+expands by multinomial coefficients into one dict and takes no product from
+the memo, since each of its monomial pairs is met once.
 
 GCDs are computed with the primitive pseudo-remainder sequence, recursing on
 the number of variables; this is all the factorization the canonical
@@ -333,43 +333,42 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n > 1 and len(self.terms) > 1:
-            return self._multinomial_pow(n)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # the last bit takes no square
-                base = base * base
-        return result
+        if n == 0:
+            return _ONE
+        if n == 1 or self is _ONE or not self.terms:
+            return self
+        return self._multinomial_pow(n)
 
     def _multinomial_pow(self, n: int) -> "Polynomial":
-        """self ** n for a sum of terms, expanded by multinomial coefficients
-        into one dict.  Term k takes e of the `left` factors that the terms
-        before it left, in comb(left, e) ways; the last term takes all that
-        are left.  A partial product is keyed by the factors it used and its
-        exponent vector, so like terms merge as soon as they meet.  No
+        """self ** n, n >= 2, expanded by multinomial coefficients into one
+        dict.  A product of n terms is a choice of how many factors e each
+        term takes, each term after those already chosen taking e of the
+        `left` factors in comb(left, e) ways; the last term takes all that
+        are left.  The choices are walked depth first over the terms that
+        take at least one factor, so a product costs the few terms in it, not
+        every term of the base, and like products merge in the result.  No
         monomial pair goes through the product memo, which the pairs of a
         power, each met once, would only fill."""
         d, terms = self.scaled()  # int coefficients over d: the power is over d ** n
-        syms = sorted({s for m, _ in terms for s, _e in m})
-        partial = {(0, (0,) * len(syms)): 1}
         last = len(terms) - 1
-        for k, (m, c) in enumerate(terms):
-            exps = dict(m)
-            vec = [exps.get(s, 0) for s in syms]
-            grown: dict = {}
-            for (used, acc), coeff in partial.items():
-                left = n - used
-                for e in (left,) if k == last else range(left + 1):
-                    key = (used + e, tuple([a + e * v for a, v in zip(acc, vec)]))
-                    grown[key] = grown.get(key, 0) + coeff * math.comb(left, e) * c ** e
-            partial = grown
+        acc: dict = {}
+        stack = [(0, n, 1, {})]  # next term, factors left, coefficient, exponents
+        while stack:
+            start, left, coeff, exps = stack.pop()
+            for k in range(start, last + 1):
+                m, c = terms[k]
+                for e in (left,) if k == last else range(1, left + 1):
+                    grown = dict(exps)
+                    for s, x in m:
+                        grown[s] = grown.get(s, 0) + e * x
+                    ce = coeff * math.comb(left, e) * c ** e
+                    if e == left:
+                        key = tuple(sorted(grown.items()))
+                        acc[key] = acc.get(key, 0) + ce
+                    else:
+                        stack.append((k + 1, left - e, ce, grown))
         dn = d ** n
-        return Polynomial({tuple([(s, e) for s, e in zip(syms, acc) if e]):
-                           c if dn == 1 else Fraction(c, dn) for (_, acc), c in partial.items()})
+        return Polynomial({m: c if dn == 1 else Fraction(c, dn) for m, c in acc.items()})
 
     def scaled(self) -> tuple:
         """(d, terms): d the least common denominator of the coefficients and

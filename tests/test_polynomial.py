@@ -527,3 +527,15 @@ def test_a_power_of_a_sum_leaves_the_product_memo_small():
     assert len(expr.num.terms) == 1001
     products = table.monomials.products
     assert sum(map(len, products.values())) < 100
+
+
+@pytest.mark.parametrize("k, n", [(60, 2), (20, 3)])
+def test_a_low_power_of_a_wide_sum_equals_repeated_products(k, n):
+    # each product takes only the few terms that give it a factor, not all k
+    table = SymbolTable()
+    p = parse_expr("+".join(f"{i + 1}*v{i}" for i in range(k)) + "+1/2", table,
+                   define_missing=True).num
+    expected = p
+    for _ in range(n - 1):
+        expected = expected * p
+    assert _typed_terms(p ** n) == _typed_terms(expected)
