@@ -397,11 +397,19 @@ def cmd_expr(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-# What a subcommand's parser reads as a value, not an option, when it names
-# none of its options: any argument with one leading "-", such as the
-# expression -x or the radius -1e3.  argparse's own pattern, which this
-# replaces, takes only numbers such as -1 and -2.5.
 _DASH_VALUE = re.compile(r"-[^-]")
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument with one leading "-" that names
+    none of its options, such as the expression -x, -half or the radius
+    -1e3, is a value.  argparse alone takes only numbers such as -1 as
+    values, and reads -half as -h with the argument "alf"."""
+
+    def _parse_optional(self, arg_string):
+        if _DASH_VALUE.match(arg_string) and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", metavar="PATH", default=None,
                        help="family catalog file replacing the builtin one")
 
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("prove", help="replay a proof piece")
     p.add_argument("target", choices=("nonhopf", "hopf", "quadratic", "type-b", "all"))
@@ -465,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_expr)
 
-    for p in sub.choices.values():  # after add_argument, which tests -h against it
-        p._negative_number_matcher = _DASH_VALUE
     parser.commands = sub.choices  # subcommand name -> its parser, for _parse_args
     return parser
 

@@ -307,8 +307,8 @@ class FrameContext:
         return s
 
     def parse(self, text: str) -> Expr:
-        """text parsed in a scope of the table: a D(...) or cot(...) it holds
-        is interned there, not in the shared table."""
+        """text parsed in a scope of the table: a cot(...) it holds is interned
+        there, not in the shared table; a D(...) is the table's own symbol."""
         return parse_expr(text, self.table.scope())
 
 

@@ -9,11 +9,11 @@ Grammar:
     exponent:= INTEGER | '(' ['-'] INTEGER ')'
 
 Identifiers are [A-Za-z_][A-Za-z0-9_]*.  ``D(ei, f)`` denotes the formal
-derivative of the function symbol f along frame direction ei in {e1,e2,e3};
-D of a constant is the zero expression.  A small whitelist of numeric
-functions (cot, tanh, ...) is admitted for the model-catalog layer; each
-application becomes an opaque constant atom.  Printing an Expr emits
-canonical text that reparses to the identical Expr.
+derivative of the function symbol f along frame direction ei in {e1,e2,e3},
+the symbol the table minted with f; D of a constant is the zero expression.
+A small whitelist of numeric functions (cot, tanh, ...) is admitted for the
+model-catalog layer; each application becomes an opaque constant atom.
+Printing an Expr emits canonical text that reparses to the identical Expr.
 
 Each '(' the parser descends into, of a group or of a function's argument,
 takes a few stack frames, so text nesting parentheses more than MAX_NESTING

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Mapping, Optional, Union
 
-from .symbols import CONSTANT, Symbol, derivative_symbol
+from .symbols import CONSTANT, Symbol
 
 Mono = tuple  # tuple[tuple[Symbol, int], ...]
 Coeff = Union[int, Fraction]  # an int when integral, else a Fraction
@@ -85,8 +85,8 @@ class _ProductRow(dict):
 class _DerivativeRow(dict):
     """Monomial m -> the terms ((m', e), ...) of its derivative along one
     direction, computed on the first lookup: each function symbol s^e of m
-    gives e * (m / s) * D(direction, s).  A monomial holding a derivative
-    symbol raises SymbolError on every lookup, since nothing is stored."""
+    gives e * (m / s) * D(direction, s) of s's table.  A monomial holding a
+    derivative symbol raises SymbolError on every lookup: nothing is stored."""
 
     __slots__ = ("direction",)
 
@@ -98,7 +98,7 @@ class _DerivativeRow(dict):
         for idx, (s, e) in enumerate(m):
             if s.kind == CONSTANT:
                 continue
-            dsym = derivative_symbol(s, self.direction)
+            dsym = s.table.derivative(s, self.direction)
             lowered = ((s, e - 1),) if e > 1 else _EMPTY
             terms.append((_mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),)), e))
         out = self[m] = tuple(terms)

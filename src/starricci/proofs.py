@@ -90,7 +90,7 @@ from .frames import (
 from .parsing import parse_expr
 from .quadratic import solve_quadratic
 from .rational import Expr, sign_normalized
-from .symbols import DERIVATIVE, DIRECTIONS, FUNCTION, Symbol, SymbolTable, derivative_symbol
+from .symbols import DERIVATIVE, DIRECTIONS, FUNCTION, Symbol, SymbolTable
 
 
 class ProofError(AssertionError):
@@ -276,7 +276,7 @@ def _derivative_bindings(table: SymbolTable, name: str, value: Expr) -> dict:
     out = {sym: value}
     if sym.kind == FUNCTION:
         for d in DIRECTIONS:
-            out[derivative_symbol(sym, d)] = Expr.zero()
+            out[table.derivative(sym, d)] = Expr.zero()
     return out
 
 

@@ -4,8 +4,8 @@ Every scalar quantity of the frame calculus (principal curvature functions,
 the holomorphic sectional curvature constant, connection coefficients) is an
 opaque named symbol.  Three kinds exist:
 
-* ``function``   -- a smooth function on the hypersurface; its directional
-  derivatives along frame vectors are fresh ``derivative`` symbols.
+* ``function``   -- a smooth function f on the hypersurface; its table mints
+  its derivative symbols D(e1,f), D(e2,f) and D(e3,f) with it.
 * ``constant``   -- derivative-free (curvature constant c, point-spectrum
   eigenvalues, numeric parameters such as the tube radius r).
 * ``derivative`` -- the formal derivative ``D(ei, f)`` of a function symbol f
@@ -20,7 +20,8 @@ part in formal differentiation.
 A ``Symbol`` is its name: a ``str`` subclass whose string value is the name,
 so it hashes as the name and equals the name string, and the dicts and sets
 of the polynomial layer hash and compare symbols in C.  Its kind and the
-other attributes ride along.
+other attributes ride along.  Only a ``SymbolTable`` mints a symbol, so
+each name of a table is one object, whichever layer reaches it.
 """
 
 from __future__ import annotations
@@ -44,19 +45,17 @@ class SymbolError(ValueError):
 class Symbol(str):
     """A named scalar whose string value is its name; identity is the name,
     so same-name symbols of two tables are equal.  ``table`` is the
-    SymbolTable that made the symbol (a derivative symbol shares its base's
-    table; a symbol made outside any table gets a table of its own)."""
+    SymbolTable that minted the symbol; only a SymbolTable makes one."""
 
-    def __new__(cls, name: str, kind: str, direction: Optional[str] = None,
-                base: Optional[str] = None, fn: Optional[str] = None,
-                arg: object = None, table: Optional["SymbolTable"] = None) -> "Symbol":
+    def __new__(cls, name: str, kind: str, table: "SymbolTable",
+                direction: Optional[str] = None, base: Optional[str] = None,
+                fn: Optional[str] = None, arg: object = None) -> "Symbol":
         # direction and base: derivative kind only (base is the function's
         # name); fn and arg: applied atoms only (numeric function name and
         # argument Expr)
         sym = str.__new__(cls, name)
         sym.__dict__.update(name=str(name), kind=kind, direction=direction, base=base,
-                            fn=fn, arg=arg,
-                            table=SymbolTable() if table is None else table)
+                            fn=fn, arg=arg, table=table)
         return sym
 
     def __setattr__(self, *a):  # immutability guard
@@ -64,27 +63,6 @@ class Symbol(str):
 
     def __repr__(self) -> str:
         return f"Symbol({self.name!r}, {self.kind})"
-
-
-def derivative_symbol(base: Symbol, direction: str) -> Symbol:
-    """The formal derivative symbol D(direction, base).
-
-    Only function-kind symbols have derivative symbols; differentiating a
-    derivative symbol (second order) is not supported by the calculus.
-    Symbol identity is by name, so the result equals any interned copy.
-    """
-    if direction not in DIRECTIONS:
-        raise SymbolError(f"unknown frame direction {direction!r}")
-    if base.kind == DERIVATIVE:
-        raise SymbolError(
-            f"second-order formal derivative of {base.name!r} is not supported"
-        )
-    if base.kind != FUNCTION:
-        raise SymbolError(
-            f"derivative symbols exist only for function symbols, not {base.name!r}"
-        )
-    return Symbol(f"D({direction},{base.name})", DERIVATIVE,
-                  direction=direction, base=base.name, table=base.table)
 
 
 class SymbolTable:
@@ -101,9 +79,9 @@ class SymbolTable:
     command mints its own names (a parsed --pseudo-l, the Einstein constant)
     in a ``scope()`` of the table instead, which reads through to it and is
     dropped with the command.  A scope mints no function symbol: every name
-    a scope adds is a constant or a derivative, so a name has one kind in a
-    table and all its scopes, and the table's memos, which may hold products
-    of a scope's symbols, stay right for every later scope.
+    a scope adds is a constant, so a name has one kind in a table and all
+    its scopes, and the table's memos, which may hold products of a scope's
+    symbols, stay right for every later scope.
     """
 
     def __init__(self, parent: Optional["SymbolTable"] = None) -> None:
@@ -112,19 +90,20 @@ class SymbolTable:
         self.frozen = False
         self.monomials = None
 
-    def _define(self, sym: Symbol) -> Symbol:
-        existing = self.get(sym.name)
+    def _define(self, name: str, kind: str, **attrs) -> Symbol:
+        """The symbol `name` of this table or a parent, minted here if new."""
+        existing = self.get(name)
         if existing is not None:
-            if existing.kind != sym.kind:
+            if existing.kind != kind:
                 raise SymbolError(
-                    f"symbol {sym.name!r} already defined with kind {existing.kind!r}"
+                    f"symbol {name!r} already defined with kind {existing.kind!r}"
                 )
             return existing
         if self.frozen:
             raise SymbolError(
-                f"no new symbol {sym.name!r} in a frozen table; define it in a scope()"
+                f"no new symbol {name!r} in a frozen table; define it in a scope()"
             )
-        self._by_name[sym.name] = sym
+        sym = self._by_name[name] = Symbol(name, kind, self, **attrs)
         return sym
 
     def scope(self) -> "SymbolTable":
@@ -140,22 +119,39 @@ class SymbolTable:
         self.monomials = None
 
     def function(self, name: str) -> Symbol:
+        """The function symbol `name`, minted with its D(e1,name), D(e2,name), D(e3,name)."""
         _check_ident(name)
         if self._parent is not None:
             raise SymbolError(f"a scope mints no function symbol such as {name!r}")
-        return self._define(Symbol(name, FUNCTION, table=self))
+        sym = self._define(name, FUNCTION)
+        for d in DIRECTIONS:
+            self._define(f"D({d},{name})", DERIVATIVE, direction=d, base=name)
+        return sym
 
     def constant(self, name: str) -> Symbol:
         _check_ident(name)
-        return self._define(Symbol(name, CONSTANT, table=self))
+        return self._define(name, CONSTANT)
 
     def derivative(self, base: Symbol, direction: str) -> Symbol:
-        """The interned derivative symbol D(direction, base)."""
-        return self._define(derivative_symbol(base, direction))
+        """The derivative symbol D(direction, base), minted with base by
+        function().  Only function symbols have one; differentiating a
+        derivative symbol (second order) is not supported by the calculus."""
+        if direction not in DIRECTIONS:
+            raise SymbolError(f"unknown frame direction {direction!r}")
+        if base.kind == DERIVATIVE:
+            raise SymbolError(
+                f"second-order formal derivative of {base.name!r} is not supported"
+            )
+        sym = self.get(f"D({direction},{base.name})") if base.kind == FUNCTION else None
+        if sym is None:
+            raise SymbolError(
+                f"derivative symbols exist only for function symbols, not {base.name!r}"
+            )
+        return sym
 
     def applied(self, fn: str, arg: object, text: str) -> Symbol:
         """Opaque numeric atom such as cot(2*r); `text` is its canonical name."""
-        return self._define(Symbol(text, CONSTANT, fn=fn, arg=arg, table=self))
+        return self._define(text, CONSTANT, fn=fn, arg=arg)
 
     def get(self, name: str) -> Optional[Symbol]:
         sym = self._by_name.get(name)
@@ -165,10 +161,6 @@ class SymbolTable:
 
     def __contains__(self, name: str) -> bool:
         return self.get(name) is not None
-
-    def names(self) -> list[str]:
-        own = sorted(self._by_name)
-        return own if self._parent is None else sorted({*own, *self._parent.names()})
 
 
 def _check_ident(name: str) -> None:

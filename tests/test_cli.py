@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starricci import catalog, cli, conditions, frames, parsing, polynomial, proofs
+from starricci import catalog, cli, conditions, frames, parsing, proofs, symbols
 from starricci.catalog import ConditionKind, SweepResult, builtin_catalog, format_catalog
 from starricci.cli import main
 from starricci.parsing import ExprSyntaxError, parse_expr
@@ -811,6 +811,9 @@ def _parsed(capsys, parse, argv):
     ["sweep", "ch2-a0", "-2.5", "-1e-3", "3", "parallel"],
     ["sweep", "ch2-a0", "-inf", "2", "3", "parallel"],
     ["expr", "eval", "-h"],
+    ["expr", "eval", "--help"],
+    ["expr", "eval", "-half", "half=1"],
+    ["expr", "eval", "x", "-h"],
     ["sweep", "ch2-a0", "-1", "2", "3", "parallel", "--bogus"],
 ])
 def test_one_level_parse_equals_the_full_parser(capsys, argv):
@@ -830,12 +833,23 @@ def test_one_level_parse_equals_the_full_parser(capsys, argv):
      ["sweep", "ch2-a0", "--", "-1e3", "2", "3", "parallel"]),
     (["sweep", "ch2-a0", "-2.5", "-1e-3", "3", "parallel"],
      ["sweep", "ch2-a0", "--", "-2.5", "-1e-3", "3", "parallel"]),
+    # -h alone is help; a value that only begins with it is not
+    (["expr", "eval", "-half", "half=1"], ["expr", "eval", "--", "-half", "half=1"]),
+    (["expr", "eval", "-hx", "hx=2"], ["expr", "eval", "--", "-hx", "hx=2"]),
+    (["expr", "eval", "-h*x", "h=3", "x=2"], ["expr", "eval", "--", "-h*x", "h=3", "x=2"]),
 ])
 def test_a_value_may_begin_with_a_minus(capsys, argv, spelled):
     # each prints what its "--" or "=" spelling prints
     out = _parsed(capsys, main, argv)
     assert out == _parsed(capsys, main, spelled)
     assert out[0] == 0 and out[1] and out[2] == ""
+
+
+@pytest.mark.parametrize("argv", [["expr", "eval", "-h"], ["expr", "eval", "--help"],
+                                  ["expr", "eval", "-half", "-h"], ["check", "-h"]])
+def test_a_lone_dash_h_is_still_help(capsys, argv):
+    code, out, err = _parsed(capsys, main, argv)
+    assert code == 0 and out.startswith(f"usage: starricci {argv[0]} [-h]") and err == ""
 
 
 def test_a_radius_of_minus_inf_is_the_domain_error(capsys):
@@ -1085,15 +1099,26 @@ def test_printed_reports_equal_the_generic_rendering(monkeypatch, capsys):
     assert len(commands) == 2 * 6 * 2 + 2
 
 
+def _refuse_new_symbols(monkeypatch):
+    def refuse(cls, name, *_args, **_kwargs):
+        raise AssertionError(f"Symbol {name!r} constructed")
+
+    monkeypatch.setattr(symbols.Symbol, "__new__", refuse)
+
+
 def test_a_second_check_builds_no_derivative_symbol(monkeypatch, capsys):
-    # the context's table memoizes each monomial's derivative terms
+    # the context's table minted each D(ei,f) with f, and memoizes each
+    # monomial's derivative terms: a warm check constructs no Symbol at all
     first = run(capsys, "check", "ricci", "parallel", "nonhopf")
-
-    def refuse(*_args):
-        raise AssertionError("derivative_symbol called")
-
-    monkeypatch.setattr(polynomial, "derivative_symbol", refuse)
+    _refuse_new_symbols(monkeypatch)
     assert run(capsys, "check", "ricci", "parallel", "nonhopf") == first
+
+
+def test_a_second_prove_all_constructs_no_symbol(monkeypatch, capsys):
+    # the derivatives bound to zero are looked up, not minted per replay
+    first = run(capsys, "prove", "all")
+    _refuse_new_symbols(monkeypatch)
+    assert run(capsys, "prove", "all") == first
 
 
 # Commands that define names: the --pseudo-l identifiers, the Einstein

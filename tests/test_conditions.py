@@ -5,6 +5,7 @@ import pytest
 from starricci import conditions
 from starricci.conditions import (
     ConditionKind,
+    build_report,
     einstein_equations,
     d_parallel_equations,
     parallel_equations,
@@ -35,7 +36,7 @@ from starricci.frames import (
 from starricci.parsing import parse_expr
 from starricci.polynomial import Polynomial
 from starricci.rational import Expr
-from starricci.symbols import DERIVATIVE
+from starricci.symbols import DERIVATIVE, DIRECTIONS
 
 E1, E2, E3 = FrameIndex.E1, FrameIndex.E2, FrameIndex.E3
 
@@ -428,3 +429,38 @@ def test_substitute_takes_each_distinct_equation_once(monkeypatch, hopf):
         assert (s.x, s.y, s.proj) == (e.x, e.y, e.proj)
         _assert_same(s.equation, e.equation.substitute({hopf.symbol("c"): Expr.const(4)}))
         assert out.get(s.x, s.proj, s.y).equation is s.equation
+
+
+def _hopf_specialisation(nonhopf, hopf):
+    """Bindings that put the non-Hopf frame on the Hopf one: beta = delta = 0,
+    gamma -> lambda, mu -> nu, alpha -> alpha, kappa_i -> h_i with
+    D(ej,kappa_i) -> D(ej,h_i), and every other curvature derivative -> 0."""
+    nt, ht = nonhopf.table, hopf.table
+    out = {}
+    for name, value in (("alpha", hopf.sym("alpha")), ("beta", 0), ("gamma", hopf.sym("lambda")),
+                        ("delta", 0), ("mu", hopf.sym("nu"))):
+        f = nt.get(name)
+        out[f] = value
+        out.update((nt.derivative(f, d), 0) for d in DIRECTIONS)
+    for i in (1, 2, 3):
+        kappa, h = nt.get(f"kappa{i}"), ht.get(f"h{i}")
+        out[kappa] = Expr.from_symbol(h)
+        out.update((nt.derivative(kappa, d), Expr.from_symbol(ht.derivative(h, d)))
+                   for d in DIRECTIONS)
+    return out
+
+
+@pytest.mark.parametrize("kind", [ConditionKind.PARALLEL, ConditionKind.XI_PARALLEL,
+                                  ConditionKind.D_PARALLEL, ConditionKind.SEMI_PARALLEL,
+                                  ConditionKind.EINSTEIN])
+@pytest.mark.parametrize("tensor_name, tensor", [("star-ricci", star_ricci_closed),
+                                                 ("ricci", ricci)])
+def test_the_nonhopf_reports_specialise_to_the_hopf_reports(nonhopf, hopf, tensor_name,
+                                                            tensor, kind):
+    bindings = _hopf_specialisation(nonhopf, hopf)
+    special = build_report(nonhopf, kind, tensor(nonhopf), tensor_name).substitute(bindings)
+    expected = build_report(hopf, kind, tensor(hopf), tensor_name)
+    assert len(special) == len(expected)
+    for s, e in zip(special.entries, expected.entries):
+        assert (s.x, s.y, s.proj) == (e.x, e.y, e.proj)
+        assert s.equation == e.equation, s.label()

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -346,7 +347,7 @@ def _derivative_reference(p, direction):
         for idx, (s, e) in enumerate(m):
             if s.kind == CONSTANT:
                 continue
-            dsym = symbols.derivative_symbol(s, direction)
+            dsym = s.table.derivative(s, direction)
             lowered = ((s, e - 1),) if e > 1 else ()
             mono = polynomial._mono_mul(m[:idx] + lowered + m[idx + 1:], ((dsym, 1),))
             acc[mono] = acc.get(mono, 0) + c * e
@@ -429,12 +430,31 @@ def test_derivative_symbols_agree_across_sites():
     from_bindings = next(s for s in _derivative_bindings(t, "f", Expr.zero())
                          if s.name == "D(e1,f)")
     for sym in (from_poly, from_parser, from_bindings):
-        assert sym == from_parser
-        assert (sym.kind, sym.direction, sym.base) == (DERIVATIVE, "e1", "f")
+        assert sym is t.derivative(f, "e1") is t.get("D(e1,f)")
+        assert (sym.kind, sym.direction, sym.base, sym.table) == (DERIVATIVE, "e1", "f", t)
     with pytest.raises(SymbolError):
         P(from_parser).derivative("e2")
-    with pytest.raises(SymbolError):
-        t.derivative(from_parser, "e2")
+    # a lookup mints nothing, so it works on a frozen table; its three errors
+    t.frozen = True
+    assert t.derivative(f, "e3") is t.get("D(e3,f)")
+    for base, direction, error in (
+            (f, "e4", "unknown frame direction 'e4'"),
+            (from_parser, "e2", "second-order formal derivative of 'D(e1,f)' is not supported"),
+            (SymbolTable().constant("k"), "e1",
+             "derivative symbols exist only for function symbols, not 'k'")):
+        with pytest.raises(SymbolError, match=re.escape(error)):
+            t.derivative(base, direction)
+
+
+def test_a_context_derivative_symbol_is_the_one_its_table_holds():
+    ctx = build_nonhopf_context()
+    held = ctx.table.get("D(e1,alpha)")
+    from_poly, = ctx.sym("alpha").derivative("e1").symbols()
+    from_parser, = ctx.parse("D(e1,alpha)").symbols()
+    from_bindings = next(s for s in _derivative_bindings(ctx.table, "alpha", Expr.zero())
+                         if s.name == "D(e1,alpha)")
+    assert held.kind == DERIVATIVE
+    assert from_poly is held and from_parser is held and from_bindings is held
 
 
 # -- symbols are their names; per-table monomial memos ---------------------------
