@@ -234,8 +234,9 @@ def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catal
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise CatalogError(f"malformed catalog file: {exc}") from exc
+    except configparser.Error as exc:  # its message may span lines: one error line
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise CatalogError(f"malformed catalog file: {message}") from exc
     if "catalog" not in cp:
         raise CatalogError("missing [catalog] section with a version")
     version = cp["catalog"].get("version")

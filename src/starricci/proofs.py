@@ -40,12 +40,12 @@ one runner, `_replay`, that checks them:
 
 The fixed forms the rows compare with (the expected equations and
 BASIC_RELATION_TEXT) are parsed once per frame context and kept on it, in
-the context's own table.  The elimination builds its table of the constants
-alpha, lambda, nu and c once per process, freezes it and parses its three
-forms in it once.  Only the tables, the parsing of constant text, and the set
-of free connection coefficients of a context that the purity checks read,
-are kept: every comparison, purity check and cancellation runs on every
-replay.
+the context's own table.  The elimination reads its three forms from the
+Hopf context's kept forms, so the relation that Hopf step 2c checks and the
+relation the elimination clears are one parsed form.  Only the tables, the
+parsing of constant text, and the set of free connection coefficients of a
+context that the purity checks read, are kept: every comparison, purity
+check and cancellation runs on every replay.
 
 Algebraic discipline: a step may cancel only factors that were declared
 nonzero (the tracker rejects anything else), and equations recorded as
@@ -56,7 +56,6 @@ while contradiction witnesses are recorded exactly as computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from operator import sub
 from typing import NamedTuple, Optional
@@ -269,11 +268,11 @@ def _assert_projection_purity(ctx: FrameContext, label: str, e: Expr) -> None:
             )
 
 
-def _derivative_bindings(table: SymbolTable, name: str, value: Expr) -> dict:
-    """Bind a symbol to a constant and, if it is a function, all its formal
-    derivatives to zero."""
+def _derivative_bindings(table: SymbolTable, name: str) -> dict:
+    """Bind a symbol and, if it is a function, all its formal derivatives to
+    zero."""
     sym = table.get(name)
-    out = {sym: value}
+    out = {sym: Expr.zero()}
     if sym.kind == FUNCTION:
         for d in DIRECTIONS:
             out[table.derivative(sym, d)] = Expr.zero()
@@ -346,7 +345,7 @@ def _replay(ctx: FrameContext, name: str, hypotheses: tuple, nonzero: tuple,
             _conclude_zero(label, reduced, step.zero)
             contradiction = step.zero in nonzero
             if not contradiction:
-                zeros[step.zero] = _derivative_bindings(ctx.table, step.zero, Expr.zero())
+                zeros[step.zero] = _derivative_bindings(ctx.table, step.zero)
             elif before_case is not None:
                 tracker, zeros, before_case = declared, before_case, None
             else:
@@ -502,33 +501,19 @@ class QuadraticAnalysis(NamedTuple):
 class QuadraticElimination(NamedTuple):
     """The space-independent part of the quadratic analysis."""
 
-    table: SymbolTable              # constants alpha, lambda, nu, c
     cleared_equation: Expr          # canonical quadratic in nu, c symbolic
     proportionality_factor: Fraction
     discriminant: Expr              # symbolic in alpha, c
 
 
-@lru_cache(maxsize=None)
-def _elimination_forms() -> _Forms:
-    """The forms of the elimination, in one frozen table of the constants
-    alpha, lambda, nu and c built once per process."""
-    table = SymbolTable()
-    for name in ("alpha", "lambda", "nu", "c"):
-        table.constant(name)
-    table.frozen = True
-    return _Forms(table)
-
-
 def quadratic_elimination() -> QuadraticElimination:
     """Eliminate lambda via c = -lambda nu: the cleared relation must be a
     nonzero multiple of QUADRATIC_TEXT, whose discriminant in nu must be
-    DISCRIMINANT_TEXT."""
-    forms = _elimination_forms()
-    table = forms.table
+    DISCRIMINANT_TEXT.  The constants and forms are the Hopf context's."""
+    ctx = build_hopf_context()
+    forms = _forms(ctx)
     basic = forms[BASIC_RELATION_TEXT]
-    lam = table.get("lambda")
-    nu = table.get("nu")
-    c = table.get("c")
+    lam, nu, c = map(ctx.symbol, ("lambda", "nu", "c"))
 
     substituted = basic.substitute({lam: -Expr.from_symbol(c) / Expr.from_symbol(nu)})
     target = forms[QUADRATIC_TEXT]
@@ -543,15 +528,12 @@ def quadratic_elimination() -> QuadraticElimination:
 
     disc = solve_quadratic(target, nu).discriminant
     _expect("discriminant", disc, forms[DISCRIMINANT_TEXT])
-    return QuadraticElimination(table, target, factor, disc)
+    return QuadraticElimination(target, factor, disc)
 
 
 def quadratic_analysis(space: ModelSpace, elimination: QuadraticElimination) -> QuadraticAnalysis:
     """Analyze the quadratic of `elimination` at the curvature c of `space`."""
-    table = elimination.table
-    nu = table.get("nu")
-    c = table.get("c")
-    alpha = table.get("alpha")
+    nu, c, alpha = map(build_hopf_context().symbol, ("nu", "c", "alpha"))
     target = elimination.cleared_equation
     disc_at_c = elimination.discriminant.substitute({c: Expr.const(space.c)})
     coeffs = disc_at_c.coefficients_in(alpha)

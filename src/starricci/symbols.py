@@ -48,14 +48,10 @@ class Symbol(str):
     SymbolTable that minted the symbol; only a SymbolTable makes one."""
 
     def __new__(cls, name: str, kind: str, table: "SymbolTable",
-                direction: Optional[str] = None, base: Optional[str] = None,
                 fn: Optional[str] = None, arg: object = None) -> "Symbol":
-        # direction and base: derivative kind only (base is the function's
-        # name); fn and arg: applied atoms only (numeric function name and
-        # argument Expr)
+        # fn and arg: applied atoms only (numeric function name and argument Expr)
         sym = str.__new__(cls, name)
-        sym.__dict__.update(name=str(name), kind=kind, direction=direction, base=base,
-                            fn=fn, arg=arg, table=table)
+        sym.__dict__.update(name=str(name), kind=kind, fn=fn, arg=arg, table=table)
         return sym
 
     def __setattr__(self, *a):  # immutability guard
@@ -125,7 +121,7 @@ class SymbolTable:
             raise SymbolError(f"a scope mints no function symbol such as {name!r}")
         sym = self._define(name, FUNCTION)
         for d in DIRECTIONS:
-            self._define(f"D({d},{name})", DERIVATIVE, direction=d, base=name)
+            self._define(f"D({d},{name})", DERIVATIVE)
         return sym
 
     def constant(self, name: str) -> Symbol:

@@ -101,13 +101,15 @@ def test_criterion_2_hopf_chain():
 @criterion(3, "quadratic replication")
 def test_criterion_3_quadratic_replication():
     elimination = quadratic_elimination()
-    # the expected forms are parsed in the elimination's own table
-    cleared = parse_expr("2*alpha*nu^2 + 5*c*nu - 2*alpha*c", elimination.table.scope())
-    discriminant = parse_expr("25*c^2 + 16*alpha^2*c", elimination.table.scope())
+    # the expected forms are parsed in the Hopf context's table, which the
+    # elimination reads
+    table = build_hopf_context().table
+    cleared = parse_expr("2*alpha*nu^2 + 5*c*nu - 2*alpha*c", table.scope())
+    discriminant = parse_expr("25*c^2 + 16*alpha^2*c", table.scope())
     for space, expect_bound in ((CP2, None), (CH2, Fraction(25, 4))):
         q = quadratic_analysis(space, elimination)
         assert q.cleared_equation == cleared
-        assert {s.table for s in q.cleared_equation.symbols()} == {elimination.table}
+        assert {s.table for s in q.cleared_equation.symbols()} == {table}
         assert q.proportionality_factor != 0
         assert q.discriminant == discriminant
         if space is CP2:

@@ -602,6 +602,13 @@ def test_a_tighter_oracle_tolerance_validates_again(tmp_path, capsys):
 
 
 def test_bad_inputs_exit_nonzero(capsys, tmp_path):
+    # configparser's messages for these two files span lines
+    no_header = tmp_path / "no-header.cat"
+    no_header.write_text("garbage without section\n")
+    no_equals = tmp_path / "no-equals.cat"
+    no_equals.write_text("[catalog]\nversion = 1\n[fam]\nspace = CP2\nno equals sign\n")
+    no_family = tmp_path / "no-family.cat"
+    no_family.write_text("[catalog]\nversion = 1\n")
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
     # argparse exits 2; the catalog and tolerance flags belong to prove and sweep only
@@ -631,6 +638,12 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["expr", "eval", "x", "x=1", "--out", str(tmp_path / "missing" / "x")],
         ["sweep", "cp2-b", "0.1", "0.2", "3", "parallel",
          "--catalog", str(tmp_path / "missing.cat")],
+        *(["sweep", "cp2-a1", "0.2", "0.9", "3", "parallel", "--catalog", str(path)]
+          for path in (no_header, no_equals, no_family)),
+        ["sweep", "cp2-a1", "0.9", "0.2", "10", "parallel"],    # r-min > r-max
+        ["sweep", "cp2-a1", "0.2", "0.9", "1", "parallel"],     # fewer than 2 samples
+        ["prove", "all", "--samples", "1"],
+        ["expr", "solve", "x+1", "y"],                          # y does not occur
         ["prove", "type-b", "--tol-oracle", "nan"],
         ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
         ["prove", "hopf", "--tol-witness", "inf"],

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starricci import quadratic, rational
+from starricci.frames import build_hopf_context
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
 from starricci.polynomial import Polynomial, _memos, _mono_mul, poly_gcd
 from starricci.proofs import BASIC_RELATION_TEXT, DISCRIMINANT_TEXT, quadratic_elimination
@@ -1153,4 +1154,5 @@ def test_quadratic_elimination_builds_no_root(monkeypatch):
 
     monkeypatch.setattr(quadratic.QuadraticRoot, "__init__", refuse)
     elimination = quadratic_elimination()
-    assert elimination.discriminant == parse_expr(DISCRIMINANT_TEXT, elimination.table.scope())
+    assert elimination.discriminant == parse_expr(DISCRIMINANT_TEXT,
+                                                  build_hopf_context().table.scope())

@@ -427,11 +427,11 @@ def test_derivative_symbols_agree_across_sites():
     (mono, _c), = P(f).derivative("e1").terms
     (from_poly, _e), = mono
     from_parser, = parse_expr("D(e1,f)", t).symbols()
-    from_bindings = next(s for s in _derivative_bindings(t, "f", Expr.zero())
+    from_bindings = next(s for s in _derivative_bindings(t, "f")
                          if s.name == "D(e1,f)")
     for sym in (from_poly, from_parser, from_bindings):
         assert sym is t.derivative(f, "e1") is t.get("D(e1,f)")
-        assert (sym.kind, sym.direction, sym.base, sym.table) == (DERIVATIVE, "e1", "f", t)
+        assert (sym.kind, sym.table, sym.name) == (DERIVATIVE, t, "D(e1,f)")
     with pytest.raises(SymbolError):
         P(from_parser).derivative("e2")
     # a lookup mints nothing, so it works on a frozen table; its three errors
@@ -451,7 +451,7 @@ def test_a_context_derivative_symbol_is_the_one_its_table_holds():
     held = ctx.table.get("D(e1,alpha)")
     from_poly, = ctx.sym("alpha").derivative("e1").symbols()
     from_parser, = ctx.parse("D(e1,alpha)").symbols()
-    from_bindings = next(s for s in _derivative_bindings(ctx.table, "alpha", Expr.zero())
+    from_bindings = next(s for s in _derivative_bindings(ctx.table, "alpha")
                          if s.name == "D(e1,alpha)")
     assert held.kind == DERIVATIVE
     assert from_poly is held and from_parser is held and from_bindings is held

@@ -513,8 +513,8 @@ def test_second_verify_all_parses_no_text(monkeypatch):
     monkeypatch.setattr(parsing._Parser, "__init__", counted)
     assert verify_all(samples=20, catalog=cat).ok
     assert parsed == []
-    table = quadratic_elimination().table
-    assert quadratic_elimination().table is table
+    table = build_hopf_context().table
+    assert {s.table for s in quadratic_elimination().cleared_equation.symbols()} == {table}
     with pytest.raises(SymbolError, match="frozen"):
         table.constant("kappa")
 
@@ -547,7 +547,7 @@ def test_elimination_accepts_only_a_constant_multiple(monkeypatch, quadratic, fa
     # the cleared relation is -1/4 * (2*alpha*nu^2 + 5*c*nu - 2*alpha*c): the
     # factor is the ratio of the leading coefficients, then the whole relation
     # must equal the target scaled by it
-    forms = proofs._elimination_forms()
+    forms = proofs._forms(build_hopf_context())
     monkeypatch.setitem(forms, proofs.QUADRATIC_TEXT, parse_expr(quadratic, forms.table.scope()))
     if factor is None:
         with pytest.raises(ProofError, match="is not a nonzero multiple of"):
@@ -562,14 +562,19 @@ def test_elimination_accepts_only_a_constant_multiple(monkeypatch, quadratic, fa
 
 def test_kept_forms_hold_only_the_symbols_of_their_table():
     # each reference is compared in the table it was parsed in, so the
-    # comparison stays right when symbols of two tables no longer compare equal
+    # comparison stays right when symbols of two tables no longer compare equal;
+    # the elimination reads the Hopf context's forms, so the relation step 2c
+    # checks and the relation the elimination clears are one parsed form
     nonhopf_contradiction()
     hopf_branch()
     elimination = quadratic_elimination()
+    hopf_forms = proofs._forms(build_hopf_context())
+    texts = (proofs.BASIC_RELATION_TEXT, proofs.QUADRATIC_TEXT, proofs.DISCRIMINANT_TEXT)
+    assert set(texts) <= hopf_forms.keys()
+    assert elimination.cleared_equation is hopf_forms[proofs.QUADRATIC_TEXT]
     kept = [
         (build_nonhopf_context().table, proofs._forms(build_nonhopf_context()), 3),
-        (build_hopf_context().table, proofs._forms(build_hopf_context()), 4),
-        (elimination.table, proofs._elimination_forms(), 3),
+        (build_hopf_context().table, hopf_forms, 6),
     ]
     for table, forms, count in kept:
         assert len(forms) == count
