@@ -28,7 +28,8 @@ subcommand name straight to that subcommand's parser, where the top-level
 parser would parse them and then hand them on to be parsed again.  A value
 may begin with "-" (``expr eval -x x=2``, ``sweep ch2-a0 -1e3 2 3
 parallel``): a subcommand reads an argument with one leading "-" that names
-none of its options as a value.
+none of its options as a value.  An option may come before a ``name=value``
+list; only such a command line is parsed a second time, intermixed.
 """
 
 from __future__ import annotations
@@ -492,6 +493,13 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     Namespace(cmd=name), and leftover arguments get the top-level parser's
     error, in parse_args' words.  Every other argv (none, -h, --version, an
     unknown name) goes through the top-level parser.
+
+    Where it accepts more than parse_args: an option may come before a
+    name=value list (``check ricci parallel nonhopf --format json delta=0``),
+    which parse_args leaves over because the list's nargs="*" positional
+    has already matched nothing.  Only when the one-level parse leaves
+    arguments over does an intermixed parse run; its result stands if it
+    leaves none, else the one-level parse's leftovers are the error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
@@ -500,7 +508,9 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         return parser.parse_args(argv)
     args, extra = command.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
     if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+        args, rest = command.parse_known_intermixed_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if rest:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     return args
 
 

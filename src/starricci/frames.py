@@ -144,10 +144,6 @@ class VectorField:
         idx = i.value if isinstance(i, FrameIndex) else i
         return VectorField(1 if j == idx else 0 for j in range(3))
 
-    @staticmethod
-    def zero() -> "VectorField":
-        return VectorField((0, 0, 0))
-
 
 XI = VectorField.basis(2)
 

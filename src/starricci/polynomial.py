@@ -155,11 +155,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return a
     return _memos(a[0][0]).products[a][b]
 
-def _mono_divides(a: Mono, b: Mono) -> bool:
-    """True if monomial a divides monomial b."""
-    eb = dict(b)
-    return all(eb.get(s, 0) >= e for s, e in a)
-
 def _mono_div_or_none(b: Mono, a: Mono) -> Optional[Mono]:
     """b / a, or None when a does not divide b."""
     eb = dict(b)
@@ -172,17 +167,6 @@ def _mono_div_or_none(b: Mono, a: Mono) -> Optional[Mono]:
         else:
             del eb[s]
     return tuple(eb.items())
-
-def _mono_div(b: Mono, a: Mono) -> Mono:
-    """b / a, assuming divisibility."""
-    ea = dict(a)
-    out = []
-    for s, e in b:
-        d = e - ea.get(s, 0)
-        if d:
-            out.append((s, d))
-    return tuple(out)
-
 
 class Polynomial:
     """Canonical sparse polynomial: terms sorted descending, no zero coeffs."""
@@ -422,9 +406,9 @@ class Polynomial:
         dm, dc = divisor.leading()
         while not rem.is_zero:
             rm, rc = rem.leading()
-            if not _mono_divides(dm, rm):
+            m = _mono_div_or_none(rm, dm)
+            if m is None:
                 return None
-            m = _mono_div(rm, dm)
             # an integral quotient of two ints stays an int: no Fraction is built
             if rc.__class__ is int and dc.__class__ is int and not rc % dc:
                 c = rc // dc
@@ -563,7 +547,8 @@ def _mono_content(p: Polynomial) -> Mono:
 
 
 def _mono_quotient(p: Polynomial, m: Mono) -> Polynomial:
-    return Polynomial({_mono_div(t, m): c for t, c in p.terms}) if m else p
+    # m is the common monomial of p's terms, so it divides each of them
+    return Polynomial({_mono_div_or_none(t, m): c for t, c in p.terms}) if m else p
 
 
 def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:

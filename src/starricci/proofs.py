@@ -19,7 +19,8 @@ pieces, each produced here as a deterministic trace or report:
   quadratic at the space's c decides solvability.
 * type_b_exclusion -- the remaining candidates have constant principal
   curvatures; the tube families ("type B") violate lambda nu = -c
-  numerically by a margin of 3 at every radius of their witness sweeps.
+  numerically by a margin of 3 at every radius of the family's parallel
+  sweep, which the certificate runs itself and keeps as its witness.
 
 verify_all is the one place that composes them: it runs the pieces of a
 prove target (one piece, or "all" with the numeric witness) and returns one
@@ -67,7 +68,6 @@ from .catalog import (
     DEFAULT_ORACLE_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_WITNESS_TOL,
-    HypersurfaceFamily,
     ModelSpace,
     SweepResult,
     _lam_nu_plus_c,
@@ -573,6 +573,7 @@ class TypeBReport(NamedTuple):
     max_deviation: float
     min_abs: float
     ok: bool
+    witness: SweepResult   # the family's parallel sweep; not rendered
 
     def to_payload(self) -> dict:
         return {
@@ -594,41 +595,37 @@ class TypeBReport(NamedTuple):
         )
 
 
-def _type_b_sweep(fam: HypersurfaceFamily, samples: int) -> SweepResult:
-    """The witness sweep of a type-B family.  Where it fails, each radius in
-    turn gets the certificate's check (the curvatures, then lambda*nu + c),
-    then the per-radius evaluation: the first failing radius raises."""
-    try:
-        return sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
-    except ValueError:
-        for r in radius_grid(*fam.sample_window(), samples):
-            _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:])
-            evaluate_condition(fam, r, ConditionKind.PARALLEL)
-        raise
-
-
 def type_b_exclusion(
     space: ModelSpace,
     *,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_ORACLE_TOL,
     catalog: Optional[Catalog] = None,
-    witness: Optional[SweepResult] = None,
 ) -> TypeBReport:
     """Certify lambda nu + c = +-3 on the type-B tube family of a space.
 
     The remaining Hopf candidates would need lambda nu = -c; the constant
     offset of 3 rules them out at every sampled radius: the lambda*nu + c
-    column of the family's witness sweep, run here unless passed as `witness`.
+    column of the family's parallel sweep, run here and kept on the report
+    as its `witness`.  Where the sweep fails, each radius in turn gets the
+    certificate's check (the curvatures, then lambda*nu + c), then the
+    per-radius evaluation: the first failing radius raises.
     """
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
-    values = (witness if witness is not None else _type_b_sweep(fam, samples)).lam_nu_plus_c
+    try:
+        witness = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+    except ValueError:
+        for r in radius_grid(*fam.sample_window(), samples):
+            _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:])
+            evaluate_condition(fam, r, ConditionKind.PARALLEL)
+        raise
+    values = witness.lam_nu_plus_c
     expected = TYPE_B_EXPECTED[space.name]
     max_dev = max(map(abs, map(sub, values, repeat(expected))))
     min_abs = min(map(abs, values))
     ok = max_dev <= tol and min_abs >= 3.0 - tol
-    return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok)
+    return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok, witness)
 
 
 # What a passing run of each proof piece shows; "all" is the whole theorem.
@@ -698,9 +695,11 @@ def verify_all(
     numeric non-existence witness: one catalog.sweep per family over its
     sample window, and on every family the parallel condition on the
     *-Ricci tensor must stay numerically violated at the sampled radii (no
-    family poses as a counterexample).  The type-B families are swept first
-    (CP2's, then CH2's) and their sweeps serve the certificates too.  "ok"
-    is decided here, once.  An unknown target or no space is a ValueError.
+    family poses as a counterexample).  The type-B certificates sweep their
+    families first (CP2's, then CH2's), and the witness reads those sweeps
+    back from the reports; every other family is swept here, in catalog
+    order.  "ok" is decided here, once.  An unknown target or no space is a
+    ValueError.
     """
     if target not in _VERDICTS:
         raise ValueError(f"unknown proof target {target!r} (known: {', '.join(_VERDICTS)})")
@@ -717,17 +716,14 @@ def verify_all(
     witness_min = None
     if target in ("all", "type-b"):
         cat = catalog if catalog is not None else builtin_catalog()
-        swept = {}
-        for space in run:
-            fam = cat.get(TYPE_B_FAMILIES[space.name])
-            swept[fam] = witness = _type_b_sweep(fam, samples)
-            typeb += (type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat,
-                                       witness=witness),)
+        typeb = tuple(type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat)
+                      for space in run)
         if whole:
-            for fam in cat.families:
-                if fam not in swept:
-                    swept[fam] = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
-            witness_min = min(min(s.max_residuals) for s in swept.values())
+            named = {t.family_id for t in typeb}
+            swept = [t.witness for t in typeb] + [
+                sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+                for fam in cat.families if fam.family_id not in named]
+            witness_min = min(min(s.max_residuals) for s in swept)
     ok = (
         (nonhopf is None or nonhopf.status == "contradiction")
         and (hopf is None or hopf.status == "open" and "c + lambda*nu = 0" in hopf.conclusions)

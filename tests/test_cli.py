@@ -828,6 +828,9 @@ def _parsed(capsys, parse, argv):
     ["expr", "eval", "-half", "half=1"],
     ["expr", "eval", "x", "-h"],
     ["sweep", "ch2-a0", "-1", "2", "3", "parallel", "--bogus"],
+    # left over by the intermixed parse too: the one-level parse's leftovers
+    ["expr", "eval", "x", "--bogus", "x=1"],
+    ["sweep", "ch2-a0", "0", "1", "3", "parallel", "--format", "json", "extra"],
 ])
 def test_one_level_parse_equals_the_full_parser(capsys, argv):
     full = _parsed(capsys, lambda a: cli.build_parser().parse_args(a), argv)
@@ -853,6 +856,29 @@ def test_one_level_parse_equals_the_full_parser(capsys, argv):
 ])
 def test_a_value_may_begin_with_a_minus(capsys, argv, spelled):
     # each prints what its "--" or "=" spelling prints
+    out = _parsed(capsys, main, argv)
+    assert out == _parsed(capsys, main, spelled)
+    assert out[0] == 0 and out[1] and out[2] == ""
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["check", "ricci", "parallel", "nonhopf", "--format", "json", "delta=0"],
+     ["check", "ricci", "parallel", "nonhopf", "delta=0", "--format", "json"]),
+    (["check", "star-ricci", "parallel", "nonhopf", "delta=0", "--format", "json", "mu=0"],
+     ["check", "star-ricci", "parallel", "nonhopf", "delta=0", "mu=0", "--format", "json"]),
+    (["check", "star-ricci", "pseudo-parallel", "hopf", "--pseudo-l", "alpha", "lambda=1",
+      "--format", "json", "nu=2"],
+     ["check", "star-ricci", "pseudo-parallel", "hopf", "lambda=1", "nu=2", "--pseudo-l",
+      "alpha", "--format", "json"]),
+    (["expr", "eval", "x", "--format", "json", "x=1"],
+     ["expr", "eval", "x", "x=1", "--format", "json"]),
+    (["expr", "eval", "-half", "--format=json", "half=1"],
+     ["expr", "eval", "-half", "half=1", "--format=json"]),
+    (["expr", "solve", "x^2 - 2", "--format", "json", "x"],
+     ["expr", "solve", "x^2 - 2", "x", "--format", "json"]),
+])
+def test_an_option_may_come_before_a_name_value_list(capsys, argv, spelled):
+    # each prints what its options-last spelling prints
     out = _parsed(capsys, main, argv)
     assert out == _parsed(capsys, main, spelled)
     assert out[0] == 0 and out[1] and out[2] == ""

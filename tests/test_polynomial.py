@@ -106,9 +106,9 @@ def _exact_div_over_fractions(p, divisor):
     dm, dc = divisor.leading()
     while not rem.is_zero:
         rm, rc = rem.leading()
-        if not polynomial._mono_divides(dm, rm):
+        m = polynomial._mono_div_or_none(rm, dm)
+        if m is None:
             return None
-        m = polynomial._mono_div(rm, dm)
         c = Fraction(rc) / dc
         quot[m] = quot.get(m, 0) + c
         rem = rem - divisor * Polynomial({m: c})

@@ -401,7 +401,35 @@ def test_the_type_b_replay_stops_at_the_first_failing_radius():
             run()
 
 
-def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel():
+def _hex_sweep(result):
+    return (result.family_id, result.kind,
+            *(tuple(map(float.hex, column)) for column in
+              (result.radii, result.max_residuals, result.lam_nu_plus_c)))
+
+
+@pytest.mark.parametrize("samples", [2, 50, 101])
+def test_the_type_b_report_keeps_its_family_sweep(samples):
+    for space in (CP2, CH2):
+        fam = builtin_catalog().get(proofs.TYPE_B_FAMILIES[space.name])
+        expected = catalog.sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
+        rep = type_b_exclusion(space, samples=samples)
+        assert isinstance(rep.witness, catalog.SweepResult)
+        assert _hex_sweep(rep.witness) == _hex_sweep(expected)
+
+
+def test_the_witness_reads_the_type_b_sweeps_back_from_the_reports():
+    summary = verify_all(samples=50)
+    named = {rep.family_id for rep in summary.type_b}
+    assert named == {"cp2-b", "ch2-b"}
+    others = [catalog.sweep(fam, *fam.sample_window(), 50, ConditionKind.PARALLEL)
+              for fam in builtin_catalog().families if fam.family_id not in named]
+    columns = [rep.witness.max_residuals for rep in summary.type_b]
+    columns += [result.max_residuals for result in others]
+    assert summary.witness_min_residual.hex() == min(map(min, columns)).hex()
+
+
+@pytest.mark.parametrize("target", ["all", "type-b"])
+def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel(target):
     # a fresh load of the builtin catalog, whose families' kernels are wrapped
     cat = parse_catalog.__wrapped__(
         resources.files("starricci.data").joinpath("families.cat").read_text("utf-8"))
@@ -418,9 +446,12 @@ def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel():
         kernel = catalog._sweep_kernel(fam, ConditionKind.PARALLEL, report)
         fam._sweeps[ConditionKind.PARALLEL] = counted(("sweep", fam.family_id), kernel)
         object.__setattr__(fam, "oracle", counted(("oracle", fam.family_id), fam.oracle))
-    assert verify_all(samples=50, catalog=cat).ok
-    # one sweep-kernel call per family, and no oracle-kernel call
-    assert calls == Counter({("sweep", fam.family_id): 1 for fam in cat.families})
+    assert verify_all(target, samples=50, catalog=cat).ok
+    # one sweep-kernel call per family swept ("all": every family; "type-b":
+    # cp2-b and ch2-b), and no oracle-kernel call
+    swept = [fam.family_id for fam in cat.families
+             if target == "all" or fam.family_id in proofs.TYPE_B_FAMILIES.values()]
+    assert calls == Counter({("sweep", family_id): 1 for family_id in swept})
 
 
 # -- the whole chain --------------------------------------------------------------------------
