@@ -170,10 +170,16 @@ DEFAULT_SAMPLES = 100
 
 
 def _grid(lo: float, hi: float, samples: int) -> tuple:
-    """(lo, width, steps, samples) of radius_grid: radius i is lo + width * i / steps."""
+    """(lo, width, steps, samples) of radius_grid: radius i is lo + width * i / steps.
+    A range so wide that width * steps overflows, as [-1e308, 1e308] does, is
+    a CatalogError: its last radius would be inf, and nan where width is inf."""
     if samples < 2:
         raise CatalogError("a radius grid needs at least 2 samples")
-    return lo, hi - lo, samples - 1, samples
+    width, steps = hi - lo, samples - 1
+    if not math.isfinite(width * steps):
+        raise CatalogError(f"the radius range [{lo}, {hi}] is too wide for a grid of "
+                           f"{samples} radii")
+    return lo, width, steps, samples
 
 
 def radius_grid(lo: float, hi: float, samples: int) -> list:
@@ -456,7 +462,7 @@ def evaluate_condition(
         kind=kind,
         curvatures=(a, l, n),
         lam_nu_plus_c=lam_nu_plus_c,
-        labels=tuple(e.label() for e in report.entries),
+        labels=report.labels,
         values=values,
         max_abs_residual=max(map(abs, values), default=0.0),
     )

@@ -18,10 +18,18 @@ those of ``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``, and
 it takes about half the time, since the standard module falls back to its
 pure-Python encoder whenever it indents.
 
-A sweep's json payload["rows"] is the catalog.SweepResult that the sweep
-returned: ``_json`` joins its three columns into one object per radius, and
-``Report.to_json_dict`` expands it as SweepRow._asdict() per row.  Its text
-rows are the same columns through one % template per row (``_columns``).
+Two payload values are lists of rows, written by one row writer,
+``_json_rows``: it interleaves the fixed key texts with one column of json
+texts per key, and the document is joined once.  A sweep's
+payload["rows"] is the catalog.SweepResult that the sweep returned, its
+float columns through ``_reprs``.  A check's payload["entries"] is its
+ConditionReport, and each cell's text is made once per distinct object
+(``_per_object``): an equation is converted and escaped once per Expr, an
+x tuple rendered once.  ``Report.to_json_dict`` expands both into dicts,
+SweepRow._asdict() per row and one dict per entry.  A sweep's text rows are
+the same columns through one % template per row (``_columns``); a check's
+text lines join the report's labels, one tuple per report shape, with its
+equation texts.
 
 A command line is parsed once: ``_parse_args`` hands the arguments after a
 subcommand name straight to that subcommand's parser, where the top-level
@@ -61,20 +69,15 @@ from .catalog import (
 )
 # perfbench/test_perfbench.py reads the dispatch table as cli._CONDITION_BUILDERS
 from .conditions import _BUILDERS as _CONDITION_BUILDERS
-from .conditions import build_report
+from .conditions import ConditionReport, build_report
 from .frames import build_hopf_context, build_nonhopf_context, ricci, star_ricci_closed
 from .parsing import ExprSyntaxError, parse_expr
 from .rational import Expr, ExprError
-from .symbols import Symbol, SymbolTable
+from .symbols import DIRECTIONS, Symbol, SymbolTable
 
 SCHEMA = "starricci.report/1"
 
 
-# json.dumps(indent=2, sort_keys=True)'s texts around a row's float.__repr__
-# values, for a row of payload["rows"], the one place a SweepResult occurs:
-# _json writes its columns joined with these, to_json_dict gives one dict per row
-_JSON_ROW_KEYS = ('\n      {\n        "lam_nu_plus_c": ', ',\n        "max_residual": ',
-                  ',\n        "r": ', '\n      },')
 _TEXT_ROW = "%12.6f  %14.6e  %+14.9f"
 
 
@@ -110,6 +113,53 @@ def _columns(template: str, sep: str, columns) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _per_object(f, values) -> list:
+    """[f(v) for v in values], with f called once per distinct object."""
+    done, out = {}, []
+    for v in values:
+        cell = done.get(id(v))
+        if cell is None:
+            cell = done[id(v)] = f(v)
+        out.append(cell)
+    return out
+
+
+# the json text of the direction of FrameIndex i, at i._value_
+_DIRECTION_CELLS = tuple(map(_json_str, DIRECTIONS))
+
+
+def _json_rows(nl: str, keys: tuple, columns, out: list) -> None:
+    """Append to out the json text of a list of dicts with the sorted keys
+    `keys`, starting on the line nl: columns[k] holds the json text of key
+    k's value in each dict.  The fixed key texts and the cells go into out
+    as they are, to be joined once with the rest of the document."""
+    heads = [f",{nl}    {_json_str(key)}: " for key in keys]
+    heads[0] = f"{nl}  {{" + heads[0][1:]
+    start = len(out)
+    out += chain.from_iterable(zip(
+        *chain.from_iterable(zip(map(repeat, heads), columns)), repeat(nl + "  },")))
+    out[start] = "[" + out[start]  # a sweep and a report have at least one row
+    out[-1] = nl + "  }"  # the last row takes no ','
+    out.append(nl + "]")
+
+
+def _json_text(value, nl: str) -> str:
+    out: list = []
+    _json(value, nl, out)
+    return "".join(out)
+
+
+def _entry_rows(report: ConditionReport, nl: str, out: list) -> None:
+    """_json_rows of the report's entries.  A cell's text is made once per
+    distinct object: an equation is converted and escaped once per Expr."""
+    xs, ys, projs, equations = zip(*report.entries)
+    _json_rows(nl, ("equation", "proj", "x", "y"), (
+        _per_object(lambda e: _json_str(e.to_text()), equations),
+        [_DIRECTION_CELLS[i._value_] for i in projs],
+        _per_object(lambda x: _json_text([i.direction for i in x], nl + "    "), xs),
+        [_DIRECTION_CELLS[i._value_] for i in ys]), out)
+
+
 def _json(value, nl: str, out: list) -> None:
     """Append to out the text of value in json.dumps(indent=2, sort_keys=True),
     where nl is the newline and indent of the line value starts on."""
@@ -137,12 +187,11 @@ def _json(value, nl: str, out: list) -> None:
             _json(value[key], inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif value.__class__ is SweepResult:  # at payload["rows"] only; before tuple
-        body = "".join(chain.from_iterable(zip(
-            repeat(_JSON_ROW_KEYS[0]), _reprs(value.lam_nu_plus_c),
-            repeat(_JSON_ROW_KEYS[1]), _reprs(value.max_residuals),
-            repeat(_JSON_ROW_KEYS[2]), _reprs(value.radii), repeat(_JSON_ROW_KEYS[3]))))
-        out.append(f"[{body[:-1]}{nl}]" if value.radii else "[]")  # without the last row's ','
+    elif value.__class__ is SweepResult:  # payload["rows"]; before tuple
+        _json_rows(nl, ("lam_nu_plus_c", "max_residual", "r"), (
+            _reprs(value.lam_nu_plus_c), _reprs(value.max_residuals), _reprs(value.radii)), out)
+    elif value.__class__ is ConditionReport:  # payload["entries"]
+        _entry_rows(value, nl, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -156,6 +205,18 @@ def _json(value, nl: str, out: list) -> None:
         out.append(nl + "]")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _expand(value):
+    """A payload value as the json module takes it: a dict per sweep row or
+    report entry."""
+    if value.__class__ is SweepResult:
+        return [row._asdict() for row in value.rows]
+    if value.__class__ is ConditionReport:
+        return [{"x": [i.direction for i in e.x], "y": e.y.direction,
+                 "proj": e.proj.direction, "equation": e.equation.to_text()}
+                for e in value.entries]
+    return value
 
 
 class Report:
@@ -182,9 +243,7 @@ class Report:
         }
 
     def to_json_dict(self) -> dict:
-        return self._envelope({  # a dict per sweep row
-            key: [row._asdict() for row in value.rows] if value.__class__ is SweepResult
-            else value for key, value in self.payload.items()})
+        return self._envelope({key: _expand(value) for key, value in self.payload.items()})
 
     def emit(self, fmt: str) -> str:
         if fmt == "json":
@@ -292,22 +351,14 @@ def cmd_check(args) -> int:
             "condition": kind.value,
             "context": args.context,
         }
-        # one text per distinct equation object: mirrored entries share theirs
-        texts = {}
-        for e in report.entries:
-            if id(e.equation) not in texts:
-                texts[id(e.equation)] = e.equation.to_text()
         if args.format == "json":  # each format builds only what it prints
-            payload["entries"] = [
-                {"x": [i.direction for i in e.x], "y": e.y.direction,
-                 "proj": e.proj.direction, "equation": texts[id(e.equation)]}
-                for e in report.entries
-            ]
+            payload["entries"] = report
             lines = []
-        else:
+        else:  # one text per distinct equation object: mirrored entries share theirs
             lines = [f"{args.tensor} {kind.value} on the {args.context} frame: "
-                     f"{len(report.entries)} equations"]
-            lines += [f"  {e.label()} : {texts[id(e.equation)]}" for e in report.entries]
+                     f"{len(report.entries)} equations",
+                     *map("  {} : {}".format, report.labels,
+                          _per_object(Expr.to_text, [e.equation for e in report.entries]))]
         _write(Report(f"check {args.tensor} {kind.value} {args.context}", "ok",
                       payload, None, lines), args)
         return 0

@@ -23,6 +23,11 @@ construction; nothing is assumed.  The Ricci tensor qualifies on both
 frames, S* on the Hopf frame only; the non-Hopf S* is asymmetric (see
 frames) and takes the full path, building every entry.  The mirror is
 exact: a shared Expr is the one the full path builds, in every slot.
+
+A report carries its entries' labels.  They depend only on the report's
+shape, the x tuples its entries run over, so each shape's labels are built
+once per process (five shapes in all) and shared by every report of that
+shape, substituted ones included; ReportEntry.label() reads the same table.
 """
 
 from __future__ import annotations
@@ -74,16 +79,28 @@ def _label(x: tuple, y: FrameIndex, proj: FrameIndex) -> str:
     return f"x=({xs}) y={y.direction} proj={proj.direction}"
 
 
+@lru_cache(maxsize=None)
+def _labels(xs: tuple) -> tuple:
+    """The labels of a report whose entries run over x in xs, then y, then
+    proj, read from _label's table: one tuple per report shape, five in all."""
+    return tuple(_label(x, y, p) for x in xs for y in FRAME_INDICES for p in FRAME_INDICES)
+
+
 class ConditionReport:
     """The scalar equations of one condition on one tensor: `entries` holds
-    one ReportEntry per projection, in report order."""
+    one ReportEntry per projection, in report order, and `labels` their
+    labels.  The builders below pass the labels of their report's shape;
+    without them, each entry's label() is read."""
 
-    __slots__ = ("kind", "tensor_name", "entries")
+    __slots__ = ("kind", "tensor_name", "entries", "labels")
 
-    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple):
+    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple,
+                 labels: Optional[tuple] = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "tensor_name", tensor_name)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "labels", tuple(e.label() for e in entries)
+                           if labels is None else labels)
 
     def __setattr__(self, *a):
         raise AttributeError("ConditionReport is immutable")
@@ -111,7 +128,7 @@ class ConditionReport:
             if eq is None:
                 eq = done[id(e.equation)] = e.equation.substitute(bindings)
             entries.append(ReportEntry(e.x, e.y, e.proj, eq))
-        return ConditionReport(self.kind, self.tensor_name, tuple(entries))
+        return ConditionReport(self.kind, self.tensor_name, tuple(entries), self.labels)
 
     def is_zero(self) -> bool:
         return all(e.equation.is_zero for e in self.entries)
@@ -144,16 +161,17 @@ def _nabla_condition(
     the equation of (X, P, Y), built earlier in the same X block."""
     mirrored = T.is_symmetric() and _metric_connection(ctx)
     entries = []
-    for X in xs:
-        block = len(entries)
+    xs = tuple((X,) for X in xs)  # one x tuple per block, shared by its entries
+    for x in xs:
+        (X,), block = x, len(entries)
         for Y in FRAME_INDICES:
             for P in FRAME_INDICES:
                 if mirrored and P._value_ < Y._value_:
                     eq = entries[block + 3 * P._value_ + Y._value_].equation
                 else:
                     eq = covariant_derivative_entry(ctx, X, T, Y, P)
-                entries.append(ReportEntry((X,), Y, P, eq))
-    return ConditionReport(kind, tensor_name, tuple(entries))
+                entries.append(ReportEntry(x, Y, P, eq))
+    return ConditionReport(kind, tensor_name, tuple(entries), _labels(xs))
 
 
 def parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
@@ -230,15 +248,16 @@ def _curvature_derivation(
     R = _curvature_operators(ctx)
     symmetric = T.is_symmetric() and _skew_curvature(ctx)
     entries = []
-    for X, Y in _PAIRS:
+    for x in _PAIRS:
+        X, Y = x
         op = R[X._value_][Y._value_]
         if not L.is_zero:
             op = op - _wedge_operator(X, Y).scale(L)
         d = _derivation(op, T, symmetric).rows
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
-                entries.append(ReportEntry((X, Y), K, P, d[P._value_][K._value_]))
-    return ConditionReport(kind, tensor_name, tuple(entries))
+                entries.append(ReportEntry(x, K, P, d[P._value_][K._value_]))
+    return ConditionReport(kind, tensor_name, tuple(entries), _labels(_PAIRS))
 
 
 def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
@@ -278,7 +297,7 @@ def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -
             if Y is proj:
                 eq = eq - lam_e
             entries.append(ReportEntry((), Y, proj, eq))
-    return ConditionReport(ConditionKind.EINSTEIN, "ricci", tuple(entries))
+    return ConditionReport(ConditionKind.EINSTEIN, "ricci", tuple(entries), _labels(((),)))
 
 
 # The kinds whose report is built from T and its name alone.

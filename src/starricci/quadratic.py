@@ -92,11 +92,25 @@ class QuadraticSolution:
         return rational, radical
 
 
+def _atom_of(e: Expr, unknown: Symbol) -> Symbol | None:
+    """An applied atom of e, such as sin(x), whose argument holds `unknown`
+    at any depth (sin(cos(x)) holds x), or None."""
+    for s in e.symbols():
+        if s.fn is not None and (unknown in s.arg.symbols() or _atom_of(s.arg, unknown)):
+            return s
+    return None
+
+
 def solve_quadratic(e: Expr, unknown: Symbol) -> QuadraticSolution:
-    """Solve e = 0 for `unknown`; e must be polynomial of degree <= 2 in it.
+    """Solve e = 0 for `unknown`; e must be polynomial of degree <= 2 in it,
+    and no applied atom of e may hold it in its argument.
 
     The coefficients and the discriminant are computed, and the errors
     raised, here; the roots and the solvability condition on first read."""
+    atom = _atom_of(e, unknown)
+    if atom is not None:
+        raise QuadraticError(f"{unknown.name} occurs inside {atom.name}: "
+                             f"{e.to_text()} is not polynomial in {unknown.name}")
     try:
         coeffs = e.coefficients_in(unknown)
     except ExprError as exc:

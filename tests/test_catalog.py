@@ -631,6 +631,33 @@ def test_overshooting_grid_raises_the_per_radius_domain_error():
         assert _error(lambda: sweep(fam, 0.362, 1.5707963267948963, 14, kind)) == expected
 
 
+@pytest.mark.parametrize("lo, hi, samples", [
+    (-1e308, 1e308, 3),       # hi - lo overflows: every radius past lo was nan
+    (-1e308, 7e307, 3),       # hi - lo is finite, 2 * (hi - lo) is not: the last was inf
+    (-8.9e307, 8.9e307, 4),
+    (-4e307, 4e307, 5),
+])
+def test_a_grid_whose_width_overflows_is_one_error(lo, hi, samples):
+    with pytest.raises(CatalogError) as exc:
+        radius_grid(lo, hi, samples)
+    assert str(exc.value) == (f"the radius range [{lo}, {hi}] is too wide for a grid "
+                              f"of {samples} radii")
+    fam = builtin_catalog().get("ch2-a0")  # the horosphere: its domain is the whole line
+    for kind in ConditionKind:
+        assert _error(lambda: sweep(fam, lo, hi, samples, kind)) == (CatalogError, str(exc.value))
+
+
+@pytest.mark.parametrize("lo, hi, samples", [
+    (-1e308, 7e307, 2), (-8.9e307, 8.9e307, 2), (-4e307, 4e307, 3), (-5e305, 5e305, 100),
+    (0.2, 0.9, 13), (-1e3, 2.0, 3), (0.362, 1.5707963267948963, 14)])
+def test_a_grid_of_finite_width_keeps_every_bit(lo, hi, samples):
+    expected = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    assert _hex(radius_grid(lo, hi, samples)) == _hex(expected)
+    fam = builtin_catalog().get("ch2-a0")
+    radii = sweep(fam, lo, hi, samples, ConditionKind.PARALLEL).radii
+    assert _hex(radii) == _hex(expected)
+
+
 def test_non_finite_lambda_nu_plus_c_is_an_error():
     # cot(1e-200) = 1e200: finite curvatures whose product overflows
     fam = builtin_catalog().get("cp2-a1")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from starricci import catalog, cli, conditions, frames, parsing, proofs, symbols
 from starricci.catalog import ConditionKind, SweepResult, builtin_catalog, format_catalog
 from starricci.cli import main
+from starricci.conditions import ConditionReport
 from starricci.parsing import ExprSyntaxError, parse_expr
 from starricci.polynomial import Polynomial
 from starricci.rational import Expr
@@ -302,6 +303,43 @@ def test_check_renders_each_equation_once(monkeypatch, capsys, fmt):
         assert sorted(map(id, rendered)) == sorted(distinct)
         # the Hopf Ricci tensor is symmetric: 9 of its 27 entries are mirrors
         assert len(distinct) < (18 if tensor == "ricci" else 27)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "ricci", "parallel", "hopf"],
+    ["check", "star-ricci", "parallel", "nonhopf"],
+    ["check", "ricci", "semi-parallel", "hopf"],
+    ["check", "ricci", "parallel", "nonhopf", "delta=0", "mu=0"],  # substituted mirrors
+])
+def test_json_check_converts_and_escapes_each_equation_object_once(monkeypatch, capsys, argv):
+    # the entries' equation texts are made in the json writer: one to_text
+    # and one _json_str per distinct Expr object, not one per entry
+    rendered, escaped, reports = [], [], []
+    to_text, json_str = Expr.to_text, cli._json_str
+
+    def converted(self):
+        rendered.append(self)
+        return to_text(self)
+
+    def kept(f):
+        def wrapper(*args):
+            reports.append(f(*args))
+            return reports[-1]
+        return wrapper
+
+    monkeypatch.setattr(Expr, "to_text", converted)
+    monkeypatch.setattr(cli, "_json_str", lambda s: (escaped.append(s), json_str(s))[1])
+    monkeypatch.setattr(cli, "build_report", kept(cli.build_report))
+    monkeypatch.setattr(ConditionReport, "substitute", kept(ConditionReport.substitute))
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    report = reports[-1]  # the substituted report, where there are assumptions
+    distinct = {id(e.equation): e.equation for e in report.entries}
+    texts = Counter(map(to_text, distinct.values()))
+    assert sorted(map(id, rendered)) == sorted(distinct)
+    assert Counter(s for s in escaped if s in texts) == texts
+    assert [e["equation"] for e in json.loads(out)["payload"]["entries"]] == [
+        to_text(e.equation) for e in report.entries]
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -644,6 +682,8 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["sweep", "cp2-a1", "0.2", "0.9", "1", "parallel"],     # fewer than 2 samples
         ["prove", "all", "--samples", "1"],
         ["expr", "solve", "x+1", "y"],                          # y does not occur
+        ["expr", "solve", "x*sin(x)+1", "x"],                   # x inside an applied atom
+        ["expr", "solve", "sqrt(x)+1", "x"],
         ["prove", "type-b", "--tol-oracle", "nan"],
         ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
         ["prove", "hopf", "--tol-witness", "inf"],
@@ -1126,6 +1166,18 @@ def test_printed_reports_equal_the_generic_rendering(monkeypatch, capsys):
     commands = [["check", tensor, kind.value, context]
                 for tensor in ("star-ricci", "ricci") for kind in ConditionKind
                 for context in ("nonhopf", "hopf")]
+    # perfbench's check-symbolic --pseudo-l items, one L named in the command's
+    # scope (foo), and the menu's assumption items, whose substituted entries
+    # share equations
+    commands += [["check", tensor, "pseudo-parallel", context, "--pseudo-l", pseudo_l]
+                 for tensor, context, pseudo_l in (
+                     ("star-ricci", "hopf", "alpha"), ("ricci", "hopf", "lambda*nu"),
+                     ("star-ricci", "nonhopf", "beta"), ("ricci", "nonhopf", "alpha + mu"),
+                     ("ricci", "nonhopf", "foo"))]
+    commands += [["check", tensor, kind, "nonhopf", "delta=0", "mu=0"]
+                 for tensor, kind in (("star-ricci", "parallel"), ("star-ricci", "d-parallel"),
+                                      ("star-ricci", "semi-parallel"), ("ricci", "parallel"),
+                                      ("ricci", "xi-parallel"))]
     commands += [["prove", "all", "--samples", "10"],
                  ["sweep", "cp2-a1", "0.2", "0.9", "3", "parallel"]]
     for argv in commands:
@@ -1135,7 +1187,7 @@ def test_printed_reports_equal_the_generic_rendering(monkeypatch, capsys):
             assert code == 0, argv
             (report,) = reports
             assert out == _oracle(report, fmt), (argv, fmt)
-    assert len(commands) == 2 * 6 * 2 + 2
+    assert len(commands) == 2 * 6 * 2 + 5 + 5 + 2
 
 
 def _refuse_new_symbols(monkeypatch):

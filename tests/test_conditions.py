@@ -431,6 +431,21 @@ def test_substitute_takes_each_distinct_equation_once(monkeypatch, hopf):
         assert out.get(s.x, s.proj, s.y).equation is s.equation
 
 
+@pytest.mark.parametrize("kind", list(ConditionKind))
+def test_a_report_carries_its_labels_once_per_shape(nonhopf, hopf, kind):
+    # the labels are the entries' label()s, one tuple for every report of a
+    # kind whatever the frame, tensor or L, and substitute keeps them
+    reports = [build_report(ctx, kind, tensor(ctx), name, Expr.from_symbol(ctx.symbol("alpha")))
+               for ctx in (nonhopf, hopf)
+               for name, tensor in (("star-ricci", star_ricci_closed), ("ricci", ricci))]
+    first = reports[0].labels
+    assert first == tuple(e.label() for e in reports[0].entries)
+    assert all(r.labels is first for r in reports)
+    assert reports[0].substitute({nonhopf.symbol("c"): Expr.const(4)}).labels is first
+    # a report built from entries alone reads each entry's label()
+    assert conditions.ConditionReport(kind, "T", reports[0].entries).labels == first
+
+
 def _hopf_specialisation(nonhopf, hopf):
     """Bindings that put the non-Hopf frame on the Hopf one: beta = delta = 0,
     gamma -> lambda, mu -> nu, alpha -> alpha, kappa_i -> h_i with

@@ -1114,6 +1114,22 @@ def test_solve_linear_and_degenerate(table):
         solve_quadratic(parse_expr("1/x", table), x)
 
 
+@pytest.mark.parametrize("text, atom", [
+    ("x*sin(x) + 1", "sin(x)"),          # a coefficient would hold the unknown
+    ("sqrt(x) + 1", "sqrt(x)"),          # the unknown occurs in no monomial
+    ("x^2 + cos(sin(x))", "cos(sin(x))"),  # in the argument's argument
+])
+def test_the_unknown_inside_an_applied_atom_is_an_error(text, atom):
+    table = SymbolTable()
+    e = parse_expr(text, table, define_missing=True)
+    with pytest.raises(QuadraticError) as exc:
+        solve_quadratic(e, table.get("x"))
+    assert str(exc.value).startswith(f"x occurs inside {atom}: ")
+    # an atom whose argument does not hold the unknown is a coefficient
+    assert solve_quadratic(parse_expr("sin(y)*x + 1", table, define_missing=True),
+                           table.get("x")).degree == 1
+
+
 def _eager_roots(e, unknown):
     """The roots and the solvability condition as solve_quadratic built
     them before it left them to first read: the reference."""
