@@ -14,12 +14,13 @@ homogeneous models have constant principal curvatures along the hypersurface.
 Numeric condition evaluation binds exactly REPORT_PARAMS, the names that the
 reports read: parallel and d-parallel read c, lambda and nu, xi-parallel
 none, semi-parallel adds alpha, pseudo-parallel L, and einstein (on the
-Ricci tensor) lambda_e.  The family supplies alpha, lambda and nu, the space
-c, and L and lambda_e (ZERO_DEFAULT) are zero unless extra_bindings sets
-them.  No report reads a connection coefficient h1..h3, so none is bound:
-S* = (c + lambda*nu)(I - eta(x)xi) commutes with rotations of D, and the
-Ricci tensor is algebraic in the curvatures.  A Ricci-parallel report would
-read them, and would need h3 = alpha/2 from Codazzi on type-B tubes, not 0.
+Ricci tensor) lambda_e.  The family supplies alpha, lambda and nu; its space
+fixes the rest, c and, at zero, L and lambda_e (ZERO_DEFAULT), as one
+mapping kept on the family.  No report reads a connection coefficient
+h1..h3, so none is bound: S* = (c + lambda*nu)(I - eta(x)xi) commutes with
+rotations of D, and the Ricci tensor is algebraic in the curvatures.  A
+Ricci-parallel report would read them, and would need h3 = alpha/2 from
+Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
@@ -36,8 +37,8 @@ proofs.type_b_exclusion reads the lambda*nu + c column of a parallel
 sweep.  validate_family is one call of the family's oracle kernel,
 compiled with the family: no rows, and the float operations of
 hopf_relation_residual as its tail.  No radius loop makes a Python call per
-radius.  A non-finite binding, curvature, row or lambda*nu + c is a
-CatalogError, never a residual.
+radius.  A non-finite curvature, row or lambda*nu + c is a CatalogError,
+never a residual.
 
 A kernel stops before the first radius at which the per-radius evaluation
 would fail; the caller then replays that radius through the per-radius
@@ -61,7 +62,7 @@ import math
 from functools import lru_cache
 from itertools import repeat
 from operator import lt
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
 # perfbench/test_perfbench.py reads catalog.parallel_equations
@@ -111,17 +112,20 @@ class HypersurfaceFamily:
     whose ends may be +-inf."""
 
     __slots__ = ("family_id", "space", "domain", "alpha", "lam", "nu", "description",
-                 "oracle", "_sweeps")
+                 "oracle", "_scalars", "_sweeps")
 
     def __init__(self, family_id: str, space: ModelSpace, domain: tuple, alpha: Expr,
                  lam: Expr, nu: Expr, description: str = ""):
         # oracle: the compile_sweep kernel of validate_family, with no report
         # rows and hopf_relation_residual as its tail; compiled once per family.
+        # _scalars: the REPORT_PARAMS after the curvatures, in order: the
+        # space's c, then each ZERO_DEFAULT name at zero.
         # _sweeps: the sweep kernel per condition kind, filled by _sweep_kernel
         oracle = compile_sweep(("r", "pi", "c"), dict(zip(_CURVATURES, (alpha, lam, nu))),
                                (), _HOPF_RESIDUAL)
+        scalars = {"c": float(space.c), **dict.fromkeys(ZERO_DEFAULT, 0.0)}
         for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
-                                                description, oracle, {})):
+                                                description, oracle, scalars, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -153,11 +157,15 @@ class HypersurfaceFamily:
     def sample_window(self) -> tuple[float, float]:
         """Deterministic compact subinterval used for validation sweeps:
         1% margins for a bounded domain, (lo+0.05, lo+5) for (lo, inf),
-        (hi-5, hi-0.05) for (-inf, hi) and (0.05, 5) for the whole line."""
+        (hi-5, hi-0.05) for (-inf, hi) and (0.05, 5) for the whole line.
+        A bounded domain too wide for hi - lo, such as (-1e308, 1e308), takes
+        its margin as hi/100 - lo/100."""
         lo, hi = self.domain
         if math.isfinite(lo):
             if math.isfinite(hi):
                 m = (hi - lo) / 100.0
+                if not math.isfinite(m):
+                    m = hi / 100.0 - lo / 100.0
                 return (lo + m, hi - m)
             return (lo + 0.05, lo + 5.0)
         if math.isfinite(hi):
@@ -167,14 +175,20 @@ class HypersurfaceFamily:
 
 # Radii per family in the type-B and witness sweeps.
 DEFAULT_SAMPLES = 100
+# The most radii a grid may have: a sweep holds three columns of that length.
+MAX_SAMPLES = 10 ** 6
 
 
 def _grid(lo: float, hi: float, samples: int) -> tuple:
     """(lo, width, steps, samples) of radius_grid: radius i is lo + width * i / steps.
     A range so wide that width * steps overflows, as [-1e308, 1e308] does, is
-    a CatalogError: its last radius would be inf, and nan where width is inf."""
+    a CatalogError: its last radius would be inf, and nan where width is inf.
+    So are fewer than 2 samples and more than MAX_SAMPLES."""
     if samples < 2:
         raise CatalogError("a radius grid needs at least 2 samples")
+    if samples > MAX_SAMPLES:
+        raise CatalogError(f"a radius grid of {samples} samples exceeds the limit of "
+                           f"{MAX_SAMPLES}")
     width, steps = hi - lo, samples - 1
     if not math.isfinite(width * steps):
         raise CatalogError(f"the radius range [{lo}, {hi}] is too wide for a grid of "
@@ -346,11 +360,11 @@ def builtin_families() -> list:
 # The pseudo-parallel function of the PSEUDO_PARALLEL report.
 _PSEUDO_PARALLEL_FUNCTION = "L"
 
-# The report names that neither the family nor the space fixes; numeric
-# evaluation binds them to zero unless extra_bindings sets them.
+# The report names that neither the curvatures nor c fix; numeric
+# evaluation binds them to zero, by convention.
 ZERO_DEFAULT = (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
-# The names the reports read: the curvatures, then the scalars in
-# _report_scalars' order (compile_sweep rejects any other).
+# The names the reports read: the curvatures, then the scalars in the order
+# of a family's _scalars (compile_sweep rejects any other).
 REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
 # The parameters of every sweep kernel: the radius, pi, then those scalars.
 _SWEEP_PARAMS = ("r", "pi") + REPORT_PARAMS[len(_CURVATURES):]
@@ -379,27 +393,7 @@ def _sweep_kernel(fam: HypersurfaceFamily, kind: ConditionKind,
     return kernel
 
 
-def _report_scalars(fam: HypersurfaceFamily,
-                    extra_bindings: Optional[Mapping[str, float]]) -> dict:
-    """The values of the REPORT_PARAMS after the curvatures, in order: the
-    space's c, then each ZERO_DEFAULT name at zero unless extra_bindings sets
-    it.  Another name or a non-finite value in extra_bindings is a
-    CatalogError."""
-    scalars = {"c": float(fam.space.c), **dict.fromkeys(ZERO_DEFAULT, 0.0)}
-    for name, value in (extra_bindings or {}).items():
-        if name not in ZERO_DEFAULT:
-            raise CatalogError(
-                f"unknown binding {name!r} (known: {', '.join(ZERO_DEFAULT)})"
-            )
-        value = float(value)
-        if not math.isfinite(value):
-            raise CatalogError(f"binding {name} = {value!r} is not finite")
-        scalars[name] = value
-    return scalars
-
-
-def _evaluate_rows(fam: HypersurfaceFamily, report: ConditionReport,
-                   scalars: Mapping[str, float], r: float) -> tuple:
+def _evaluate_rows(fam: HypersurfaceFamily, report: ConditionReport, r: float) -> tuple:
     """(alpha, lambda, nu, row values, lambda*nu + c) of report on fam at r:
     the per-radius evaluation.
 
@@ -408,7 +402,7 @@ def _evaluate_rows(fam: HypersurfaceFamily, report: ConditionReport,
     keeps its class, and its text names the kind, the family and r.
     """
     a, l, n = fam.curvatures(r)
-    bindings = {"alpha": a, "lambda": l, "nu": n, **scalars}
+    bindings = {"alpha": a, "lambda": l, "nu": n, **fam._scalars}
     kind = report.kind.value
     try:
         values = tuple(e.eval(bindings) for e in report.equations())
@@ -439,23 +433,16 @@ class ConditionEvaluation(NamedTuple):
         return tuple(zip(self.labels, self.values))
 
 
-def evaluate_condition(
-    fam: HypersurfaceFamily,
-    r: float,
-    kind: ConditionKind,
-    *,
-    extra_bindings: Optional[Mapping[str, float]] = None,
-) -> ConditionEvaluation:
+def evaluate_condition(fam: HypersurfaceFamily, r: float,
+                       kind: ConditionKind) -> ConditionEvaluation:
     """Evaluate a condition report on the *-Ricci tensor at radius r.
 
-    The family's curvatures at r and the space's c are bound, and L and
-    lambda_e are zero unless extra_bindings sets them.  Another name in
-    extra_bindings, or a non-finite value, raises CatalogError, and so does
-    a non-finite row or lambda*nu + c.
+    The family's curvatures at r and its scalars (the space's c, L and
+    lambda_e at zero) are bound.  A non-finite row or lambda*nu + c raises
+    CatalogError.
     """
     report = _hopf_report(kind)
-    a, l, n, values, lam_nu_plus_c = _evaluate_rows(
-        fam, report, _report_scalars(fam, extra_bindings), r)
+    a, l, n, values, lam_nu_plus_c = _evaluate_rows(fam, report, r)
     return ConditionEvaluation(
         family_id=fam.family_id,
         r=r,
@@ -488,16 +475,10 @@ class SweepResult(NamedTuple):
         return tuple(map(SweepRow, self.radii, self.max_residuals, self.lam_nu_plus_c))
 
 
-def sweep(
-    fam: HypersurfaceFamily,
-    r_min: float,
-    r_max: float,
-    samples: int,
-    kind: ConditionKind,
-    *,
-    extra_bindings: Optional[Mapping[str, float]] = None,
-) -> SweepResult:
-    """Uniform-grid condition evaluation over [r_min, r_max].
+def sweep(fam: HypersurfaceFamily, r_min: float, r_max: float, samples: int,
+          kind: ConditionKind) -> SweepResult:
+    """Uniform-grid condition evaluation over [r_min, r_max], with the
+    family's scalars bound as in evaluate_condition.
 
     One kernel call (_sweep_kernel) covers the whole grid.  The values and
     errors are those of evaluate_condition at each radius in turn: where the
@@ -514,12 +495,11 @@ def sweep(
         )
     grid = _grid(r_min, r_max, samples)
     report = _hopf_report(kind)
-    scalars = _report_scalars(fam, extra_bindings)
     radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, kind, report)(
-        *grid, *fam.domain, math.pi, *scalars.values())
+        *grid, *fam.domain, math.pi, *fam._scalars.values())
     if len(radii) < samples:
         r = radius_grid(r_min, r_max, samples)[len(radii)]
-        _evaluate_rows(fam, report, scalars, r)
+        _evaluate_rows(fam, report, r)
         raise AssertionError(f"a sweep stopped at r = {r!r}, where the per-radius "
                              "evaluation succeeds")
     return SweepResult(

@@ -334,12 +334,9 @@ def cmd_check(args) -> int:
                          f"not {kind.value}")
     names = ctx.table.scope()  # the context's names and this command's
     try:
-        tensor = L = None
-        if kind is not ConditionKind.EINSTEIN:  # Einstein builds its own Ricci tensor
-            tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
-        if kind is ConditionKind.PSEUDO_PARALLEL:
-            L = parse_expr("0" if args.pseudo_l is None else args.pseudo_l, names,
-                           define_missing=True)
+        tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
+        L = (None if args.pseudo_l is None
+             else parse_expr(args.pseudo_l, names, define_missing=True))
         report = build_report(ctx, kind, tensor, args.tensor, L, names)
         if args.assumptions:
             bindings = {}

@@ -89,18 +89,15 @@ def _labels(xs: tuple) -> tuple:
 class ConditionReport:
     """The scalar equations of one condition on one tensor: `entries` holds
     one ReportEntry per projection, in report order, and `labels` their
-    labels.  The builders below pass the labels of their report's shape;
-    without them, each entry's label() is read."""
+    labels.  The builders below pass the labels of their report's shape."""
 
     __slots__ = ("kind", "tensor_name", "entries", "labels")
 
-    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple,
-                 labels: Optional[tuple] = None):
+    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple, labels: tuple):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "tensor_name", tensor_name)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", tuple(e.label() for e in entries)
-                           if labels is None else labels)
+        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, *a):
         raise AttributeError("ConditionReport is immutable")
@@ -317,12 +314,12 @@ def build_report(
     L: Optional[Expr] = None,
     scope: Optional[SymbolTable] = None,
 ) -> ConditionReport:
-    """The `kind` report on T over ctx.  Pseudo-parallel needs the function
-    L; the other kinds ignore it.  Einstein ignores T (which may be None)
-    and tensor_name: it is the report of the context's Ricci tensor, with
-    its constant minted in `scope` (einstein_equations)."""
+    """The `kind` report on T over ctx.  Pseudo-parallel reads the function
+    L, zero when L is None; the other kinds ignore it.  Einstein ignores T
+    (which may be None) and tensor_name: it is the report of the context's
+    Ricci tensor, with its constant minted in `scope` (einstein_equations)."""
     if kind is ConditionKind.EINSTEIN:
         return einstein_equations(ctx, scope)
     if kind is ConditionKind.PSEUDO_PARALLEL:
-        return pseudo_parallel_equations(ctx, T, L, tensor_name)
+        return pseudo_parallel_equations(ctx, T, Expr.zero() if L is None else L, tensor_name)
     return _BUILDERS[kind](ctx, T, tensor_name)

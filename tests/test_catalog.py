@@ -459,26 +459,6 @@ def test_column_kernel_sources_hold_no_symbol_names():
             assert text not in source
 
 
-def test_evaluate_condition_bindings_are_checked():
-    fam = builtin_catalog().get("cp2-b")
-    kind = ConditionKind.PSEUDO_PARALLEL
-    default = evaluate_condition(fam, 0.5, kind)
-    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 0.0}) == default
-    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"L": 2.0}) != default
-    # the pseudo-parallel report does not read lambda_e, but it may be set
-    assert evaluate_condition(fam, 0.5, kind, extra_bindings={"lambda_e": 1.0}) == default
-    # no report reads a connection coefficient, and the family fixes the curvatures
-    for name in ("LL", "D(e1,h2)", "h3", "alpha"):
-        with pytest.raises(CatalogError, match=f"unknown binding '{re.escape(name)}' "
-                                               r"\(known: L, lambda_e\)"):
-            evaluate_condition(fam, 0.5, kind, extra_bindings={name: 0.0})
-    for bad in (math.nan, math.inf):
-        with pytest.raises(CatalogError, match="not finite"):
-            evaluate_condition(fam, 0.5, kind, extra_bindings={"L": bad})
-        with pytest.raises(CatalogError, match="not finite"):
-            sweep(fam, 0.1, 0.7, 5, kind, extra_bindings={"L": bad})
-
-
 def test_non_finite_rows_and_curvatures_are_errors():
     fam = builtin_catalog().get("cp2-a1")
     # cot(1e-100) = 1e100: finite curvatures whose semi-parallel rows overflow
@@ -500,16 +480,12 @@ def test_non_finite_rows_and_curvatures_are_errors():
 
 # -- one row loop per sweep ----------------------------------------------------------
 
-@pytest.mark.parametrize("kind, bindings", [(kind, None) for kind in ConditionKind] + [
-    (ConditionKind.PSEUDO_PARALLEL, {"L": 2.0}),
-    (ConditionKind.EINSTEIN, {"lambda_e": 0.5}),
-])
-def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
+@pytest.mark.parametrize("kind", ConditionKind)
+def test_sweep_columns_equal_per_radius_evaluation(kind):
     for fam in builtin_families():
         lo, hi = fam.sample_window()
-        res = sweep(fam, lo, hi, 13, kind, extra_bindings=bindings)
-        evs = [evaluate_condition(fam, r, kind, extra_bindings=bindings)
-               for r in radius_grid(lo, hi, 13)]
+        res = sweep(fam, lo, hi, 13, kind)
+        evs = [evaluate_condition(fam, r, kind) for r in radius_grid(lo, hi, 13)]
         assert (res.family_id, res.kind) == (fam.family_id, kind)
         assert _hex(res.radii) == _hex(ev.r for ev in evs)
         assert _hex(res.max_residuals) == _hex(ev.max_abs_residual for ev in evs)
@@ -517,21 +493,6 @@ def test_sweep_columns_equal_per_radius_evaluation(kind, bindings):
         assert res.rows == tuple(
             SweepRow(ev.r, ev.max_abs_residual, ev.lam_nu_plus_c) for ev in evs
         )
-
-
-def test_sweep_with_both_free_names_bound():
-    bindings = {"lambda_e": -1.5, "L": 1.0}
-    fam = builtin_catalog().get("ch2-b")
-    for kind in ConditionKind:
-        res = sweep(fam, 0.2, 3.0, 7, kind, extra_bindings=bindings)
-        evs = [evaluate_condition(fam, r, kind, extra_bindings=bindings)
-               for r in radius_grid(0.2, 3.0, 7)]
-        assert _hex(res.max_residuals) == _hex(ev.max_abs_residual for ev in evs)
-        assert _hex(res.lam_nu_plus_c) == _hex(ev.lam_nu_plus_c for ev in evs)
-        unbound = sweep(fam, 0.2, 3.0, 7, kind)
-        # only the pseudo-parallel and einstein reports read L and lambda_e
-        moved = kind in (ConditionKind.PSEUDO_PARALLEL, ConditionKind.EINSTEIN)
-        assert (res.max_residuals != unbound.max_residuals) == moved, kind
 
 
 def test_report_params_are_the_names_the_reports_read():
@@ -572,10 +533,10 @@ def _error(thunk):
     return None
 
 
-def _per_radius(fam, radii, kind, bindings=None):
+def _per_radius(fam, radii, kind):
     """The sweep before the column kernels: one evaluate_condition per radius."""
     for r in radii:
-        evaluate_condition(fam, r, kind, extra_bindings=bindings)
+        evaluate_condition(fam, r, kind)
 
 
 def _family(alpha, lam, nu, domain=(0.0, 4.0), space=CP2):
@@ -658,6 +619,28 @@ def test_a_grid_of_finite_width_keeps_every_bit(lo, hi, samples):
     assert _hex(radii) == _hex(expected)
 
 
+def test_a_domain_whose_width_overflows_has_a_finite_sample_window():
+    # hi - lo overflows, so the margin is hi/100 - lo/100; the window is
+    # still too wide for the oracle's grid, and the load error says so
+    fam = _family("2", "1", "1", domain=(-1e308, 1e308), space=CH2)
+    assert fam.sample_window() == (-1e308 + 2e306, 1e308 - 2e306)
+    text = ("[catalog]\nversion = 1\n[wide]\nspace = CH2\ndomain = -1e308, 1e308\n"
+            "alpha = 2\nlambda = 1\nnu = 1\n")
+    assert _error(lambda: parse_catalog(text)) == (
+        CatalogError, "the radius range [-9.8e+307, 9.8e+307] is too wide for a grid of 100 radii")
+
+
+@pytest.mark.parametrize("samples", [catalog.MAX_SAMPLES + 1, 10 ** 21])
+def test_a_grid_of_more_than_max_samples_is_one_error(samples):
+    assert catalog._grid(0.2, 0.9, catalog.MAX_SAMPLES)[3] == catalog.MAX_SAMPLES
+    text = f"a radius grid of {samples} samples exceeds the limit of {catalog.MAX_SAMPLES}"
+    fam = builtin_catalog().get("cp2-a1")
+    assert _error(lambda: radius_grid(0.2, 0.9, samples)) == (CatalogError, text)
+    assert _error(lambda: sweep(fam, 0.2, 0.9, samples, ConditionKind.PARALLEL)) == (
+        CatalogError, text)
+    assert _error(lambda: type_b_exclusion(CP2, samples=samples)) == (CatalogError, text)
+
+
 def test_non_finite_lambda_nu_plus_c_is_an_error():
     # cot(1e-200) = 1e200: finite curvatures whose product overflows
     fam = builtin_catalog().get("cp2-a1")
@@ -723,32 +706,31 @@ def test_a_non_zero_constant_row_sets_the_max():
     xi = catalog._hopf_report(ConditionKind.XI_PARALLEL)
     assert all(e.is_zero for e in xi.equations())
     entry = xi.entries[0]._replace(equation=Expr.const(-3))
-    report = ConditionReport(xi.kind, xi.tensor_name, xi.entries + (entry,))
+    report = ConditionReport(xi.kind, xi.tensor_name, xi.entries + (entry,),
+                             xi.labels + (entry.label(),))
     for source, top in ((xi, 0.0), (report, 3.0)):
         fam = _family(*_SPHERE, "cot(r)")  # a family keeps one kernel per kind
-        scalars = catalog._report_scalars(fam, None)
         _radii, got, _shifted = catalog._sweep_kernel(fam, xi.kind, source)(
-            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, *scalars.values())
+            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, *fam._scalars.values())
         assert got == [top] * 5
-        values = catalog._evaluate_rows(fam, source, scalars, 0.7)[3]
+        values = catalog._evaluate_rows(fam, source, 0.7)[3]
         assert max(map(abs, values)) == top
 
 
-def _fused(fam, r_min, r_max, samples, kind, bindings=None):
+def _fused(fam, r_min, r_max, samples, kind):
     """The sweep kernel's three columns, before any replay."""
     report = catalog._hopf_report(kind)
-    scalars = catalog._report_scalars(fam, bindings).values()
     return catalog._sweep_kernel(fam, kind, report)(
-        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *scalars)
+        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *fam._scalars.values())
 
 
-def _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings=None):
+def _per_radius_sweep(fam, r_min, r_max, samples, kind):
     """The sweep's three columns by the per-radius evaluation, the
     reference: radius_grid, fam.curvatures, Expr.eval of every report row
     with the max |row| taken here, then lambda*nu + c, all cut at the first
     radius where one of them raises or is not finite."""
     rows = catalog._hopf_report(kind).equations()
-    scalars = catalog._report_scalars(fam, bindings)
+    scalars = {"c": float(fam.space.c), "L": 0.0, "lambda_e": 0.0}
     columns = ([], [], [])
     for r in radius_grid(r_min, r_max, samples):
         try:
@@ -765,8 +747,7 @@ def _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings=None):
     return columns
 
 
-@pytest.mark.parametrize("bindings", [None, {"L": 2.0, "lambda_e": 0.5}])
-def test_max_abs_column_equals_the_row_lists(bindings):
+def test_max_abs_column_equals_the_row_lists():
     # the curvatures stay finite on the grid; powers of exp(400*r) in the
     # rows overflow partway through it, before lambda*nu + c does
     fam = _family("1", "exp(400*r)", "-exp(400*r)")
@@ -775,8 +756,8 @@ def test_max_abs_column_equals_the_row_lists(bindings):
     clean = next(k for k, v in enumerate(shifted) if not math.isfinite(v))
     stopped = 0
     for kind in ConditionKind:
-        _radii, got, _shifted = _fused(fam, 0.05, 1.5, 60, kind, bindings)
-        expected = _per_radius_sweep(fam, 0.05, 1.5, 60, kind, bindings)[1]
+        _radii, got, _shifted = _fused(fam, 0.05, 1.5, 60, kind)
+        expected = _per_radius_sweep(fam, 0.05, 1.5, 60, kind)[1]
         assert len(expected) <= clean
         assert _hex(got) == _hex(expected)
         stopped += 0 < len(got) < clean
@@ -832,11 +813,10 @@ def test_sweep_equals_the_two_kernel_path_on_the_menu_grids(family_id, kind, r_m
 def test_sweep_kernel_stops_where_the_two_kernel_path_stops(fam, r_min, r_max, samples):
     stops = set()
     for kind in ConditionKind:
-        for bindings in (None, {"L": 2.0, "lambda_e": 0.5}):
-            got = _fused(fam, r_min, r_max, samples, kind, bindings)
-            expected = _per_radius_sweep(fam, r_min, r_max, samples, kind, bindings)
-            assert [_hex(column) for column in got] == [_hex(column) for column in expected]
-            stops.add(len(got[0]))
+        got = _fused(fam, r_min, r_max, samples, kind)
+        expected = _per_radius_sweep(fam, r_min, r_max, samples, kind)
+        assert [_hex(column) for column in got] == [_hex(column) for column in expected]
+        stops.add(len(got[0]))
     assert max(stops) < samples
 
 
@@ -957,17 +937,24 @@ def test_each_math_call_is_bound_once(family_id):
             assert re.search(r" = 1\.0 / a[0-9]+\n", kernel.source), kernel.source
 
 
-@pytest.mark.parametrize("family_id", ["cp2-a1", "ch2-a0"])
-def test_a_failure_once_per_call_raises_the_first_radius_error(family_id):
-    # L = 1e308 makes L * c infinite: on the horosphere every row is
-    # computed once per call, on the sphere every row reads r
-    fam = builtin_catalog().get(family_id)
-    kind, bindings = ConditionKind.PSEUDO_PARALLEL, {"L": 1e308}
+@pytest.mark.parametrize("family_id, curvatures, first", [
+    # constant curvatures, as on the horosphere: every row is computed once
+    # per call, and four of them overflow
+    ("ch2-a0", ("10^120",) * 3,
+     (CatalogError, "4 of 27 pseudo-parallel rows are not finite on probe at r = 0.05")),
+    # the sphere's curvatures, every row reading r, and a constant atom
+    # outside its domain, computed once per call
+    ("cp2-a1", (*_SPHERE, "cot(r) + sqrt(-1)"),
+     (ExprError, "sqrt(-1.0) cannot be evaluated: math domain error")),
+], ids=["ch2-a0", "cp2-a1"])
+def test_a_failure_once_per_call_raises_the_first_radius_error(family_id, curvatures, first):
+    like = builtin_catalog().get(family_id)
+    fam = _family(*curvatures, domain=like.domain, space=like.space)
+    kind = ConditionKind.PSEUDO_PARALLEL
     r_min, r_max = fam.sample_window()
-    assert _fused(fam, r_min, r_max, 5, kind, bindings) == ([], [], [])
-    text = f"4 of 27 pseudo-parallel rows are not finite on {family_id} at r = {r_min}"
-    with pytest.raises(CatalogError, match=f"^{re.escape(text)}$"):
-        sweep(fam, r_min, r_max, 5, kind, extra_bindings=bindings)
+    assert _fused(fam, r_min, r_max, 5, kind) == ([], [], [])
+    assert _error(lambda: evaluate_condition(fam, r_min, kind)) == first
+    assert _error(lambda: sweep(fam, r_min, r_max, 5, kind)) == first
 
 
 def _overshooting_grid(fam):
@@ -995,8 +982,7 @@ def test_every_kernel_equals_the_per_radius_evaluation_to_an_overshooting_end(fa
     assert _hex(fam.oracle(*args, float(fam.space.c))[2]) == _hex(expected)
     for kind in ConditionKind:
         report = catalog._hopf_report(kind)
-        scalars = catalog._report_scalars(fam, None).values()
-        got = catalog._sweep_kernel(fam, kind, report)(*args, *scalars)
+        got = catalog._sweep_kernel(fam, kind, report)(*args, *fam._scalars.values())
         evaluations = [evaluate_condition(fam, r, kind) for r in radii[:-1]]
         expected = [radii[:-1], [e.max_abs_residual for e in evaluations],
                     [e.lam_nu_plus_c for e in evaluations]]

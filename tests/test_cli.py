@@ -142,7 +142,9 @@ def test_check_ricci_einstein_hopf(monkeypatch, capsys):
     assert code == 0
     assert "9 equations" in out
     assert "lambda_e" in out
-    assert len(calls) == 1
+    # cmd_check looks up the tensor it names and einstein_equations the Ricci
+    # tensor, both on the one context that keeps it
+    assert len(calls) == 2 and calls[0] is calls[1]
 
 
 def test_check_pseudo_parallel_with_l(capsys):
@@ -647,6 +649,9 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     no_equals.write_text("[catalog]\nversion = 1\n[fam]\nspace = CP2\nno equals sign\n")
     no_family = tmp_path / "no-family.cat"
     no_family.write_text("[catalog]\nversion = 1\n")
+    wide = tmp_path / "wide.cat"  # its sample window is too wide for the oracle's grid
+    wide.write_text("[catalog]\nversion = 1\n[wide]\nspace = CH2\ndomain = -1e308, 1e308\n"
+                    "alpha = 2\nlambda = 1\nnu = 1\n")
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
     # argparse exits 2; the catalog and tolerance flags belong to prove and sweep only
@@ -677,10 +682,13 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["sweep", "cp2-b", "0.1", "0.2", "3", "parallel",
          "--catalog", str(tmp_path / "missing.cat")],
         *(["sweep", "cp2-a1", "0.2", "0.9", "3", "parallel", "--catalog", str(path)]
-          for path in (no_header, no_equals, no_family)),
+          for path in (no_header, no_equals, no_family, wide)),
         ["sweep", "cp2-a1", "0.9", "0.2", "10", "parallel"],    # r-min > r-max
         ["sweep", "cp2-a1", "0.2", "0.9", "1", "parallel"],     # fewer than 2 samples
         ["prove", "all", "--samples", "1"],
+        ["prove", "all", "--samples", "1000000000000000000000"],  # past MAX_SAMPLES
+        ["prove", "type-b", "--samples", "1000001"],
+        ["sweep", "cp2-a1", "0.2", "0.9", "1000001", "parallel"],
         ["expr", "solve", "x+1", "y"],                          # y does not occur
         ["expr", "solve", "x*sin(x)+1", "x"],                   # x inside an applied atom
         ["expr", "solve", "sqrt(x)+1", "x"],
