@@ -21,6 +21,7 @@ from starricci import (
     type_b_exclusion,
     verify_all,
 )
+from starricci.catalog import WITNESS_TOL
 from starricci.proofs import verdict
 
 print(nonhopf_contradiction().to_text())
@@ -37,5 +38,5 @@ for space in (CP2, CH2):
 print()
 summary = verify_all()
 print(f"witness: min over families of the max parallel residual "
-      f"= {summary.witness_min_residual:.4e} (> {summary.witness_tol:g})")
+      f"= {summary.witness_min_residual:.4e} (> {WITNESS_TOL:g})")
 print(verdict(summary.ok))

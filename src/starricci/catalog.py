@@ -7,10 +7,11 @@ family against the principal-curvature relation
 
     lambda * nu = (alpha / 2) * (lambda + nu) + c / 4
 
-at 100 sampled radii; any failure aborts the load.  A load validates once
-per distinct text and tolerance: parse_catalog shares the immutable Catalog
-it returns, as builtin_catalog() does, and keeps no failed load.  These
-homogeneous models have constant principal curvatures along the hypersurface.
+at 100 sampled radii, to within ORACLE_TOL; any failure aborts the load.  A
+load validates once per distinct text: parse_catalog shares the immutable
+Catalog it returns, as builtin_catalog() does, and keeps no failed load.
+These homogeneous models have constant principal curvatures along the
+hypersurface.
 Numeric condition evaluation binds exactly REPORT_PARAMS, the names that the
 reports read: parallel and d-parallel read c, lambda and nu, xi-parallel
 none, semi-parallel adds alpha, pseudo-parallel L, and einstein (on the
@@ -72,8 +73,11 @@ from .parsing import parse_expr
 from .rational import Expr, ExprError, compile_sweep
 from .symbols import SymbolTable
 
-DEFAULT_ORACLE_TOL = 1e-9
-DEFAULT_WITNESS_TOL = 1e-6
+# The fixed tolerances: ORACLE_TOL bounds the principal-curvature relation of
+# every loaded family and the type-B offset of 3; WITNESS_TOL is the largest
+# max parallel residual that counts as zero in a sweep and in the witness.
+ORACLE_TOL = 1e-9
+WITNESS_TOL = 1e-6
 ORACLE_SAMPLES = 100
 
 
@@ -248,7 +252,7 @@ def _parse_endpoint(text: str, table: SymbolTable) -> float:
 
 
 @lru_cache(maxsize=16)
-def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
+def parse_catalog(text: str) -> Catalog:
     """Parse and validate a catalog file; every family must pass the
     principal-curvature oracle or the whole load aborts.  Memoized."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -293,7 +297,7 @@ def parse_catalog(text: str, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catal
             raise CatalogError(f"family {section!r}: {exc}") from exc
         if not domain[0] < domain[1]:  # also a NaN end
             raise CatalogError(f"family {section!r}: empty domain {domain}")
-        validate_family(fam, tol=oracle_tol)
+        validate_family(fam)
         families.append(fam)
     if not families:
         raise CatalogError("catalog defines no families")
@@ -319,20 +323,24 @@ def format_catalog(catalog: Catalog) -> str:
     return buf.getvalue()
 
 
-def load_catalog(path, *, oracle_tol: float = DEFAULT_ORACLE_TOL) -> Catalog:
+def load_catalog(path) -> Catalog:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_catalog(fh.read(), oracle_tol=oracle_tol)
+        return parse_catalog(fh.read())
 
 
-def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL) -> None:
+def validate_family(fam: HypersurfaceFamily) -> None:
     """Check the principal-curvature relation at ORACLE_SAMPLES radii of
     fam's sample window, in one call of fam.oracle.  The first radius at
-    which the kernel stops or |residual| >= tol is replayed through
-    fam.hopf_residual: its curvature or domain error, else the relation's."""
+    which the kernel stops or |residual| >= ORACLE_TOL is replayed through
+    fam.hopf_residual: its curvature or domain error, else the relation's.
+    A window too wide for the grid is a CatalogError naming the family."""
     window, samples = fam.sample_window(), ORACLE_SAMPLES
-    residuals = fam.oracle(*_grid(*window, samples), *fam.domain, math.pi,
-                           float(fam.space.c))[2]
-    k = [*map(lt, map(abs, residuals), repeat(tol)), False].index(False)
+    try:
+        grid = _grid(*window, samples)
+    except CatalogError as exc:
+        raise CatalogError(f"family {fam.family_id!r}: {exc}") from exc
+    residuals = fam.oracle(*grid, *fam.domain, math.pi, float(fam.space.c))[2]
+    k = [*map(lt, map(abs, residuals), repeat(ORACLE_TOL)), False].index(False)
     if k < samples:
         r = radius_grid(*window, samples)[k]
         residual = fam.hopf_residual(r)
@@ -344,11 +352,9 @@ def validate_family(fam: HypersurfaceFamily, *, tol: float = DEFAULT_ORACLE_TOL)
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
-    from importlib import resources  # only a builtin load reads the package data
+    from pkgutil import get_data  # only a builtin load reads the package data
 
-    text = resources.files("starricci.data").joinpath("families.cat").read_text("utf-8")
-    # by keyword, as load_catalog passes it: the memo keys a call by its form
-    return parse_catalog(text, oracle_tol=DEFAULT_ORACLE_TOL)
+    return parse_catalog(get_data("starricci", "data/families.cat").decode("utf-8"))
 
 
 def builtin_families() -> list:

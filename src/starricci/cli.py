@@ -8,8 +8,13 @@ Subcommands:
 * ``check TENSOR CONDITION CONTEXT [name=value ...]`` -- emit the symbolic
   condition report, optionally after substituting assumptions.
 * ``sweep FAMILY RMIN RMAX SAMPLES CONDITION`` -- numeric residual table
-  over a radius grid.
+  over a radius grid; its status counts the rows at or below
+  catalog.WITNESS_TOL, the threshold of the witness in ``prove all``.
 * ``expr {eval,solve} TEXT [ARGS ...]`` -- exact expression utilities.
+
+``prove`` and ``sweep`` take ``--catalog PATH`` in place of the builtin
+catalog.  No flag sets a tolerance: catalog.ORACLE_TOL and WITNESS_TOL are
+fixed.
 
 Reports exist in two formats (--format text|json); the json form is a
 versioned envelope whose payload round-trips through the standard json
@@ -58,11 +63,10 @@ from .catalog import (
     CP2,
     Catalog,
     ConditionKind,
-    DEFAULT_ORACLE_TOL,
     DEFAULT_SAMPLES,
-    DEFAULT_WITNESS_TOL,
     SPACES,
     SweepResult,
+    WITNESS_TOL,
     builtin_catalog,
     load_catalog,
     sweep as run_sweep,
@@ -266,7 +270,7 @@ def _write(report: Report, args) -> None:
 
 def _catalog(args) -> Catalog:
     if args.catalog:
-        return load_catalog(args.catalog, oracle_tol=args.tol_oracle)
+        return load_catalog(args.catalog)
     return builtin_catalog()
 
 
@@ -280,9 +284,7 @@ def cmd_prove(args) -> int:
     command = f"prove {args.target}"
     spaces = (SPACES[args.space.upper()],) if args.space else (CP2, CH2)
     try:
-        summary = verify_all(args.target, spaces, samples=args.samples,
-                             tol_oracle=args.tol_oracle, tol_witness=args.tol_witness,
-                             catalog=cat)
+        summary = verify_all(args.target, spaces, samples=args.samples, catalog=cat)
     except ProofError as exc:
         _write(Report(command, f"FAILED: {exc}", {}, cat.version), args)
         return 1
@@ -370,7 +372,7 @@ def cmd_sweep(args) -> int:
     fam = cat.get(args.family)
     kind = ConditionKind(args.condition)
     result = run_sweep(fam, args.r_min, args.r_max, args.samples, kind)
-    below = sum(map(le, result.max_residuals, repeat(args.tol_witness)))
+    below = sum(map(le, result.max_residuals, repeat(WITNESS_TOL)))
     payload = {
         "family": fam.family_id,
         "space": fam.space.name,
@@ -474,11 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", metavar="PATH", default=None)
 
-    def numeric(p):  # the flags of the commands that evaluate catalog families
-        p.add_argument("--tol-oracle", type=float, default=DEFAULT_ORACLE_TOL,
-                       help="tolerance for exact-identity checks (default %(default)g)")
-        p.add_argument("--tol-witness", type=float, default=DEFAULT_WITNESS_TOL,
-                       help="threshold for 'nonzero' witnesses (default %(default)g)")
+    def numeric(p):  # the flag of the commands that evaluate catalog families
         p.add_argument("--catalog", metavar="PATH", default=None,
                        help="family catalog file replacing the builtin one")
 
@@ -564,10 +562,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if "tol_oracle" in args and not all(math.isfinite(t) and t > 0
-                                        for t in (args.tol_oracle, args.tol_witness)):
-        print("error: tolerances must be finite and positive", file=sys.stderr)
-        return 2
     if getattr(args, "samples", 2) < 2:
         print("error: sample counts must be at least 2", file=sys.stderr)
         return 2

@@ -19,8 +19,9 @@ pieces, each produced here as a deterministic trace or report:
   quadratic at the space's c decides solvability.
 * type_b_exclusion -- the remaining candidates have constant principal
   curvatures; the tube families ("type B") violate lambda nu = -c
-  numerically by a margin of 3 at every radius of the family's parallel
-  sweep, which the certificate runs itself and keeps as its witness.
+  numerically by a margin of 3, to within catalog.ORACLE_TOL, at every
+  radius of the family's parallel sweep, which the certificate runs itself
+  and keeps as its witness.
 
 verify_all is the one place that composes them: it runs the pieces of a
 prove target (one piece, or "all" with the numeric witness) and returns one
@@ -51,7 +52,8 @@ check and cancellation runs on every replay.
 Algebraic discipline: a step may cancel only factors that were declared
 nonzero (the tracker rejects anything else), and equations recorded as
 vanishing statements are sign-normalized (positive leading coefficient),
-while contradiction witnesses are recorded exactly as computed.
+while contradiction witnesses are recorded exactly as computed.  `_replay`
+applies it: every row is normalized but one that concludes a contradiction.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ from .catalog import (
     CH2,
     CP2,
     Catalog,
-    DEFAULT_ORACLE_TOL,
     DEFAULT_SAMPLES,
-    DEFAULT_WITNESS_TOL,
     ModelSpace,
+    ORACLE_TOL,
     SweepResult,
+    WITNESS_TOL,
     _lam_nu_plus_c,
     builtin_catalog,
     evaluate_condition,
@@ -289,7 +291,6 @@ class Step(NamedTuple):
     tagged: bool = True                 # print the cited (X, Y, P)
     equation: Optional[Expr] = None     # the given form when nothing is cited
     at: tuple = ()                      # names concluded zero, substituted by 0
-    normalize: bool = False             # record the equation sign-normalized
     expect: Optional[Expr] = None       # what the equation must equal
     case: Optional[Expr] = None         # opens the case "this expression != 0"
     cancel: Optional[Expr] = None       # a declared-nonzero factor to cancel
@@ -301,7 +302,8 @@ def _replay(ctx: FrameContext, name: str, hypotheses: tuple, nonzero: tuple,
     """Run the rows `steps` in ctx with the names `nonzero` declared nonzero.
 
     Per row: take the equation, substitute zero for the names in `at` (and a
-    function's formal derivatives), sign-normalize, compare with `expect`,
+    function's formal derivatives), sign-normalize unless the row concludes
+    a contradiction (`zero` is in `nonzero`), compare with `expect`,
     check a cited projection's purity, open `case`, cancel `cancel` and
     conclude `zero` = 0.  The module docstring states the rules.
     """
@@ -328,7 +330,7 @@ def _replay(ctx: FrameContext, name: str, hypotheses: tuple, nonzero: tuple,
                     raise ProofError(f"step {label}: {n} = 0 is not in force")
                 bindings.update(zeros[n])
             eq = eq.substitute(bindings)
-        if step.normalize:
+        if step.zero not in nonzero:  # a contradiction witness stays as computed
             eq = sign_normalized(eq)
         if step.expect is not None:
             _expect(label, eq, step.expect)
@@ -372,11 +374,10 @@ def _nonhopf_steps(ctx: FrameContext) -> tuple:
     return (
         Step("1", "projection g((nabla_xi S*) xi, xi) of the parallel condition; "
                   "beta^2 cancels since beta != 0", "delta = 0",
-             cite=(E3, E3, E3), normalize=True, expect=forms["beta^2*delta"],
-             cancel=beta, zero="delta"),
+             cite=(E3, E3, E3), expect=forms["beta^2*delta"], cancel=beta, zero="delta"),
         Step("2", "projection g((nabla_phiU S*) xi, xi) with delta = 0; "
                   "beta cancels and a square vanishes only at zero", "mu = 0",
-             cite=(E2, E3, E3), at=("delta",), normalize=True, expect=forms["beta*mu^2"],
+             cite=(E2, E3, E3), at=("delta",), expect=forms["beta*mu^2"],
              cancel=beta, zero="mu"),
         # the contradiction witness is recorded as computed
         Step("3", "projection g((nabla_xi S*) phiU, xi) with delta = mu = 0; "
@@ -416,12 +417,12 @@ def _hopf_steps(ctx: FrameContext) -> tuple:
     return (
         Step("1", "projection g((nabla_W S*) xi, phiW) of the parallel condition",
              "lambda*(c + lambda*nu) = 0: either lambda = 0 or c + lambda*nu = 0",
-             cite=(E1, E3, E2), normalize=True, expect=forms["lambda*(c + lambda*nu)"]),
+             cite=(E1, E3, E2), expect=forms["lambda*(c + lambda*nu)"]),
         Step("2a", "case c + lambda*nu != 0: the declared-nonzero factor cancels",
              "lambda = 0", case=p, cancel=p, zero="lambda"),
         # untagged as recorded: the tag would change the recorded digests
         Step("2b", "projection g((nabla_phiW S*) xi, W); the same factor cancels", "nu = 0",
-             cite=(E2, E3, E1), tagged=False, normalize=True,
+             cite=(E2, E3, E1), tagged=False,
              expect=forms["nu*(c + lambda*nu)"], cancel=p, zero="nu"),
         Step("2c", "principal-curvature relation at lambda = nu = 0",
              "c = 0 forced, contradicting c != 0: case c + lambda*nu != 0 is impossible",
@@ -429,7 +430,7 @@ def _hopf_steps(ctx: FrameContext) -> tuple:
              zero="c"),
         Step("3", "the product of step 1 vanishes and case A is impossible",
              "c + lambda*nu = 0; lambda*nu = -c != 0 forces lambda != 0 and nu != 0",
-             equation=p, normalize=True),
+             equation=p),
     )
 
 
@@ -599,7 +600,6 @@ def type_b_exclusion(
     space: ModelSpace,
     *,
     samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_ORACLE_TOL,
     catalog: Optional[Catalog] = None,
 ) -> TypeBReport:
     """Certify lambda nu + c = +-3 on the type-B tube family of a space.
@@ -607,9 +607,10 @@ def type_b_exclusion(
     The remaining Hopf candidates would need lambda nu = -c; the constant
     offset of 3 rules them out at every sampled radius: the lambda*nu + c
     column of the family's parallel sweep, run here and kept on the report
-    as its `witness`.  Where the sweep fails, each radius in turn gets the
-    certificate's check (the curvatures, then lambda*nu + c), then the
-    per-radius evaluation: the first failing radius raises.
+    as its `witness`, must lie within ORACLE_TOL of +-3.  Where the sweep
+    fails, each radius in turn gets the certificate's check (the
+    curvatures, then lambda*nu + c), then the per-radius evaluation: the
+    first failing radius raises.
     """
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
@@ -624,7 +625,7 @@ def type_b_exclusion(
     expected = TYPE_B_EXPECTED[space.name]
     max_dev = max(map(abs, map(sub, values, repeat(expected))))
     min_abs = min(map(abs, values))
-    ok = max_dev <= tol and min_abs >= 3.0 - tol
+    ok = max_dev <= ORACLE_TOL and min_abs >= 3.0 - ORACLE_TOL
     return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok, witness)
 
 
@@ -651,7 +652,6 @@ class VerificationSummary(NamedTuple):
     quadratic: tuple      # QuadraticAnalysis per printed space
     type_b: tuple         # TypeBReport per printed space
     witness_min_residual: Optional[float]   # prove all only
-    witness_tol: float
     ok: bool
 
     def to_payload(self) -> dict:
@@ -674,7 +674,7 @@ class VerificationSummary(NamedTuple):
         if self.witness_min_residual is not None:
             lines.append(
                 f"witness: min over families of max parallel residual = "
-                f"{self.witness_min_residual:.6e} (> {self.witness_tol:g} required)"
+                f"{self.witness_min_residual:.6e} (> {WITNESS_TOL:g} required)"
             )
         return lines
 
@@ -684,8 +684,6 @@ def verify_all(
     spaces: tuple = (CP2, CH2),
     *,
     samples: int = DEFAULT_SAMPLES,
-    tol_oracle: float = DEFAULT_ORACLE_TOL,
-    tol_witness: float = DEFAULT_WITNESS_TOL,
     catalog: Optional[Catalog] = None,
 ) -> VerificationSummary:
     """Run the pieces of `target` (a key of _VERDICTS) on `spaces`.
@@ -694,11 +692,11 @@ def verify_all(
     and keeps the quadratic and type-B records of `spaces` only.  It adds a
     numeric non-existence witness: one catalog.sweep per family over its
     sample window, and on every family the parallel condition on the
-    *-Ricci tensor must stay numerically violated at the sampled radii (no
-    family poses as a counterexample).  The type-B certificates sweep their
-    families first (CP2's, then CH2's), and the witness reads those sweeps
-    back from the reports; every other family is swept here, in catalog
-    order.  "ok" is decided here, once.  An unknown target or no space is a
+    *-Ricci tensor must stay numerically violated at the sampled radii, its
+    max residual above WITNESS_TOL (no family poses as a counterexample).
+    The type-B certificates sweep their families first (CP2's, then CH2's),
+    and the witness reads those sweeps back from the reports; every other
+    family is swept here, in catalog order.  "ok" is decided here, once.  An unknown target or no space is a
     ValueError.
     """
     if target not in _VERDICTS:
@@ -716,8 +714,7 @@ def verify_all(
     witness_min = None
     if target in ("all", "type-b"):
         cat = catalog if catalog is not None else builtin_catalog()
-        typeb = tuple(type_b_exclusion(space, samples=samples, tol=tol_oracle, catalog=cat)
-                      for space in run)
+        typeb = tuple(type_b_exclusion(space, samples=samples, catalog=cat) for space in run)
         if whole:
             named = {t.family_id for t in typeb}
             swept = [t.witness for t in typeb] + [
@@ -728,9 +725,9 @@ def verify_all(
         (nonhopf is None or nonhopf.status == "contradiction")
         and (hopf is None or hopf.status == "open" and "c + lambda*nu = 0" in hopf.conclusions)
         and all(t.ok for t in typeb)
-        and (witness_min is None or witness_min > tol_witness)
+        and (witness_min is None or witness_min > WITNESS_TOL)
     )
     if whole:
         quad = tuple(q for q in quad if q.space in spaces)
         typeb = tuple(t for t in typeb if t.space in spaces)
-    return VerificationSummary(nonhopf, hopf, quad, typeb, witness_min, tol_witness, ok)
+    return VerificationSummary(nonhopf, hopf, quad, typeb, witness_min, ok)

@@ -161,7 +161,7 @@ def test_criterion_5_hopf_relation_oracle():
 @criterion(6, "type-B exclusion")
 def test_criterion_6_type_b_exclusion():
     for space, expected in ((CP2, 3.0), (CH2, -3.0)):
-        rep = type_b_exclusion(space, samples=100, tol=1e-9)
+        rep = type_b_exclusion(space, samples=100)
         assert rep.ok
         assert rep.expected == expected
         assert rep.max_deviation <= 1e-9

@@ -621,13 +621,15 @@ def test_a_grid_of_finite_width_keeps_every_bit(lo, hi, samples):
 
 def test_a_domain_whose_width_overflows_has_a_finite_sample_window():
     # hi - lo overflows, so the margin is hi/100 - lo/100; the window is
-    # still too wide for the oracle's grid, and the load error says so
+    # still too wide for the oracle's grid, and the load error says so for
+    # the family
     fam = _family("2", "1", "1", domain=(-1e308, 1e308), space=CH2)
     assert fam.sample_window() == (-1e308 + 2e306, 1e308 - 2e306)
     text = ("[catalog]\nversion = 1\n[wide]\nspace = CH2\ndomain = -1e308, 1e308\n"
             "alpha = 2\nlambda = 1\nnu = 1\n")
     assert _error(lambda: parse_catalog(text)) == (
-        CatalogError, "the radius range [-9.8e+307, 9.8e+307] is too wide for a grid of 100 radii")
+        CatalogError, "family 'wide': the radius range [-9.8e+307, 9.8e+307] is too wide for "
+                      "a grid of 100 radii")
 
 
 @pytest.mark.parametrize("samples", [catalog.MAX_SAMPLES + 1, 10 ** 21])

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -629,18 +630,6 @@ def test_a_power_bounds_the_terms_of_the_numerator_and_the_denominator(monkeypat
                                   f"to more than 10 terms (at position {pos})")
 
 
-def test_a_tighter_oracle_tolerance_validates_again(tmp_path, capsys):
-    path = tmp_path / "builtin.cat"
-    path.write_text(format_catalog(builtin_catalog()), encoding="utf-8")
-    argv = ["sweep", "ch2-a1", "0.5", "1", "3", "parallel", "--catalog", str(path)]
-    assert _captured(capsys, argv)[0] == 0
-    code, out, err = _captured(capsys, argv + ["--tol-oracle", "1e-300"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: family ") and "principal-curvature relation" in err
-    assert err.count("\n") == 1
-    assert _captured(capsys, argv)[0] == 0
-
-
 def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     # configparser's messages for these two files span lines
     no_header = tmp_path / "no-header.cat"
@@ -654,11 +643,15 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
                     "alpha = 2\nlambda = 1\nnu = 1\n")
     assert main(["sweep", "cp2-b", "2.0", "3.0", "10", "parallel"]) == 2
     assert main(["sweep", "nosuch", "0.1", "0.2", "5", "parallel"]) == 2
-    # argparse exits 2; the catalog and tolerance flags belong to prove and sweep only
+    # argparse exits 2; the catalog flag belongs to prove and sweep only, and
+    # no command has a tolerance flag
     for argv in (
         ["check", "star-ricci", "bogus", "hopf"],
         ["check", "star-ricci", "parallel", "hopf", "--catalog", "x"],
         ["expr", "eval", "x", "x=1", "--tol-oracle", "1e-3"],
+        ["prove", "type-b", "--tol-oracle", "nan"],
+        ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
+        ["prove", "hopf", "--tol-witness", "inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -692,9 +685,6 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         ["expr", "solve", "x+1", "y"],                          # y does not occur
         ["expr", "solve", "x*sin(x)+1", "x"],                   # x inside an applied atom
         ["expr", "solve", "sqrt(x)+1", "x"],
-        ["prove", "type-b", "--tol-oracle", "nan"],
-        ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
-        ["prove", "hopf", "--tol-witness", "inf"],
         # lambda = nu = cot(r) ~ 1e200: lambda*nu + c overflows, the xi-parallel rows are 0
         ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel", "--format", "json"],
         ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel"],
@@ -703,6 +693,27 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+def test_no_input_sets_a_tolerance(capsys):
+    # at 4829 samples the witness, 3.223438e-07, is below WITNESS_TOL (ROADMAP
+    # item 1); no flag lifts the verdict over it
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "all", "--samples", "4829", "--tol-witness", "1e-7"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --tol-witness 1e-7" in captured.err
+    code, out = run(capsys, "prove", "all", "--samples", "4829")
+    assert code == 1 and "status: verification FAILED" in out
+    assert f"(> {catalog.WITNESS_TOL:g} required)" in out
+    # a sweep counts its rows at or below the witness's threshold: S* vanishes
+    # at r = atanh(1/2) on ch2-a1
+    code, out = run(capsys, "sweep", "ch2-a1", "0.5493061443340548", "0.5493061443340548",
+                    "2", "parallel", "--format", "json")
+    assert code == 0 and json.loads(out)["payload"]["rows_below_witness_tol"] == 2
+    for f in (proofs.verify_all, proofs.type_b_exclusion, catalog.parse_catalog,
+              catalog.load_catalog, catalog.validate_family):
+        assert not [p for p in inspect.signature(f).parameters if "tol" in p], f
 
 
 def test_expr_syntax_error_names_the_offending_character(capsys):
@@ -859,7 +870,7 @@ def _parsed(capsys, parse, argv):
     ["sweep", "ch2-a0", "--", "-1", "2", "3", "parallel"],
     ["sweep", "ch2-a0", "0", "1", "3", "parallel", "extra", "--args"],
     ["sweep", "ch2-a0", "0", "1", "three", "parallel"],
-    ["prove", "all", "--samples", "20", "--space", "cp2", "--tol-witness", "1e-3"],
+    ["prove", "all", "--samples", "20", "--space", "cp2", "--catalog", "x"],
     ["prove", "everything"],
     ["expr", "eval", "x", "x=1"],
     ["expr", "solve", "x^2 - 2", "x", "--format", "json"],
@@ -1003,11 +1014,10 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
         ["check", "star-ricci", "parallel", "nonhopf"],
         ["check", "star-ricci", "pseudo-parallel", "hopf", "--pseudo-l", "alpha"],
         ["check", "star-ricci", "pseudo-parallel", "hopf"],
-        ["sweep", "ch2-b", "0.5", "1", "3", "parallel", "--format", "json",
-         "--tol-witness", "10"],
+        ["sweep", "ch2-b", "0.5", "1", "3", "parallel", "--format", "json"],
         ["sweep", "ch2-b", "0.5", "1", "3", "parallel"],
         ["check", "star-ricci", "bogus", "hopf"],
-        ["sweep", "cp2-b", "0.2", "0.3", "3", "parallel", "--tol-witness", "nan"],
+        ["sweep", "cp2-b", "0.2", "0.3", "1", "parallel"],
         ["expr", "eval", "x", "x=1", "x=2"],
         ["expr", "eval", "x", "x=1"],
         # the second load of the same file reuses the first one's catalog

@@ -223,7 +223,7 @@ def test_closing_a_case_withdraws_its_hypothesis():
     p = steps[1].case
     assert p == ctx.c + ctx.sym("lambda") * ctx.sym("nu")
     steps[4] = Step("4", "step 1 again, cancelling c + lambda*nu", "lambda = 0",
-                    cite=(E1, E3, E2), normalize=True, cancel=p, zero="lambda")
+                    cite=(E1, E3, E2), cancel=p, zero="lambda")
     with pytest.raises(IllegalCancellationError, match="was not declared nonzero"):
         _run(ctx, steps, ("c",))
 
@@ -321,12 +321,13 @@ def _lam_nu_plus_c_column(fam, radii):
     return column
 
 
-def _type_b_fields(space, samples, tol=catalog.DEFAULT_ORACLE_TOL):
+def _type_b_fields(space, samples):
     fam = builtin_catalog().get(proofs.TYPE_B_FAMILIES[space.name])
     values = _lam_nu_plus_c_column(fam, radius_grid(*fam.sample_window(), samples))
     expected = proofs.TYPE_B_EXPECTED[space.name]
     max_dev = max(abs(v - expected) for v in values)
     min_abs = min(abs(v) for v in values)
+    tol = catalog.ORACLE_TOL
     ok = max_dev <= tol and min_abs >= 3.0 - tol
     return (space, fam.family_id, samples, expected.hex(), max_dev.hex(), min_abs.hex(), ok)
 
