@@ -14,10 +14,13 @@ These homogeneous models have constant principal curvatures along the
 hypersurface.
 Numeric condition evaluation binds exactly REPORT_PARAMS, the names that the
 reports read: parallel and d-parallel read c, lambda and nu, xi-parallel
-none, semi-parallel adds alpha, pseudo-parallel L, and einstein (on the
-Ricci tensor) lambda_e.  The family supplies alpha, lambda and nu; its space
-fixes the rest, c and, at zero, L and lambda_e (ZERO_DEFAULT), as one
-mapping kept on the family.  No report reads a connection coefficient
+none, semi-parallel and pseudo-parallel add alpha, and einstein (on the
+Ricci tensor) reads the curvatures and c.  The family supplies alpha,
+lambda and nu; its space fixes c.  The cached reports take the
+pseudo-parallel function L and the Einstein constant lambda_e at zero, by
+convention, and _hopf_report is the one place that says so: L is
+build_report's zero, and lambda_e is substituted by 0 in the einstein
+report before it is kept.  No report reads a connection coefficient
 h1..h3, so none is bound: S* = (c + lambda*nu)(I - eta(x)xi) commutes with
 rotations of D, and the Ricci tensor is algebraic in the curvatures.  A
 Ricci-parallel report would read them, and would need h3 = alpha/2 from
@@ -108,6 +111,11 @@ def hopf_relation_residual(alpha: float, lam: float, nu: float, c: float) -> flo
 _HOPF_RESIDUAL = "{lambda} * {nu} - ({alpha} / 2.0) * ({lambda} + {nu}) - {c} / 4.0"
 # The report parameters that a family supplies per radius.
 _CURVATURES = ("alpha", "lambda", "nu")
+# The names the reports read: the curvatures, then the space's c (compile_sweep
+# rejects any other).
+REPORT_PARAMS = _CURVATURES + ("c",)
+# The parameters of the oracle and of every sweep kernel: the radius, pi, c.
+_SWEEP_PARAMS = ("r", "pi", "c")
 
 
 class HypersurfaceFamily:
@@ -116,20 +124,17 @@ class HypersurfaceFamily:
     whose ends may be +-inf."""
 
     __slots__ = ("family_id", "space", "domain", "alpha", "lam", "nu", "description",
-                 "oracle", "_scalars", "_sweeps")
+                 "oracle", "_sweeps")
 
     def __init__(self, family_id: str, space: ModelSpace, domain: tuple, alpha: Expr,
                  lam: Expr, nu: Expr, description: str = ""):
         # oracle: the compile_sweep kernel of validate_family, with no report
         # rows and hopf_relation_residual as its tail; compiled once per family.
-        # _scalars: the REPORT_PARAMS after the curvatures, in order: the
-        # space's c, then each ZERO_DEFAULT name at zero.
         # _sweeps: the sweep kernel per condition kind, filled by _sweep_kernel
-        oracle = compile_sweep(("r", "pi", "c"), dict(zip(_CURVATURES, (alpha, lam, nu))),
+        oracle = compile_sweep(_SWEEP_PARAMS, dict(zip(_CURVATURES, (alpha, lam, nu))),
                                (), _HOPF_RESIDUAL)
-        scalars = {"c": float(space.c), **dict.fromkeys(ZERO_DEFAULT, 0.0)}
         for name, value in zip(self.__slots__, (family_id, space, domain, alpha, lam, nu,
-                                                description, oracle, scalars, {})):
+                                                description, oracle, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -278,12 +283,17 @@ def parse_catalog(text: str) -> Catalog:
             continue
         sec = cp[section]
         try:
-            space = SPACES[sec["space"].strip()]
+            name = sec["space"].strip()
+            if name not in SPACES:
+                raise CatalogError(f"unknown space {name!r} (known: {', '.join(SPACES)})")
+            space = SPACES[name]
             table = SymbolTable()
             table.constant("r")
             table.constant("pi")
-            lo_s, hi_s = sec["domain"].split(",")
-            domain = (_parse_endpoint(lo_s, table), _parse_endpoint(hi_s, table))
+            ends = sec["domain"].split(",")
+            if len(ends) != 2:
+                raise CatalogError(f"domain {sec['domain']!r} is not two ends 'lo, hi'")
+            domain = tuple(_parse_endpoint(end, table) for end in ends)
             fam = HypersurfaceFamily(
                 family_id=section,
                 space=space,
@@ -293,7 +303,9 @@ def parse_catalog(text: str) -> Catalog:
                 nu=parse_expr(sec["nu"], table),
                 description=sec.get("description", "").strip(),
             )
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:  # a key the section lacks
+            raise CatalogError(f"family {section!r}: missing key {exc.args[0]!r}") from None
+        except ValueError as exc:
             raise CatalogError(f"family {section!r}: {exc}") from exc
         if not domain[0] < domain[1]:  # also a NaN end
             raise CatalogError(f"family {section!r}: empty domain {domain}")
@@ -363,33 +375,29 @@ def builtin_families() -> list:
 
 # -- numeric condition evaluation ---------------------------------------------
 
-# The pseudo-parallel function of the PSEUDO_PARALLEL report.
-_PSEUDO_PARALLEL_FUNCTION = "L"
-
-# The report names that neither the curvatures nor c fix; numeric
-# evaluation binds them to zero, by convention.
-ZERO_DEFAULT = (_PSEUDO_PARALLEL_FUNCTION, EINSTEIN_SYMBOL)
-# The names the reports read: the curvatures, then the scalars in the order
-# of a family's _scalars (compile_sweep rejects any other).
-REPORT_PARAMS = _CURVATURES + ("c",) + ZERO_DEFAULT
-# The parameters of every sweep kernel: the radius, pi, then those scalars.
-_SWEEP_PARAMS = ("r", "pi") + REPORT_PARAMS[len(_CURVATURES):]
-
-
 @lru_cache(maxsize=None)
 def _hopf_report(kind: ConditionKind) -> ConditionReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces."""
+    context (c symbolic), shared by both model spaces.  The one place that
+    fixes the numeric convention L = lambda_e = 0: the pseudo-parallel report
+    takes build_report's zero L, and the einstein report has lambda_e
+    substituted by 0, so a kept report reads only REPORT_PARAMS."""
     ctx = build_hopf_context()
-    L = Expr.from_symbol(ctx.table.scope().constant(_PSEUDO_PARALLEL_FUNCTION))
-    return build_report(ctx, kind, star_ricci_closed(ctx), "star-ricci", L)
+    scope = ctx.table.scope()
+    try:
+        report = build_report(ctx, kind, star_ricci_closed(ctx), None, scope)
+        if kind is ConditionKind.EINSTEIN:
+            report = report.substitute({scope.get(EINSTEIN_SYMBOL): Expr.zero()})
+        return report
+    finally:
+        scope.clear()  # frees the scope and its symbol without the cyclic gc
 
 
-def _sweep_kernel(fam: HypersurfaceFamily, kind: ConditionKind,
-                  report: ConditionReport) -> Callable:
-    """fam's compile_sweep kernel for the report of kind, over the report's
-    distinct non-zero rows: (grid, domain, pi, scalars) -> (radii, max |row|,
-    lambda*nu + c) columns."""
+def _sweep_kernel(fam: HypersurfaceFamily, report: ConditionReport) -> Callable:
+    """fam's compile_sweep kernel for the report, kept per report kind, over
+    the report's distinct non-zero rows: (grid, domain, pi, c) -> (radii,
+    max |row|, lambda*nu + c) columns."""
+    kind = report.kind
     kernel = fam._sweeps.get(kind)
     if kernel is None:
         curvatures = dict(zip(_CURVATURES, (fam.alpha, fam.lam, fam.nu)))
@@ -408,7 +416,7 @@ def _evaluate_rows(fam: HypersurfaceFamily, report: ConditionReport, r: float) -
     keeps its class, and its text names the kind, the family and r.
     """
     a, l, n = fam.curvatures(r)
-    bindings = {"alpha": a, "lambda": l, "nu": n, **fam._scalars}
+    bindings = {"alpha": a, "lambda": l, "nu": n, "c": float(fam.space.c)}
     kind = report.kind.value
     try:
         values = tuple(e.eval(bindings) for e in report.equations())
@@ -443,9 +451,9 @@ def evaluate_condition(fam: HypersurfaceFamily, r: float,
                        kind: ConditionKind) -> ConditionEvaluation:
     """Evaluate a condition report on the *-Ricci tensor at radius r.
 
-    The family's curvatures at r and its scalars (the space's c, L and
-    lambda_e at zero) are bound.  A non-finite row or lambda*nu + c raises
-    CatalogError.
+    The family's curvatures at r and its space's c are bound; the cached
+    report holds L and lambda_e at zero (_hopf_report).  A non-finite row or
+    lambda*nu + c raises CatalogError.
     """
     report = _hopf_report(kind)
     a, l, n, values, lam_nu_plus_c = _evaluate_rows(fam, report, r)
@@ -484,7 +492,7 @@ class SweepResult(NamedTuple):
 def sweep(fam: HypersurfaceFamily, r_min: float, r_max: float, samples: int,
           kind: ConditionKind) -> SweepResult:
     """Uniform-grid condition evaluation over [r_min, r_max], with the
-    family's scalars bound as in evaluate_condition.
+    family's curvatures and c bound as in evaluate_condition.
 
     One kernel call (_sweep_kernel) covers the whole grid.  The values and
     errors are those of evaluate_condition at each radius in turn: where the
@@ -501,8 +509,8 @@ def sweep(fam: HypersurfaceFamily, r_min: float, r_max: float, samples: int,
         )
     grid = _grid(r_min, r_max, samples)
     report = _hopf_report(kind)
-    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, kind, report)(
-        *grid, *fam.domain, math.pi, *fam._scalars.values())
+    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, report)(
+        *grid, *fam.domain, math.pi, float(fam.space.c))
     if len(radii) < samples:
         r = radius_grid(r_min, r_max, samples)[len(radii)]
         _evaluate_rows(fam, report, r)

@@ -339,7 +339,7 @@ def cmd_check(args) -> int:
         tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
         L = (None if args.pseudo_l is None
              else parse_expr(args.pseudo_l, names, define_missing=True))
-        report = build_report(ctx, kind, tensor, args.tensor, L, names)
+        report = build_report(ctx, kind, tensor, L, names)
         if args.assumptions:
             bindings = {}
             for name, value in _name_values(args.assumptions, "assumption").items():

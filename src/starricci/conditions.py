@@ -91,11 +91,10 @@ class ConditionReport:
     one ReportEntry per projection, in report order, and `labels` their
     labels.  The builders below pass the labels of their report's shape."""
 
-    __slots__ = ("kind", "tensor_name", "entries", "labels")
+    __slots__ = ("kind", "entries", "labels")
 
-    def __init__(self, kind: ConditionKind, tensor_name: str, entries: tuple, labels: tuple):
+    def __init__(self, kind: ConditionKind, entries: tuple, labels: tuple):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "tensor_name", tensor_name)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", labels)
 
@@ -125,7 +124,7 @@ class ConditionReport:
             if eq is None:
                 eq = done[id(e.equation)] = e.equation.substitute(bindings)
             entries.append(ReportEntry(e.x, e.y, e.proj, eq))
-        return ConditionReport(self.kind, self.tensor_name, tuple(entries), self.labels)
+        return ConditionReport(self.kind, tuple(entries), self.labels)
 
     def is_zero(self) -> bool:
         return all(e.equation.is_zero for e in self.entries)
@@ -150,9 +149,7 @@ def _skew_curvature(ctx: FrameContext) -> bool:
     return all(_is_skew(R[X._value_][Y._value_]) for X, Y in _PAIRS)
 
 
-def _nabla_condition(
-    ctx: FrameContext, T: Tensor11, kind: ConditionKind, xs, tensor_name: str
-) -> ConditionReport:
+def _nabla_condition(ctx: FrameContext, T: Tensor11, kind: ConditionKind, xs) -> ConditionReport:
     """g((nabla_{e_X} T) e_Y, e_P) over X in xs, then Y, then P.  When nabla_X T
     is symmetric (T symmetric, the connection metric) an entry with P < Y takes
     the equation of (X, P, Y), built earlier in the same X block."""
@@ -168,26 +165,22 @@ def _nabla_condition(
                 else:
                     eq = covariant_derivative_entry(ctx, X, T, Y, P)
                 entries.append(ReportEntry(x, Y, P, eq))
-    return ConditionReport(kind, tensor_name, tuple(entries), _labels(xs))
+    return ConditionReport(kind, tuple(entries), _labels(xs))
 
 
-def parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
+def parallel_equations(ctx: FrameContext, T: Tensor11) -> ConditionReport:
     """All 27 projections g((nabla_{e_i} T) e_j, e_k)."""
-    return _nabla_condition(ctx, T, ConditionKind.PARALLEL, FRAME_INDICES, tensor_name)
+    return _nabla_condition(ctx, T, ConditionKind.PARALLEL, FRAME_INDICES)
 
 
-def xi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
+def xi_parallel_equations(ctx: FrameContext, T: Tensor11) -> ConditionReport:
     """The X = xi slice of the parallel condition (9 equations)."""
-    return _nabla_condition(
-        ctx, T, ConditionKind.XI_PARALLEL, (FrameIndex.E3,), tensor_name
-    )
+    return _nabla_condition(ctx, T, ConditionKind.XI_PARALLEL, (FrameIndex.E3,))
 
 
-def d_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
+def d_parallel_equations(ctx: FrameContext, T: Tensor11) -> ConditionReport:
     """The X in D slice of the parallel condition (18 equations)."""
-    return _nabla_condition(
-        ctx, T, ConditionKind.D_PARALLEL, (FrameIndex.E1, FrameIndex.E2), tensor_name
-    )
+    return _nabla_condition(ctx, T, ConditionKind.D_PARALLEL, (FrameIndex.E1, FrameIndex.E2))
 
 
 _PAIRS = (
@@ -231,7 +224,7 @@ def _derivation(op: Tensor11, T: Tensor11, symmetric: bool = False) -> Tensor11:
 
 
 def _curvature_derivation(
-    ctx: FrameContext, T: Tensor11, L: Expr, kind: ConditionKind, tensor_name: str
+    ctx: FrameContext, T: Tensor11, L: Expr, kind: ConditionKind
 ) -> ConditionReport:
     """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j.
 
@@ -254,23 +247,21 @@ def _curvature_derivation(
         for K in FRAME_INDICES:
             for P in FRAME_INDICES:
                 entries.append(ReportEntry(x, K, P, d[P._value_][K._value_]))
-    return ConditionReport(kind, tensor_name, tuple(entries), _labels(_PAIRS))
+    return ConditionReport(kind, tuple(entries), _labels(_PAIRS))
 
 
-def semi_parallel_equations(ctx: FrameContext, T: Tensor11, tensor_name: str = "T") -> ConditionReport:
+def semi_parallel_equations(ctx: FrameContext, T: Tensor11) -> ConditionReport:
     """g((R(e_i, e_j) . T) e_k, e_l) over i < j: 27 equations, all algebraic.
 
     The i > j half is the exact negation (tested, not emitted).
     """
-    return _curvature_derivation(ctx, T, Expr.zero(), ConditionKind.SEMI_PARALLEL, tensor_name)
+    return _curvature_derivation(ctx, T, Expr.zero(), ConditionKind.SEMI_PARALLEL)
 
 
-def pseudo_parallel_equations(
-    ctx: FrameContext, T: Tensor11, L: Expr, tensor_name: str = "T"
-) -> ConditionReport:
+def pseudo_parallel_equations(ctx: FrameContext, T: Tensor11, L: Expr) -> ConditionReport:
     """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j, L as given:
     with L = 0 the rows are the semi-parallel ones."""
-    return _curvature_derivation(ctx, T, L, ConditionKind.PSEUDO_PARALLEL, tensor_name)
+    return _curvature_derivation(ctx, T, L, ConditionKind.PSEUDO_PARALLEL)
 
 
 # Name of the Einstein constant in einstein_equations' report.
@@ -294,10 +285,10 @@ def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -
             if Y is proj:
                 eq = eq - lam_e
             entries.append(ReportEntry((), Y, proj, eq))
-    return ConditionReport(ConditionKind.EINSTEIN, "ricci", tuple(entries), _labels(((),)))
+    return ConditionReport(ConditionKind.EINSTEIN, tuple(entries), _labels(((),)))
 
 
-# The kinds whose report is built from T and its name alone.
+# The kinds whose report is built from T alone.
 _BUILDERS = {
     ConditionKind.PARALLEL: parallel_equations,
     ConditionKind.XI_PARALLEL: xi_parallel_equations,
@@ -310,16 +301,15 @@ def build_report(
     ctx: FrameContext,
     kind: ConditionKind,
     T: Optional[Tensor11],
-    tensor_name: str,
     L: Optional[Expr] = None,
     scope: Optional[SymbolTable] = None,
 ) -> ConditionReport:
     """The `kind` report on T over ctx.  Pseudo-parallel reads the function
     L, zero when L is None; the other kinds ignore it.  Einstein ignores T
-    (which may be None) and tensor_name: it is the report of the context's
-    Ricci tensor, with its constant minted in `scope` (einstein_equations)."""
+    (which may be None): it is the report of the context's Ricci tensor,
+    with its constant minted in `scope` (einstein_equations)."""
     if kind is ConditionKind.EINSTEIN:
         return einstein_equations(ctx, scope)
     if kind is ConditionKind.PSEUDO_PARALLEL:
-        return pseudo_parallel_equations(ctx, T, Expr.zero() if L is None else L, tensor_name)
-    return _BUILDERS[kind](ctx, T, tensor_name)
+        return pseudo_parallel_equations(ctx, T, Expr.zero() if L is None else L)
+    return _BUILDERS[kind](ctx, T)

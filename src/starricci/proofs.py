@@ -88,7 +88,6 @@ from .frames import (
     covariant_derivative_entry,
     star_ricci_closed,
 )
-from .parsing import parse_expr
 from .quadratic import solve_quadratic
 from .rational import Expr, sign_normalized
 from .symbols import DERIVATIVE, DIRECTIONS, FUNCTION, Symbol, SymbolTable
@@ -227,22 +226,22 @@ class ProofTrace(NamedTuple):
 
 
 class _Forms(dict):
-    """Fixed text -> that text parsed in a scope of `table`, parsed on first
-    use and kept: the forms a replay compares with are constants."""
+    """Fixed text -> ctx.parse(text), parsed on first use and kept: the
+    forms a replay compares with are constants."""
 
-    def __init__(self, table: SymbolTable):
+    def __init__(self, ctx: FrameContext):
         super().__init__()
-        self.table = table
+        self.ctx = ctx
 
     def __missing__(self, text: str) -> Expr:
-        form = self[text] = parse_expr(text, self.table.scope())
+        form = self[text] = self.ctx.parse(text)
         return form
 
 
 @_once_per_context
 def _forms(ctx: FrameContext) -> _Forms:
     """The fixed forms the replays compare with in ctx, kept on ctx."""
-    return _Forms(ctx.table)
+    return _Forms(ctx)
 
 
 def _expect(label: str, got: Expr, expected: Expr) -> None:

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import io
 import keyword
 import math
@@ -233,7 +234,7 @@ def test_catalog_rejects_structural_problems():
         parse_catalog("[nofamilies]\nversion = 1\n")
     with pytest.raises(CatalogError):
         parse_catalog("[catalog]\nversion = 2\n")
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=r"^family 'f': unknown space 'XX' \(known: CP2, CH2\)$"):
         parse_catalog(
             "[catalog]\nversion = 1\n\n[f]\nspace = XX\ndomain = 0, 1\n"
             "alpha = 1\nlambda = 1\nnu = 1\n"
@@ -244,6 +245,25 @@ def test_catalog_rejects_structural_problems():
                 f"[catalog]\nversion = 1\n\n[f]\nspace = CP2\ndomain = {domain}\n"
                 "alpha = 2*cot(2*r)\nlambda = cot(r)\nnu = cot(r)\n"
             )
+
+
+# A family body with one key malformed or missing, and the load's error text.
+MALFORMED_FAMILIES = [
+    ("space = cp2\ndomain = 0, 1\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': unknown space 'cp2' (known: CP2, CH2)"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = 1", "family 'fam': missing key 'nu'"),
+    ("space = CP2\ndomain = 0, 1, 2\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': domain '0, 1, 2' is not two ends 'lo, hi'"),
+    ("space = CP2\ndomain = 0\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': domain '0' is not two ends 'lo, hi'"),
+]
+
+
+@pytest.mark.parametrize("body, error", MALFORMED_FAMILIES)
+def test_a_malformed_family_names_its_key_not_a_python_error(body, error):
+    with pytest.raises(CatalogError) as exc:
+        parse_catalog(f"[catalog]\nversion = 1\n\n[fam]\n{body}\n")
+    assert str(exc.value) == error
 
 
 _MIRRORED_TUBE = """
@@ -331,8 +351,8 @@ def _hex(values):
 @pytest.mark.parametrize("kind", list(ConditionKind))
 def test_compiled_rows_equal_interpreted_oracle(kind):
     # the oracle is the evaluation before compilation: Expr.eval per
-    # curvature and per row, unbound report symbols at zero, max folded
-    # from 0.0
+    # curvature and per row, which read only the curvatures and c, max
+    # folded from 0.0
     entries = catalog._hopf_report(kind).entries
     for fam in builtin_families():
         c = float(fam.space.c)
@@ -340,7 +360,7 @@ def test_compiled_rows_equal_interpreted_oracle(kind):
             point = {"r": r, "pi": math.pi}
             curv = (fam.alpha.eval(point), fam.lam.eval(point), fam.nu.eval(point))
             bound = dict(zip(("alpha", "lambda", "nu", "c"), curv + (c,)))
-            rows = [e.equation.eval({s.name: bound.get(s.name, 0.0) for s in e.equation.symbols()})
+            rows = [e.equation.eval({s.name: bound[s.name] for s in e.equation.symbols()})
                     for e in entries]
             max_abs = 0.0
             for v in rows:
@@ -427,7 +447,7 @@ def _kernel_sources():
     yield fam, None, fam.oracle.source
     for kind in ConditionKind:
         report = catalog._hopf_report(kind)
-        yield fam, report, catalog._sweep_kernel(fam, kind, report).source
+        yield fam, report, catalog._sweep_kernel(fam, report).source
 
 
 def test_column_kernel_sources_hold_no_symbol_names():
@@ -496,12 +516,32 @@ def test_sweep_columns_equal_per_radius_evaluation(kind):
 
 
 def test_report_params_are_the_names_the_reports_read():
-    assert catalog.REPORT_PARAMS == catalog._CURVATURES + ("c",) + catalog.ZERO_DEFAULT
+    assert catalog.REPORT_PARAMS == catalog._CURVATURES + ("c",)
     read = set()
     for kind in ConditionKind:
         for e in catalog._hopf_report(kind).equations():
             read |= {sym.name for sym in e.symbols()}
     assert read == set(catalog.REPORT_PARAMS)
+
+
+def test_the_cached_reports_take_l_and_lambda_e_at_zero():
+    # pseudo-parallel at L = 0 is semi-parallel, and no kept report reads
+    # either name: _hopf_report fixes the convention, no kernel binds it
+    pseudo = catalog._hopf_report(ConditionKind.PSEUDO_PARALLEL)
+    assert pseudo.equations() == catalog._hopf_report(ConditionKind.SEMI_PARALLEL).equations()
+    for kind in ConditionKind:
+        for e in catalog._hopf_report(kind).equations():
+            assert not {sym.name for sym in e.symbols()} & {"L", "lambda_e"}, kind
+
+
+def test_every_builtin_kernel_takes_the_same_eight_parameters():
+    # grid (lo, width, steps, n), domain (low, high), pi and c
+    for fam in builtin_families():
+        kernels = [fam.oracle] + [catalog._sweep_kernel(fam, catalog._hopf_report(kind))
+                                  for kind in ConditionKind]
+        assert len(kernels) == 7
+        signatures = {tuple(inspect.signature(k).parameters) for k in kernels}
+        assert len(signatures) == 1 and len(signatures.pop()) == 8, fam.family_id
 
 
 def test_sweep_raises_the_per_radius_error():
@@ -695,7 +735,7 @@ def test_sweep_kernel_rows_are_the_distinct_non_zero_report_rows(monkeypatch):
     fam = _family(*_SPHERE, "cot(r)")
     for kind in ConditionKind:
         report = catalog._hopf_report(kind)
-        catalog._sweep_kernel(fam, kind, report)
+        catalog._sweep_kernel(fam, report)
         rows, equations = compiled[-1], report.equations()
         assert len(set(rows)) == len(rows)
         assert set(rows) == {e for e in equations if not e.is_zero}
@@ -708,12 +748,11 @@ def test_a_non_zero_constant_row_sets_the_max():
     xi = catalog._hopf_report(ConditionKind.XI_PARALLEL)
     assert all(e.is_zero for e in xi.equations())
     entry = xi.entries[0]._replace(equation=Expr.const(-3))
-    report = ConditionReport(xi.kind, xi.tensor_name, xi.entries + (entry,),
-                             xi.labels + (entry.label(),))
+    report = ConditionReport(xi.kind, xi.entries + (entry,), xi.labels + (entry.label(),))
     for source, top in ((xi, 0.0), (report, 3.0)):
         fam = _family(*_SPHERE, "cot(r)")  # a family keeps one kernel per kind
-        _radii, got, _shifted = catalog._sweep_kernel(fam, xi.kind, source)(
-            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, *fam._scalars.values())
+        _radii, got, _shifted = catalog._sweep_kernel(fam, source)(
+            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, float(fam.space.c))
         assert got == [top] * 5
         values = catalog._evaluate_rows(fam, source, 0.7)[3]
         assert max(map(abs, values)) == top
@@ -722,8 +761,8 @@ def test_a_non_zero_constant_row_sets_the_max():
 def _fused(fam, r_min, r_max, samples, kind):
     """The sweep kernel's three columns, before any replay."""
     report = catalog._hopf_report(kind)
-    return catalog._sweep_kernel(fam, kind, report)(
-        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, *fam._scalars.values())
+    return catalog._sweep_kernel(fam, report)(
+        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, float(fam.space.c))
 
 
 def _per_radius_sweep(fam, r_min, r_max, samples, kind):
@@ -732,7 +771,7 @@ def _per_radius_sweep(fam, r_min, r_max, samples, kind):
     with the max |row| taken here, then lambda*nu + c, all cut at the first
     radius where one of them raises or is not finite."""
     rows = catalog._hopf_report(kind).equations()
-    scalars = {"c": float(fam.space.c), "L": 0.0, "lambda_e": 0.0}
+    scalars = {"c": float(fam.space.c)}
     columns = ([], [], [])
     for r in radius_grid(r_min, r_max, samples):
         try:
@@ -895,7 +934,7 @@ def _kernels(fam):
     """fam's oracle kernel, then its sweep kernel per condition kind."""
     yield fam.oracle
     for kind in ConditionKind:
-        yield catalog._sweep_kernel(fam, kind, catalog._hopf_report(kind))
+        yield catalog._sweep_kernel(fam, catalog._hopf_report(kind))
 
 
 def _radius_loop(tree) -> ast.For:
@@ -984,7 +1023,7 @@ def test_every_kernel_equals_the_per_radius_evaluation_to_an_overshooting_end(fa
     assert _hex(fam.oracle(*args, float(fam.space.c))[2]) == _hex(expected)
     for kind in ConditionKind:
         report = catalog._hopf_report(kind)
-        got = catalog._sweep_kernel(fam, kind, report)(*args, *fam._scalars.values())
+        got = catalog._sweep_kernel(fam, report)(*args, float(fam.space.c))
         evaluations = [evaluate_condition(fam, r, kind) for r in radii[:-1]]
         expected = [radii[:-1], [e.max_abs_residual for e in evaluations],
                     [e.lam_nu_plus_c for e in evaluations]]

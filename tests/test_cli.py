@@ -385,6 +385,19 @@ def test_a_bad_catalog_version_is_one_error_line(tmp_path, capsys, header, error
     assert _captured(capsys, argv) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("body, error", [
+    ("space = cp2\ndomain = 0, 1", "family 'fam': unknown space 'cp2' (known: CP2, CH2)"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = 1", "family 'fam': missing key 'nu'"),
+    ("space = CP2\ndomain = 0, 1, 2", "family 'fam': domain '0, 1, 2' is not two ends 'lo, hi'"),
+    ("space = CP2\ndomain = 0", "family 'fam': domain '0' is not two ends 'lo, hi'"),
+])
+def test_a_malformed_catalog_family_is_one_error_line(tmp_path, capsys, body, error):
+    path = tmp_path / "malformed.cat"
+    path.write_text(f"[catalog]\nversion = 1\n\n[fam]\n{body}\n", encoding="utf-8")
+    argv = ["sweep", "fam", "0.2", "0.9", "3", "parallel", "--catalog", str(path)]
+    assert _captured(capsys, argv) == (2, "", f"error: {error}\n")
+
+
 _POLE_CATALOG = """
 [catalog]
 version = 1

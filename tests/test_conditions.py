@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -90,9 +91,20 @@ def test_slice_coherence(nonhopf, hopf):
             [(e.x, e.y, e.proj, e.equation) for e in combined]
 
 
+def test_a_report_carries_no_tensor_name(hopf):
+    # nothing reads a tensor's name: no builder takes one and no report keeps one
+    builders = (parallel_equations, xi_parallel_equations, d_parallel_equations,
+                semi_parallel_equations, pseudo_parallel_equations, einstein_equations,
+                build_report, conditions._nabla_condition, conditions._curvature_derivation)
+    for builder in builders:
+        assert "tensor_name" not in inspect.signature(builder).parameters, builder.__name__
+    for kind in ConditionKind:
+        assert not hasattr(build_report(hopf, kind, star_ricci_closed(hopf)), "tensor_name")
+
+
 def test_parallel_entries_nonhopf(nonhopf):
     T = star_ricci_closed(nonhopf)
-    rep = parallel_equations(nonhopf, T, "star-ricci")
+    rep = parallel_equations(nonhopf, T)
     assert rep.get(E3, E3, E3).equation == nonhopf.parse("beta^2*delta")
     # the same projection sits in the xi slice
     assert xi_parallel_equations(nonhopf, T).get(E3, E3, E3).equation == \
@@ -104,7 +116,7 @@ def test_parallel_entries_hopf_sign_convention(hopf):
     #   g((nabla_W S*) xi, phiW)   = -lambda (c + lambda nu)
     #   g((nabla_phiW S*) xi, W)   = +nu (c + lambda nu)
     T = star_ricci_closed(hopf)
-    rep = parallel_equations(hopf, T, "star-ricci")
+    rep = parallel_equations(hopf, T)
     p = hopf.c + hopf.sym("lambda") * hopf.sym("nu")
     assert rep.get(E1, E3, E2).equation == -(hopf.sym("lambda") * p)
     assert rep.get(E2, E3, E1).equation == hopf.sym("nu") * p
@@ -435,9 +447,8 @@ def test_substitute_takes_each_distinct_equation_once(monkeypatch, hopf):
 def test_a_report_carries_its_labels_once_per_shape(nonhopf, hopf, kind):
     # the labels are the entries' label()s, one tuple for every report of a
     # kind whatever the frame, tensor or L, and substitute keeps them
-    reports = [build_report(ctx, kind, tensor(ctx), name, Expr.from_symbol(ctx.symbol("alpha")))
-               for ctx in (nonhopf, hopf)
-               for name, tensor in (("star-ricci", star_ricci_closed), ("ricci", ricci))]
+    reports = [build_report(ctx, kind, tensor(ctx), Expr.from_symbol(ctx.symbol("alpha")))
+               for ctx in (nonhopf, hopf) for tensor in (star_ricci_closed, ricci)]
     first = reports[0].labels
     assert first == tuple(e.label() for e in reports[0].entries)
     assert all(r.labels is first for r in reports)
@@ -466,14 +477,12 @@ def _hopf_specialisation(nonhopf, hopf):
 @pytest.mark.parametrize("kind", [ConditionKind.PARALLEL, ConditionKind.XI_PARALLEL,
                                   ConditionKind.D_PARALLEL, ConditionKind.SEMI_PARALLEL,
                                   ConditionKind.EINSTEIN])
-@pytest.mark.parametrize("tensor_name, tensor", [("star-ricci", star_ricci_closed),
-                                                 ("ricci", ricci)])
-def test_the_nonhopf_reports_specialise_to_the_hopf_reports(nonhopf, hopf, tensor_name,
-                                                            tensor, kind):
+@pytest.mark.parametrize("name, tensor", [("star-ricci", star_ricci_closed), ("ricci", ricci)])
+def test_the_nonhopf_reports_specialise_to_the_hopf_reports(nonhopf, hopf, name, tensor, kind):
     bindings = _hopf_specialisation(nonhopf, hopf)
-    special = build_report(nonhopf, kind, tensor(nonhopf), tensor_name).substitute(bindings)
-    expected = build_report(hopf, kind, tensor(hopf), tensor_name)
+    special = build_report(nonhopf, kind, tensor(nonhopf)).substitute(bindings)
+    expected = build_report(hopf, kind, tensor(hopf))
     assert len(special) == len(expected)
     for s, e in zip(special.entries, expected.entries):
         assert (s.x, s.y, s.proj) == (e.x, e.y, e.proj)
-        assert s.equation == e.equation, s.label()
+        assert s.equation == e.equation, (name, s.label())

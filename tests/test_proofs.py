@@ -444,7 +444,7 @@ def test_verify_all_runs_one_sweep_kernel_per_family_and_no_curvature_kernel(tar
         return wrapper
 
     for fam in cat.families:
-        kernel = catalog._sweep_kernel(fam, ConditionKind.PARALLEL, report)
+        kernel = catalog._sweep_kernel(fam, report)
         fam._sweeps[ConditionKind.PARALLEL] = counted(("sweep", fam.family_id), kernel)
         object.__setattr__(fam, "oracle", counted(("oracle", fam.family_id), fam.oracle))
     assert verify_all(target, samples=50, catalog=cat).ok
@@ -580,7 +580,7 @@ def test_elimination_accepts_only_a_constant_multiple(monkeypatch, quadratic, fa
     # factor is the ratio of the leading coefficients, then the whole relation
     # must equal the target scaled by it
     forms = proofs._forms(build_hopf_context())
-    monkeypatch.setitem(forms, proofs.QUADRATIC_TEXT, parse_expr(quadratic, forms.table.scope()))
+    monkeypatch.setitem(forms, proofs.QUADRATIC_TEXT, forms.ctx.parse(quadratic))
     if factor is None:
         with pytest.raises(ProofError, match="is not a nonzero multiple of"):
             quadratic_elimination()
