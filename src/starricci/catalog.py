@@ -28,7 +28,8 @@ Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
-in report order.  A radius loop runs as one rational.compile_sweep kernel,
+in report order.  radius_grid is the one place that computes a radius grid.
+A radius loop runs as one rational.compile_sweep kernel over its points,
 which returns Expr.eval's float values bit for bit.  It evaluates alpha,
 lambda and nu, then report rows over them and one float expression, its
 tail: once per call what does not read r, once per radius of the grid
@@ -44,13 +45,14 @@ hopf_relation_residual as its tail.  No radius loop makes a Python call per
 radius.  A non-finite curvature, row or lambda*nu + c is a CatalogError,
 never a residual.
 
-A kernel stops before the first radius at which the per-radius evaluation
-would fail; the caller then replays that radius through the per-radius
-evaluation (_evaluate_rows, fam.hopf_residual), which raises that radius's
-error.  So the values and the errors are those of evaluate_condition at
-each radius in turn.  A sweep keeps its results as three columns (radii,
-max residuals, lambda*nu + c); SweepResult.rows zips them into SweepRow
-values on demand.
+A kernel returns two columns (max |row| and its tail), which stop before
+the first radius at which the per-radius evaluation would fail; the caller
+takes the grid points they cover as the radii, and replays the next point
+through the per-radius evaluation (_evaluate_rows, fam.hopf_residual),
+which raises that radius's error.  So the values and the errors are those
+of evaluate_condition at each radius in turn.  A sweep keeps its results as
+three columns (radii, max residuals, lambda*nu + c); SweepResult.rows zips
+them into SweepRow values on demand.
 
 Of note on ch2-a1: c + lambda*nu = coth(r)^2 - 4 crosses zero at
 r = atanh(1/2), where the *-Ricci tensor of the geodesic sphere vanishes
@@ -109,7 +111,7 @@ def hopf_relation_residual(alpha: float, lam: float, nu: float, c: float) -> flo
 
 # The float operations of hopf_relation_residual, as a compile_sweep tail.
 _HOPF_RESIDUAL = "{lambda} * {nu} - ({alpha} / 2.0) * ({lambda} + {nu}) - {c} / 4.0"
-# The report parameters that a family supplies per radius.
+# The report parameters that a family supplies per radius, and its catalog keys.
 _CURVATURES = ("alpha", "lambda", "nu")
 # The names the reports read: the curvatures, then the space's c (compile_sweep
 # rejects any other).
@@ -188,8 +190,10 @@ DEFAULT_SAMPLES = 100
 MAX_SAMPLES = 10 ** 6
 
 
-def _grid(lo: float, hi: float, samples: int) -> tuple:
-    """(lo, width, steps, samples) of radius_grid: radius i is lo + width * i / steps.
+def radius_grid(lo: float, hi: float, samples: int) -> list:
+    """`samples` uniformly spaced radii from lo to hi, both ends included:
+    radius i is lo + width * i / steps, monotone in i.  The one place that
+    computes a radius grid; every sweep kernel maps over its points.
     A range so wide that width * steps overflows, as [-1e308, 1e308] does, is
     a CatalogError: its last radius would be inf, and nan where width is inf.
     So are fewer than 2 samples and more than MAX_SAMPLES."""
@@ -202,12 +206,6 @@ def _grid(lo: float, hi: float, samples: int) -> tuple:
     if not math.isfinite(width * steps):
         raise CatalogError(f"the radius range [{lo}, {hi}] is too wide for a grid of "
                            f"{samples} radii")
-    return lo, width, steps, samples
-
-
-def radius_grid(lo: float, hi: float, samples: int) -> list:
-    """`samples` uniformly spaced radii from lo to hi, both ends included."""
-    lo, width, steps, samples = _grid(lo, hi, samples)
     return [lo + width * i / steps for i in range(samples)]
 
 
@@ -256,6 +254,14 @@ def _parse_endpoint(text: str, table: SymbolTable) -> float:
         return parse_expr(s, table).eval({"pi": math.pi})
 
 
+def _keyed(key: str, parse: Callable):
+    """parse(); a ValueError it raises becomes a CatalogError naming the key."""
+    try:
+        return parse()
+    except ValueError as exc:
+        raise CatalogError(f"key {key!r}: {exc}") from exc
+
+
 @lru_cache(maxsize=16)
 def parse_catalog(text: str) -> Catalog:
     """Parse and validate a catalog file; every family must pass the
@@ -293,16 +299,10 @@ def parse_catalog(text: str) -> Catalog:
             ends = sec["domain"].split(",")
             if len(ends) != 2:
                 raise CatalogError(f"domain {sec['domain']!r} is not two ends 'lo, hi'")
-            domain = tuple(_parse_endpoint(end, table) for end in ends)
-            fam = HypersurfaceFamily(
-                family_id=section,
-                space=space,
-                domain=domain,
-                alpha=parse_expr(sec["alpha"], table),
-                lam=parse_expr(sec["lambda"], table),
-                nu=parse_expr(sec["nu"], table),
-                description=sec.get("description", "").strip(),
-            )
+            domain = _keyed("domain", lambda: tuple(_parse_endpoint(end, table) for end in ends))
+            curvatures = [_keyed(key, lambda: parse_expr(sec[key], table)) for key in _CURVATURES]
+            fam = HypersurfaceFamily(section, space, domain, *curvatures,
+                                     sec.get("description", "").strip())
         except KeyError as exc:  # a key the section lacks
             raise CatalogError(f"family {section!r}: missing key {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -346,15 +346,14 @@ def validate_family(fam: HypersurfaceFamily) -> None:
     which the kernel stops or |residual| >= ORACLE_TOL is replayed through
     fam.hopf_residual: its curvature or domain error, else the relation's.
     A window too wide for the grid is a CatalogError naming the family."""
-    window, samples = fam.sample_window(), ORACLE_SAMPLES
     try:
-        grid = _grid(*window, samples)
+        points = radius_grid(*fam.sample_window(), ORACLE_SAMPLES)
     except CatalogError as exc:
         raise CatalogError(f"family {fam.family_id!r}: {exc}") from exc
-    residuals = fam.oracle(*grid, *fam.domain, math.pi, float(fam.space.c))[2]
+    residuals = fam.oracle(points, *fam.domain, math.pi, float(fam.space.c))[1]
     k = [*map(lt, map(abs, residuals), repeat(ORACLE_TOL)), False].index(False)
-    if k < samples:
-        r = radius_grid(*window, samples)[k]
+    if k < len(points):
+        r = points[k]
         residual = fam.hopf_residual(r)
         raise CatalogError(
             f"family {fam.family_id!r} fails the principal-curvature relation "
@@ -395,8 +394,8 @@ def _hopf_report(kind: ConditionKind) -> ConditionReport:
 
 def _sweep_kernel(fam: HypersurfaceFamily, report: ConditionReport) -> Callable:
     """fam's compile_sweep kernel for the report, kept per report kind, over
-    the report's distinct non-zero rows: (grid, domain, pi, c) -> (radii,
-    max |row|, lambda*nu + c) columns."""
+    the report's distinct non-zero rows: (points, domain, pi, c) -> (max
+    |row|, lambda*nu + c) columns."""
     kind = report.kind
     kernel = fam._sweeps.get(kind)
     if kernel is None:
@@ -490,14 +489,15 @@ class SweepResult(NamedTuple):
 
 
 def sweep(fam: HypersurfaceFamily, r_min: float, r_max: float, samples: int,
-          kind: ConditionKind) -> SweepResult:
+          kind: ConditionKind, check: Callable[[float], object] | None = None
+          ) -> SweepResult:
     """Uniform-grid condition evaluation over [r_min, r_max], with the
     family's curvatures and c bound as in evaluate_condition.
 
-    One kernel call (_sweep_kernel) covers the whole grid.  The values and
-    errors are those of evaluate_condition at each radius in turn: where the
-    columns stop, that radius is replayed through the per-radius
-    evaluation, which raises its error.
+    One kernel call (_sweep_kernel) covers the points of radius_grid.  The
+    values and errors are those of evaluate_condition at each radius in
+    turn: where the columns stop, that radius is replayed for its error,
+    through check(r) first when given, then the per-radius evaluation.
     """
     if r_min > r_max:
         raise CatalogError("r-min must not exceed r-max")
@@ -507,15 +507,17 @@ def sweep(fam: HypersurfaceFamily, r_min: float, r_max: float, samples: int,
             f"sweep range [{r_min}, {r_max}] must lie strictly inside the open domain "
             f"({lo}, {hi}) of {fam.family_id}"
         )
-    grid = _grid(r_min, r_max, samples)
+    points = radius_grid(r_min, r_max, samples)
     report = _hopf_report(kind)
-    radii, max_residuals, lam_nu_plus_c = _sweep_kernel(fam, report)(
-        *grid, *fam.domain, math.pi, float(fam.space.c))
-    if len(radii) < samples:
-        r = radius_grid(r_min, r_max, samples)[len(radii)]
+    max_residuals, lam_nu_plus_c = _sweep_kernel(fam, report)(
+        points, *fam.domain, math.pi, float(fam.space.c))
+    if len(max_residuals) < samples:
+        r = points[len(max_residuals)]
+        if check is not None:
+            check(r)
         _evaluate_rows(fam, report, r)
         raise AssertionError(f"a sweep stopped at r = {r!r}, where the per-radius "
                              "evaluation succeeds")
     return SweepResult(
-        fam.family_id, kind, tuple(radii), tuple(max_residuals), tuple(lam_nu_plus_c)
+        fam.family_id, kind, tuple(points), tuple(max_residuals), tuple(lam_nu_plus_c)
     )

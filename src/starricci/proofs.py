@@ -74,8 +74,6 @@ from .catalog import (
     WITNESS_TOL,
     _lam_nu_plus_c,
     builtin_catalog,
-    evaluate_condition,
-    radius_grid,
     sweep,
 )
 from .conditions import ConditionKind
@@ -607,19 +605,14 @@ def type_b_exclusion(
     offset of 3 rules them out at every sampled radius: the lambda*nu + c
     column of the family's parallel sweep, run here and kept on the report
     as its `witness`, must lie within ORACLE_TOL of +-3.  Where the sweep
-    fails, each radius in turn gets the certificate's check (the
-    curvatures, then lambda*nu + c), then the per-radius evaluation: the
-    first failing radius raises.
+    stops, its first failing radius gets the certificate's check (the
+    curvatures, then lambda*nu + c), then the per-radius evaluation, and
+    raises.
     """
     cat = catalog if catalog is not None else builtin_catalog()
     fam = cat.get(TYPE_B_FAMILIES[space.name])
-    try:
-        witness = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL)
-    except ValueError:
-        for r in radius_grid(*fam.sample_window(), samples):
-            _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:])
-            evaluate_condition(fam, r, ConditionKind.PARALLEL)
-        raise
+    witness = sweep(fam, *fam.sample_window(), samples, ConditionKind.PARALLEL,
+                    check=lambda r: _lam_nu_plus_c(fam, r, *fam.curvatures(r)[1:]))
     values = witness.lam_nu_plus_c
     expected = TYPE_B_EXPECTED[space.name]
     max_dev = max(map(abs, map(sub, values, repeat(expected))))

@@ -21,17 +21,18 @@ constant into the coefficients, so only the other bindings take polynomial
 products.
 
 ``Expr.eval`` evaluates one expression once; it is the only per-call float
-evaluator.  ``compile_sweep`` is the only compiled one: one loop over a
-uniform grid that it computes itself, in two stages (values, then rows over
-those values), that returns the grid, each row's max |row| and one float
-expression over the values, each value as ``Expr.eval`` returns it, bit for
-bit.  Once per call a kernel finds the grid points inside the domain (a
-prefix of the grid, whose points are monotone) and computes every binding
-that does not read the grid parameter; once per radius it computes only the
-bindings that do, each distinct one once, so a math function is called once
-per argument (cot(x) is 1.0 / the tan(x) call that tan(x) also reads).  A
-float operation gives the same result wherever it runs, so moving it out of
-the loop or sharing it changes no bit.
+evaluator.  ``compile_sweep`` is the only compiled one: one loop over the
+points of a monotone list that the caller passes, in two stages (values,
+then rows over those values), that returns each row's max |row| and one
+float expression over the values, each value as ``Expr.eval`` returns it,
+bit for bit.  The kernel knows no grid: the caller builds the points
+(catalog.radius_grid).  Once per call a kernel finds the points inside the
+domain (a prefix of the list, since the points are monotone) and computes
+every binding that does not read the point; once per point it computes
+only the bindings that do, each distinct one once, so a math function is
+called once per argument (cot(x) is 1.0 / the tan(x) call that tan(x) also
+reads).  A float operation gives the same result wherever it runs, so
+moving it out of the loop or sharing it changes no bit.
 """
 
 from __future__ import annotations
@@ -571,6 +572,8 @@ def sign_normalized(e: Expr) -> Expr:
 # The NUMERIC_FUNCTIONS entries that are reciprocals: NUMERIC_FUNCTIONS["cot"](x)
 # is 1.0 / math.tan(x), and a sweep kernel computes it that way.
 _RECIPROCALS = {"cot": "tan", "coth": "tanh"}
+# A kernel's return: its two columns, as far as they go.
+_STOP = "return o0, o1"
 
 
 class _FloatCodegen:
@@ -624,7 +627,7 @@ class _FloatCodegen:
         if guard and ident not in self._guarded:
             self._guarded.add(ident)
             block, stop = ((self.body, "break") if ident in self.varying
-                           else (self.setup, "return o0, o1, o2"))
+                           else (self.setup, _STOP))
             block.append(f"if abs({ident}) <= {_DEN_TOL!r}: {stop}")
         return ident
 
@@ -699,37 +702,39 @@ class _FloatCodegen:
 def compile_sweep(
     params: Sequence[str], values: Mapping[str, Expr], rows: Sequence[Expr], tail: str,
 ) -> Callable[..., tuple]:
-    """One compiled loop over a uniform grid of the parameter params[0].
+    """One compiled loop over given points of the parameter params[0].
 
-    The kernel takes lo, width, steps, n, the ends low and high of an open
-    interval, and a scalar per name in params[1:].  Row i < n has the grid
-    point t = lo + width * i / steps.  It evaluates `values` (Exprs in the
-    params) and binds each to its name, then `rows` (Exprs in the params and
-    those names) and y = `tail`, a float expression in ``{name}``
-    placeholders for the params and the values' names.  It returns the lists
-    of t, of the max of 0.0 and each |row|, and of y.
+    The kernel takes points, a monotone (non-decreasing) sequence of floats,
+    the ends low and high of an open interval, and a scalar per name in
+    params[1:].  Row i has the point t = points[i].  It evaluates `values`
+    (Exprs in the params) and binds each to its name, then `rows` (Exprs in
+    the params and those names) and y = `tail`, a float expression in
+    ``{name}`` placeholders for the params and the values' names.  It
+    returns the lists of the max of 0.0 and each |row|, and of y: their
+    length k says that points[:k] are the rows' points.
 
     Each Expr takes the float operations of Expr.eval in the same order
     (scalars through float(), each polynomial summed from 0.0, each term
     float(c) * x**e * ... in monomial order, num / den), so its value is
     Expr.eval's, bit for bit.  The work is split by what it reads:
 
-    - once per call: the float() of each scalar, the number of grid points
+    - once per call: the float() of each scalar, the number of points
       inside the interval, and every binding that does not read t (a
       left-associative prefix such as -0.25 * c, a power such as c ** 2, an
       atom, a value, a row, y), with their pole tests and the finite check
       of such values, rows and y;
-    - once per row: t and the bindings that read it, each distinct code
-      once (a value that two names share, its powers, an applied atom),
-      with their pole tests and finite check.
+    - once per row: the bindings that read t, each distinct code once (a
+      value that two names share, its powers, an applied atom), with their
+      pole tests and finite check.
 
     A float operation gives the same result whenever it runs, so moving a
-    binding out of the loop moves no bit.  t is monotone in i, so the points
-    inside the interval are a prefix of the grid: the first point is tested,
-    then points are dropped from the last until one is inside.  A row is
-    |sum|, so its sum starts at its first term rather than at 0.0: the two
-    differ only in the sign of a zero.  The invariant rows seed each row's
-    max, which does not depend on the order of |row| values.
+    binding out of the loop moves no bit.  The points are monotone, so those
+    inside the interval are a prefix of the list when the first one is
+    inside: the first point is tested, then points are dropped from the
+    last until one is inside.  A row is |sum|, so its sum starts at its
+    first term rather than at 0.0: the two differ only in the sign of a
+    zero.  The invariant rows seed each row's max, which does not depend on
+    the order of |row| values.
 
     The lists stop before the first row outside the interval, at which
     Expr.eval would raise (a pole, an overflow, a math domain error), or at
@@ -753,29 +758,27 @@ def compile_sweep(
     gen.used.update(reads)
     y = gen.bind("x", tail.format_map(gen.params), any(v in gen.varying for v in reads))
     checked = dict.fromkeys([*named, *rows, y])
-    t, m, i = gen.params[params[0]], gen.fresh("x"), gen.fresh("x")
-    lo, width, steps, n, low, high = grid = [f"v{len(params) + j}" for j in range(6)]
-    stop = "return o0, o1, o2"
-    lines = [f"def compiled({', '.join(grid + scalars)}):",
+    t, m = gen.params[params[0]], gen.fresh("x")
+    points, low, high = head = [f"v{len(params) + j}" for j in range(3)]
+    lines = [f"def compiled({', '.join(head + scalars)}):",
              *(f"    {v} = float({v})" for v in scalars if v in gen.used),
              *(f"    {h} = _fns[{fn!r}]" for fn, h in gen.functions.items()),
-             "    o0, o1, o2 = [], [], []",
-             # the grid is monotone in i, so its points inside the interval are a prefix
-             f"    {m} = {n} if {n} > 0 and {low} < {lo} + {width} * 0 / {steps} < {high} else 0",
-             f"    while {m} > 0 and not {low} < {lo} + {width} * ({m} - 1) / {steps} < {high}:",
+             "    o0, o1 = [], []",
+             # the points are monotone, so those inside the interval are a prefix
+             f"    {m} = len({points}) if {points} and {low} < {points}[0] < {high} else 0",
+             f"    while {m} > 0 and not {low} < {points}[{m} - 1] < {high}:",
              f"        {m} -= 1"]
     if gen.setup:
         lines += ["    try:", *(f"        {s}" for s in gen.setup),
-                  "    except (ArithmeticError, ValueError):", f"        {stop}"]
-    lines += _finite([x for x in checked if x not in gen.varying], "    ", stop)
+                  "    except (ArithmeticError, ValueError):", f"        {_STOP}"]
+    lines += _finite([x for x in checked if x not in gen.varying], "    ", _STOP)
     seed = "0.0"
     fixed = [x for x in rows if x not in gen.varying]
     if fixed:
         seed = gen.fresh("x")
         lines += [f"    {seed} = 0.0", *_max(seed, fixed, "    ")]
-    lines += ["    w0 = o0.append", "    w1 = o1.append", "    w2 = o2.append",
-              f"    for {i} in range({m}):",
-              f"        {t} = {lo} + {width} * {i} / {steps}"]
+    lines += ["    w0 = o0.append", "    w1 = o1.append",
+              f"    for {t} in {points}[:{m}]:"]
     if gen.body:
         lines += ["        try:", *(f"            {s}" for s in gen.body),
                   "        except (ArithmeticError, ValueError):", "            break"]
@@ -785,10 +788,9 @@ def compile_sweep(
         top = gen.fresh("x")
         lines += [f"        {top} = {seed}", *_max(top, moving, "        ")]
         seed = top
-    lines += [f"        w0({t})", f"        w1({seed})", f"        w2({y})",
-              "    return o0, o1, o2"]
+    lines += [f"        w0({seed})", f"        w1({y})", f"    {_STOP}"]
     source = "\n".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "float": float, "abs": abs, "range": range,
+    namespace = {"__builtins__": {}, "float": float, "abs": abs, "len": len,
                  "ArithmeticError": ArithmeticError, "ValueError": ValueError,
                  "_fns": NUMERIC_FUNCTIONS}
     exec(compile(source, "<kernel>", "exec"), namespace)

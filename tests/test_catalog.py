@@ -256,6 +256,13 @@ MALFORMED_FAMILIES = [
      "family 'fam': domain '0, 1, 2' is not two ends 'lo, hi'"),
     ("space = CP2\ndomain = 0\nalpha = 1\nlambda = 1\nnu = 1",
      "family 'fam': domain '0' is not two ends 'lo, hi'"),
+    # an expression-valued key that fails names the key
+    ("space = CP2\ndomain = 0, 1\nalpha =\nlambda = 1\nnu = 1",
+     "family 'fam': key 'alpha': unexpected token '' (at position 0)"),
+    ("space = CP2\ndomain = ,\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': key 'domain': unexpected token '' (at position 0)"),
+    ("space = CP2\ndomain = 0, 10^400\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': key 'domain': floating-point overflow"),
 ]
 
 
@@ -388,14 +395,14 @@ description = the geodesic sphere, written with every numeric function
 """
 
 
-def _oracle(fam, lo, width, steps, samples):
-    """The residual column of fam's oracle kernel over a grid, before any replay."""
-    return fam.oracle(lo, width, steps, samples, *fam.domain, math.pi, float(fam.space.c))[2]
+def _oracle(fam, points):
+    """The residual column of fam's oracle kernel over points, before any replay."""
+    return fam.oracle(points, *fam.domain, math.pi, float(fam.space.c))[1]
 
 
 def _one_row_residual(fam, r):
-    """The oracle kernel at r alone: r + -0.0 is r."""
-    return _oracle(fam, r, -0.0, 1, 1)
+    """The oracle kernel at r alone."""
+    return _oracle(fam, [r])
 
 
 def test_compiled_family_source_holds_no_symbol_names():
@@ -406,7 +413,7 @@ def test_compiled_family_source_holds_no_symbol_names():
     strings = {ast.literal_eval(t.string) for t in tokens if t.type == tokenize.STRING}
     # every function, cot and coth as reciprocals of tan and tanh
     assert strings == set(NUMERIC_FUNCTIONS) - {"cot", "coth"}
-    allowed = {"compiled", "float", "abs", "range", "append", "ArithmeticError", "ValueError",
+    allowed = {"compiled", "float", "abs", "len", "append", "ArithmeticError", "ValueError",
                "_fns"}
     assert {n for n in names if not keyword.iskeyword(n)
             and not re.fullmatch(r"[vpandxowf][0-9]+", n)} <= allowed
@@ -437,7 +444,7 @@ def test_oracle_column_equals_the_relation_residual_bit_for_bit(family_id):
     window = fam.sample_window()
     radii = radius_grid(*window, ORACLE_SAMPLES)
     expected = [hopf_relation_residual(*fam.curvatures(r), float(fam.space.c)) for r in radii]
-    assert _hex(_oracle(fam, *catalog._grid(*window, ORACLE_SAMPLES))) == _hex(expected)
+    assert _hex(_oracle(fam, radii)) == _hex(expected)
 
 
 def _kernel_sources():
@@ -453,7 +460,7 @@ def _kernel_sources():
 def test_column_kernel_sources_hold_no_symbol_names():
     # a kernel source holds generated identifiers, float literals (and int
     # exponents) and NUMERIC_FUNCTIONS keys, nothing else
-    allowed = {"compiled", "float", "abs", "range", "append", "ArithmeticError",
+    allowed = {"compiled", "float", "abs", "len", "append", "ArithmeticError",
                "ValueError", "_fns"}
     for owner, report, source in _kernel_sources():
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -534,14 +541,14 @@ def test_the_cached_reports_take_l_and_lambda_e_at_zero():
             assert not {sym.name for sym in e.symbols()} & {"L", "lambda_e"}, kind
 
 
-def test_every_builtin_kernel_takes_the_same_eight_parameters():
-    # grid (lo, width, steps, n), domain (low, high), pi and c
+def test_every_builtin_kernel_takes_the_same_five_parameters():
+    # the points, the domain (low, high), pi and c
     for fam in builtin_families():
         kernels = [fam.oracle] + [catalog._sweep_kernel(fam, catalog._hopf_report(kind))
                                   for kind in ConditionKind]
         assert len(kernels) == 7
         signatures = {tuple(inspect.signature(k).parameters) for k in kernels}
-        assert len(signatures) == 1 and len(signatures.pop()) == 8, fam.family_id
+        assert len(signatures) == 1 and len(signatures.pop()) == 5, fam.family_id
 
 
 def test_sweep_raises_the_per_radius_error():
@@ -674,7 +681,7 @@ def test_a_domain_whose_width_overflows_has_a_finite_sample_window():
 
 @pytest.mark.parametrize("samples", [catalog.MAX_SAMPLES + 1, 10 ** 21])
 def test_a_grid_of_more_than_max_samples_is_one_error(samples):
-    assert catalog._grid(0.2, 0.9, catalog.MAX_SAMPLES)[3] == catalog.MAX_SAMPLES
+    assert len(radius_grid(0.2, 0.9, catalog.MAX_SAMPLES)) == catalog.MAX_SAMPLES
     text = f"a radius grid of {samples} samples exceeds the limit of {catalog.MAX_SAMPLES}"
     fam = builtin_catalog().get("cp2-a1")
     assert _error(lambda: radius_grid(0.2, 0.9, samples)) == (CatalogError, text)
@@ -751,18 +758,20 @@ def test_a_non_zero_constant_row_sets_the_max():
     report = ConditionReport(xi.kind, xi.entries + (entry,), xi.labels + (entry.label(),))
     for source, top in ((xi, 0.0), (report, 3.0)):
         fam = _family(*_SPHERE, "cot(r)")  # a family keeps one kernel per kind
-        _radii, got, _shifted = catalog._sweep_kernel(fam, source)(
-            *catalog._grid(0.2, 1.2, 5), *fam.domain, math.pi, float(fam.space.c))
+        got, _shifted = catalog._sweep_kernel(fam, source)(
+            radius_grid(0.2, 1.2, 5), *fam.domain, math.pi, float(fam.space.c))
         assert got == [top] * 5
         values = catalog._evaluate_rows(fam, source, 0.7)[3]
         assert max(map(abs, values)) == top
 
 
 def _fused(fam, r_min, r_max, samples, kind):
-    """The sweep kernel's three columns, before any replay."""
-    report = catalog._hopf_report(kind)
-    return catalog._sweep_kernel(fam, report)(
-        *catalog._grid(r_min, r_max, samples), *fam.domain, math.pi, float(fam.space.c))
+    """The grid points that the sweep kernel's two columns cover, then the
+    columns, over radius_grid and before any replay."""
+    points = radius_grid(r_min, r_max, samples)
+    top, shifted = catalog._sweep_kernel(fam, catalog._hopf_report(kind))(
+        points, *fam.domain, math.pi, float(fam.space.c))
+    return points[:len(top)], top, shifted
 
 
 def _per_radius_sweep(fam, r_min, r_max, samples, kind):
@@ -867,17 +876,22 @@ _ULP_OFF_GRIDS = [("cp2-a1", 0.2, 0.9, 1000), ("cp2-b", 0.1, 0.45, 800),
                   ("cp2-a1", None, None, 50), ("cp2-b", None, None, 50)]
 
 
+def _uniform(lo, hi, samples):
+    """The reference radii of a sweep: lo + (hi - lo) * i / (samples - 1)."""
+    return [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+
+
 def test_sweep_kernel_radii_equal_radius_grid_bit_for_bit():
     cat = builtin_catalog()
     for family_id, r_min, r_max, samples in _ULP_OFF_GRIDS:
         fam = cat.get(family_id)
         if r_min is None:
             r_min, r_max = fam.sample_window()
-        radii = radius_grid(r_min, r_max, samples)
+        radii = _uniform(r_min, r_max, samples)
         assert radii[-1] != r_max
+        assert _hex(radius_grid(r_min, r_max, samples)) == _hex(radii)
         for kind in ConditionKind:
-            got, _, _ = _fused(fam, r_min, r_max, samples, kind)
-            assert _hex(got) == _hex(radii)
+            assert _hex(sweep(fam, r_min, r_max, samples, kind).radii) == _hex(radii)
     # the horosphere's constant curvatures over the whole line
     line = HypersurfaceFamily("line", CH2, (-math.inf, math.inf), *map(Expr.const, (2, 1, 1)))
     rng = random.Random(20240)
@@ -885,8 +899,8 @@ def test_sweep_kernel_radii_equal_radius_grid_bit_for_bit():
         r_min = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, 4)
         r_max = r_min + rng.choice((0.0, 10.0 ** rng.uniform(-8, 4)))
         samples = rng.randint(2, 40)
-        got, _, _ = _fused(line, r_min, r_max, samples, ConditionKind.PARALLEL)
-        assert _hex(got) == _hex(radius_grid(r_min, r_max, samples))
+        got = sweep(line, r_min, r_max, samples, ConditionKind.PARALLEL).radii
+        assert _hex(got) == _hex(_uniform(r_min, r_max, samples))
 
 
 # -- column kernels: no Python call per radius ------------------------------------------
@@ -942,12 +956,12 @@ def _radius_loop(tree) -> ast.For:
 
 
 def test_the_horosphere_loops_compute_only_the_radius():
-    # no curvature or row of ch2-a0 reads r, so each loop binds r and
-    # appends it with the values the call computed once
+    # no curvature or row of ch2-a0 reads r, so each loop only takes r from
+    # the points and appends the values the call computed once
     for kernel in _kernels(builtin_catalog().get("ch2-a0")):
         loop = _radius_loop(ast.parse(kernel.source))
-        assert [type(node) for node in loop.body] == [ast.Assign, ast.Expr, ast.Expr, ast.Expr]
-        assert [node for node in ast.walk(loop) if isinstance(node, ast.Assign)] == loop.body[:1]
+        assert [type(node) for node in loop.body] == [ast.Expr, ast.Expr]
+        assert not [node for node in ast.walk(loop) if isinstance(node, ast.Assign)]
 
 
 @pytest.mark.parametrize("family_id", ["cp2-a1", "ch2-a1", "ch2-a1p"])
@@ -963,7 +977,7 @@ def test_equal_curvatures_bind_one_identifier(family_id):
                  and not isinstance(node.value, (ast.Constant, ast.Name))}
         codes = [ast.dump(value) for value in bound.values()]
         assert len(codes) == len(set(codes))  # each distinct code is bound once
-        tail = _radius_loop(tree).body[-1].value.args[0].id  # w2(y)
+        tail = _radius_loop(tree).body[-1].value.args[0].id  # w1(y)
         assert re.match(r"(x[0-9]+) \* \1 ", ast.unparse(bound[tail])), kernel.source
 
 
@@ -1018,16 +1032,20 @@ def test_every_kernel_equals_the_per_radius_evaluation_to_an_overshooting_end(fa
     end, r_min, r_max, samples = _overshooting_grid(fam)
     radii = radius_grid(r_min, r_max, samples)
     assert radii[-2] < end == radii[-1]
-    args = (*catalog._grid(r_min, r_max, samples), fam.domain[0], end, math.pi)
+    assert _hex(radii) == _hex(_uniform(r_min, r_max, samples))
+    args = (radii, fam.domain[0], end, math.pi)
     expected = [fam.hopf_residual(r) for r in radii[:-1]]
-    assert _hex(fam.oracle(*args, float(fam.space.c))[2]) == _hex(expected)
+    assert _hex(fam.oracle(*args, float(fam.space.c))[1]) == _hex(expected)
     for kind in ConditionKind:
         report = catalog._hopf_report(kind)
         got = catalog._sweep_kernel(fam, report)(*args, float(fam.space.c))
         evaluations = [evaluate_condition(fam, r, kind) for r in radii[:-1]]
-        expected = [radii[:-1], [e.max_abs_residual for e in evaluations],
+        expected = [[e.max_abs_residual for e in evaluations],
                     [e.lam_nu_plus_c for e in evaluations]]
         assert [_hex(column) for column in got] == [_hex(column) for column in expected]
         if end == fam.domain[1]:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as per_radius:
                 evaluate_condition(fam, radii[-1], kind)
+            # the sweep replays the grid's last point, radii[-1]
+            assert _error(lambda: sweep(fam, r_min, r_max, samples, kind)) == (
+                DomainError, str(per_radius.value))

@@ -390,6 +390,12 @@ def test_a_bad_catalog_version_is_one_error_line(tmp_path, capsys, header, error
     ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = 1", "family 'fam': missing key 'nu'"),
     ("space = CP2\ndomain = 0, 1, 2", "family 'fam': domain '0, 1, 2' is not two ends 'lo, hi'"),
     ("space = CP2\ndomain = 0", "family 'fam': domain '0' is not two ends 'lo, hi'"),
+    ("space = CP2\ndomain = 0, 1\nalpha =\nlambda = 1\nnu = 1",
+     "family 'fam': key 'alpha': unexpected token '' (at position 0)"),
+    ("space = CP2\ndomain = ,\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': key 'domain': unexpected token '' (at position 0)"),
+    ("space = CP2\ndomain = 0, 10^400\nalpha = 1\nlambda = 1\nnu = 1",
+     "family 'fam': key 'domain': floating-point overflow"),
 ])
 def test_a_malformed_catalog_family_is_one_error_line(tmp_path, capsys, body, error):
     path = tmp_path / "malformed.cat"

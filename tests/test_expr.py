@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starricci import quadratic, rational
+from starricci.catalog import radius_grid
 from starricci.frames import build_hopf_context
 from starricci.parsing import ExprSyntaxError, UnknownIdentifierError, parse_expr
 from starricci.polynomial import Polynomial, _memos, _mono_mul, poly_gcd
@@ -291,18 +292,17 @@ def _eval_row(exprs, point):
 
 
 def _signed_kernels(exprs):
-    """One compile_sweep kernel per expression, over x on the grid and the
+    """One compile_sweep kernel per expression, over x on the points and the
     scalars y and z: the expression is its one value, and its one-value
     tail exposes that value with its sign."""
     return [compile_sweep(_CT_NAMES, {"e": e}, (), "{e}") for e in exprs]
 
 
 def _one_row(kernels, point):
-    """The kernels' tails at the point as a one-row grid, each [value] or []
-    where the kernel stops: x + -0.0 is x for every float x, signed zeros
-    included."""
+    """The kernels' tails at the point, with x as their one point, each
+    [value] or [] where the kernel stops."""
     x, y, z = point
-    return [kernel(x, -0.0, 1, 1, -math.inf, math.inf, y, z)[2] for kernel in kernels]
+    return [kernel([x], -math.inf, math.inf, y, z)[1] for kernel in kernels]
 
 
 @settings(max_examples=300, deadline=None)
@@ -341,13 +341,11 @@ def test_column_kernel_equals_the_per_call_function_row_by_row(exprs, rows, y):
     assert got == expected
 
 
-def _sweep_rows(value, rows, grid, ends, y):
-    """compile_sweep's columns by Expr.eval, row by row: x on the grid, the
+def _sweep_rows(value, rows, points, ends, y):
+    """compile_sweep's columns by Expr.eval, row by row: x on the points, the
     scalar y, z = value at (x, y), then the rows at (x, y, z)."""
-    lo, width, steps, n = grid
-    out = ([], [], [])
-    for i in range(n):
-        x = lo + width * i / steps
+    out = ([], [])
+    for x in points:
         if not ends[0] < x < ends[1]:
             break
         try:
@@ -361,26 +359,33 @@ def _sweep_rows(value, rows, grid, ends, y):
         top = 0.0
         for v in values:
             top = max(top, abs(v))
-        for column, v in zip(out, (x, top, shifted)):
+        for column, v in zip(out, (top, shifted)):
             column.append(v)
     return out
 
 
+# Monotone point lists: radius grids, and one that is no grid, with a
+# repeated point and points past the high end of each finite interval.
+_POINT_LISTS = st.one_of(
+    st.tuples(_POINTS, st.floats(min_value=0.0, max_value=4.0), st.integers(2, 6)).map(
+        lambda g: radius_grid(g[0], g[0] + g[1], g[2])),
+    st.just([0.25, 0.5, 0.5, 0.75, 2.0, 3.0]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_EXPRS, st.lists(_EXPRS, max_size=3), st.sampled_from([0, Fraction(1, 2), -2]),
-       _POINTS, st.floats(min_value=0.0, max_value=4.0), st.integers(1, 6),
-       st.sampled_from([(-2.5, 2.5), (-math.inf, math.inf), (0.0, 1.0)]), _ROW_POINTS)
-def test_sweep_kernel_equals_eval_row_by_row(value, rows, constant, lo, width, n, ends, y):
-    # x runs over the grid, y is a scalar and z the value bound for the rows,
-    # which end with a constant row
+       _POINT_LISTS, st.sampled_from([(-2.5, 2.5), (-math.inf, math.inf), (0.0, 1.0)]),
+       _ROW_POINTS)
+def test_sweep_kernel_equals_eval_row_by_row(value, rows, constant, points, ends, y):
+    # x runs over the points, y is a scalar and z the value bound for the
+    # rows, which end with a constant row
     rows = [*rows, Expr.const(constant)]
     try:
         kernel = compile_sweep(("x", "y"), {"z": value}, rows, "{z} * {z} + {y}")
     except UnboundSymbolError:  # the value reads z
         assume(False)
-    grid = (lo, width, max(n - 1, 1), n)
-    got = kernel(*grid, *ends, y)
-    expected = _sweep_rows(value, rows, grid, ends, y)
+    got = kernel(points, *ends, y)
+    expected = _sweep_rows(value, rows, points, ends, y)
     assert [[v.hex() for v in column] for column in got] == [
         [v.hex() for v in column] for column in expected]
 
@@ -393,7 +398,7 @@ def test_compiled_vanishing_denominator_and_unbound_symbol():
         e.eval({"x": 1.5})
     # the grid 1.5, 2.5, 3.5 of x stops at its first point, x = y
     kernel = compile_sweep(("x", "y"), {"e": e}, (), "{e}")
-    assert kernel(1.5, 2.0, 2, 3, -math.inf, math.inf, 1.5) == ([], [], [])
+    assert kernel(radius_grid(1.5, 3.5, 3), -math.inf, math.inf, 1.5) == ([], [])
     with pytest.raises(UnboundSymbolError):
         compile_sweep(("x",), {"e": e}, (), "{e}")
 
