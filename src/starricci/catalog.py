@@ -16,15 +16,14 @@ Numeric condition evaluation binds exactly REPORT_PARAMS, the names that the
 reports read: parallel and d-parallel read c, lambda and nu, xi-parallel
 none, semi-parallel and pseudo-parallel add alpha, and einstein (on the
 Ricci tensor) reads the curvatures and c.  The family supplies alpha,
-lambda and nu; its space fixes c.  The cached reports take the
-pseudo-parallel function L and the Einstein constant lambda_e at zero, by
-convention, and _hopf_report is the one place that says so: L is
-build_report's zero, and lambda_e is substituted by 0 in the einstein
-report before it is kept.  No report reads a connection coefficient
-h1..h3, so none is bound: S* = (c + lambda*nu)(I - eta(x)xi) commutes with
-rotations of D, and the Ricci tensor is algebraic in the curvatures.  A
-Ricci-parallel report would read them, and would need h3 = alpha/2 from
-Codazzi on type-B tubes, not 0.
+lambda and nu; its space fixes c.  The cached reports are build_report
+calls with no L and no scope, so they take the pseudo-parallel function L
+and the Einstein constant lambda_e at zero: each builder in conditions
+owns the default of its free scalar.  No report reads a connection
+coefficient h1..h3, so none is bound: S* = (c + lambda*nu)(I - eta(x)xi)
+commutes with rotations of D, and the Ricci tensor is algebraic in the
+curvatures.  A Ricci-parallel report would read them, and would need
+h3 = alpha/2 from Codazzi on type-B tubes, not 0.
 
 A single radius is evaluated by Expr.eval: fam.curvatures(r) evaluates the
 family's alpha, lambda and nu, and a condition report's rows are evaluated
@@ -70,7 +69,7 @@ from itertools import repeat
 from operator import lt
 from typing import Callable, NamedTuple
 
-from .conditions import EINSTEIN_SYMBOL, ConditionKind, ConditionReport, build_report
+from .conditions import ConditionKind, ConditionReport, build_report
 # perfbench/test_perfbench.py reads catalog.parallel_equations
 from .conditions import parallel_equations
 from .frames import build_hopf_context, star_ricci_closed
@@ -301,8 +300,13 @@ def parse_catalog(text: str) -> Catalog:
                 raise CatalogError(f"domain {sec['domain']!r} is not two ends 'lo, hi'")
             domain = _keyed("domain", lambda: tuple(_parse_endpoint(end, table) for end in ends))
             curvatures = [_keyed(key, lambda: parse_expr(sec[key], table)) for key in _CURVATURES]
-            fam = HypersurfaceFamily(section, space, domain, *curvatures,
-                                     sec.get("description", "").strip())
+            try:
+                fam = HypersurfaceFamily(section, space, domain, *curvatures,
+                                         sec.get("description", "").strip())
+            except ValueError:  # the oracle compile: name the first key that fails alone
+                for key, value in zip(_CURVATURES, curvatures):
+                    _keyed(key, lambda: compile_sweep(_SWEEP_PARAMS, {key: value}, (), "0.0"))
+                raise
         except KeyError as exc:  # a key the section lacks
             raise CatalogError(f"family {section!r}: missing key {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -377,19 +381,11 @@ def builtin_families() -> list:
 @lru_cache(maxsize=None)
 def _hopf_report(kind: ConditionKind) -> ConditionReport:
     """Symbolic condition report on the *-Ricci tensor over the generic Hopf
-    context (c symbolic), shared by both model spaces.  The one place that
-    fixes the numeric convention L = lambda_e = 0: the pseudo-parallel report
-    takes build_report's zero L, and the einstein report has lambda_e
-    substituted by 0, so a kept report reads only REPORT_PARAMS."""
+    context (c symbolic), shared by both model spaces.  build_report is
+    given no L and no scope, so its builders take L = lambda_e = 0 and a
+    kept report reads only REPORT_PARAMS."""
     ctx = build_hopf_context()
-    scope = ctx.table.scope()
-    try:
-        report = build_report(ctx, kind, star_ricci_closed(ctx), None, scope)
-        if kind is ConditionKind.EINSTEIN:
-            report = report.substitute({scope.get(EINSTEIN_SYMBOL): Expr.zero()})
-        return report
-    finally:
-        scope.clear()  # frees the scope and its symbol without the cyclic gc
+    return build_report(ctx, kind, star_ricci_closed(ctx))
 
 
 def _sweep_kernel(fam: HypersurfaceFamily, report: ConditionReport) -> Callable:

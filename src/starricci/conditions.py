@@ -258,10 +258,12 @@ def semi_parallel_equations(ctx: FrameContext, T: Tensor11) -> ConditionReport:
     return _curvature_derivation(ctx, T, Expr.zero(), ConditionKind.SEMI_PARALLEL)
 
 
-def pseudo_parallel_equations(ctx: FrameContext, T: Tensor11, L: Expr) -> ConditionReport:
-    """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j, L as given:
-    with L = 0 the rows are the semi-parallel ones."""
-    return _curvature_derivation(ctx, T, L, ConditionKind.PSEUDO_PARALLEL)
+def pseudo_parallel_equations(ctx: FrameContext, T: Tensor11,
+                              L: Optional[Expr] = None) -> ConditionReport:
+    """g(((R(e_i,e_j) - L (e_i ^ e_j)) . T) e_k, e_l) over i < j.  L is zero
+    when None, and the rows are then the semi-parallel ones."""
+    return _curvature_derivation(ctx, T, Expr.zero() if L is None else L,
+                                 ConditionKind.PSEUDO_PARALLEL)
 
 
 # Name of the Einstein constant in einstein_equations' report.
@@ -272,17 +274,17 @@ def einstein_equations(ctx: FrameContext, scope: Optional[SymbolTable] = None) -
     """S_{jk} - lambda_e delta_{jk} for the Ricci tensor of the context.
 
     The Einstein constant gets its own symbol, distinct from the principal
-    curvature lambda.  It is minted in `scope`, a scope of ctx.table (a new
-    one by default), never in the context's own table.
+    curvature lambda, minted in `scope`, a scope of ctx.table, never in the
+    context's own table.  With no scope, lambda_e is zero and the entries
+    are the Ricci entries.
     """
     S = ricci(ctx)
-    scope = ctx.table.scope() if scope is None else scope
-    lam_e = Expr.from_symbol(scope.constant(EINSTEIN_SYMBOL))
+    lam_e = None if scope is None else Expr.from_symbol(scope.constant(EINSTEIN_SYMBOL))
     entries = []
     for Y in FRAME_INDICES:
         for proj in FRAME_INDICES:
             eq = S.rows[proj._value_][Y._value_]
-            if Y is proj:
+            if Y is proj and lam_e is not None:
                 eq = eq - lam_e
             entries.append(ReportEntry((), Y, proj, eq))
     return ConditionReport(ConditionKind.EINSTEIN, tuple(entries), _labels(((),)))
@@ -304,12 +306,12 @@ def build_report(
     L: Optional[Expr] = None,
     scope: Optional[SymbolTable] = None,
 ) -> ConditionReport:
-    """The `kind` report on T over ctx.  Pseudo-parallel reads the function
-    L, zero when L is None; the other kinds ignore it.  Einstein ignores T
-    (which may be None): it is the report of the context's Ricci tensor,
-    with its constant minted in `scope` (einstein_equations)."""
+    """The `kind` report on T over ctx, passed to its builder.  Each builder
+    decides what its kind reads: pseudo-parallel reads L, einstein ignores T
+    (which may be None) and mints its constant in `scope`; the others read
+    T alone.  With L and scope left None, L = lambda_e = 0."""
     if kind is ConditionKind.EINSTEIN:
         return einstein_equations(ctx, scope)
     if kind is ConditionKind.PSEUDO_PARALLEL:
-        return pseudo_parallel_equations(ctx, T, Expr.zero() if L is None else L)
+        return pseudo_parallel_equations(ctx, T, L)
     return _BUILDERS[kind](ctx, T)

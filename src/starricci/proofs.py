@@ -617,7 +617,7 @@ def type_b_exclusion(
     expected = TYPE_B_EXPECTED[space.name]
     max_dev = max(map(abs, map(sub, values, repeat(expected))))
     min_abs = min(map(abs, values))
-    ok = max_dev <= ORACLE_TOL and min_abs >= 3.0 - ORACLE_TOL
+    ok = max_dev <= ORACLE_TOL and min_abs >= abs(expected) - ORACLE_TOL
     return TypeBReport(space, fam.family_id, samples, expected, max_dev, min_abs, ok, witness)
 
 
@@ -688,8 +688,8 @@ def verify_all(
     max residual above WITNESS_TOL (no family poses as a counterexample).
     The type-B certificates sweep their families first (CP2's, then CH2's),
     and the witness reads those sweeps back from the reports; every other
-    family is swept here, in catalog order.  "ok" is decided here, once.  An unknown target or no space is a
-    ValueError.
+    family is swept here, in catalog order.  "ok" is decided here, once.
+    An unknown target or no space is a ValueError.
     """
     if target not in _VERDICTS:
         raise ValueError(f"unknown proof target {target!r} (known: {', '.join(_VERDICTS)})")

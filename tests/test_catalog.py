@@ -263,6 +263,13 @@ MALFORMED_FAMILIES = [
      "family 'fam': key 'domain': unexpected token '' (at position 0)"),
     ("space = CP2\ndomain = 0, 10^400\nalpha = 1\nlambda = 1\nnu = 1",
      "family 'fam': key 'domain': floating-point overflow"),
+    # a curvature coefficient beyond the float range names its key
+    ("space = CP2\ndomain = 0, 1\nalpha = 10^400\nlambda = 1\nnu = 1",
+     "family 'fam': key 'alpha': floating-point overflow"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = cot(10^400*r)\nnu = 1",
+     "family 'fam': key 'lambda': floating-point overflow"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = 1\nnu = cot(10^400*r)",
+     "family 'fam': key 'nu': floating-point overflow"),
 ]
 
 

@@ -396,6 +396,12 @@ def test_a_bad_catalog_version_is_one_error_line(tmp_path, capsys, header, error
      "family 'fam': key 'domain': unexpected token '' (at position 0)"),
     ("space = CP2\ndomain = 0, 10^400\nalpha = 1\nlambda = 1\nnu = 1",
      "family 'fam': key 'domain': floating-point overflow"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 10^400\nlambda = 1\nnu = 1",
+     "family 'fam': key 'alpha': floating-point overflow"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = cot(10^400*r)\nnu = 1",
+     "family 'fam': key 'lambda': floating-point overflow"),
+    ("space = CP2\ndomain = 0, 1\nalpha = 1\nlambda = 1\nnu = cot(10^400*r)",
+     "family 'fam': key 'nu': floating-point overflow"),
 ])
 def test_a_malformed_catalog_family_is_one_error_line(tmp_path, capsys, body, error):
     path = tmp_path / "malformed.cat"

@@ -149,8 +149,10 @@ def test_pseudo_parallel_reduces_to_semi_at_zero(nonhopf, hopf):
     for ctx in (nonhopf, hopf):
         T = star_ricci_closed(ctx)
         semi = semi_parallel_equations(ctx, T)
-        pseudo = pseudo_parallel_equations(ctx, T, Expr.zero())
-        assert semi.equations() == pseudo.equations()
+        # L = 0 given, and L left out: the builder's own default
+        for pseudo in (pseudo_parallel_equations(ctx, T, Expr.zero()),
+                       pseudo_parallel_equations(ctx, T)):
+            assert semi.equations() == pseudo.equations()
 
 
 def test_wedge_operator_action():
@@ -179,12 +181,20 @@ def test_einstein_report(hopf):
         scope.get("lambda_e"): Expr.const(-6),
     }
     assert rep.substitute(bind).is_zero()
+    # the constant is the symbol minted in the scope it was given
+    lam_e = Expr.from_symbol(scope.get("lambda_e"))
+    for Y in FRAME_INDICES:
+        assert rep.get((), Y, Y).equation == ricci(hopf).rows[Y.value][Y.value] - lam_e
 
 
 def test_einstein_horosphere_off_diagonals_vanish(hopf):
+    # with no scope lambda_e is zero: no entry reads it, each is its Ricci entry
     rep = einstein_equations(hopf)
-    bindings = {"alpha": 2.0, "lambda": 1.0, "nu": 1.0, "c": -4.0, "lambda_e": 0.0}
+    S = ricci(hopf)
+    bindings = {"alpha": 2.0, "lambda": 1.0, "nu": 1.0, "c": -4.0}
     for e in rep.entries:
+        assert "lambda_e" not in {sym.name for sym in e.equation.symbols()}
+        assert e.equation == S.rows[e.proj.value][e.y.value]
         if e.y is not e.proj:
             assert abs(e.equation.eval(bindings)) < 1e-9
 

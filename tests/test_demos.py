@@ -29,7 +29,8 @@ def test_every_demo_is_recorded():
 def test_demo_output_is_unchanged(index, name):
     # hash seeds 1, 2, 3 in turn across the demos
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(1 + index % 3))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+    # -W error: a warning fails the demo, as pytest's filterwarnings does in process
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / name)],
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]
