@@ -55,7 +55,7 @@ import sys
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import le
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .catalog import (
@@ -312,6 +312,15 @@ def _name_values(items: Sequence[str], noun: str) -> dict[str, str]:
     return values
 
 
+def _named(what: str, parse: Callable):
+    """parse(); a ValueError it raises is raised again with `what`, the input
+    at fault, before its message."""
+    try:
+        return parse()
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _assumed_symbol(name: str, names: SymbolTable) -> Symbol:
     """The symbol an assumption binds: `name` parsed in the command's scope,
     accepted only when it is one symbol, a context name or a D(ei, f) of one
@@ -337,13 +346,14 @@ def cmd_check(args) -> int:
     names = ctx.table.scope()  # the context's names and this command's
     try:
         tensor = star_ricci_closed(ctx) if args.tensor == "star-ricci" else ricci(ctx)
-        L = (None if args.pseudo_l is None
-             else parse_expr(args.pseudo_l, names, define_missing=True))
+        L = (None if args.pseudo_l is None else _named(
+            "--pseudo-l", lambda: parse_expr(args.pseudo_l, names, define_missing=True)))
         report = build_report(ctx, kind, tensor, L, names)
         if args.assumptions:
             bindings = {}
             for name, value in _name_values(args.assumptions, "assumption").items():
-                bindings[_assumed_symbol(name, names)] = parse_expr(value, names)
+                bindings[_assumed_symbol(name, names)] = _named(
+                    f"assumption {name!r}", lambda: parse_expr(value, names))
             report = report.substitute(bindings)
         payload = {
             "tensor": args.tensor,
@@ -402,7 +412,7 @@ def cmd_expr(args) -> int:
         for name, value in _name_values(args.args, "binding").items():
             if name not in table:
                 raise ExprError(f"binding {name!r} names no symbol of {args.text!r}")
-            bindings[name] = float(value)
+            bindings[name] = _named(f"binding {name!r}", lambda: float(value))
         value = expr.eval(bindings)
         if not math.isfinite(value):
             raise ExprError(f"{expr.to_text()} evaluates to {value!r}, which is not finite")

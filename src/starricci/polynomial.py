@@ -7,6 +7,18 @@ order (the alphabetically earliest name is the most significant variable).
 The order is fixed and global, so every polynomial has one canonical form
 and structural equality coincides with mathematical equality.
 
+``Polynomial(dict)`` is the canonicalizing constructor: it drops zero
+coefficients and sorts the terms by the key memo.  A result whose term order
+follows from its operands is built by ``_ordered`` from a term tuple that is
+already canonical, with no dict and no sort.  Grlex is compatible with
+multiplication, so multiplying or dividing every term by one monomial keeps
+their order, and so does dropping terms: a negation or a scaling, a product
+with a one-term factor, a quotient by a term or by the common monomial, the
+coefficients in one symbol, a constant and a symbol are built in order.  A
+sum is one ordered merge of the two term tuples, and a difference the sum
+with the negation.  Products of several terms, powers, derivatives, general
+substitution and the gcd pieces go through the constructor.
+
 A coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise,
 so most term arithmetic is integer arithmetic in C.  Every coefficient
 division divides a ``Fraction``, so none yields a float; ``constant_value``
@@ -203,12 +215,12 @@ class Polynomial:
 
     @staticmethod
     def const(value) -> "Polynomial":
-        c = value if value.__class__ is int else Fraction(value)
-        return Polynomial({_EMPTY: c}) if c else _ZERO
+        c = value if value.__class__ is int else _coeff(Fraction(value))
+        return _ordered(((_EMPTY, c),)) if c else _ZERO
 
     @staticmethod
     def from_symbol(sym: Symbol) -> "Polynomial":
-        return Polynomial({((sym, 1),): 1})
+        return _ordered(((((sym, 1),), 1),))
 
     # -- predicates --------------------------------------------------------
 
@@ -251,7 +263,8 @@ class Polynomial:
 
     def coeffs_in(self, sym: Symbol) -> dict[int, "Polynomial"]:
         """Univariate view: exponent of sym -> coefficient polynomial."""
-        buckets: dict[int, dict[Mono, Coeff]] = {}
+        # the terms of one exponent keep their order once sym^e is divided out
+        buckets: dict[int, list] = {}
         for m, c in self.terms:
             e = 0
             rest = []
@@ -260,8 +273,8 @@ class Polynomial:
                     e = k
                 else:
                     rest.append((s, k))
-            buckets.setdefault(e, {})[tuple(rest)] = c
-        return {e: Polynomial(d) for e, d in buckets.items()}
+            buckets.setdefault(e, []).append((tuple(rest), c))
+        return {e: _ordered(tuple(b)) for e, b in buckets.items()}
 
     @staticmethod
     def from_univariate(sym: Symbol, coeffs: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -276,19 +289,42 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(acc)
+        """One ordered merge of the two term tuples: equal monomials (by ==,
+        as dict keys) add, keeping self's monomial, and a sum that cancels
+        leaves its monomial out."""
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        lead = a[0][0] or b[0][0]  # () sorts last: no lead means two constants
+        key = _memos(lead[0][0]).keys.__getitem__ if lead else None
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ma, ca), (mb, cb) = a[i], b[j]
+            if ma == mb:
+                c = ca + cb
+                if c:
+                    out.append((ma, _coeff(c)))
+                i += 1
+                j += 1
+            elif key(ma) < key(mb):
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out += a[i:] or b[j:]
+        return _ordered(tuple(out)) if out else _ZERO
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, 0) - c
-        return Polynomial(acc)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms})
+        if not self.terms:
+            return _ZERO
+        return _ordered(tuple([(m, -c) for m, c in self.terms]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self is _ONE:
@@ -299,8 +335,17 @@ class Polynomial:
             return _ZERO
         lead = self.terms[0][0] or other.terms[0][0]
         if not lead:
-            return Polynomial({_EMPTY: self.terms[0][1] * other.terms[0][1]})
+            return _ordered(((_EMPTY, _coeff(self.terms[0][1] * other.terms[0][1])),))
         products = _memos(lead[0][0]).products
+        # a product with one term keeps the order of the other factor's terms
+        if len(self.terms) == 1:
+            (ma, ca), = self.terms
+            row = products[ma]
+            return _ordered(tuple([(row[mb], _coeff(ca * cb)) for mb, cb in other.terms]))
+        if len(other.terms) == 1:
+            (mb, cb), = other.terms
+            return _ordered(tuple([(products[ma][mb], _coeff(ca * cb))
+                                   for ma, ca in self.terms]))
         acc: dict[Mono, Coeff] = {}
         for ma, ca in self.terms:
             row = products[ma]
@@ -310,9 +355,9 @@ class Polynomial:
         return Polynomial(acc)
 
     def scale(self, k: Coeff) -> "Polynomial":
-        if not k:
+        if not k or not self.terms:
             return _ZERO
-        return Polynomial({m: c * k for m, c in self.terms})
+        return _ordered(tuple([(m, _coeff(c * k)) for m, c in self.terms]))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -391,17 +436,17 @@ class Polynomial:
             return _ZERO
         if len(divisor.terms) == 1:  # a term: one pass, no remainder
             (dm, dc), = divisor.terms
-            quot: dict[Mono, Coeff] = {}
+            terms = []
             for rm, rc in self.terms:
                 m = _mono_div_or_none(rm, dm)
                 if m is None:
                     return None
                 if rc.__class__ is int and dc.__class__ is int and not rc % dc:
-                    quot[m] = rc // dc
+                    terms.append((m, rc // dc))
                 else:
-                    quot[m] = Fraction(rc) / dc
-            return Polynomial(quot)
-        quot = {}
+                    terms.append((m, _coeff(Fraction(rc) / dc)))
+            return _ordered(tuple(terms))
+        quot: dict[Mono, Coeff] = {}
         rem = self
         dm, dc = divisor.leading()
         while not rem.is_zero:
@@ -486,6 +531,29 @@ class Polynomial:
 
 _ZERO = Polynomial({})
 _ONE = Polynomial({_EMPTY: 1})
+_new = object.__new__
+_set_terms = Polynomial.terms.__set__
+_set_hash, _set_scaled = Polynomial._hash.__set__, Polynomial._scaled.__set__
+
+
+def _coeff(c: Coeff) -> Coeff:
+    """c as the constructor stores it: an int when integral."""
+    return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+
+def _ordered(terms: tuple) -> Polynomial:
+    """The Polynomial of `terms`, built without the canonicalizing constructor.
+
+    `terms` must already be canonical: not empty, sorted by the grlex key,
+    with nonzero coefficients, each an int when integral (see the module
+    docstring for the results that are).  The result is equal in every slot
+    to Polynomial(dict(terms)).
+    """
+    out = _new(Polynomial)
+    _set_terms(out, terms)
+    _set_hash(out, None)
+    _set_scaled(out, None)
+    return out
 
 
 def _monic(p: Polynomial) -> Polynomial:
@@ -548,7 +616,7 @@ def _mono_content(p: Polynomial) -> Mono:
 
 def _mono_quotient(p: Polynomial, m: Mono) -> Polynomial:
     # m is the common monomial of p's terms, so it divides each of them
-    return Polynomial({_mono_div_or_none(t, m): c for t, c in p.terms}) if m else p
+    return _ordered(tuple([(_mono_div_or_none(t, m), c) for t, c in p.terms])) if m else p
 
 
 def _gcd_rec(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -16,9 +16,12 @@ denominator takes no gcd and ``_set`` leaves num/1 unchanged.  So canonical
 forms, text and the gcds taken do not depend on which path built a value.
 ``dot`` extends the fast path to a whole sum of products: the products of
 polynomial values add, as ints over one common denominator, into one dict,
-and the sum is one Polynomial.  Substitution folds a binding to a rational
-constant into the coefficients, so only the other bindings take polynomial
-products.
+which is sorted once into the terms of one Polynomial.  Substitution folds a
+binding to a rational constant into the coefficients, so only the other
+bindings take polynomial products; a polynomial whose bindings are all zero
+keeps the terms that hold no bound symbol, in their order.  The negation of
+a rational function -num/den is coprime with a monic den already, so it
+takes no gcd.
 
 ``Expr.eval`` evaluates one expression once; it is the only per-call float
 evaluator.  ``compile_sweep`` is the only compiled one: one loop over the
@@ -41,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .polynomial import Coeff, Mono, Polynomial, _memos, _mono_mul, poly_gcd
+from .polynomial import Coeff, Mono, Polynomial, _memos, _mono_mul, _ordered, poly_gcd
 from .symbols import Symbol
 
 Scalar = Union[int, Fraction, "Expr"]
@@ -219,7 +222,9 @@ class Expr:
     def __neg__(self) -> "Expr":
         if self.den is _ONE:
             return _polynomial(-self.num)
-        return Expr(-self.num, self.den)
+        out = _new(Expr)  # -num/den is coprime with a monic den already: no gcd
+        out._set(-self.num, self.den)
+        return out
 
     def __mul__(self, other: Scalar) -> "Expr":
         if other.__class__ is int and self.den is _ONE:
@@ -276,13 +281,18 @@ class Expr:
 
         num and den are each evaluated as one fraction N/D of polynomials
         (see _substitute_poly), and the result is the Expr of
-        N_num * D_den over D_num * N_den, which takes one gcd.  Raises
+        N_num * D_den over D_num * N_den, which takes one gcd.  A polynomial
+        whose bindings are all zero keeps the terms that hold no bound
+        symbol, in their order, with no product and no gcd.  Raises
         DivisionByZeroExpr if the denominator vanishes identically under the
         substitution.
         """
         if not bindings:
             return self
         table = {s: Expr._coerce(v) for s, v in bindings.items()}
+        if self.den is _ONE and not any(v.num.terms for v in table.values()):
+            kept = tuple([t for t in self.num.terms if not any(s in table for s, _e in t[0])])
+            return _polynomial(_ordered(kept)) if kept else _ZERO_EXPR
         num_n, num_d = _substitute_poly(self.num, table)
         den_n, den_d = _substitute_poly(self.den, table)
         if den_n.is_zero:
@@ -423,7 +433,8 @@ def dot(terms: Iterable[tuple[int, Expr, Expr]],
     with one common denominator L, a multiple of every d_a * d_b, a product
     adds k * (L / (d_a * d_b)) * a * b in ints.  L grows (and the dict with
     it) only when a product's d_a * d_b does not divide it, and each output
-    term is divided by L once, to an int or a Fraction.  The terms of a * b
+    term is divided by L once, to an int or a Fraction, as the dict is
+    sorted into the ordered terms of the sum.  The terms of a * b
     are those Polynomial.__mul__ would form, looked up in the same memo,
     that of the table of the lead symbol.  The derivative of a polynomial e
     enters the same dict through the table's memoized derivative terms, so
@@ -473,11 +484,17 @@ def dot(terms: Iterable[tuple[int, Expr, Expr]],
             for mb, cb in tb:
                 m = row[mb]
                 acc[m] = get(m, 0) + kc * cb
-    if not any(acc.values()):
+    kept = [m for m, n in acc.items() if n]
+    if not kept:
         return rest if rest.num.terms else _ZERO_EXPR
-    if L != 1:
-        acc = {m: n // L if not n % L else Fraction(n, L) for m, n in acc.items() if n}
-    total = _polynomial(Polynomial(acc)) + rest
+    if len(kept) > 1:
+        kept.sort(key=_memos((kept[0] or kept[1])[0][0]).keys.__getitem__)  # at most one is ()
+    if L == 1:
+        terms = tuple([(m, acc[m]) for m in kept])
+    else:
+        terms = tuple([(m, n // L if not n % L else Fraction(n, L))
+                       for m in kept for n in (acc[m],)])
+    total = _polynomial(_ordered(terms)) + rest
     return total if total.num.terms else _ZERO_EXPR
 
 

@@ -655,6 +655,16 @@ def test_a_power_bounds_the_terms_of_the_numerator_and_the_denominator(monkeypat
                                   f"to more than 10 terms (at position {pos})")
 
 
+# Inputs whose error names the binding, the assumption or the flag that failed.
+_NAMED_INPUT_ERRORS = {
+    ("expr", "eval", "x", "x=abc"): "binding 'x': could not convert string to float: 'abc'",
+    ("check", "star-ricci", "parallel", "nonhopf", "delta=0", "mu=1/0"):
+        "assumption 'mu': division by zero expression (at position 1)",
+    ("check", "ricci", "pseudo-parallel", "hopf", "--pseudo-l", "alpha+"):
+        "--pseudo-l: unexpected token '' (at position 6)",
+}
+
+
 def test_bad_inputs_exit_nonzero(capsys, tmp_path):
     # configparser's messages for these two files span lines
     no_header = tmp_path / "no-header.cat"
@@ -713,11 +723,14 @@ def test_bad_inputs_exit_nonzero(capsys, tmp_path):
         # lambda = nu = cot(r) ~ 1e200: lambda*nu + c overflows, the xi-parallel rows are 0
         ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel", "--format", "json"],
         ["sweep", "cp2-a1", "1e-200", "2e-200", "2", "xi-parallel"],
+        *map(list, _NAMED_INPUT_ERRORS),
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        if tuple(argv) in _NAMED_INPUT_ERRORS:  # the message names the input at fault
+            assert captured.err == f"error: {_NAMED_INPUT_ERRORS[tuple(argv)]}\n"
 
 
 def test_no_input_sets_a_tolerance(capsys):
@@ -1287,7 +1300,9 @@ def test_names_a_command_defines_stay_in_that_command(monkeypatch, capsys):
     # command defines must not change what a later one accepts
     fresh = [_in_fresh_process(argv) for argv in _NAME_PROBES]
     assert [code for code, _, _ in fresh] == [2] * len(_NAME_PROBES)
-    assert all(out == "" and err.startswith("error: unknown") and err.count("\n") == 1
+    # an unknown name in an assumption's value is named with its assumption
+    assert all(out == "" and err.count("\n") == 1
+               and err.startswith(("error: unknown", "error: assumption 'delta': unknown"))
                for _, out, err in fresh)
     cited = []
     entry = proofs.covariant_derivative_entry

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from starricci import conditions
+from starricci import conditions, polynomial, rational
 from starricci.conditions import (
     ConditionKind,
     build_report,
@@ -301,7 +301,7 @@ def test_report_entries_are_one_accumulation_each(monkeypatch, build):
 
 
 # Polynomials built by parallel_equations on the Ricci and the *-Ricci
-# tensor of a prebuilt context.  The non-Hopf counts were (54, 37) when each
+# tensor of a prebuilt context, by either constructor.  The non-Hopf counts were (54, 37) when each
 # derivative e_X(T_PY) built a Polynomial of its own.
 # Symmetric tensors (both Ricci tensors, the Hopf S*) build only the entries
 # with y <= proj: the counts were (27, 25) and (10, 4) when every entry was built.
@@ -319,13 +319,19 @@ def test_parallel_reports_build_no_empty_derivative(monkeypatch, build):
     assert _metric_connection(ctx)
     tensors = (ricci(ctx), star_ricci_closed(ctx))
     built = []
-    original = Polynomial.__init__
+    original, ordered = Polynomial.__init__, polynomial._ordered
 
     def counted(self, terms):
         built.append(len(terms))
         return original(self, terms)
 
+    def counted_ordered(terms):  # the constructor of terms already in order
+        built.append(len(terms))
+        return ordered(terms)
+
     monkeypatch.setattr(Polynomial, "__init__", counted)
+    for module in (polynomial, rational):
+        monkeypatch.setattr(module, "_ordered", counted_ordered)
     counts = []
     for T in tensors:
         built.clear()

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starricci.frames import build_hopf_context, build_nonhopf_context, ricci, with_shape_operator
@@ -559,3 +559,121 @@ def test_a_low_power_of_a_wide_sum_equals_repeated_products(k, n):
     for _ in range(n - 1):
         expected = expected * p
     assert _typed_terms(p ** n) == _typed_terms(expected)
+
+
+# The ordered constructor against the canonicalizing one.  The scope's
+# constants "a" and "w" sort before the table's "x", "y", "z", so a monomial
+# of mixed symbols may lead with either table's symbol.
+_ORD_TABLE = SymbolTable()
+_ORD_SCOPE = _ORD_TABLE.scope()
+_ORD_SYMS = ([_ORD_TABLE.constant(n) for n in ("x", "y", "z")]
+             + [_ORD_SCOPE.constant(n) for n in ("a", "w")])
+_ORD_MONOS = st.dictionaries(st.sampled_from(_ORD_SYMS), st.integers(1, 2), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items())))
+# Fractions with a small denominator: products and sums of them are often integral
+_ORD_COEFFS = st.one_of(st.integers(-6, 6),
+                        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+_ORD_POLYS = st.dictionaries(_ORD_MONOS, _ORD_COEFFS, max_size=5).map(Polynomial)
+# one term, a constant among them
+_ORD_TERMS = st.builds(lambda m, c: Polynomial({m: c}), _ORD_MONOS, _ORD_COEFFS.filter(bool))
+
+
+def _mono_product(a, b):
+    exps = dict(a)
+    for s, e in b:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _dict_sum(*parts):
+    """Polynomial(acc) of the sum of k * p over the pairs (k, p) of parts."""
+    acc = {}
+    for k, p in parts:
+        for m, c in p.terms:
+            acc[m] = acc.get(m, 0) + k * c
+    return Polynomial(acc)
+
+
+def _dict_product(p, q):
+    acc = {}
+    for ma, ca in p.terms:
+        for mb, cb in q.terms:
+            m = _mono_product(ma, mb)
+            acc[m] = acc.get(m, 0) + ca * cb
+    return Polynomial(acc)
+
+
+def _assert_same(got, ref):
+    """got equals the canonicalizing constructor's ref in every slot."""
+    assert got.__class__ is Polynomial
+    assert _typed_terms(got) == _typed_terms(ref)
+    assert (got == ref, hash(got), got.scaled()) == (True, hash(ref), ref.scaled())
+    assert got.to_text() == ref.to_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORD_POLYS, _ORD_POLYS, _ORD_TERMS, _ORD_COEFFS.filter(bool),
+       st.sampled_from(_ORD_SYMS))
+def test_ordered_results_equal_the_canonicalizing_constructor(p, q, t, k, sym):
+    (tm, tc), = t.terms
+    # sums, one that cancels in part (q - p) and ones that cancel to zero
+    partly = _dict_sum((1, q), (-1, p))
+    for a, b in ((p, q), (q, p), (p, partly), (p, p), (p, -p), (t, p), (p, t)):
+        _assert_same(a + b, _dict_sum((1, a), (1, b)))
+        _assert_same(a - b, _dict_sum((1, a), (-1, b)))
+    for zero in (p - p, p + -p, -p + p):
+        assert zero.is_zero and zero == Polynomial.zero()
+    _assert_same(-p, Polynomial({m: -c for m, c in p.terms}))
+    _assert_same(p.scale(k), Polynomial({m: c * k for m, c in p.terms}))
+    _assert_same(p.scale(1 / Fraction(k)), Polynomial({m: c / Fraction(k) for m, c in p.terms}))
+    # a product with one term, on either side: each side fills its own memo row
+    for product, (first, second) in ((t * p, (t, p)), (p * t, (p, t))):
+        _assert_same(product, _dict_product(t, p))
+        if p.terms and (first.terms[0][0] or second.terms[0][0]):
+            lead = (first.terms[0][0] or second.terms[0][0])[0][0]
+            rows = polynomial._memos(lead).products
+            for ma, _c in first.terms:
+                assert {mb for mb, _c in second.terms} <= set(rows[ma])
+    # a quotient by a term, the common monomial split off, the coefficients
+    # in a symbol
+    quotient = {}
+    for m, c in (p * t).terms:
+        quotient[polynomial._mono_div_or_none(m, tm)] = Fraction(c) / tc
+    _assert_same((p * t).exact_div(t), Polynomial(quotient))
+    assert (p * t).exact_div(t) == p
+    if tm and not p.is_zero:
+        shifted = p * Polynomial({tm: 1})
+        _assert_same(polynomial._mono_quotient(shifted, tm), Polynomial(dict(p.terms)))
+    buckets = {}
+    for m, c in p.terms:
+        e = dict(m).get(sym, 0)
+        buckets.setdefault(e, {})[tuple((s, x) for s, x in m if s != sym)] = c
+    got = p.coeffs_in(sym)
+    assert list(got) == list(buckets)
+    for e, d in buckets.items():
+        _assert_same(got[e], Polynomial(d))
+    # the two constructors of one term
+    _assert_same(Polynomial.const(k), Polynomial({(): Fraction(k)}))
+    _assert_same(Polynomial.const(Fraction(2 * k, 2)), Polynomial({(): k}))
+    _assert_same(Polynomial.from_symbol(sym), Polynomial({((sym, 1),): 1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), _ORD_POLYS, _ORD_POLYS), max_size=4),
+       st.booleans(), st.sets(st.sampled_from(_ORD_SYMS), max_size=3))
+def test_ordered_dot_and_zero_substitution_equal_the_general_paths(triples, cancel, zeros):
+    # dot: its sorted accumulator against the sum of products in one dict
+    if cancel:
+        triples = triples + [(-k, a, b) for k, a, b in triples]
+    got = rational.dot([(k, Expr(a), Expr(b)) for k, a, b in triples])
+    ref = _dict_sum(*((k, _dict_product(a, b)) for k, a, b in triples))
+    _assert_same(got.num, ref)
+    assert got.den is Polynomial.one()
+    # substituting zeros keeps the terms free of the bound symbols, in order
+    p = ref if triples else Polynomial.one()
+    table = {s: Expr.zero() for s in zeros}
+    num, den = rational._substitute_poly(p, table)
+    assert den == Polynomial.one()
+    sub = Expr(p).substitute({s: 0 for s in zeros})
+    _assert_same(sub.num, num)
+    assert sub.den is Polynomial.one()
