@@ -36,13 +36,22 @@ the same columns through one % template per row (``_columns``); a check's
 text lines join the report's labels, one tuple per report shape, with its
 equation texts.
 
-A command line is parsed once: ``_parse_args`` hands the arguments after a
-subcommand name straight to that subcommand's parser, where the top-level
-parser would parse them and then hand them on to be parsed again.  A value
-may begin with "-" (``expr eval -x x=2``, ``sweep ch2-a0 -1e3 2 3
-parallel``): a subcommand reads an argument with one leading "-" that names
-none of its options as a value.  An option may come before a ``name=value``
-list; only such a command line is parsed a second time, intermixed.
+argparse is the only spec of the command line, and the only writer of its
+help, usage and errors.  ``_parse_args`` reads a plain line from the
+subcommand parser's own actions (``_plain_args``, through a table built once
+per process): a subcommand name, then its positionals and its one-value
+options by their exact option strings, none given twice, and no token but an
+option string that begins with "-".  Each value goes through argparse's own
+type conversion and choice check.  Every other line goes to argparse
+(``_argparse_args``), and so does a line whose value argparse would reject:
+-h, --version, --format=json, an abbreviation, "--", a value such as -x.
+There the arguments after a subcommand name go straight to that subcommand's
+parser, where the top-level parser would parse them and then hand them on to
+be parsed again.  A value may begin with "-" (``expr eval -x x=2``, ``sweep
+ch2-a0 -1e3 2 3 parallel``): a subcommand reads an argument with one leading
+"-" that names none of its options as a value.  An option may come before a
+``name=value`` list; a plain line reads it in one pass, and argparse parses
+such a line a second time, intermixed.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from functools import lru_cache
@@ -461,6 +471,31 @@ def cmd_expr(args) -> int:
 _DASH_VALUE = re.compile(r"-[^-]")
 
 
+def _terminal_width() -> int:
+    """shutil.get_terminal_size().columns, without importing shutil (and with
+    it bz2, lzma, zlib and fnmatch): COLUMNS when it is a positive integer,
+    else the width of the terminal on sys.__stdout__, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse.HelpFormatter, whose default width _terminal_width finds: the
+    base class imports shutil for it, and add_argument builds a formatter on
+    each call, so every command would load shutil."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=_terminal_width() - 2)
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser: an argument with one leading "-" that names
     none of its options, such as the expression -x, -half or the radius
@@ -479,8 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact and numeric verification of *-Ricci parallelism "
                     "conditions on real hypersurfaces of the complex projective "
                     "and hyperbolic planes",
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -492,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_CommandParser)
 
-    p = sub.add_parser("prove", help="replay a proof piece")
+    p = command("prove", "replay a proof piece")
     p.add_argument("target", choices=("nonhopf", "hopf", "quadratic", "type-b", "all"))
     p.add_argument("--space", choices=("cp2", "ch2"), default=None)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -500,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric(p)
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("check", help="emit a symbolic condition report")
+    p = command("check", "emit a symbolic condition report")
     p.add_argument("tensor", choices=("star-ricci", "ricci"))
     p.add_argument("condition", choices=[k.value for k in ConditionKind])
     p.add_argument("context", choices=("nonhopf", "hopf"))
@@ -512,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("sweep", help="numeric residual table over a radius grid")
+    p = command("sweep", "numeric residual table over a radius grid")
     p.add_argument("family")
     p.add_argument("r_min", type=float)
     p.add_argument("r_max", type=float)
@@ -522,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("expr", help="exact expression utilities")
+    p = command("expr", "exact expression utilities")
     p.add_argument("action", choices=("eval", "solve"))
     p.add_argument("text")
     p.add_argument("args", nargs="*",
@@ -534,13 +573,89 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_table(command: argparse.ArgumentParser) -> Optional[tuple]:
+    """What the plain parse reads of command, a subcommand's parser, from
+    the actions build_parser gave it: (command, option string -> its action,
+    the one-value positionals in order, the nargs="*" positional or None,
+    dest -> default in the order parse_known_args sets them).
+
+    None when command has an action the plain parse does not read.  It reads
+    -h, store actions that take one value and are not required, and a
+    nargs="*" positional after the other positionals.  It does not read an
+    option with a str default and a type, which argparse would convert when
+    the option is not given."""
+    options, positionals, rest = {}, [], None
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # a line holding -h or --help goes to argparse
+        if type(action) is not argparse._StoreAction:
+            return None
+        if action.option_strings:
+            if action.nargs is not None or action.required or (
+                    isinstance(action.default, str) and action.type is not None):
+                return None
+            options.update(dict.fromkeys(action.option_strings, action))
+        elif rest is not None:
+            return None
+        elif action.nargs is None:
+            positionals.append(action)
+        elif action.nargs == "*":
+            rest = action
+        else:
+            return None
+    defaults = {action.dest: action.default for action in command._actions
+                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS}
+    return command, options, tuple(positionals), rest, {**defaults, **command._defaults}
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it unchanged."""
-    return build_parser()
+    """The parser, built once per process: parse_args leaves it unchanged.
+    parser.plain maps each subcommand name to its _plain_table."""
+    parser = build_parser()
+    parser.plain = {name: _plain_table(command) for name, command in parser.commands.items()}
+    return parser
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+def _plain_args(table: tuple, argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace of argv, a subcommand name and its arguments, when it is
+    a plain line; else None.  A plain line holds no "-"-led token but the
+    exact option string of one of table's options, given once, with a value
+    that does not begin with "-"; its other tokens fill the positionals in
+    order, and the nargs="*" positional, if any, takes the rest.  Each value
+    goes through argparse's own conversion and choice check."""
+    command, options, positionals, rest, defaults = table
+    args = argparse.Namespace(cmd=argv[0], **defaults)
+    values, given = [], set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                values.append(token)
+                continue
+            action = options.get(token)
+            value = next(tokens, "-")  # no value reads as one that begins with "-"
+            if action is None or action in given or value[:1] == "-":
+                return None
+            given.add(action)
+            value = command._get_value(action, value)
+            command._check_value(action, value)
+            setattr(args, action.dest, value)
+        n = len(positionals)
+        if len(values) < n or (len(values) > n and rest is None):
+            return None
+        for action, value in zip(positionals, values):
+            value = command._get_value(action, value)
+            command._check_value(action, value)
+            setattr(args, action.dest, value)
+        if rest is not None:
+            setattr(args, rest.dest, command._get_values(rest, values[n:]))
+    except argparse.ArgumentError:  # a value of the wrong type or out of its choices
+        return None
+    return args
+
+
+def _argparse_args(argv: list) -> argparse.Namespace:
     """build_parser().parse_args(argv), with one parse of a subcommand's arguments.
 
     The top-level parser parses argv and hands what follows the subcommand
@@ -557,7 +672,6 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     arguments over does an intermixed parse run; its result stands if it
     leaves none, else the one-level parse's leftovers are the error.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
@@ -568,6 +682,16 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         if rest:
             parser.error("unrecognized arguments: " + " ".join(extra))
     return args
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """_argparse_args(argv), read straight from the subcommand's
+    _plain_table when argv is a plain line (_plain_args); every other line,
+    help, usage and errors included, goes to _argparse_args."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    table = _parser().plain.get(argv[0]) if argv else None
+    args = None if table is None else _plain_args(table, argv)
+    return _argparse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ Each '(' the parser descends into, of a group or of a function's argument,
 takes a few stack frames, so text nesting parentheses more than MAX_NESTING
 deep is a syntax error, not a RecursionError.  A run of unary minus signs
 takes none.  A power of k terms to the n whose C(n + k - 1, k - 1) terms
-could exceed MAX_POWER_TERMS, in a numerator or denominator, is one too.
+could exceed MAX_POWER_TERMS, in a numerator or denominator, is one too, and
+so is a power whose coefficients could exceed MAX_POWER_BITS bits.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class UnknownIdentifierError(ExprSyntaxError):
 MAX_NESTING = 100
 # Terms the expansion of one power may reach, in its numerator or denominator.
 MAX_POWER_TERMS = 2000
+# Bits the numerators and denominators of one power's coefficients may reach,
+# as bounded by _power_bits.
+MAX_POWER_BITS = 10_000
 
 
 # Every character of the text starts exactly one match: a token, a run of
@@ -68,6 +72,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _power_bits(poly, n: int) -> int:
+    """b such that 2**b bounds the numerators and denominators of the
+    coefficients of poly ** n.  With k terms of coefficients p_i / q_i and Q
+    the least common multiple of the q_i, each is at most
+    (k * max |p_i| * Q) ** n, so b is n times the sum of ceil(log2) of the
+    three factors, (x - 1).bit_length() for x >= 1: a coefficient of +-1
+    adds nothing to it."""
+    coeffs = [c for _, c in poly.terms]
+    top = max(abs(c.numerator) for c in coeffs)
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return n * ((len(coeffs) - 1).bit_length() + (top - 1).bit_length() + (den - 1).bit_length())
 
 
 class _Parser:
@@ -150,6 +167,10 @@ class _Parser:
                 if k > 1 and math.comb(abs(n) + k - 1, k - 1) > MAX_POWER_TERMS:
                     raise ExprSyntaxError(f"the power of a {k}-term polynomial to {abs(n)} "
                                           f"could expand to more than {MAX_POWER_TERMS} terms", pos)
+                if k and _power_bits(poly, abs(n)) > MAX_POWER_BITS:
+                    raise ExprSyntaxError(f"the power of a {k}-term polynomial to {abs(n)} could "
+                                          f"have coefficients of more than {MAX_POWER_BITS} bits",
+                                          pos)
             return base ** n
         return base
 

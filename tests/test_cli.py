@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import gc
 import hashlib
 import inspect
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -655,6 +658,38 @@ def test_a_power_bounds_the_terms_of_the_numerator_and_the_denominator(monkeypat
                                   f"to more than 10 terms (at position {pos})")
 
 
+@pytest.mark.parametrize("args", [["expr", "eval", "10^9999999"],
+                                  ["expr", "eval", "7^99999999"],
+                                  ["check", "ricci", "parallel", "hopf", "c=7^99999999"]])
+def test_a_power_past_the_bit_bound_is_one_error_line(args):
+    # unbounded, the first ran 9 s to an overflow and the others past 20 s and 8 s
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "starricci.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert (f"the power of a 1-term polynomial to {args[-1].rpartition('^')[2]} could have "
+            f"coefficients of more than {parsing.MAX_POWER_BITS} bits (at position ") in proc.stderr
+
+
+def test_a_power_bounds_the_bits_of_its_coefficients(monkeypatch):
+    table = SymbolTable()
+    x, y = (Expr.from_symbol(table.constant(name)) for name in ("x", "y"))
+    assert parse_expr("10^400", table) == Expr.const(10 ** 400)
+    assert parse_expr("(x*y)^100000", table) == (x * y) ** 100000
+    assert parse_expr("(-x)^99999999", table) == (-x) ** 99999999  # a coefficient of -1
+    monkeypatch.setattr(parsing, "MAX_POWER_BITS", 8)
+    assert parse_expr("2^8", table) == Expr.const(256)
+    assert parse_expr("(x+y)^8", table) == (x + y) ** 8
+    assert parse_expr("(x/2+y/3)^2", table) == (x / 2 + y / 3) ** 2  # 2 * (1 + 0 + 3) bits
+    for text, pos, k, n in [("2^9", 1, 1, 9), ("2^(-9)", 1, 1, 9), ("(x+y)^9", 5, 2, 9),
+                            ("(x/2+y/3)^3", 9, 2, 3), ("(3*x)^5", 5, 1, 5)]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, table)
+        assert str(err.value) == (f"the power of a {k}-term polynomial to {n} could have "
+                                  f"coefficients of more than 8 bits (at position {pos})")
+
+
 # Inputs whose error names the binding, the assumption or the flag that failed.
 _NAMED_INPUT_ERRORS = {
     ("expr", "eval", "x", "x=abc"): "binding 'x': could not convert string to float: 'abc'",
@@ -988,6 +1023,105 @@ def test_a_lone_dash_h_is_still_help(capsys, argv):
     assert code == 0 and out.startswith(f"usage: starricci {argv[0]} [-h]") and err == ""
 
 
+# --help of the top-level parser and of check, as argparse wraps it at COLUMNS
+_HELP = {
+    (60, '-h'): (
+        'usage: starricci [-h] [--version]\n'
+        '                 {prove,check,sweep,expr} ...\n'
+        '\n'
+        'exact and numeric verification of *-Ricci parallelism\n'
+        'conditions on real hypersurfaces of the complex projective\n'
+        'and hyperbolic planes\n'
+        '\n'
+        'positional arguments:\n'
+        '  {prove,check,sweep,expr}\n'
+        '    prove               replay a proof piece\n'
+        '    check               emit a symbolic condition report\n'
+        '    sweep               numeric residual table over a\n'
+        '                        radius grid\n'
+        '    expr                exact expression utilities\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and\n"
+        '                        exit\n'
+    ),
+    (60, 'check -h'): (
+        'usage: starricci check [-h] [--pseudo-l EXPR]\n'
+        '                       [--format {text,json}] [--out PATH]\n'
+        '                       {star-ricci,ricci}\n'
+        '                       {parallel,xi-parallel,d-parallel,semi-parallel,pseudo-parallel,einstein}\n'
+        '                       {nonhopf,hopf} [name=value ...]\n'
+        '\n'
+        'positional arguments:\n'
+        '  {star-ricci,ricci}\n'
+        '  {parallel,xi-parallel,d-parallel,semi-parallel,pseudo-parallel,einstein}\n'
+        '  {nonhopf,hopf}\n'
+        '  name=value            substitutions applied to the\n'
+        '                        report\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --pseudo-l EXPR       the function L for the pseudo-\n'
+        '                        parallel condition (default 0); an\n'
+        '                        error with any other condition\n'
+        '  --format {text,json}\n'
+        '  --out PATH\n'
+    ),
+    (100, '-h'): (
+        'usage: starricci [-h] [--version] {prove,check,sweep,expr} ...\n'
+        '\n'
+        'exact and numeric verification of *-Ricci parallelism conditions on real hypersurfaces of the\n'
+        'complex projective and hyperbolic planes\n'
+        '\n'
+        'positional arguments:\n'
+        '  {prove,check,sweep,expr}\n'
+        '    prove               replay a proof piece\n'
+        '    check               emit a symbolic condition report\n'
+        '    sweep               numeric residual table over a radius grid\n'
+        '    expr                exact expression utilities\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and exit\n"
+    ),
+    (100, 'check -h'): (
+        'usage: starricci check [-h] [--pseudo-l EXPR] [--format {text,json}] [--out PATH]\n'
+        '                       {star-ricci,ricci}\n'
+        '                       {parallel,xi-parallel,d-parallel,semi-parallel,pseudo-parallel,einstein}\n'
+        '                       {nonhopf,hopf} [name=value ...]\n'
+        '\n'
+        'positional arguments:\n'
+        '  {star-ricci,ricci}\n'
+        '  {parallel,xi-parallel,d-parallel,semi-parallel,pseudo-parallel,einstein}\n'
+        '  {nonhopf,hopf}\n'
+        '  name=value            substitutions applied to the report\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --pseudo-l EXPR       the function L for the pseudo-parallel condition (default 0); an error\n'
+        '                        with any other condition\n'
+        '  --format {text,json}\n'
+        '  --out PATH\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("columns, argv", list(_HELP))
+def test_help_wraps_at_the_terminal_width(monkeypatch, capsys, columns, argv):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    assert _parsed(capsys, main, argv.split()) == (0, _HELP[columns, argv], "")
+
+
+@pytest.mark.parametrize("columns", [None, "0", "-5", "wide", "40", "200"])
+def test_the_help_width_is_the_width_shutil_finds(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._HelpFormatter("starricci")._width == shutil.get_terminal_size().columns - 2
+
+
 def test_a_radius_of_minus_inf_is_the_domain_error(capsys):
     assert _parsed(capsys, main, ["sweep", "ch2-a0", "-inf", "2", "3", "parallel"]) == (
         2, "", "error: sweep range [-inf, 2.0] must lie strictly inside the open domain "
@@ -999,16 +1133,95 @@ def test_a_command_parses_its_arguments_once(monkeypatch, capsys):
     original = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                         lambda self, *a, **k: calls.append(self.prog) or original(self, *a, **k))
-    for argv in (["check", "star-ricci", "parallel", "hopf"],
-                 ["expr", "eval", "x", "x=1"]):
+    # a plain line is read from the plain table; -x sends its line to argparse
+    for argv, parsed in ((["check", "star-ricci", "parallel", "hopf"], []),
+                         (["expr", "eval", "x", "x=1"], []),
+                         (["expr", "eval", "-x", "x=2"], ["starricci expr"])):
         calls.clear()
         assert main(argv) == 0
-        assert calls == [f"starricci {argv[0]}"]
+        assert calls == parsed
     calls.clear()
     with pytest.raises(SystemExit):
         main(["--version"])
     assert calls == ["starricci"]
     capsys.readouterr()
+
+
+def _outcome(parse, argv):
+    """(the Namespace's values by repr, or the exit code; stdout; stderr) of
+    parse(argv).  repr makes a NaN radius equal to itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    if isinstance(result, argparse.Namespace):
+        result = {dest: repr(value) for dest, value in vars(result).items()}
+    return result, out.getvalue(), err.getvalue()
+
+
+# Values a plain line may hold: numbers, words and name=value words.
+_VALUES = ["", "0", "0.5", "2", "3", "50", "nan", "inf", "x", "x+1", "alpha + mu", "x=1", "x=2",
+           "delta=0", "mu=0", "mu=1/0", "ch2-a0", "cp2-a1", "bogus", "out.json", "PATH"]
+# Tokens that send a line to argparse: values that begin with "-", "--", help,
+# an option with its value after "=", abbreviations and an unknown option.
+_DASHED = ["-inf", "-1", "-1e3", "-x", "-half", "--", "-h", "--help", "--version",
+           "--format=json", "--form", "--pseudo", "--samp", "--cat", "--bogus"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand name and arguments near its grammar: each positional gets
+    one of its choices (or of _VALUES) three times in four, else any token,
+    and so does each drawn option, at a drawn place; at most one more token
+    goes anywhere."""
+    name = draw(st.sampled_from(sorted(cli._parser().commands)))
+    command = cli._parser().commands[name]
+    token = st.sampled_from(_VALUES + _DASHED)
+
+    def value(action):
+        return draw(st.sampled_from(list(action.choices or _VALUES))
+                    if draw(st.integers(0, 3)) else token)
+
+    argv, options = [], []
+    for action in command._actions:
+        if action.option_strings:
+            options += [(o, action) for o in action.option_strings]
+        elif action.nargs is None:
+            argv.append(value(action))
+        else:
+            argv += [value(action) for _ in range(draw(st.integers(0, 2)))]
+    for option, action in draw(st.lists(st.sampled_from(options), max_size=3)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = [option, value(action)]
+    for extra in draw(st.lists(token, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+    return [name, *argv]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_the_plain_parse_equals_the_argparse_parse(argv):
+    assert _outcome(cli._parse_args, argv) == _outcome(cli._argparse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "ricci", "pseudo-parallel", "nonhopf", "--pseudo-l", "alpha + mu"],
+    ["check", "star-ricci", "parallel", "nonhopf", "delta=0", "mu=0", "--format", "json"],
+    ["check", "star-ricci", "parallel", "nonhopf", "--format", "json", "delta=0", "mu=0"],
+    ["sweep", "cp2-a1", "0.2", "0.9", "800", "parallel", "--format", "json", "--catalog", "PATH"],
+    ["sweep", "ch2-a0", "nan", "inf", "3", "parallel", "--out", "out.json"],
+    ["prove", "all", "--samples", "50", "--space", "cp2", "--format", "json"],
+    ["expr", "eval", "x+1", "x=2"],
+    ["expr", "solve", "x^2 - 2", "--format", "json", "x"],
+])
+def test_a_plain_line_takes_no_argparse_parse(monkeypatch, argv):
+    expected = _outcome(cli._argparse_args, argv)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda *a, **k: pytest.fail("parse_known_args called"))
+    assert _outcome(cli._parse_args, argv) == expected
+    assert isinstance(expected[0], dict)
 
 
 @pytest.mark.parametrize("argv", [

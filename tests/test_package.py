@@ -95,13 +95,14 @@ for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv.split()) == 0, argv
 print(" ".join(sorted(m for m in ("starricci.proofs", "starricci.quadratic", "dataclasses",
-                                 "pathlib") if m in sys.modules)))
+                                 "pathlib", "shutil") if m in sys.modules)))
 """
 
 
 def _loaded_after(*argvs: str) -> list:
-    """The proof, quadratic, dataclasses and pathlib modules loaded in a fresh
-    process (without the site module) that runs each argv through cli.main."""
+    """The proof, quadratic, dataclasses, pathlib and shutil modules loaded in
+    a fresh process (without the site module) that runs each argv through
+    cli.main."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_SET, *argvs],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -119,3 +120,7 @@ def test_a_command_loads_only_the_layers_it_runs():
     # a builtin catalog load reads its data without pathlib
     assert "pathlib" not in _loaded_after("prove all --samples 5",
                                           "sweep cp2-a1 0.2 0.9 5 parallel")
+    # the parser finds the terminal width without shutil
+    assert "shutil" not in _loaded_after("check star-ricci parallel hopf",
+                                         "sweep cp2-a1 0.2 0.9 5 parallel",
+                                         "prove all --samples 5", "expr eval x+1 x=2")

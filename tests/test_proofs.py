@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -202,6 +203,47 @@ def test_a_row_with_a_wrong_expected_form_fails_at_its_label(table, nonzero, ind
     steps[index] = steps[index]._replace(expect=ctx.parse(wrong))
     with pytest.raises(ProofError, match=f"step {label}: expected "):
         _run(ctx, steps, nonzero)
+
+
+def _one_field_mutants(ctx, step):
+    """Each copy of step with one field changed: expect times 2 and times -1,
+    each other cite triple, at dropped, cancel dropped and zero renamed to
+    each other name of ctx."""
+    if step.expect is not None:
+        yield from (step._replace(expect=step.expect * k) for k in (2, -1))
+    if step.cite:
+        yield from (step._replace(cite=cite) for cite in product(FrameIndex, repeat=3)
+                    if cite != step.cite)
+    if step.at:
+        yield step._replace(at=())
+    if step.cancel is not None:
+        yield step._replace(cancel=None)
+    if step.zero:
+        yield from (step._replace(zero=name) for name in ctx.table._by_name if name != step.zero)
+
+
+@pytest.mark.parametrize("table, nonzero, counts", [
+    (_nonhopf_table, ("beta", "c"), (185, 1)),
+    (_hopf_table, ("c",), (106, 2)),
+], ids=["nonhopf", "hopf"])
+def test_every_one_field_mutant_of_a_row_fails_at_its_label(table, nonzero, counts):
+    ctx, steps = table()
+    replayed = _run(ctx, steps, nonzero).steps
+    mutants = equivalent = 0
+    for i, step in enumerate(steps):
+        for mutant in _one_field_mutants(ctx, step):
+            mutants += 1
+            rows = [*steps[:i], mutant, *steps[i + 1:]]
+            if step.cite and mutant.cite != step.cite and mutant.cite == (
+                    step.cite[0], step.cite[2], step.cite[1]):
+                # the one declared equivalence: S* is symmetric, so swapping Y
+                # and P of g((nabla_X S*) Y, P) cites the same equation
+                assert _run(ctx, rows, nonzero).steps[i].equation == replayed[i].equation
+                equivalent += 1
+                continue
+            with pytest.raises(ProofError, match=f"^step {re.escape(step.label)}: "):
+                _run(ctx, rows, nonzero)
+    assert (mutants, equivalent) == counts
 
 
 def test_at_substitutes_only_a_zero_in_force():
